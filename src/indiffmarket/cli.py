@@ -42,15 +42,13 @@ def _write_csv(path: Path, header_cols, rows):
     path.write_text("\n".join(lines) + "\n")
 
 
-def _write_metadata(out: Path, command: str, cfg_seed: int, extra=None):
-    meta = {
-        "command": command,
-        "seed": cfg_seed,
-        "scheme": "euler",
-        "versions": {"indiffmarket": __version__, "numpy": np.__version__},
-        "wall_time_s": extra.pop("wall_time_s") if extra and
-        "wall_time_s" in extra else None,
-    }
+def _write_metadata(out: Path, command: str, cfg_seed: int, scheme=None,
+                    wall_time_s=None, extra=None):
+    meta = {"command": command, "seed": cfg_seed}
+    if scheme is not None:
+        meta["scheme"] = scheme
+    meta["versions"] = {"indiffmarket": __version__, "numpy": np.__version__}
+    meta["wall_time_s"] = wall_time_s
     if extra:
         meta.update(extra)
     (out / "metadata.json").write_text(json.dumps(meta, indent=2) + "\n")
@@ -66,15 +64,15 @@ def _simulate(args) -> int:
         raise ConfigError("simulate needs tree kind 'tree'")
     strategy = cfg.build_strategy(tree)
     mode = cfg.engine.get("mode", "execute")
-    ev = FieldEvaluator(panel, tree, cache=False)
+    tol_scale = float(cfg.engine.get("tol_scale", 1e-13))
+    eps_scale = float(cfg.engine.get("eps_explode_scale", 1e-10))
+    ev = FieldEvaluator(panel, tree)
     M, J = panel.size, tree.n_assets
 
     if mode == "execute":
         want_v = bool(cfg.engine.get("want_v", True))
         res = execute_simple(ev, strategy, lam0=cfg.engine.get("lam0"),
-                             want_interior_V=want_v,
-                             tol_scale=float(cfg.engine.get("tol_scale",
-                                                            1e-13)))
+                             want_interior_V=want_v, tol_scale=tol_scale)
         U, W, X, V, Q = res.U, res.W, res.X, res.V, res.Q
         exploded = [np.zeros(tree.n_nodes(k), dtype=bool)
                     for k in range(tree.steps + 1)]
@@ -86,9 +84,7 @@ def _simulate(args) -> int:
         if u0 is None:
             u0 = ev.field(PrimalPoint(v=lam0, x=0.0, q=np.zeros(J))).dv
         q_levels = _positions_by_level(strategy, tree)
-        res = simulate_sde(
-            ev, q_levels, u0,
-            eps_scale=float(cfg.engine.get("eps_explode_scale", 1e-10)))
+        res = simulate_sde(ev, q_levels, u0, eps_scale=eps_scale)
         U, W, X, V = res.U, res.W, res.X, res.V
         # the last interval's position, expanded to the terminal nodes
         owner = tree.ancestor_index(tree.steps,
@@ -124,12 +120,12 @@ def _simulate(args) -> int:
             rows.append(row)
             node_id += 1
     _write_csv(out / "paths.csv", cols, rows)
-    _write_metadata(out, "simulate", seed, {
-        "mode": mode, "steps": tree.steps, "wall_time_s": time.time() - t0,
-        "tolerances": {"saddle": float(cfg.engine.get("tol_scale", 1e-13)),
-                       "eps_explode_scale":
-                           float(cfg.engine.get("eps_explode_scale", 1e-10))},
-    })
+    _write_metadata(out, "simulate", seed,
+                    scheme="exact" if mode == "execute" else "euler",
+                    wall_time_s=time.time() - t0, extra={
+                        "mode": mode, "steps": tree.steps,
+                        "tolerances": {"saddle": tol_scale,
+                                       "eps_explode_scale": eps_scale}})
     return 0
 
 
@@ -213,9 +209,9 @@ def _bachelier(args) -> int:
                 ["xi_closed", xi_closed],
                 ["xi_rel_error", abs(xi / xi_closed - 1.0)
                  if xi_closed else abs(xi)]])
-    _write_metadata(out, "bachelier", seed, {
-        "steps": steps, "paths": n_paths, "q": q,
-        "wall_time_s": time.time() - t0})
+    _write_metadata(out, "bachelier", seed, scheme="euler",
+                    wall_time_s=time.time() - t0,
+                    extra={"steps": steps, "paths": n_paths, "q": q})
     return 0
 
 
@@ -270,7 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.set_defaults(func=_simulate)
 
     ver = sub.add_parser("verify", help="run verification suites")
-    ver.add_argument("--config")
     ver.add_argument("--suite", help="suite name, comma list, or 'all'")
     ver.add_argument("--seed", type=int)
     ver.add_argument("--probes", type=int)

@@ -30,11 +30,11 @@ _KNOWN_KEYS = {
     "panel": {"makers"},
     "tree": {"steps", "horizon", "dim", "kind", "sigma0", "psi"},
     "strategy": {"kind", "levels", "positions", "position"},
-    "engine": {"mode", "scheme", "paths", "eps_explode_scale", "tol_scale",
-               "lam0", "u0", "want_v"},
+    "engine": {"mode", "eps_explode_scale", "tol_scale", "lam0", "u0",
+               "want_v"},
     "bachelier": {"gamma", "b", "mu", "sigma", "s", "horizon", "q", "steps",
                   "paths"},
-    "output": {"directory", "formats"},
+    "output": {"directory"},
 }
 
 

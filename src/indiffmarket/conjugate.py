@@ -71,7 +71,22 @@ class SaddleResult:
 
 
 class SaddleError(RuntimeError):
-    """Saddle Newton failed to reach tolerance."""
+    """Saddle Newton failed to reach tolerance.
+
+    Names where: ``level``, the index ``node`` of the node at that level
+    whose residual exceeds its tolerance by the largest factor, and that
+    node's ``residual`` and ``tolerance``.
+    """
+
+    def __init__(self, level: int, node: int, residual: float,
+                 tolerance: float):
+        super().__init__(
+            f"saddle solve stalled at level {level}, node {node}: residual "
+            f"{residual:.3e} above tolerance {tolerance:.3e}")
+        self.level = level
+        self.node = node
+        self.residual = residual
+        self.tolerance = tolerance
 
 
 def _softmax(s):
@@ -120,21 +135,16 @@ def saddle_batch(evaluator: FieldEvaluator, level: int, u, q,
     tol = tol_scale * (1.0 + np.abs(u).max(axis=1))
 
     if w0 is None or x0 is None:
-        ws, xs = _seed(panel, tree, u, q if q.ndim > 1 else q)
-        w = ws if w0 is None else np.broadcast_to(w0, (n, M)).copy()
-        x = xs if x0 is None else np.broadcast_to(x0, (n,)).astype(float).copy()
-    else:
-        w = np.broadcast_to(w0, (n, M)).copy()
-        x = np.broadcast_to(x0, (n,)).astype(float).copy()
+        ws, xs = _seed(panel, tree, u, q)
+    w = ws if w0 is None else np.broadcast_to(w0, (n, M)).copy()
+    x = xs if x0 is None else np.broadcast_to(x0, (n,)).astype(float).copy()
     s = np.log(w[:, :-1]) - np.log(w[:, -1:])
 
     rng = np.random.default_rng(0)
     best = None
-    for attempt in range(1 + _RESTARTS):
-        w = _softmax(s)
+    for _ in range(1 + _RESTARTS):
         res = _newton(evaluator, level, u, q, s, x, tol)
-        w, x, resid, iters = res
-        if best is None or resid.max() < best[2].max():
+        if best is None or res[2].max() < best[2].max():
             best = res
         if np.all(best[2] <= tol):
             break
@@ -146,9 +156,8 @@ def saddle_batch(evaluator: FieldEvaluator, level: int, u, q,
         x = best[1] + 0.1 * rng.standard_normal(n)
     w, x, resid, iters = best
     if np.any(resid > tol):
-        raise SaddleError(
-            f"saddle solve stalled at residual {resid.max():.3e} "
-            f"(tolerance {tol.max():.3e})")
+        node = int(np.argmax(resid / tol))
+        raise SaddleError(level, node, float(resid[node]), float(tol[node]))
     return w, x, resid, iters
 
 

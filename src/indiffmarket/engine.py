@@ -24,7 +24,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .conjugate import saddle_batch
-from .field import FieldEvaluator, _pullback
+from .field import FieldEvaluator, increment_slope
 from .representative import PrimalPoint, representative_utility
 from .tree import ScenarioTree
 from .utilities import MakerPanel
@@ -38,7 +38,6 @@ __all__ = [
     "simulate_sde",
     "kernel_K",
     "state_from_U",
-    "utility_preservation_residual",
     "execute_simple_paths",
     "simulate_sde_paths",
     "indifference_cash",
@@ -107,19 +106,16 @@ class ExecutionResult:
 
     @property
     def indifference_residual(self) -> float:
+        """Worst indifference violation over all rebalance nodes: the
+        final sup-norm gap of each rebalance's utility-preserving system,
+        re-evaluated after convergence."""
         return max(r.residual for r in self.rebalances)
 
     def martingale_residual(self) -> float:
         """One-step conditional-expectation gap of U over the whole run,
         including across rebalances, where indifference makes the chain
         a martingale despite the state jump."""
-        worst = 0.0
-        for k in range(self.tree.steps):
-            pulled = _pullback(self.U[k + 1], self.tree.child_idx[k],
-                               self.tree.edge_p[k])
-            scale = 1.0 + np.abs(self.U[k]).max()
-            worst = max(worst, float(np.abs(pulled - self.U[k]).max()) / scale)
-        return worst
+        return self.tree.martingale_gap(self.U)
 
 
 def execute_simple(evaluator: FieldEvaluator, strategy: SimpleStrategy,
@@ -211,20 +207,10 @@ class SdeResult:
         return any(e.any() for e in self.exploded)
 
     def martingale_residual(self) -> float:
-        worst = 0.0
-        for k in range(self.tree.steps):
-            # skip nodes that exploded and nodes whose children were
-            # clamped; the freeze deliberately breaks the one-step mean
-            child_hit = self.exploded[k + 1][self.tree.child_idx[k]].any(axis=1)
-            ok = ~self.exploded[k] & ~child_hit
-            if not ok.any():
-                continue
-            pulled = _pullback(self.U[k + 1], self.tree.child_idx[k],
-                               self.tree.edge_p[k])
-            scale = 1.0 + np.abs(self.U[k][ok]).max()
-            worst = max(worst, float(
-                np.abs(pulled[ok] - self.U[k][ok]).max()) / scale)
-        return worst
+        # skip nodes that exploded and nodes whose children were clamped;
+        # the freeze deliberately breaks the one-step mean
+        return self.tree.martingale_gap(self.U,
+                                        ok=[~e for e in self.exploded])
 
 
 def kernel_K(evaluator: FieldEvaluator, u, q, node):
@@ -241,20 +227,9 @@ def kernel_K(evaluator: FieldEvaluator, u, q, node):
                         (n, tree.n_assets))
     w, x, _, _ = saddle_batch(evaluator, level, u, q)
     sweep = evaluator.sweep_states(level, w, x, q, names=("dv",))
-    _, dHdv, _ = _node_integrand(evaluator, sweep, level)
+    dHdv, _ = increment_slope(tree, level, sweep.at("dv", level),
+                              sweep.at("dv", level + 1))
     return dHdv[idx]
-
-
-def _node_integrand(evaluator, sweep, level):
-    tree = evaluator.tree
-    dt = tree.dt(level)
-    ci = tree.child_idx[level]
-    p = tree.edge_p[level]
-    db = tree.edge_db[level]
-    dFv = sweep.at("dv", level + 1)[ci] - sweep.at("dv", level)[:, None, :]
-    dHdv = np.einsum("ne,nem,nei->nmi", p, dFv, db) / dt
-    resid = np.abs(dFv - np.einsum("nmi,nei->nem", dHdv, db)).max()
-    return None, dHdv, float(resid)
 
 
 def simulate_sde(evaluator: FieldEvaluator, q_levels, u0,
@@ -295,7 +270,8 @@ def simulate_sde(evaluator: FieldEvaluator, q_levels, u0,
         w, x, _, _ = saddle_batch(evaluator, k, u_solve, q,
                                   w0=w_prev, x0=x_prev)
         sweep = evaluator.sweep_states(k, w, x, q, names=("dv",))
-        _, dHdv, _ = _node_integrand(evaluator, sweep, k)
+        dHdv, _ = increment_slope(tree, k, sweep.at("dv", k),
+                                  sweep.at("dv", k + 1))
         if want_states:
             W[k] = np.where(ok[:, None], w, np.nan)
             X[k] = np.where(ok, x, np.nan)
@@ -328,16 +304,6 @@ def simulate_sde(evaluator: FieldEvaluator, q_levels, u0,
             V[k] = np.where(ok, -xv, np.nan)
     return SdeResult(tree=tree, U=U, W=W, X=X, V=V, Q=Q,
                      exploded=exploded, eps_explode=eps)
-
-
-def utility_preservation_residual(result: ExecutionResult) -> float:
-    """Worst indifference violation over all rebalance nodes.
-
-    Each rebalance solves for the post-trade state keeping every maker's
-    conditional expected utility fixed; the recorded residual is the
-    final sup-norm gap of that system, re-evaluated after convergence.
-    """
-    return result.indifference_residual
 
 
 def state_from_U(evaluator: FieldEvaluator, u, q, node):
@@ -387,7 +353,7 @@ def _phi_tables(panel, tree, qs):
     v exp(-gamma x) Phi(q), so these tables carry all the information
     the path engines need.
     """
-    ev = FieldEvaluator(panel, tree, cache=False)
+    ev = FieldEvaluator(panel, tree)
     tables = {}
     for q in qs:
         key = round(float(q), 12)

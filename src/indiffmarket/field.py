@@ -23,10 +23,11 @@ from .representative import PrimalPoint, allocate, allocation_curvature
 from .tree import ScenarioTree
 from .utilities import MakerPanel
 
-__all__ = ["FieldEvaluator", "FieldValue", "Sweep"]
+__all__ = ["FieldEvaluator", "FieldValue", "Sweep", "increment_slope"]
 
 _FIRST = ("value", "dv", "dx", "dq")
 _SECOND = ("dvv", "dvx", "dvq", "dxx", "dxq", "dqq")
+_CACHE_DIGITS = 12
 
 
 @dataclass
@@ -57,27 +58,36 @@ class FieldValue:
     dqq: np.ndarray = None
 
 
-def _pullback(arr_next, child_idx, edge_p):
-    g = arr_next[child_idx]
-    w = edge_p.reshape(edge_p.shape + (1,) * (g.ndim - 2))
-    return (w * g).sum(axis=1)
+def increment_slope(tree: ScenarioTree, level: int, now, nxt):
+    """Slope (1/dt) sum_e p_e dB_e dX_e of one-step increments along dB.
+
+    ``now`` and ``nxt`` hold a process X per node of ``level`` and
+    level+1, with any trailing shape S.  The slope at each node of
+    ``level`` is the weighted least-squares fit of the increments dX_e
+    on the Brownian increments dB_e, whose normal matrix moment matching
+    collapses to dt times the identity.  Returns the slope, shape
+    (n, *S, d), and the increments dX, shape (n, nc, *S).
+    """
+    dX = nxt[tree.child_idx[level]] - now[:, None]
+    p, db = tree.edge_p[level], tree.edge_db[level]
+    flat = dX.reshape(dX.shape[:2] + (-1,))
+    slope = np.einsum("ne,nem,nei->nmi", p, flat, db) / tree.dt(level)
+    return slope.reshape(dX.shape[:1] + dX.shape[2:] + db.shape[-1:]), dX
 
 
 class FieldEvaluator:
     """Evaluates F, its gradient and Hessian, and the martingale integrand.
 
-    Memoizes whole sweeps per rounded point; pass ``cache=False`` for
-    memory-bound runs. Hessian components are produced by the same
-    backward recursion applied to analytic second derivatives of r, so
-    no finite differencing enters the reference path.
+    Memoizes whole sweeps per point rounded to ``_CACHE_DIGITS``.
+    Hessian components are produced by the same backward recursion
+    applied to analytic second derivatives of r, so no finite
+    differencing enters the reference path.
     """
 
-    def __init__(self, panel: MakerPanel, tree: ScenarioTree,
-                 cache: bool = True, cache_digits: int = 12):
+    def __init__(self, panel: MakerPanel, tree: ScenarioTree):
         self.panel = panel
         self.tree = tree
-        self.cache_digits = cache_digits
-        self._cache = {} if cache else None
+        self._cache = {}
 
     # -- terminal data -------------------------------------------------
 
@@ -130,9 +140,8 @@ class FieldEvaluator:
         comps = {name: [None] * tree.steps + [arr]
                  for name, arr in terminal.items()}
         for k in range(tree.steps - 1, -1, -1):
-            for name in comps:
-                comps[name][k] = _pullback(comps[name][k + 1],
-                                           tree.child_idx[k], tree.edge_p[k])
+            for levels in comps.values():
+                levels[k] = tree.expect(k, levels[k + 1])
         return Sweep(order=order, comps=comps)
 
     def sweep_states(self, level: int, v_nodes, x_nodes, q_nodes,
@@ -152,24 +161,21 @@ class FieldEvaluator:
     def sweep_point(self, point: PrimalPoint, order: int = 1,
                     names=None) -> Sweep:
         """Sweep for one constant state; memoized per rounded point."""
-        key = None
-        if self._cache is not None:
-            d = self.cache_digits
-            key = (tuple(np.round(point.v, d)), round(float(point.x), d),
-                   tuple(np.round(point.q, d)))
-            hit = self._cache.get(key)
-            need = names if names is not None else (
-                _FIRST + _SECOND if order >= 2 else _FIRST)
-            if hit is not None and all(nm in hit.comps for nm in need):
-                return hit
+        d = _CACHE_DIGITS
+        key = (tuple(np.round(point.v, d)), round(float(point.x), d),
+               tuple(np.round(point.q, d)))
+        hit = self._cache.get(key)
+        need = names if names is not None else (
+            _FIRST + _SECOND if order >= 2 else _FIRST)
+        if hit is not None and all(nm in hit.comps for nm in need):
+            return hit
         n = self.tree.n_leaves
         sweep = self.sweep_leaf_states(
             np.broadcast_to(point.v, (n, self.panel.size)),
             np.full(n, float(point.x)),
             np.broadcast_to(point.q, (n, self.tree.n_assets)),
             order, names)
-        if key is not None:
-            self._cache[key] = sweep
+        self._cache[key] = sweep
         return sweep
 
     # -- point queries ---------------------------------------------------
@@ -190,36 +196,23 @@ class FieldEvaluator:
     def integrand(self, point: PrimalPoint, node):
         """Martingale integrand H and its v-derivative at a node.
 
-        H solves the weighted least-squares system for the one-step
-        increment of F along the Brownian increments; moment matching
-        collapses the normal matrix to dt times the identity, so
-        H = (1/dt) sum_e p_e dB_e dF_e.  Returns (H, dHdv, residual)
-        where the residual is the worst edgewise gap |dF_e - H . dB_e|,
-        zero exactly when d+1 or fewer distinct edges span the step.
+        H is the increment slope of F along the Brownian increments,
+        H = (1/dt) sum_e p_e dB_e dF_e, and dHdv that of F_v.  Returns
+        (H, dHdv, residual) where the residual is the worst edgewise gap
+        |dF_e - H . dB_e|, zero exactly when d+1 or fewer distinct edges
+        span the step.
         """
         level, idx = node
-        if level >= self.tree.steps:
+        tree = self.tree
+        if level >= tree.steps:
             raise ValueError("integrand is defined on non-terminal nodes")
         sweep = self.sweep_point(point, order=1)
-        return self._integrand_from_sweep(sweep, level, np.atleast_1d(idx),
-                                          scalar=np.ndim(idx) == 0)
-
-    def _integrand_from_sweep(self, sweep: Sweep, level: int, idx,
-                              scalar: bool = False):
-        tree = self.tree
-        dt = tree.dt(level)
-        ci = tree.child_idx[level][idx]
-        p = tree.edge_p[level][idx]
-        db = tree.edge_db[level][idx]
-        dF = sweep.at("value", level + 1)[ci] - sweep.at("value", level)[idx][:, None]
-        dFv = (sweep.at("dv", level + 1)[ci]
-               - sweep.at("dv", level)[idx][:, None, :])
-        H = np.einsum("ne,nei,ne->ni", p, db, dF) / dt
-        dHdv = np.einsum("ne,nem,nei->nmi", p, dFv, db) / dt
-        resid = np.abs(dF - np.einsum("ni,nei->ne", H, db)).max(axis=1)
-        if scalar:
-            return H[0], dHdv[0], float(resid[0])
-        return H, dHdv, resid
+        value, dv = sweep.comps["value"], sweep.comps["dv"]
+        H, dF = increment_slope(tree, level, value[level], value[level + 1])
+        dHdv, _ = increment_slope(tree, level, dv[level], dv[level + 1])
+        resid = np.abs(dF - np.einsum("ni,nei->ne", H, tree.edge_db[level]))
+        resid = resid.max(axis=1)[idx]
+        return H[idx], dHdv[idx], float(resid) if np.ndim(idx) == 0 else resid
 
     def marginal_price(self, point: PrimalPoint, node=(0, 0)):
         """Marginal trade prices of the assets at a node.
@@ -240,26 +233,15 @@ class FieldEvaluator:
                  + self.tree.psi @ np.asarray(point.q, dtype=float))
         _, pi = allocate(self.panel, v_leaf, total)
         dens = v_leaf[:, 0] * self.panel.makers[0].marginal(pi[:, 0])
-        num = [self.tree.psi * dens[:, None]]
-        den = [dens]
-        for k in range(self.tree.steps - 1, -1, -1):
-            num.insert(0, _pullback(num[0], self.tree.child_idx[k],
-                                    self.tree.edge_p[k]))
-            den.insert(0, _pullback(den[0], self.tree.child_idx[k],
-                                    self.tree.edge_p[k]))
-        dens_price = num[level][idx] / den[level][idx]
+        num, den = self.tree.psi * dens[:, None], dens
+        for k in range(self.tree.steps - 1, level - 1, -1):
+            num, den = self.tree.expect(k, num), self.tree.expect(k, den)
+        dens_price = num[idx] / den[idx]
         gap = float(np.abs(dens_price - grad_price).max())
         return grad_price, gap
 
     def martingale_deviation(self, sweep: Sweep) -> float:
         """Worst one-step conditional-expectation gap over all components,
         nodes and levels; construction-exact up to floating point."""
-        tree = self.tree
-        worst = 0.0
-        for name, levels in sweep.comps.items():
-            for k in range(tree.steps):
-                pulled = _pullback(levels[k + 1], tree.child_idx[k],
-                                   tree.edge_p[k])
-                scale = 1.0 + np.abs(levels[k]).max()
-                worst = max(worst, float(np.abs(pulled - levels[k]).max()) / scale)
-        return worst
+        return max(self.tree.martingale_gap(levels)
+                   for levels in sweep.comps.values())

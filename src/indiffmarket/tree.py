@@ -137,6 +137,37 @@ class ScenarioTree:
         """Ancestor at ``level`` of every leaf (implicit trees only)."""
         return self.ancestor_index(self.steps, np.arange(self.n_leaves), level)
 
+    def expect(self, level: int, values) -> np.ndarray:
+        """One-step conditional expectation E[values | node at ``level``].
+
+        ``values`` holds one entry per node of level+1, with any trailing
+        shape; the result holds one entry per node of ``level``.
+        """
+        g = values[self.child_idx[level]]
+        p = self.edge_p[level]
+        return (p.reshape(p.shape + (1,) * (g.ndim - 2)) * g).sum(axis=1)
+
+    def martingale_gap(self, levels, ok=None) -> float:
+        """Worst scaled one-step gap of a per-level node process.
+
+        Returns the max over levels k of |E[X_{k+1} | k] - X_k| divided
+        by 1 + max|X_k|, for ``levels`` a list of per-node arrays X_0..X_N.
+        ``ok`` optionally gives a boolean mask per level; then a parent
+        counts only when it and all of its children are ok, and the
+        scale runs over the counted parents.
+        """
+        worst = 0.0
+        for k in range(self.steps):
+            gap = np.abs(self.expect(k, levels[k + 1]) - levels[k])
+            size = np.abs(levels[k])
+            if ok is not None:
+                counted = ok[k] & ok[k + 1][self.child_idx[k]].all(axis=1)
+                if not counted.any():
+                    continue
+                gap, size = gap[counted], size[counted]
+            worst = max(worst, float(gap.max()) / (1.0 + size.max()))
+        return worst
+
     def moment_errors(self):
         """Worst deviations of (prob sum, edge mean, edge covariance).
 

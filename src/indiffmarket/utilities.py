@@ -159,11 +159,6 @@ class UtilitySpec:
                 break
         return x if np.ndim(x) else float(x)
 
-    def inverse_marginal_slope(self, y):
-        """d/dy of inverse_marginal, equal to 1/u''(I(y))."""
-        x = self.inverse_marginal(y)
-        return 1.0 / self.second_derivative(x)
-
 
 def exponential(gamma: float) -> UtilitySpec:
     """u(x) = -exp(-gamma*x)/gamma."""

@@ -173,7 +173,7 @@ def _suite_preservation(rng, probes, tree_factory):
     for _ in range(probes):
         tree = tree_factory(rng)
         panel = _random_panel(rng)
-        ev = FieldEvaluator(panel, tree, cache=False)
+        ev = FieldEvaluator(panel, tree)
         res = execute_simple(ev, _random_strategy(rng, tree))
         worst = max(worst, res.indifference_residual)
     return worst
@@ -198,7 +198,7 @@ def _suite_sandwich(rng, probes, tree_factory):
     for _ in range(probes):
         tree = tree_factory(rng)
         panel = _random_panel(rng)
-        ev = FieldEvaluator(panel, tree, cache=False)
+        ev = FieldEvaluator(panel, tree)
         res = execute_simple(ev, _random_strategy(rng, tree))
         c = panel.bound_constant
         for k in range(tree.steps + 1):
@@ -220,7 +220,7 @@ def _suite_noarb(rng, probes, tree_factory):
     for _ in range(probes):
         tree = tree_factory(rng)
         panel = _random_panel(rng)
-        ev = FieldEvaluator(panel, tree, cache=False)
+        ev = FieldEvaluator(panel, tree)
         res = execute_simple(ev, _random_strategy(rng, tree))
         gap = no_arbitrage_gap(ev, res.lam0, res.v_terminal)
         worst = max(worst, -gap)
@@ -237,7 +237,7 @@ def _suite_gradient(rng, probes, tree_factory):
     for _ in range(probes):
         tree = tree_factory(rng)
         panel = _random_panel(rng)
-        ev = FieldEvaluator(panel, tree, cache=False)
+        ev = FieldEvaluator(panel, tree)
         a = _random_point(rng, panel.size, tree.n_assets)
         node = _random_node(rng, tree)
         f = ev.field(a, node)

@@ -56,7 +56,7 @@ def test_simulate_zero_strategy_all_zero(tmp_path):
         assert abs(float(row[iv])) < 1e-10
     meta = json.loads((out / "metadata.json").read_text())
     assert meta["command"] == "simulate"
-    assert meta["scheme"] == "euler"
+    assert meta["scheme"] == "exact"
     assert meta["seed"] == 7
 
 
@@ -151,3 +151,39 @@ bachelier:
     assert metrics["xi_rel_error"] < 0.05
     budget = metrics["impact_scale"]
     assert metrics["mean_abs_vT_error"] < 0.25 * budget
+
+
+@pytest.mark.parametrize("key, text", [
+    ("scheme", BASE_CONFIG.replace("engine:\n", "engine:\n  scheme: euler\n")),
+    ("paths", BASE_CONFIG.replace("engine:\n", "engine:\n  paths: 100\n")),
+    ("formats", BASE_CONFIG + "output:\n  formats: [csv]\n"),
+], ids=["scheme", "paths", "formats"])
+def test_unread_config_keys_rejected(tmp_path, capsys, key, text):
+    cfg = write(tmp_path, text)
+    assert main(["simulate", "--config", cfg,
+                 "--out", str(tmp_path / "o")]) == 2
+    assert key in capsys.readouterr().err
+
+
+def test_verify_rejects_config_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--config", "x"])
+    assert exc.value.code == 2
+    assert "--config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, scheme", [
+    (["simulate", "--config", "sde.yaml"], "euler"),
+    (["bachelier", "--steps", "16", "--paths", "10"], "euler"),
+    (["verify", "--suite", "conjugacy", "--probes", "1"], None),
+    (["dump-tree", "--config", "cfg.yaml"], None),
+], ids=["simulate-sde", "bachelier", "verify", "dump-tree"])
+def test_metadata_scheme_per_command(tmp_path, argv, scheme):
+    write(tmp_path, BASE_CONFIG)
+    write(tmp_path, BASE_CONFIG.replace("mode: execute", "mode: sde"),
+          "sde.yaml")
+    argv = [str(tmp_path / a) if a.endswith(".yaml") else a for a in argv]
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 0
+    meta = json.loads((out / "metadata.json").read_text())
+    assert meta.get("scheme") == scheme

@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 
+from indiffmarket import conjugate
 from indiffmarket.conjugate import (
     DualPoint,
+    SaddleError,
     conjugacy_residuals,
     conjugate_G,
     dual_point,
     matrices_dual,
     matrices_primal,
+    saddle_batch,
     state_identities,
 )
 from indiffmarket.field import FieldEvaluator
@@ -212,3 +215,20 @@ def test_domain_errors():
         DualPoint(u=[0.5, -1.0], y=1.0, q=[0.0])
     with pytest.raises(ValueError):
         DualPoint(u=[-1.0, -1.0], y=-2.0, q=[0.0])
+
+
+def test_saddle_error_names_level_node_and_residual(monkeypatch):
+    monkeypatch.setattr(conjugate, "_MAX_ITER", 1)
+    monkeypatch.setattr(conjugate, "_RESTARTS", 0)
+    ev = small_evaluator(pan=MIXED)
+    u = ev.sweep_point(PrimalPoint(v=[0.5, 0.5], x=0.0, q=[0.3]),
+                       names=("dv",)).at("dv", 1)
+    with pytest.raises(SaddleError) as info:
+        saddle_batch(ev, 1, u, [0.3], w0=[0.5, 0.5], x0=3.0)
+    err = info.value
+    assert err.level == 1
+    assert 0 <= err.node < ev.tree.n_nodes(1)
+    assert err.residual > err.tolerance > 0
+    msg = str(err)
+    assert f"level 1, node {err.node}" in msg
+    assert f"{err.residual:.3e}" in msg and f"{err.tolerance:.3e}" in msg

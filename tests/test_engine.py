@@ -11,7 +11,6 @@ from indiffmarket.engine import (
     simulate_sde,
     simulate_sde_paths,
     state_from_U,
-    utility_preservation_residual,
 )
 from indiffmarket.field import FieldEvaluator
 from indiffmarket.representative import PrimalPoint
@@ -75,7 +74,7 @@ def test_preservation_residual_randomized():
         pos = tuple(rng.normal(scale=0.6) for _ in levels)
         res = execute_simple(ev, SimpleStrategy(levels=levels, positions=pos),
                              lam0=rng.dirichlet(np.ones(2)))
-        assert utility_preservation_residual(res) < 1e-8
+        assert res.indifference_residual < 1e-8
 
 
 def test_martingale_residuals_both_engines():
@@ -219,3 +218,27 @@ def test_strategy_validation():
         SimpleStrategy(levels=(2, 1), positions=(0.1, 0.2))
     with pytest.raises(ValueError):
         SimpleStrategy(levels=(0,), positions=(0.1, 0.2))
+
+
+def test_sde_martingale_residual_masks_exploded_nodes():
+    # q = 2 with eps at half of |u0| freezes 9 nodes; the freeze breaks
+    # the one-step mean there, so only the masked gap may vanish
+    readme = panel(exponential(1.0), sum_of_exponentials([1.0, 0.5],
+                                                         [1.0, 2.0]))
+    ev = make_evaluator(pan=readme)
+    u0 = ev.field(PrimalPoint(v=[0.5, 0.5], x=0.0, q=[0.0])).dv
+    sde = simulate_sde(ev, [2.0] * 4, u0, want_states=False, eps_scale=0.5)
+    assert sum(int(e.sum()) for e in sde.exploded) == 9
+    assert sde.martingale_residual() <= 1e-12
+    assert ev.tree.martingale_gap(sde.U) > 1e-3
+
+
+def test_tampered_U_breaks_martingale_residual():
+    ev = make_evaluator()
+    res = execute_simple(ev, SimpleStrategy(levels=(0, 1, 3),
+                                            positions=(0.4, -0.2, 0.6)),
+                         lam0=[0.3, 0.7])
+    assert res.martingale_residual() < 1e-12
+    res.U[2] = res.U[2].copy()
+    res.U[2][1, 0] *= 1.0 + 1e-9
+    assert res.martingale_residual() > 1e-12

@@ -164,7 +164,7 @@ def test_marginal_price_density_route_agrees():
 
 def test_sweep_cache_consistency():
     t = binomial_tree(3, 1.0, sigma0=0.0, psi=("B",))
-    ev = FieldEvaluator(MIXED, t, cache=True)
+    ev = FieldEvaluator(MIXED, t)
     a = PrimalPoint(v=[1.0, 1.0], x=0.0, q=[0.5])
     s1 = ev.sweep_point(a, order=1, names=("dv",))
     s2 = ev.sweep_point(a, order=2)

@@ -139,3 +139,27 @@ def test_tree_rejects_bad_inputs():
         binomial_tree(0, 1.0)
     with pytest.raises(ValueError):
         binomial_lattice(3, -1.0)
+
+
+def test_expect_on_lattice_matches_hand_means():
+    t = binomial_lattice(2, 1.0)
+    # level-1 node j moves to j+1 (up) or j (down), each with probability 1/2
+    nxt = np.array([[1.0, 10.0], [3.0, 30.0], [7.0, 70.0]])
+    assert np.array_equal(t.expect(1, nxt), [[2.0, 20.0], [5.0, 50.0]])
+    assert np.array_equal(t.expect(0, np.array([4.0, -2.0])), [1.0])
+    # gap scaled by 1 + |X_0|; a masked-out child drops its parent
+    levels = [np.array([0.5]), np.array([1.0, -1.0]),
+              np.array([2.0, 0.0, -2.0])]
+    assert t.martingale_gap(levels) == pytest.approx(0.5 / 1.5)
+    ok = [np.array([True]), np.array([True, False]), np.ones(3, bool)]
+    assert t.martingale_gap(levels, ok=ok) == 0.0
+
+
+def test_expect_on_two_dimensional_tree_matches_hand_means():
+    t = binomial_tree(2, 1.0, dim=2)
+    nxt = np.arange(16.0)
+    # children of level-1 node i are 4i..4i+3, each with probability 1/4
+    assert np.array_equal(t.expect(1, nxt), [1.5, 5.5, 9.5, 13.5])
+    pairs = np.stack([nxt, nxt ** 2], axis=1)
+    assert np.allclose(t.expect(1, pairs)[0], [1.5, (0 + 1 + 4 + 9) / 4])
+    assert np.array_equal(t.expect(0, np.array([2.0, 4.0, 6.0, 12.0])), [6.0])
