@@ -110,10 +110,15 @@ class ExperimentConfig:
         if kind != "simple":
             raise ConfigError(f"strategy: unknown kind '{kind}'")
         try:
-            return SimpleStrategy(levels=tuple(s["levels"]),
-                                  positions=tuple(s["positions"]))
+            strategy = SimpleStrategy(levels=tuple(s["levels"]),
+                                      positions=tuple(s["positions"]))
         except (KeyError, ValueError) as exc:
             raise ConfigError(f"strategy: {exc}") from None
+        if strategy.levels[-1] >= tree.steps:
+            raise ConfigError(
+                f"strategy: trade level {strategy.levels[-1]} is not before "
+                f"the last step of a {tree.steps}-step tree")
+        return strategy
 
     def build_bachelier(self) -> BachelierParams:
         b = self.bachelier

@@ -10,7 +10,14 @@ which the tests exercise to machine precision.
 
 The same sweep also serves batched queries: states may differ per leaf,
 so assigning each leaf the state of its level-k ancestor evaluates F at
-every level-k node in a single pass.
+every level-k node in a single pass.  On binomial trees whose payoffs
+depend on terminal B only, a level-k node's subtree recombines: its
+law depends on a path only through the per-component down-move counts,
+so the sweep runs on (N-k+1)^d leaves per node instead of 2^(d(N-k))
+(``ScenarioTree.recombine``).  Lattices, payoff tables that are not a
+function of the counts and trees with node-dependent probabilities keep
+the leaf sweep, which is also the oracle the recombined one is tested
+against.
 """
 
 from __future__ import annotations
@@ -88,40 +95,50 @@ class FieldEvaluator:
         self.panel = panel
         self.tree = tree
         self._cache = {}
+        self._recombinable = True
+        self._small = None
 
     # -- terminal data -------------------------------------------------
 
     def _terminal(self, v_leaf, x_leaf, q_leaf, order, names=None):
+        """Leaf values of r and its derivatives; only ``names`` (by
+        default every component of ``order``) are computed."""
         tree, panel = self.tree, self.panel
         M = panel.size
+        if names is None:
+            names = _FIRST + _SECOND if order >= 2 else _FIRST
         total = tree.sigma0 + x_leaf + (tree.psi * q_leaf).sum(axis=1)
-        comps = {}
         if order >= 2:
             y, pi, t, tsum = allocation_curvature(panel, v_leaf, total)
         else:
             y, pi = allocate(panel, v_leaf, total)
-        uvals = np.stack(
-            [spec.value(pi[:, m]) for m, spec in enumerate(panel.makers)], axis=1)
-        comps["value"] = (v_leaf * uvals).sum(axis=1)
-        comps["dv"] = uvals
-        comps["dx"] = y
-        comps["dq"] = tree.psi * y[:, None]
+        if "value" in names or "dv" in names:
+            uvals = np.stack([spec.value(pi[:, m])
+                              for m, spec in enumerate(panel.makers)], axis=1)
+        terms = {
+            "value": lambda: (v_leaf * uvals).sum(axis=1),
+            "dv": lambda: uvals,
+            "dx": lambda: y,
+            "dq": lambda: tree.psi * y[:, None],
+        }
         if order >= 2:
             rxx = -y / tsum
             tv = t / v_leaf
-            comps["dxx"] = rxx
-            comps["dxq"] = tree.psi * rxx[:, None]
-            comps["dqq"] = np.einsum("ni,nj,n->nij", tree.psi, tree.psi, rxx)
             rvx = y[:, None] * tv / tsum[:, None]
-            comps["dvx"] = rvx
-            comps["dvq"] = np.einsum("nm,nj->nmj", rvx, tree.psi)
-            dvv = -np.einsum("nl,nm,n->nlm", tv, tv, y / tsum)
-            diag = y[:, None] * t / v_leaf ** 2
-            dvv[:, np.arange(M), np.arange(M)] += diag
-            comps["dvv"] = dvv
-        if names is not None:
-            comps = {name: comps[name] for name in names}
-        return comps
+
+            def dvv():
+                out = -np.einsum("nl,nm,n->nlm", tv, tv, y / tsum)
+                out[:, np.arange(M), np.arange(M)] += y[:, None] * t / v_leaf ** 2
+                return out
+
+            terms.update(
+                dxx=lambda: rxx,
+                dxq=lambda: tree.psi * rxx[:, None],
+                dqq=lambda: np.einsum("ni,nj,n->nij", tree.psi, tree.psi, rxx),
+                dvx=lambda: rvx,
+                dvq=lambda: np.einsum("nm,nj->nmj", rvx, tree.psi),
+                dvv=dvv)
+        return {name: terms[name]() for name in names}
 
     # -- sweeps ----------------------------------------------------------
 
@@ -149,12 +166,21 @@ class FieldEvaluator:
         """Sweep with a state per node of one level, pushed to the leaves.
 
         Conditional expectations never mix leaves of different ancestors,
-        so the arrays at ``level`` are each node's own F values.
+        so the arrays at ``level`` are each node's own F values.  When
+        ``ScenarioTree.recombine`` accepts the level, the sweep runs on
+        the recombined subtrees, one leaf per node and down-move count
+        class, and spreads each level back to node order; levels 0 to
+        level-1, which mix the states of several nodes and which no
+        caller reads, are then left None.
         """
-        owner = self.tree.leaf_owner(level)
         v_nodes = np.asarray(v_nodes, dtype=float)
         x_nodes = np.asarray(x_nodes, dtype=float)
         q_nodes = np.asarray(q_nodes, dtype=float)
+        small = self._recombined(level)
+        if small is not None:
+            return self._sweep_recombined(level, small, v_nodes, x_nodes,
+                                          q_nodes, order, names)
+        owner = self.tree.leaf_owner(level)
         return self.sweep_leaf_states(v_nodes[owner], x_nodes[owner],
                                       q_nodes[owner], order, names)
 
@@ -169,14 +195,52 @@ class FieldEvaluator:
             _FIRST + _SECOND if order >= 2 else _FIRST)
         if hit is not None and all(nm in hit.comps for nm in need):
             return hit
-        n = self.tree.n_leaves
-        sweep = self.sweep_leaf_states(
-            np.broadcast_to(point.v, (n, self.panel.size)),
-            np.full(n, float(point.x)),
-            np.broadcast_to(point.q, (n, self.tree.n_assets)),
-            order, names)
+        v = np.asarray(point.v, dtype=float)
+        x = float(point.x)
+        q = np.asarray(point.q, dtype=float)
+        small = self._recombined(0)
+        if small is not None:
+            sweep = self._sweep_recombined(0, small, v[None], np.full(1, x),
+                                           q[None], order, names)
+        else:
+            n = self.tree.n_leaves
+            sweep = self.sweep_leaf_states(
+                np.broadcast_to(v, (n, self.panel.size)), np.full(n, x),
+                np.broadcast_to(q, (n, self.tree.n_assets)), order, names)
         self._cache[key] = sweep
         return sweep
+
+    def _recombined(self, level: int):
+        """Evaluator on ``tree.recombine(level)``, or None for a leaf sweep.
+
+        Only the recombined tree of the last level asked is kept, and a
+        leaf sweep drops it; a tree that fails the checks is remembered
+        and never asked again.
+        """
+        if not self._recombinable or self.tree.steps - level < 2:
+            self._small = None
+            return None
+        if self._small is None or self._small[0] != level:
+            small = self.tree.recombine(level)
+            if small is None:
+                self._recombinable = False
+                return None
+            self._small = (level, FieldEvaluator(self.panel, small))
+        return self._small[1]
+
+    def _sweep_recombined(self, level, small, v_nodes, x_nodes, q_nodes,
+                          order, names) -> Sweep:
+        """Leaf sweep of ``small``, spread back to the levels of this tree."""
+        per = small.tree.n_leaves // self.tree.n_nodes(level)
+        swept = small.sweep_leaf_states(np.repeat(v_nodes, per, axis=0),
+                                        np.repeat(x_nodes, per),
+                                        np.repeat(q_nodes, per, axis=0),
+                                        order, names)
+        comps = {name: [None] * level + [
+                     self.tree.spread_recombined(level, s, arr)
+                     for s, arr in enumerate(levels)]
+                 for name, levels in swept.comps.items()}
+        return Sweep(order=order, comps=comps)
 
     # -- point queries ---------------------------------------------------
 

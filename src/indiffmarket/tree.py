@@ -18,12 +18,18 @@ the node only through (level, B).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .payoff import PayoffExpression
 
-__all__ = ["ScenarioTree", "binomial_tree", "binomial_lattice"]
+__all__ = ["ScenarioTree", "binomial_tree", "binomial_lattice",
+           "count_classes"]
+
+# leaf payoffs count as a function of the down-move counts when they
+# agree within this share of (1 + the column's largest magnitude)
+_RECOMBINE_RTOL = 1e-13
 
 
 def _as_payoff(spec, b_terminal):
@@ -39,6 +45,35 @@ def _as_payoff(spec, b_terminal):
     if arr.shape != (n,):
         raise ValueError(f"payoff table has shape {arr.shape}, expected ({n},)")
     return arr.copy()
+
+
+@lru_cache(maxsize=64)
+def count_classes(dim: int, depth: int):
+    """Down-move count classes of the descendants ``depth`` steps below a
+    node of an implicit tree with 2^dim children per node.
+
+    Bit j of a child's edge number marks a down move of component j, so
+    a path's class is its vector of per-component down-move counts, each
+    in 0..depth, numbered by ``np.ravel_multi_index``.  Returns ``(cls,
+    rep, child)``: ``cls[r]`` is the class of the r-th descendant in
+    implicit order, ``rep[c]`` the first descendant in class c, and
+    ``child[c, e]`` the class one step deeper reached from class c by
+    edge e.  The arrays are cached per (dim, depth) and read-only.
+    """
+    nc = 1 << dim
+    bits = (np.arange(nc)[:, None] >> np.arange(dim)) & 1
+    counts = np.zeros((1, dim), dtype=int)
+    for _ in range(depth):
+        counts = (counts[:, None, :] + bits[None]).reshape(-1, dim)
+    cls = np.ravel_multi_index(counts.T, (depth + 1,) * dim)
+    rep = np.unique(cls, return_index=True)[1]
+    own = np.stack(np.unravel_index(np.arange(rep.size),
+                                    (depth + 1,) * dim), axis=1)
+    child = np.ravel_multi_index(
+        np.moveaxis(own[:, None, :] + bits[None], 2, 0), (depth + 2,) * dim)
+    for arr in (cls, rep, child):
+        arr.flags.writeable = False
+    return cls, rep, child
 
 
 @dataclass
@@ -146,6 +181,66 @@ class ScenarioTree:
         g = values[self.child_idx[level]]
         p = self.edge_p[level]
         return (p.reshape(p.shape + (1,) * (g.ndim - 2)) * g).sum(axis=1)
+
+    def recombine(self, level: int):
+        """Recombined copy of the subtrees hanging from the nodes of ``level``.
+
+        When every level moves all its nodes with one probability row and
+        the leaf payoffs depend on a path only through its per-component
+        down-move counts, the terminal law of a subtree depends only on
+        those counts: the recombination of Cox, Ross and Rubinstein
+        (1979).  Level s of the copy holds node i * C_s + c for node i of
+        ``level`` and class c of ``count_classes(dim, s)``, C_s = (s+1)^d
+        classes; its level 0 is the n nodes of ``level``, so the copy is
+        a forest.  Edge probabilities are the original rows, and B,
+        sigma0 and psi are read from one representative node per class.
+
+        Returns None unless the tree is implicit with 2^d children per
+        node, every level carries a single ``edge_p`` row, sigma0 and
+        each psi column are constant within 1e-13 (1 + max|column|) over
+        leaves with equal counts, and the copy has fewer leaves than the
+        subtrees, i.e. steps - level >= 2.
+        """
+        depth, d = self.steps - level, self.dim
+        nc = 1 << d
+        if (not self.implicit or depth < 2
+                or any(self.branching(k) != nc for k in range(self.steps))
+                or any((p != p[:1]).any() for p in self.edge_p)):
+            return None
+        cls, rep, _ = count_classes(d, self.steps)
+        cols = np.column_stack([self.sigma0, self.psi])
+        spread = np.abs(cols - cols[rep][cls]).max(axis=0)
+        if np.any(spread > _RECOMBINE_RTOL * (1.0 + np.abs(cols).max(axis=0))):
+            return None
+
+        n = self.n_nodes(level)
+        roots = np.arange(n)[:, None]
+        B, child_idx, edge_db, edge_p = [], [], [], []
+        for s in range(depth + 1):
+            _, rep, child = count_classes(d, s)
+            B.append(self.B[level + s][(roots * nc ** s + rep).ravel()])
+            if s < depth:
+                idx = (roots[:, :, None] * (s + 2) ** d + child).reshape(-1, nc)
+                child_idx.append(idx)
+                edge_p.append(np.broadcast_to(self.edge_p[level + s][0],
+                                              idx.shape))
+        for s in range(depth):
+            edge_db.append(B[s + 1][child_idx[s]] - B[s][:, None, :])
+        leaves = (roots * nc ** depth + count_classes(d, depth)[1]).ravel()
+        return ScenarioTree(times=self.times[level:], B=B,
+                            child_idx=child_idx, edge_db=edge_db,
+                            edge_p=edge_p, sigma0=self.sigma0[leaves],
+                            psi=self.psi[leaves])
+
+    def spread_recombined(self, level: int, depth: int, values):
+        """Spread per-node values of level ``depth`` of ``recombine(level)``
+        back to the nodes of level + depth of this tree, whose node i *
+        2^(d depth) + r takes the value of class ``count_classes(d,
+        depth)[0][r]`` under node i.  ``values`` may have any trailing
+        shape."""
+        cls = count_classes(self.dim, depth)[0]
+        rows = values.reshape((self.n_nodes(level), -1) + values.shape[1:])
+        return np.take(rows, cls, axis=1).reshape((-1,) + values.shape[1:])
 
     def martingale_gap(self, levels, ok=None) -> float:
         """Worst scaled one-step gap of a per-level node process.

@@ -187,3 +187,21 @@ def test_metadata_scheme_per_command(tmp_path, argv, scheme):
     assert main(argv + ["--out", str(out)]) == 0
     meta = json.loads((out / "metadata.json").read_text())
     assert meta.get("scheme") == scheme
+
+
+README_CONFIG = (BASE_CONFIG.replace("steps: 3", "steps: 8")
+                 .replace("levels: [0, 2]", "levels: [0, 4]"))
+
+
+@pytest.mark.parametrize("mode", ["execute", "sde"])
+def test_trade_level_past_last_step_rejected(tmp_path, capsys, mode):
+    cfg = write(tmp_path, README_CONFIG.replace("mode: execute",
+                                                f"mode: {mode}"))
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", cfg, "--steps", "4",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "trade level 4" in err and "4-step" in err
+    assert not (out / "paths.csv").exists()
+    assert main(["simulate", "--config", cfg, "--steps", "5",
+                 "--out", str(out)]) == 0

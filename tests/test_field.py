@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+from indiffmarket import field, representative
+from indiffmarket.conjugate import saddle_batch
 from indiffmarket.field import FieldEvaluator
 from indiffmarket.representative import PrimalPoint
-from indiffmarket.tree import binomial_tree
+from indiffmarket.tree import binomial_lattice, binomial_tree
 from indiffmarket.utilities import exponential, panel, sum_of_exponentials
+from indiffmarket.verify import corrupt_tree
 
 EXP1 = panel(exponential(1.0))
 PAIR = panel(exponential(1.0), exponential(1.0))
@@ -171,3 +174,136 @@ def test_sweep_cache_consistency():
     # the filtered sweep must not shadow the full request
     assert "dxx" in s2.comps
     assert np.allclose(s1.at("dv", 0), s2.at("dv", 0))
+
+
+@pytest.fixture
+def allocate_rows(monkeypatch):
+    """Row count of every ``allocate`` call, order-2 sweeps included."""
+    rows = []
+    original = representative.allocate
+
+    def counting(panel_, v, total):
+        rows.append(np.shape(total)[0])
+        return original(panel_, v, total)
+
+    monkeypatch.setattr(representative, "allocate", counting)
+    monkeypatch.setattr(field, "allocate", counting)
+    return rows
+
+
+def _node_states(rng, tree, level):
+    n = tree.n_nodes(level)
+    return (rng.uniform(0.3, 2.0, size=(n, 2)), rng.uniform(-1.0, 1.0, size=n),
+            rng.uniform(-1.0, 1.0, size=(n, tree.n_assets)))
+
+
+@pytest.mark.parametrize("tree", [
+    binomial_tree(7, 1.0, sigma0="0.3 + 0.2 * B", psi=("1.0 + 0.5 * B",)),
+    binomial_tree(4, 1.0, dim=2, sigma0="0.3 + 0.2 * B1 - 0.1 * B2",
+                  psi=("1.0 + 0.5 * B1", "0.8 + 0.4 * B2")),
+], ids=["d1", "d2"])
+def test_recombined_sweep_matches_leaf_sweep(tree, allocate_rows):
+    ev = FieldEvaluator(MIXED, tree)
+    rng = np.random.default_rng(5)
+    for level in range(tree.steps + 1):
+        v, x, q = _node_states(rng, tree, level)
+        del allocate_rows[:]
+        fast = ev.sweep_states(level, v, x, q, order=2)
+        per_node = (tree.steps - level + 1) ** tree.dim
+        recombined = tree.steps - level >= 2
+        assert allocate_rows == [tree.n_nodes(level) * per_node if recombined
+                                 else tree.n_leaves]
+        owner = tree.leaf_owner(level)
+        full = ev.sweep_leaf_states(v[owner], x[owner], q[owner], order=2)
+        assert fast.comps.keys() == full.comps.keys()
+        for name, levels in full.comps.items():
+            if recombined:
+                assert all(a is None for a in fast.comps[name][:level])
+            for k in range(level, tree.steps + 1):
+                ref = levels[k]
+                assert fast.comps[name][k].shape == ref.shape
+                assert np.all(np.abs(fast.comps[name][k] - ref)
+                              <= 1e-13 * (1.0 + np.abs(ref))), (name, level, k)
+
+
+def test_recombined_sweep_point_matches_leaf_sweep(allocate_rows):
+    t = binomial_tree(6, 1.0, dim=1, sigma0="0.1 * B", psi=("B", "2.0 - B"))
+    ev = FieldEvaluator(MIXED, t)
+    a = PrimalPoint(v=[0.8, 1.3], x=0.2, q=[0.4, -0.7])
+    fast = ev.sweep_point(a, order=2)
+    assert allocate_rows == [7]
+    n = t.n_leaves
+    full = ev.sweep_leaf_states(np.tile(a.v, (n, 1)), np.full(n, a.x),
+                                np.tile(a.q, (n, 1)), order=2)
+    for name, levels in full.comps.items():
+        for k, ref in enumerate(levels):
+            assert np.all(np.abs(fast.comps[name][k] - ref)
+                          <= 1e-13 * (1.0 + np.abs(ref))), (name, k)
+    assert ev.martingale_deviation(fast) < 1e-12
+
+
+def _leaf_path_trees():
+    base = binomial_tree(5, 1.0, sigma0="0.3 + 0.2 * B",
+                         psi=("1.0 + 0.5 * B",))
+    noise = np.random.default_rng(8).normal(size=base.n_leaves)
+    return {
+        "corrupt-probabilities": corrupt_tree(base, "probabilities", seed=2),
+        "table-not-of-B": binomial_tree(5, 1.0, sigma0=base.sigma0.copy(),
+                                        psi=(noise,)),
+        "lattice": binomial_lattice(5, 1.0, sigma0="0.3 + 0.2 * B",
+                                    psi=("1.0 + 0.5 * B",)),
+    }
+
+
+@pytest.mark.parametrize("kind", sorted(_leaf_path_trees()))
+def test_unrecombinable_trees_take_the_leaf_sweep(kind, allocate_rows):
+    t = _leaf_path_trees()[kind]
+    ev = FieldEvaluator(MIXED, t)
+    ev.sweep_point(PrimalPoint(v=[1.0, 1.0], x=0.1, q=[0.3]), order=2)
+    assert allocate_rows == [t.n_leaves]
+    if t.implicit:
+        ev.sweep_states(1, *_node_states(np.random.default_rng(0), t, 1))
+        assert allocate_rows[-1] == t.n_leaves
+
+
+def test_payoff_table_of_B_takes_the_recombined_sweep(allocate_rows):
+    base = binomial_tree(5, 1.0, sigma0="0.3 + 0.2 * B",
+                         psi=("1.0 + 0.5 * B",))
+    t = binomial_tree(5, 1.0, sigma0=base.sigma0.copy(),
+                      psi=(base.psi[:, 0].copy(),))
+    a = PrimalPoint(v=[1.0, 1.0], x=0.1, q=[0.3])
+    fast = FieldEvaluator(MIXED, t).sweep_point(a, order=2)
+    assert allocate_rows == [6]
+    ref = FieldEvaluator(MIXED, base).sweep_point(a, order=2)
+    for name in ref.comps:
+        assert np.allclose(fast.at(name, 0), ref.at(name, 0),
+                           rtol=1e-13, atol=1e-13)
+
+
+def test_terminal_computes_only_requested_components():
+    t = binomial_tree(3, 1.0, dim=2, sigma0="0.1 * B1",
+                      psi=("B1", "B2 - B1"))
+    ev = FieldEvaluator(MIXED, t)
+    rng = np.random.default_rng(4)
+    n = t.n_leaves
+    v, x, q = (rng.uniform(0.3, 2.0, size=(n, 2)), rng.normal(size=n),
+               rng.normal(size=(n, 2)))
+    for order, subsets in ((1, [("dx",), ("dq", "value")]),
+                           (2, [("dv", "dvv", "dvx"), ("dqq",), ("dvq", "dx")])):
+        every = ev._terminal(v, x, q, order)
+        for names in subsets:
+            some = ev._terminal(v, x, q, order, names)
+            assert tuple(some) == names
+            for name in names:
+                assert np.array_equal(some[name], every[name])
+
+
+def test_newton_sweep_work_count(allocate_rows):
+    # one Newton sweep at level 2 of a 13-step tree: 4 nodes times 12
+    # count classes, not 2^13 leaves
+    t = binomial_tree(13, 1.0, sigma0="0.3 + 0.2 * B", psi=("1.0 + 0.5 * B",))
+    ev = FieldEvaluator(MIXED, t)
+    u = ev.field(PrimalPoint(v=[0.5, 0.5], x=0.0, q=[0.0])).dv
+    del allocate_rows[:]
+    saddle_batch(ev, 2, u, np.full((4, 1), 0.3), w0=[0.5, 0.5], x0=0.0)
+    assert allocate_rows and set(allocate_rows) == {48}

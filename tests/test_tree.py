@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from indiffmarket.payoff import PayoffExpression
-from indiffmarket.tree import binomial_lattice, binomial_tree
+from indiffmarket.tree import binomial_lattice, binomial_tree, count_classes
 from indiffmarket.verify import corrupt_tree
 
 
@@ -163,3 +163,51 @@ def test_expect_on_two_dimensional_tree_matches_hand_means():
     pairs = np.stack([nxt, nxt ** 2], axis=1)
     assert np.allclose(t.expect(1, pairs)[0], [1.5, (0 + 1 + 4 + 9) / 4])
     assert np.array_equal(t.expect(0, np.array([2.0, 4.0, 6.0, 12.0])), [6.0])
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_count_classes_follow_implicit_children(dim):
+    nc = 1 << dim
+    for s in range(4):
+        cls, rep, child = count_classes(dim, s)
+        assert rep.size == (s + 1) ** dim and cls.size == nc ** s
+        assert all(rep[c] == np.flatnonzero(cls == c)[0]
+                   for c in range(rep.size))
+        deeper = count_classes(dim, s + 1)[0]
+        # child e of descendant r is descendant r * nc + e one step deeper
+        assert np.array_equal(deeper.reshape(-1, nc), child[cls])
+
+
+@pytest.mark.parametrize("dim, steps", [(1, 6), (2, 4)])
+def test_recombined_tree_carries_the_subtree_law(dim, steps):
+    t = binomial_tree(steps, 1.0, dim=dim, sigma0="0.3 + 0.2 * B",
+                      psi=("B1", f"1.0 - 0.5 * B{dim}"))
+    small = t.recombine(0)
+    small.validate()
+    assert small.n_leaves == (steps + 1) ** dim and not small.implicit
+    cls = count_classes(dim, steps)[0]
+    mass = np.bincount(cls, weights=t.leaf_probabilities())
+    assert np.allclose(small.leaf_probabilities(), mass, rtol=1e-14, atol=0)
+    assert np.allclose(small.psi[cls], t.psi, rtol=1e-13, atol=1e-13)
+    for level in range(steps - 1):
+        small = t.recombine(level)
+        n, per = t.n_nodes(level), (steps - level + 1) ** dim
+        assert small.n_nodes(0) == n and small.n_leaves == n * per
+        assert np.array_equal(small.B[0], t.B[level])
+
+
+def test_recombine_guards():
+    t = binomial_tree(5, 1.0, sigma0="0.3 + 0.2 * B", psi=("1.0 + 0.5 * B",))
+    assert t.recombine(3) is not None
+    assert t.recombine(4) is None and t.recombine(5) is None
+    assert corrupt_tree(t, "probabilities", seed=1).recombine(0) is None
+    assert binomial_lattice(5, 1.0, psi=("B",)).recombine(0) is None
+    # a per-leaf table passes only when it is a function of the counts
+    rng = np.random.default_rng(3)
+    noise = binomial_tree(5, 1.0, psi=(rng.normal(size=t.n_leaves),))
+    assert noise.recombine(0) is None
+    table = binomial_tree(5, 1.0, sigma0=t.sigma0.copy(), psi=(t.psi[:, 0],))
+    assert table.recombine(0) is not None
+    nudged = t.sigma0.copy()
+    nudged[7] += 1e-9
+    assert binomial_tree(5, 1.0, sigma0=nudged, psi=("B",)).recombine(0) is None
