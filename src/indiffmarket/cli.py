@@ -18,6 +18,7 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, ExperimentConfig, load_config
+from .conjugate import _TOL_SCALE
 from .engine import execute_simple, simulate_sde
 from .engine import indifference_cash, simulate_sde_paths
 from .field import FieldEvaluator
@@ -26,6 +27,12 @@ from .utilities import exponential, panel as make_panel
 from .verify import DEFAULT_PROBES, SUITE_NAMES, run_suite
 
 _CSV_VERSION = "v1"
+
+# The engine keys each simulate mode reads; any other is rejected.
+_MODE_KEYS = {
+    "execute": {"mode", "lam0", "tol_scale", "want_v"},
+    "sde": {"mode", "lam0", "u0", "eps_explode_scale"},
+}
 
 
 def _fmt(x) -> str:
@@ -39,6 +46,32 @@ def _write_csv(path: Path, header_cols, rows):
     for row in rows:
         lines.append(",".join(
             str(c) if isinstance(c, (int, str)) else _fmt(c) for c in row))
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _write_table(path: Path, header_cols, columns):
+    """Write equally long columns as the bytes ``_write_csv`` would.
+
+    Integer columns print with ``%d``, float columns with ``%.17g``, and
+    a ``None`` column as empty cells, through one format string per row.
+    Rows holding a non-finite float fall back to ``_fmt`` cell by cell.
+    """
+    kinds = [None if c is None
+             else "%d" if np.issubdtype(c.dtype, np.integer) else "%.17g"
+             for c in columns]
+    fmt = ",".join(k or "" for k in kinds)
+    data = np.column_stack([np.asarray(c, dtype=float)
+                            for c in columns if c is not None])
+    lines = [f"# indiffmarket {_CSV_VERSION}", ",".join(header_cols)]
+    for row, finite in zip(data.tolist(),
+                           np.isfinite(data).all(axis=1).tolist()):
+        if finite:
+            lines.append(fmt % tuple(row))
+            continue
+        cells = iter(row)
+        lines.append(",".join(
+            "" if k is None else _fmt(next(cells)) if k == "%.17g"
+            else k % next(cells) for k in kinds))
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -64,19 +97,28 @@ def _simulate(args) -> int:
         raise ConfigError("simulate needs tree kind 'tree'")
     strategy = cfg.build_strategy(tree)
     mode = cfg.engine.get("mode", "execute")
-    tol_scale = float(cfg.engine.get("tol_scale", 1e-13))
-    eps_scale = float(cfg.engine.get("eps_explode_scale", 1e-10))
+    if not isinstance(mode, str) or mode not in _MODE_KEYS:
+        raise ConfigError(f"engine: unknown mode '{mode}'")
+    unread = sorted(set(cfg.engine) - _MODE_KEYS[mode])
+    if unread:
+        raise ConfigError(
+            f"engine: key '{unread[0]}' is not read in {mode} mode")
     ev = FieldEvaluator(panel, tree)
     M, J = panel.size, tree.n_assets
 
     if mode == "execute":
+        tol_scale = float(cfg.engine.get("tol_scale", 1e-13))
         want_v = bool(cfg.engine.get("want_v", True))
         res = execute_simple(ev, strategy, lam0=cfg.engine.get("lam0"),
                              want_interior_V=want_v, tol_scale=tol_scale)
         U, W, X, V, Q = res.U, res.W, res.X, res.V, res.Q
         exploded = [np.zeros(tree.n_nodes(k), dtype=bool)
                     for k in range(tree.steps + 1)]
-    elif mode == "sde":
+        tolerances = {"trade_saddle": tol_scale}
+        if want_v:
+            tolerances["interior_v_saddle"] = _TOL_SCALE
+    else:
+        eps_scale = float(cfg.engine.get("eps_explode_scale", 1e-10))
         lam0 = cfg.engine.get("lam0")
         lam0 = (np.full(M, 1.0 / M) if lam0 is None
                 else np.asarray(lam0, float) / np.sum(lam0))
@@ -95,37 +137,38 @@ def _simulate(args) -> int:
             q_last = q_last[owner]
         Q = res.Q + [q_last]
         exploded = res.exploded
-    else:
-        raise ConfigError(f"engine: unknown mode '{mode}'")
+        tolerances = {"saddle": _TOL_SCALE, "eps_explode_scale": eps_scale}
 
     out = Path(args.out or cfg.output.get("directory", "out"))
     out.mkdir(parents=True, exist_ok=True)
     cols = (["node_id", "t"] + [f"U_{m + 1}" for m in range(M)]
             + [f"W_{m + 1}" for m in range(M)] + ["X", "V"]
             + [f"Q_{j + 1}" for j in range(J)] + ["exploded"])
-    rows = []
-    node_id = 0
-    for k in range(tree.steps + 1):
-        qk = Q[k] if k < len(Q) and Q[k] is not None else np.zeros(
-            (tree.n_nodes(k), J))
-        qk = np.broadcast_to(np.atleast_2d(qk), (tree.n_nodes(k), J))
-        for i in range(tree.n_nodes(k)):
-            row = [node_id, tree.times[k]]
-            row += list(U[k][i])
-            row += list(W[k][i]) if W[k] is not None else [None] * M
-            row += [X[k][i] if X[k] is not None else None,
-                    V[k][i] if V[k] is not None else None]
-            row += list(qk[i])
-            row += [int(bool(exploded[k][i]))]
-            rows.append(row)
-            node_id += 1
-    _write_csv(out / "paths.csv", cols, rows)
+    sizes = [tree.n_nodes(k) for k in range(tree.steps + 1)]
+
+    def by_level(parts, width):
+        """``width`` columns over all nodes from per-level blocks: NaN on
+        a level whose block is None, all None if every block is."""
+        if all(p is None for p in parts):
+            return [None] * width
+        full = np.concatenate([
+            np.full((n, width), np.nan) if p is None
+            else np.broadcast_to(np.reshape(p, (-1, width)), (n, width))
+            for p, n in zip(parts, sizes)])
+        return list(full.T)
+
+    q_parts = [Q[k] if k < len(Q) and Q[k] is not None else np.zeros((1, J))
+               for k in range(tree.steps + 1)]
+    columns = ([np.arange(sum(sizes)), np.repeat(tree.times, sizes)]
+               + by_level(U, M) + by_level(W, M) + by_level(X, 1)
+               + by_level(V, 1) + by_level(q_parts, J)
+               + [np.concatenate(exploded).astype(int)])
+    _write_table(out / "paths.csv", cols, columns)
     _write_metadata(out, "simulate", seed,
                     scheme="exact" if mode == "execute" else "euler",
                     wall_time_s=time.time() - t0, extra={
                         "mode": mode, "steps": tree.steps,
-                        "tolerances": {"saddle": tol_scale,
-                                       "eps_explode_scale": eps_scale}})
+                        "tolerances": tolerances})
     return 0
 
 
@@ -192,13 +235,12 @@ def _bachelier(args) -> int:
 
     out = Path(args.out or cfg.output.get("directory", "out"))
     out.mkdir(parents=True, exist_ok=True)
-    rows = [[i, pb.V[i, -1], v_true[i], abs(pb.V[i, -1] - v_true[i]),
-             pb.U[i, -1], u_true[i], int(bool(pb.exploded[i]))]
-            for i in range(n_paths)]
-    _write_csv(out / "bachelier_paths.csv",
-               ["path_id", "V_T_engine", "V_T_closed", "abs_err",
-                "U_T_engine", "U_T_closed", "exploded"], rows)
     err = np.abs(pb.V[:, -1] - v_true)
+    _write_table(out / "bachelier_paths.csv",
+                 ["path_id", "V_T_engine", "V_T_closed", "abs_err",
+                  "U_T_engine", "U_T_closed", "exploded"],
+                 [np.arange(n_paths), pb.V[:, -1], v_true, err, pb.U[:, -1],
+                  u_true, np.asarray(pb.exploded).astype(int)])
     _write_csv(out / "bachelier_summary.csv",
                ["metric", "value"],
                [["mean_abs_vT_error", float(err.mean())],

@@ -6,6 +6,14 @@ weights v.  The first-order condition reduces the M-dimensional
 maximization to a single monotone scalar equation in the common marginal
 value y = dr/dx, which is what ``allocate`` solves (closed form for
 all-exponential panels, guarded Newton otherwise).
+
+The Newton iteration runs maker-major: it holds the split and the
+per-maker residuals as (M, n) arrays, evaluates each maker's mixture on
+one contiguous row, and sums over makers by adding rows left to right.
+That gives the same bits as summing the trailing axis of (n, M) arrays,
+since numpy sums axes shorter than eight left to right too, while
+avoiding a reduction setup per row.  The result comes back as the usual
+(n, M) split.
 """
 
 from __future__ import annotations
@@ -75,20 +83,22 @@ def allocate(panel: MakerPanel, v, total):
     # sum_m pi^m = total.  The block structure reduces each step to one
     # scalar update of ln y plus per-maker corrections with the local
     # risk aversions a_m, all from a single mixture evaluation per maker.
-    logup0 = np.log([m.marginal(0.0) for m in panel.makers])
-    gmin = np.array([min(m.rates) for m in panel.makers])
-    lny = np.mean(logv + logup0, axis=1) - total / M
-    pi = (logv + logup0 - lny[:, None]) / gmin
+    # Maker-major (see the module docstring): one row per maker.
+    logv = np.ascontiguousarray(logv.T)
+    logup0 = np.log([m.marginal(0.0) for m in panel.makers])[:, None]
+    gmin = np.array([min(m.rates) for m in panel.makers])[:, None]
+    lny = (logv + logup0).sum(axis=0) / M - total / M
+    pi = (logv + logup0 - lny) / gmin
     logup = np.empty_like(pi)
     av = np.empty_like(pi)
     for it in range(_MAX_NEWTON):
         for m, spec in enumerate(panel.makers):
-            logup[:, m], av[:, m] = spec.log_marginal_and_aversion(pi[:, m])
-        f = logv + logup - lny[:, None]
-        g = total - pi.sum(axis=1)
-        tsum = (1.0 / av).sum(axis=1)
-        dlny = ((f / av).sum(axis=1) - g) / tsum
-        dpi = (f - dlny[:, None]) / av
+            logup[m], av[m] = spec.log_marginal_and_aversion(pi[m])
+        f = logv + logup - lny
+        g = total - pi.sum(axis=0)
+        tsum = (1.0 / av).sum(axis=0)
+        dlny = ((f / av).sum(axis=0) - g) / tsum
+        dpi = (f - dlny) / av
         np.clip(dpi, -20.0, 20.0, out=dpi)
         pi += dpi
         lny += dlny
@@ -99,7 +109,7 @@ def allocate(panel: MakerPanel, v, total):
         raise AllocationError(
             f"allocation Newton did not converge: last step "
             f"{np.max(np.abs(dpi)):.3e}")
-    return np.exp(lny), pi
+    return np.exp(lny), np.ascontiguousarray(pi.T)
 
 
 def representative_utility(panel: MakerPanel, v, x):

@@ -205,3 +205,70 @@ def test_trade_level_past_last_step_rejected(tmp_path, capsys, mode):
     assert not (out / "paths.csv").exists()
     assert main(["simulate", "--config", cfg, "--steps", "5",
                  "--out", str(out)]) == 0
+
+
+def test_write_table_matches_write_csv(tmp_path):
+    from indiffmarket.cli import _write_csv, _write_table
+
+    ids = np.array([0, 7, 2 ** 40, 2 ** 53, 3, 12])
+    a = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e308])
+    b = np.array([0.1, -2.5e-17, 1.0 / 3.0, 7.0, -1e308, 2.0 ** -1074])
+    flag = np.array([0, 1, 0, 1, 1, 0])
+    header = ["id", "a", "empty", "b", "flag"]
+    _write_table(tmp_path / "t.csv", header, [ids, a, None, b, flag])
+    rows = [[int(i), x, None, y, int(f)]
+            for i, x, y, f in zip(ids, a, b, flag)]
+    _write_csv(tmp_path / "c.csv", header, rows)
+    assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "c.csv").read_bytes()
+    lines = (tmp_path / "t.csv").read_text().splitlines()
+    assert lines[2:5] == ["0,,,0.10000000000000001,0", "7,,,-2.4999999999999999e-17,1",
+                          "1099511627776,,,0.33333333333333331,0"]
+    assert lines[5] == "9007199254740992,-0,,7,1"
+
+
+@pytest.mark.parametrize("mode, key, value", [
+    ("execute", "u0", "[-1.0, -1.0]"),
+    ("execute", "eps_explode_scale", "0.5"),
+    ("sde", "tol_scale", "0.001"),
+    ("sde", "want_v", "false"),
+])
+def test_engine_key_unread_by_mode_rejected(tmp_path, capsys, mode, key,
+                                            value):
+    text = BASE_CONFIG.replace("mode: execute",
+                               f"mode: {mode}\n  {key}: {value}")
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", write(tmp_path, text),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"'{key}'" in err and f"{mode} mode" in err
+    assert not (out / "paths.csv").exists()
+
+
+@pytest.mark.parametrize("mode, extra, tolerances", [
+    ("execute", "", {"trade_saddle": 1e-13, "interior_v_saddle": 1e-10}),
+    ("execute", "\n  tol_scale: 1.0e-12\n  want_v: false",
+     {"trade_saddle": 1e-12}),
+    ("sde", "", {"saddle": 1e-10, "eps_explode_scale": 1e-10}),
+    ("sde", "\n  eps_explode_scale: 0.5",
+     {"saddle": 1e-10, "eps_explode_scale": 0.5}),
+], ids=["execute", "execute-no-v", "sde", "sde-eps"])
+def test_metadata_records_tolerances_used(tmp_path, monkeypatch, mode,
+                                          extra, tolerances):
+    from indiffmarket import conjugate
+
+    used = set()
+    original = conjugate.saddle_batch
+
+    def recording(*args, tol_scale=conjugate._TOL_SCALE, **kwargs):
+        used.add(tol_scale)
+        return original(*args, tol_scale=tol_scale, **kwargs)
+
+    monkeypatch.setattr("indiffmarket.engine.saddle_batch", recording)
+    text = BASE_CONFIG.replace("mode: execute", f"mode: {mode}{extra}")
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", write(tmp_path, text),
+                 "--out", str(out)]) == 0
+    meta = json.loads((out / "metadata.json").read_text())
+    assert meta["tolerances"] == tolerances
+    recorded = {v for k, v in tolerances.items() if k.endswith("saddle")}
+    assert used == recorded

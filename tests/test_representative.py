@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from conftest import assert_same_bits
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from indiffmarket.representative import (
+    _MAX_NEWTON,
+    _REL_TOL,
     PrimalPoint,
     allocate,
     allocation_curvature,
@@ -10,7 +15,12 @@ from indiffmarket.representative import (
     representative_utility,
     weights_from_allocation,
 )
-from indiffmarket.utilities import exponential, panel, sum_of_exponentials
+from indiffmarket.utilities import (
+    UtilitySpec,
+    exponential,
+    panel,
+    sum_of_exponentials,
+)
 
 PAIR = panel(exponential(1.0), exponential(1.0))
 MIXED = panel(sum_of_exponentials([1.0, 0.5], [1.0, 2.0]), exponential(2.0))
@@ -175,3 +185,95 @@ def test_allocation_curvature_matches_finite_differences():
 def test_primal_point_validation():
     with pytest.raises(ValueError):
         PrimalPoint(v=[1.0, -0.5], x=0.0, q=[0.0])
+
+
+# -- bitwise oracle: the column-wise Newton iteration of ``allocate`` -------
+
+
+def _ref_allocate(panel, v, total):
+    """``allocate`` iterating on (n, M) arrays with sums over trailing
+    axes of length M; returns (y, pi, iterations)."""
+    M = panel.size
+    total = np.atleast_1d(np.asarray(total, dtype=float))
+    v = np.asarray(v, dtype=float)
+    if v.ndim == 1:
+        v = np.broadcast_to(v, (total.shape[0], M))
+    logv = np.log(v)
+    logup0 = np.log([m.marginal(0.0) for m in panel.makers])
+    gmin = np.array([min(m.rates) for m in panel.makers])
+    lny = np.mean(logv + logup0, axis=1) - total / M
+    pi = (logv + logup0 - lny[:, None]) / gmin
+    logup = np.empty_like(pi)
+    av = np.empty_like(pi)
+    for it in range(_MAX_NEWTON):
+        for m, spec in enumerate(panel.makers):
+            logup[:, m], av[:, m] = spec.log_marginal_and_aversion(pi[:, m])
+        f = logv + logup - lny[:, None]
+        g = total - pi.sum(axis=1)
+        tsum = (1.0 / av).sum(axis=1)
+        dlny = ((f / av).sum(axis=1) - g) / tsum
+        dpi = (f - dlny[:, None]) / av
+        np.clip(dpi, -20.0, 20.0, out=dpi)
+        pi += dpi
+        lny += dlny
+        if max(np.max(np.abs(dpi)), np.max(np.abs(dlny))) < _REL_TOL * (
+                1.0 + np.max(np.abs(pi))):
+            return np.exp(lny), pi, it + 1
+    raise AssertionError("reference Newton did not converge")
+
+
+makers = st.integers(1, 3).flatmap(lambda k: st.builds(
+    sum_of_exponentials,
+    st.lists(st.floats(0.05, 5.0), min_size=k, max_size=k),
+    st.lists(st.floats(0.2, 4.0), min_size=k, max_size=k)))
+panels = st.lists(makers, min_size=1, max_size=4).map(lambda ms: panel(*ms))
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(p=panels, data=st.data())
+@example(p=MIXED, data=None)
+def test_allocate_matches_column_oracle(p, data):
+    if p.all_exponential:
+        return
+    if data is None:
+        v = np.array([[0.5, 0.5], [0.1, 3.0], [2.0, 0.7]])
+        total = np.array([-700.0, 700.0, 0.0])
+    else:
+        n = data.draw(st.integers(1, 12))
+        v = np.array(data.draw(st.lists(
+            st.lists(st.floats(0.01, 10.0), min_size=p.size,
+                     max_size=p.size), min_size=n, max_size=n)))
+        total = np.array(data.draw(st.lists(
+            st.floats(-700.0, 700.0), min_size=n, max_size=n)))
+    exact = p.size <= 2 and all(len(m.rates) <= 2 for m in p.makers)
+    with np.errstate(over="ignore"):
+        y, pi = allocate(p, v, total)
+        y_ref, pi_ref, _ = _ref_allocate(p, v, total)
+    assert pi.shape == pi_ref.shape and pi.flags.c_contiguous
+    assert_same_bits(y, y_ref, exact)
+    assert_same_bits(pi, pi_ref, exact)
+
+
+def test_allocate_evaluates_each_maker_once_per_iteration(monkeypatch):
+    three = panel(sum_of_exponentials([1.0, 0.5], [1.0, 2.0]),
+                  exponential(2.0),
+                  sum_of_exponentials([0.3, 0.7, 1.1], [0.5, 1.0, 3.0]))
+    rng = np.random.default_rng(10)
+    n = 257
+    v = np.exp(rng.normal(size=(n, 3)))
+    total = rng.normal(scale=4.0, size=n)
+    _, _, iters = _ref_allocate(three, v, total)
+
+    calls = []
+    original = UtilitySpec.log_marginal_and_aversion
+
+    def counted(self, x):
+        calls.append((self, x.shape, x.flags.c_contiguous))
+        return original(self, x)
+
+    monkeypatch.setattr(UtilitySpec, "log_marginal_and_aversion", counted)
+    allocate(three, v, total)
+    assert iters > 2
+    assert len(calls) == three.size * iters
+    assert [c[0] for c in calls] == list(three.makers) * iters
+    assert all(shape == (n,) and contiguous for _, shape, contiguous in calls)

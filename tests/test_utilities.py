@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from conftest import assert_same_bits
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from indiffmarket.utilities import (
     MakerPanel,
@@ -156,3 +159,101 @@ def test_panel_properties():
     assert q.bound_constant == pytest.approx(5.0)
     with pytest.raises(ValueError):
         MakerPanel(makers=())
+
+
+# -- bitwise oracle: the trailing-axis formulas of the mixture kernels ------
+
+
+def _ref_wge(spec, x):
+    x = np.asarray(x, dtype=float)
+    return np.asarray(spec.weights) * np.exp(
+        -np.multiply.outer(x, np.asarray(spec.rates)))
+
+
+def _ref_value(spec, x):
+    return -(_ref_wge(spec, x) / np.asarray(spec.rates)).sum(axis=-1)
+
+
+def _ref_marginal(spec, x):
+    return _ref_wge(spec, x).sum(axis=-1)
+
+
+def _ref_marginal_and_aversion(spec, x):
+    t = _ref_wge(spec, x)
+    up = t.sum(axis=-1)
+    return up, (t * np.asarray(spec.rates)).sum(axis=-1) / up
+
+
+def _ref_log_marginal_and_aversion(spec, x):
+    x = np.asarray(x, dtype=float)
+    g = np.asarray(spec.rates)
+    e = np.log(np.asarray(spec.weights)) - np.multiply.outer(x, g)
+    m = e.max(axis=-1, keepdims=True)
+    t = np.exp(e - m)
+    s = t.sum(axis=-1)
+    return m[..., 0] + np.log(s), (t * g).sum(axis=-1) / s
+
+
+def _ref_second_derivative(spec, x):
+    return -(_ref_wge(spec, x) * np.asarray(spec.rates)).sum(axis=-1)
+
+
+def _ref_risk_aversion(spec, x):
+    t = _ref_wge(spec, x)
+    return (t * np.asarray(spec.rates)).sum(axis=-1) / t.sum(axis=-1)
+
+
+def check_kernels(spec, x, exact):
+    for name, ref in KERNELS:
+        got, want = getattr(spec, name)(x), ref(spec, x)
+        if not isinstance(want, tuple):
+            got, want = (got,), (want,)
+        for g, w in zip(got, want, strict=True):
+            assert_same_bits(g, w, exact)
+
+
+KERNELS = [
+    ("value", _ref_value),
+    ("marginal", _ref_marginal),
+    ("marginal_and_aversion", _ref_marginal_and_aversion),
+    ("log_marginal_and_aversion", _ref_log_marginal_and_aversion),
+    ("second_derivative", _ref_second_derivative),
+    ("risk_aversion", _ref_risk_aversion),
+]
+
+specs = st.integers(1, 3).flatmap(lambda k: st.builds(
+    sum_of_exponentials,
+    st.lists(st.floats(0.01, 10.0), min_size=k, max_size=k),
+    st.lists(st.floats(0.05, 5.0), min_size=k, max_size=k)))
+wealth = st.lists(st.floats(-700.0, 700.0), min_size=1, max_size=40)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(spec=specs, xs=wealth)
+@example(spec=MIX, xs=[-700.0, 700.0, 0.0, -0.0])
+@example(spec=exponential(1.3), xs=[-700.0, 700.0, -0.0])
+@example(spec=sum_of_exponentials([0.3, 0.7, 1.1], [0.5, 1.0, 3.0]),
+         xs=[-700.0, -3.0, 0.0, 12.5, 700.0])
+def test_kernels_match_trailing_axis_oracle(spec, xs):
+    exact = len(spec.rates) <= 2
+    x = np.array(xs)
+    with np.errstate(all="ignore"):
+        check_kernels(spec, x, exact)
+        check_kernels(spec, x[0], exact)
+
+
+def test_kernels_on_strided_rows():
+    # columns of an (n, M) split reach the kernels as strided views
+    x = np.random.default_rng(11).uniform(-30.0, 30.0, size=(64, 2))[:, 1]
+    check_kernels(sum_of_exponentials([0.3, 0.7], [0.5, 3.0]), x, exact=True)
+
+
+def test_oracle_tells_a_reordered_sum_apart():
+    # the 2-ulp check is not vacuous: summing three terms right to left
+    # moves some results by an ulp, which the exact check rejects
+    spec = sum_of_exponentials([0.3, 0.7, 1.1], [0.5, 1.0, 3.0])
+    x = np.random.default_rng(12).uniform(-5.0, 5.0, size=2000)
+    t = _ref_wge(spec, x)
+    reordered = t[:, 0] + (t[:, 1] + t[:, 2])
+    assert not np.array_equal(reordered, spec.marginal(x))
+    assert_same_bits(reordered, spec.marginal(x), exact=False)
