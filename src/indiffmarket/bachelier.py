@@ -21,6 +21,13 @@ from .utilities import MakerPanel, exponential, panel as make_panel
 __all__ = ["BachelierParams"]
 
 
+def _accumulate_rows(a):
+    """Running sum down the rows of ``a`` in place: the bits of
+    ``cumsum(axis=0)``, one contiguous row add per step."""
+    for k in range(1, a.shape[0]):
+        np.add(a[k - 1], a[k], out=a[k])
+
+
 @dataclass(frozen=True)
 class BachelierParams:
     gamma: float
@@ -80,34 +87,53 @@ class BachelierParams:
         ``q_levels`` holds the position over each step (scalar or (N,)),
         ``db`` the Brownian increments (n_paths, N).  Piecewise constant
         Q makes the stochastic exponential exact, not an Euler scheme.
+        Returns (n_paths, N+1), a view of step-major storage.
         """
-        db = np.atleast_2d(np.asarray(db, float))
-        n_paths, N = db.shape
-        dt = np.diff(np.asarray(times, float))
-        kap = self.kappa(np.broadcast_to(np.asarray(q_levels, float), (N,)))
+        dbs, dt = self._step_major(db, times)
+        kap = self.kappa(np.broadcast_to(np.asarray(q_levels, float),
+                                         (len(dt),)))[:, None]
         if u0 is None:
             u0 = float(self.N0(0.0) * np.exp(self.gamma * 0.0))
-        log_growth = np.cumsum(-kap * db - 0.5 * kap ** 2 * dt, axis=1)
-        out = np.empty((n_paths, N + 1))
-        out[:, 0] = u0
-        out[:, 1:] = u0 * np.exp(log_growth)
-        return out
+        out = np.empty((dbs.shape[0] + 1, dbs.shape[1]))
+        out[0] = u0
+        growth = out[1:]
+        np.multiply(dbs, -kap, out=growth)
+        growth -= 0.5 * kap ** 2 * dt
+        _accumulate_rows(growth)
+        np.exp(growth, out=growth)
+        np.multiply(growth, u0, out=growth)
+        return out.T
 
     def gain(self, q_levels, db, times):
         """Cumulative gain V of the investor along discrete paths.
 
         V_t = int (-Q) dS - (gamma sigma^2 / 2) int Q^2 dt; exact for
-        piecewise constant Q.  Returns (n_paths, N+1).
+        piecewise constant Q.  Returns (n_paths, N+1), a view of
+        step-major storage.
         """
-        db = np.atleast_2d(np.asarray(db, float))
-        n_paths, N = db.shape
-        dt = np.diff(np.asarray(times, float))
-        q = np.broadcast_to(np.asarray(q_levels, float), (N,))
-        inc = (-q * (self.mu * dt + self.sigma * db)
-               - 0.5 * self.gamma * self.sigma ** 2 * q ** 2 * dt)
-        out = np.zeros((n_paths, N + 1))
-        out[:, 1:] = np.cumsum(inc, axis=1)
-        return out
+        dbs, dt = self._step_major(db, times)
+        q = np.broadcast_to(np.asarray(q_levels, float), (len(dt),))[:, None]
+        out = np.zeros((dbs.shape[0] + 1, dbs.shape[1]))
+        inc = out[1:]
+        np.multiply(dbs, self.sigma, out=inc)
+        inc += self.mu * dt
+        inc *= -q
+        inc -= 0.5 * self.gamma * self.sigma ** 2 * q ** 2 * dt
+        _accumulate_rows(inc)
+        return out.T
+
+    # ``gain`` and ``indirect_utility`` build their increments in place
+    # on (N, n_paths) rows.  Each product and sum takes the operands of
+    # the formula in the docstring, at most swapped, which leaves IEEE
+    # results unchanged, and ``_accumulate_rows`` adds in cumsum's order;
+    # the tests pin these bits against ``cumsum(axis=1)`` forms.
+
+    @staticmethod
+    def _step_major(db, times):
+        """Increments as (N, n_paths) rows and step lengths as (N, 1)."""
+        db = np.atleast_2d(np.asarray(db, float)).T
+        dt = np.diff(np.asarray(times, float))[:, None]
+        return db, dt
 
     def indifference_price(self, q):
         """Cash leaving the maker indifferent to taking position q at

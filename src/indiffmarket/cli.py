@@ -87,8 +87,16 @@ def _write_metadata(out: Path, command: str, cfg_seed: int, scheme=None,
     (out / "metadata.json").write_text(json.dumps(meta, indent=2) + "\n")
 
 
+def _reject_blocks(cfg, command: str, blocks):
+    """Config error for a nonempty block that ``command`` never reads."""
+    for block in blocks:
+        if getattr(cfg, block):
+            raise ConfigError(f"block '{block}' is not read by {command}")
+
+
 def _simulate(args) -> int:
     cfg = load_config(args.config)
+    _reject_blocks(cfg, "simulate", ("bachelier",))
     seed = args.seed if args.seed is not None else cfg.seed
     t0 = time.time()
     panel = cfg.build_panel()
@@ -218,6 +226,7 @@ def _bachelier(args) -> int:
     cfg = load_config(args.config) if args.config else ExperimentConfig(
         bachelier={"sigma": 0.2, "gamma": 1.0, "mu": 0.1, "s": 10.0,
                    "horizon": 1.0})
+    _reject_blocks(cfg, "bachelier", ("panel", "tree", "strategy", "engine"))
     par = cfg.build_bachelier()
     seed = args.seed if args.seed is not None else cfg.seed
     steps = args.steps or int(cfg.bachelier.get("steps", 512))

@@ -35,6 +35,7 @@ __all__ = [
 
 _MAX_NEWTON = 200
 _REL_TOL = 1e-14
+_LOG_MAX = float(np.log(np.finfo(float).max))
 
 
 class AllocationError(RuntimeError):
@@ -62,7 +63,8 @@ def allocate(panel: MakerPanel, v, total):
     Parameters are broadcast: ``v`` has shape (M,) or (n, M) and
     ``total`` is scalar or (n,).  Returns ``(y, pi)`` with the common
     marginal value y (shape (n,)) and the per-maker split pi (n, M) such
-    that v^m u_m'(pi^m) = y and pi sums to ``total`` row-wise.
+    that v^m u_m'(pi^m) = y and pi sums to ``total`` row-wise.  Raises
+    AllocationError when y overflows (see ``_marginal_value``).
     """
     M = panel.size
     total = np.atleast_1d(np.asarray(total, dtype=float))
@@ -77,7 +79,7 @@ def allocate(panel: MakerPanel, v, total):
         tau = float(np.sum(1.0 / g))
         lny = ((logv + logw) / g).sum(axis=1) / tau - total / tau
         pi = (logv + logw - lny[:, None]) / g
-        return np.exp(lny), pi
+        return _marginal_value(lny), pi
 
     # Joint Newton on (pi, ln y) for the system v^m u'_m(pi^m) = y,
     # sum_m pi^m = total.  The block structure reduces each step to one
@@ -109,7 +111,25 @@ def allocate(panel: MakerPanel, v, total):
         raise AllocationError(
             f"allocation Newton did not converge: last step "
             f"{np.max(np.abs(dpi)):.3e}")
-    return np.exp(lny), np.ascontiguousarray(pi.T)
+    return _marginal_value(lny), np.ascontiguousarray(pi.T)
+
+
+def _marginal_value(lny):
+    """y = exp(lny), checked.
+
+    A log y that is not finite, or large enough to overflow y, raises
+    AllocationError naming the worst row.  Only a caller that has set
+    numpy's overflow handling to 'ignore' (``np.errstate(over="ignore")``)
+    gets the IEEE result, y = inf, instead.
+    """
+    bad = ~np.isfinite(lny) | (lny > _LOG_MAX)
+    if bad.any() and np.geterr()["over"] != "ignore":
+        rows = np.flatnonzero(bad)
+        worst = int(rows[np.argmax(np.abs(lny[rows]))])  # NaN ranks first
+        raise AllocationError(
+            f"marginal value out of range at row {worst}: "
+            f"log y = {lny[worst]:.6g} (limit {_LOG_MAX:.6g})")
+    return np.exp(lny)
 
 
 def representative_utility(panel: MakerPanel, v, x):

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from conftest import assert_same_bits
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from indiffmarket.bachelier import BachelierParams
 from indiffmarket.engine import (
@@ -182,3 +185,75 @@ def test_param_validation():
         BachelierParams(gamma=-1.0, b=0.0, mu=0.0, sigma=0.2, s=1.0, horizon=1.0)
     with pytest.raises(ValueError):
         BachelierParams(gamma=1.0, b=0.0, mu=0.0, sigma=0.0, s=1.0, horizon=1.0)
+
+
+# -- step-major oracle against its former cumsum(axis=1) forms -----------
+
+
+def _cumsum_indirect_utility(par, q_levels, db, times, u0=None):
+    db = np.atleast_2d(np.asarray(db, float))
+    n_paths, N = db.shape
+    dt = np.diff(np.asarray(times, float))
+    kap = par.kappa(np.broadcast_to(np.asarray(q_levels, float), (N,)))
+    if u0 is None:
+        u0 = float(par.N0(0.0) * np.exp(par.gamma * 0.0))
+    log_growth = np.cumsum(-kap * db - 0.5 * kap ** 2 * dt, axis=1)
+    out = np.empty((n_paths, N + 1))
+    out[:, 0] = u0
+    out[:, 1:] = u0 * np.exp(log_growth)
+    return out
+
+
+def _cumsum_gain(par, q_levels, db, times):
+    db = np.atleast_2d(np.asarray(db, float))
+    n_paths, N = db.shape
+    dt = np.diff(np.asarray(times, float))
+    q = np.broadcast_to(np.asarray(q_levels, float), (N,))
+    inc = (-q * (par.mu * dt + par.sigma * db)
+           - 0.5 * par.gamma * par.sigma ** 2 * q ** 2 * dt)
+    out = np.zeros((n_paths, N + 1))
+    out[:, 1:] = np.cumsum(inc, axis=1)
+    return out
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(n_paths=st.integers(1, 50), steps=st.integers(1, 64),
+       data=st.data())
+@example(n_paths=3, steps=4, data=None)
+def test_oracle_matches_cumsum_forms(n_paths, steps, data):
+    if data is None:
+        q = np.array([0.0, -0.0, 1.0, 0.0])
+        seed, even, step_major = 0, True, True
+    else:
+        q = np.array(data.draw(st.lists(
+            st.sampled_from([0.0, -1.5, -0.5, 0.25, 1.0, 3.0]),
+            min_size=steps, max_size=steps)))
+        seed = data.draw(st.integers(0, 2 ** 16))
+        even = data.draw(st.booleans())
+        step_major = data.draw(st.booleans())
+    rng = np.random.default_rng(seed)
+    dt = (np.full(steps, 0.7 / steps) if even
+          else rng.uniform(0.001, 0.1, size=steps))
+    times = np.concatenate([[0.0], np.cumsum(dt)])
+    db = rng.normal(size=(n_paths, steps)) * np.sqrt(dt)
+    if step_major:  # as the path engines hand it over
+        db = np.ascontiguousarray(db.T).T
+    for par in (REF, BachelierParams(gamma=2.5, b=0.3, mu=-0.2, sigma=0.7,
+                                     s=1.0, horizon=0.7)):
+        got = par.gain(q, db, times)
+        assert got.shape == (n_paths, steps + 1)
+        assert_same_bits(got, _cumsum_gain(par, q, db, times), exact=True)
+        for u0 in (None, -0.8):
+            got = par.indirect_utility(q, db, times, u0=u0)
+            want = _cumsum_indirect_utility(par, q, db, times, u0=u0)
+            assert got.shape == (n_paths, steps + 1)
+            assert_same_bits(got, want, exact=True)
+
+
+def test_oracle_accepts_one_path_as_a_vector():
+    db = np.array([0.1, -0.2, 0.05])
+    times = np.linspace(0.0, 1.0, 4)
+    assert_same_bits(REF.gain(1.0, db, times),
+                     _cumsum_gain(REF, 1.0, db, times), exact=True)
+    assert_same_bits(REF.indirect_utility(1.0, db, times),
+                     _cumsum_indirect_utility(REF, 1.0, db, times), exact=True)

@@ -272,3 +272,39 @@ def test_metadata_records_tolerances_used(tmp_path, monkeypatch, mode,
     assert meta["tolerances"] == tolerances
     recorded = {v for k, v in tolerances.items() if k.endswith("saddle")}
     assert used == recorded
+
+
+BACHELIER_BLOCK = """\
+bachelier:
+  sigma: 0.2
+  mu: 0.1
+"""
+
+
+@pytest.mark.parametrize("block, text", [
+    ("engine", "engine:\n  mode: sde\n  tol_scale: 0.5\n"),
+    ("tree", "tree:\n  steps: 3\n"),
+    ("strategy", "strategy:\n  kind: bogus\n"),
+    ("panel", "panel:\n  makers:\n    - gamma: 1.0\n"),
+])
+def test_bachelier_rejects_unread_blocks(tmp_path, capsys, block, text):
+    cfg = write(tmp_path, BACHELIER_BLOCK + text, "bach.yaml")
+    out = tmp_path / "o"
+    assert main(["bachelier", "--config", cfg, "--steps", "8", "--paths",
+                 "5", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"block '{block}'" in err and "bachelier" in err
+    assert not out.exists()
+    only = write(tmp_path, BACHELIER_BLOCK + "seed: 3\noutput:\n  directory: x\n",
+                 "only.yaml")
+    assert main(["bachelier", "--config", only, "--steps", "8", "--paths",
+                 "5", "--out", str(out)]) == 0
+
+
+def test_simulate_rejects_bachelier_block(tmp_path, capsys):
+    cfg = write(tmp_path, BASE_CONFIG + "bachelier:\n  sigma: -1\n")
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "block 'bachelier'" in err and "simulate" in err
+    assert not out.exists()

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import assert_same_bits
 
 from indiffmarket.engine import (
     SimpleStrategy,
@@ -242,3 +243,162 @@ def test_tampered_U_breaks_martingale_residual():
     res.U[2] = res.U[2].copy()
     res.U[2][1, 0] *= 1.0 + 1e-9
     assert res.martingale_residual() > 1e-12
+
+
+# -- step-major path engines against the former column-major loops -------
+
+
+def _column_sampler(tree, n_paths, seed=None, signs=None):
+    N = tree.steps
+    step = np.sqrt(tree.dt(0))
+    if signs is None:
+        rng = np.random.default_rng(seed)
+        signs = np.where(rng.random((n_paths, N)) < 0.5, 1.0, -1.0)
+    signs = np.asarray(signs, dtype=float)
+    j = np.zeros((n_paths, N + 1), dtype=int)
+    j[:, 1:] = np.cumsum(signs > 0, axis=1)
+    return j, signs * step
+
+
+def _column_sde_paths(tree, tables, gamma, q_levels, u0, eps, j, db):
+    n_paths, N = db.shape
+    sqdt = np.sqrt(tree.dt(0))
+    U = np.empty((n_paths, N + 1))
+    U[:, 0] = u0
+    exploded = np.zeros(n_paths, dtype=bool)
+    for k in range(N):
+        phi = tables[round(float(q_levels[k]), 12)]
+        jk = j[:, k]
+        coeff = (phi[k + 1][jk + 1] - phi[k + 1][jk]) / (2.0 * sqdt * phi[k][jk])
+        u_next = U[:, k] * (1.0 + coeff * db[:, k])
+        u_next = np.where(exploded, U[:, k], u_next)
+        newly = ~exploded & (u_next >= -eps)
+        exploded |= newly
+        U[:, k + 1] = np.minimum(u_next, -eps)
+    X = np.empty_like(U)
+    V = np.empty_like(U)
+    phi0 = tables[0.0]
+    for k in range(N + 1):
+        q_gov = q_levels[max(k - 1, 0)]
+        phi = tables[round(float(q_gov), 12)]
+        X[:, k] = np.log(phi[k][j[:, k]] / U[:, k]) / gamma
+        V[:, k] = -np.log(phi0[k][j[:, k]] / U[:, k]) / gamma
+    return U, X, V, exploded
+
+
+def _column_execute_paths(tables, gamma, levels, thetas, j):
+    n_paths, N1 = j.shape
+    phi0 = tables[0.0]
+    xi = np.zeros(n_paths)
+    theta_prev = 0.0
+    X = np.zeros((n_paths, N1))
+    U = np.empty((n_paths, N1))
+    V = np.empty((n_paths, N1))
+    trade = dict(zip(levels, thetas))
+    for k in range(N1):
+        phi_gov = tables[round(theta_prev, 12)]
+        X[:, k] = xi
+        U[:, k] = np.exp(-gamma * xi) * phi_gov[k][j[:, k]]
+        V[:, k] = -np.log(phi0[k][j[:, k]] / U[:, k]) / gamma
+        if k in trade:
+            theta = trade[k]
+            phi_new = tables[round(theta, 12)]
+            xi = xi + (np.log(-phi_new[k][j[:, k]])
+                       - np.log(-phi_gov[k][j[:, k]])) / gamma
+            theta_prev = theta
+    return U, X, V
+
+
+def _check_bundle_layout(bundle, n_paths, N):
+    assert bundle.times.shape == (N + 1,)
+    assert bundle.j.shape == (n_paths, N + 1)
+    assert np.issubdtype(bundle.j.dtype, np.integer)
+    assert bundle.db.shape == (n_paths, N) and bundle.db.dtype == np.float64
+    for a in (bundle.U, bundle.X, bundle.V):
+        assert a.shape == (n_paths, N + 1) and a.dtype == np.float64
+        assert a.T.flags.c_contiguous
+    assert bundle.exploded.shape == (n_paths,)
+    assert bundle.exploded.dtype == np.bool_
+
+
+@pytest.mark.parametrize("steps, pattern, u0, n_paths, seed", [
+    (64, [0.5, -1.0, 2.0, 0.0], None, 300, 4),
+    (8, [50.0, 10.0, 50.0, -5.0], -1.0, 64, 3),
+], ids=["piecewise-q", "exploding"])
+def test_sde_paths_match_column_loop(steps, pattern, u0, n_paths, seed):
+    from indiffmarket.engine import _phi_tables
+
+    lat = binomial_lattice(steps, 1.0, sigma0="0.1 * B",
+                           psi=("1.0 + 0.5 * B",))
+    q = np.repeat(pattern, steps // len(pattern))
+    if u0 is None:
+        u0 = float(EXP1.makers[0].value(0.0))
+    bundle = simulate_sde_paths(EXP1, lat, q, u0, n_paths, seed=seed)
+    _check_bundle_layout(bundle, n_paths, steps)
+    j, db = _column_sampler(lat, n_paths, seed=seed)
+    assert np.array_equal(bundle.j, j)
+    assert_same_bits(bundle.db, db, exact=True)
+    tables = _phi_tables(EXP1, lat, list(q) + [0.0])
+    U, X, V, exploded = _column_sde_paths(lat, tables, 1.0, q, u0,
+                                          bundle.eps_explode, j, db)
+    assert_same_bits(bundle.U, U, exact=True)
+    assert_same_bits(bundle.X, X, exact=True)
+    assert_same_bits(bundle.V, V, exact=True)
+    assert np.array_equal(bundle.exploded, exploded)
+    assert exploded.any() == (pattern[0] == 50.0)
+
+
+def test_execute_paths_match_column_loop():
+    from indiffmarket.engine import _phi_tables
+
+    steps, n_paths = 24, 200
+    lat = binomial_lattice(steps, 1.0, sigma0="0.3 + 0.2 * B",
+                           psi=("1.0 + 0.5 * B",))
+    levels, thetas = (0, 7, 15), (0.7, -0.3, 1.2)
+    bundle = execute_simple_paths(EXP1, lat, levels, thetas, n_paths, seed=9)
+    _check_bundle_layout(bundle, n_paths, steps)
+    assert not bundle.exploded.any()
+    j, db = _column_sampler(lat, n_paths, seed=9)
+    assert np.array_equal(bundle.j, j)
+    assert_same_bits(bundle.db, db, exact=True)
+    tables = _phi_tables(EXP1, lat, list(thetas) + [0.0])
+    U, X, V = _column_execute_paths(tables, 1.0, levels, thetas, j)
+    assert_same_bits(bundle.U, U, exact=True)
+    assert_same_bits(bundle.X, X, exact=True)
+    assert_same_bits(bundle.V, V, exact=True)
+
+
+def test_sampler_reuses_signs_exactly():
+    from indiffmarket.engine import sample_lattice_paths
+
+    lat = binomial_lattice(40, 2.0)
+    signs = np.random.default_rng(5).integers(0, 2, size=(37, 40)) * 2 - 1
+    j, db = sample_lattice_paths(lat, 37, signs=signs)
+    j_ref, db_ref = _column_sampler(lat, 37, signs=signs)
+    assert np.array_equal(j, j_ref) and j.shape == (37, 41)
+    assert_same_bits(db, db_ref, exact=True)
+    assert np.array_equal(np.diff(j, axis=1), (signs > 0).astype(int))
+
+
+@pytest.mark.parametrize("bad", [0.0, 0.5, 2.0, -2.0, np.nan])
+def test_sampler_rejects_signs_other_than_plus_minus_one(bad):
+    from indiffmarket.engine import sample_lattice_paths
+
+    lat = binomial_lattice(5, 1.0)
+    signs = np.ones((3, 5))
+    signs[1, 2] = bad
+    with pytest.raises(ValueError, match=r"\+1 or -1"):
+        sample_lattice_paths(lat, 3, signs=signs)
+    with pytest.raises(ValueError, match=r"\+1 or -1"):
+        simulate_sde_paths(EXP1, lat, 0.5, -1.0, 3, signs=signs)
+
+
+@pytest.mark.parametrize("shape", [(3, 4), (2, 5), (5, 3), (15,), (3, 5, 1)])
+def test_sampler_rejects_signs_of_wrong_shape(shape):
+    from indiffmarket.engine import sample_lattice_paths
+
+    lat = binomial_lattice(5, 1.0)
+    with pytest.raises(ValueError, match=r"shape \(3, 5\)"):
+        sample_lattice_paths(lat, 3, signs=np.ones(shape))
+    with pytest.raises(ValueError, match=r"shape \(3, 5\)"):
+        execute_simple_paths(EXP1, lat, (0,), (0.5,), 3, signs=np.ones(shape))

@@ -277,3 +277,28 @@ def test_allocate_evaluates_each_maker_once_per_iteration(monkeypatch):
     assert len(calls) == three.size * iters
     assert [c[0] for c in calls] == list(three.makers) * iters
     assert all(shape == (n,) and contiguous for _, shape, contiguous in calls)
+
+
+@pytest.mark.parametrize("p, v, total, row, lny", [
+    (panel(sum_of_exponentials([1.0, 1.0, 1.0], [1.0, 1.0, 4.0])),
+     [1.0], -178.0, 0, "712"),
+    (panel(exponential(1.0)), [1.0], [0.0, -710.0, -705.0], 1, "710"),
+    (MIXED, [[0.5, 0.5], [1.0, 2.0]], [-2.0, -2000.0], 1, None),
+], ids=["mixture", "exponential", "mixed-panel"])
+def test_allocate_overflow_raises(p, v, total, row, lny):
+    from indiffmarket.representative import AllocationError
+
+    with pytest.raises(AllocationError, match=f"row {row}: log y = ") as exc:
+        allocate(p, v, total)
+    if lny is not None:
+        assert f"log y = {lny}" in str(exc.value)
+    # a caller that asks numpy to ignore overflow gets IEEE inf instead
+    with np.errstate(over="ignore"):
+        y, pi = allocate(p, v, total)
+    assert np.isinf(y[row]) and np.isfinite(np.delete(y, row)).all()
+    assert np.isfinite(pi).all()
+
+
+def test_allocate_below_overflow_is_finite():
+    y, _ = allocate(panel(exponential(1.0)), [1.0], [-709.0, 709.0])
+    assert np.isfinite(y).all() and y[0] > 1e307 and y[1] > 0.0
