@@ -15,17 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tree import ScenarioTree, binomial_lattice, binomial_tree
+from .tree import (ScenarioTree, accumulate_rows, binomial_lattice,
+                   binomial_tree)
 from .utilities import MakerPanel, exponential, panel as make_panel
 
 __all__ = ["BachelierParams"]
-
-
-def _accumulate_rows(a):
-    """Running sum down the rows of ``a`` in place: the bits of
-    ``cumsum(axis=0)``, one contiguous row add per step."""
-    for k in range(1, a.shape[0]):
-        np.add(a[k - 1], a[k], out=a[k])
 
 
 @dataclass(frozen=True)
@@ -99,7 +93,7 @@ class BachelierParams:
         growth = out[1:]
         np.multiply(dbs, -kap, out=growth)
         growth -= 0.5 * kap ** 2 * dt
-        _accumulate_rows(growth)
+        accumulate_rows(growth)
         np.exp(growth, out=growth)
         np.multiply(growth, u0, out=growth)
         return out.T
@@ -119,13 +113,13 @@ class BachelierParams:
         inc += self.mu * dt
         inc *= -q
         inc -= 0.5 * self.gamma * self.sigma ** 2 * q ** 2 * dt
-        _accumulate_rows(inc)
+        accumulate_rows(inc)
         return out.T
 
     # ``gain`` and ``indirect_utility`` build their increments in place
     # on (N, n_paths) rows.  Each product and sum takes the operands of
     # the formula in the docstring, at most swapped, which leaves IEEE
-    # results unchanged, and ``_accumulate_rows`` adds in cumsum's order;
+    # results unchanged, and ``accumulate_rows`` adds in cumsum's order;
     # the tests pin these bits against ``cumsum(axis=1)`` forms.
 
     @staticmethod

@@ -1,9 +1,11 @@
 """Command line harness: simulate, verify, bachelier, pareto, dump-tree.
 
 Exit status: 0 on success, 1 when a verification suite fails, 2 on
-configuration errors.  All CSV output is deterministic for a fixed
-config and seed; run metadata (scheme, tolerances, versions, timing)
-goes to a separate JSON file so the CSV bytes stay reproducible.
+configuration errors, 3 when the optimal split cannot be computed
+(marginal value out of floating-point range, or no convergence).  All
+CSV output is deterministic for a fixed config and seed; run metadata
+(scheme, tolerances, versions, timing) goes to a separate JSON file so
+the CSV bytes stay reproducible.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ from .conjugate import _TOL_SCALE
 from .engine import execute_simple, simulate_sde
 from .engine import indifference_cash, simulate_sde_paths
 from .field import FieldEvaluator
-from .representative import PrimalPoint, representative_utility
+from .representative import (AllocationError, PrimalPoint,
+                             representative_utility)
 from .utilities import exponential, panel as make_panel
 from .verify import DEFAULT_PROBES, SUITE_NAMES, run_suite
 
@@ -356,6 +359,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except AllocationError as exc:
+        print(f"allocation error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -29,7 +29,7 @@ import numpy as np
 from .conjugate import saddle_batch
 from .field import FieldEvaluator, increment_slope
 from .representative import PrimalPoint, representative_utility
-from .tree import ScenarioTree
+from .tree import ScenarioTree, accumulate_rows
 from .utilities import MakerPanel
 
 __all__ = [
@@ -402,8 +402,8 @@ def sample_lattice_paths(tree: ScenarioTree, n_paths: int, seed=None,
     db -= step
     j = np.empty((N + 1, n_paths), dtype=int)
     j[0] = 0
-    for k in range(N):
-        np.add(j[k], up_rows[k], out=j[k + 1])
+    j[1:] = up_rows
+    accumulate_rows(j[1:])
     return j.T, db.T
 
 

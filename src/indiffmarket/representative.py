@@ -115,15 +115,10 @@ def allocate(panel: MakerPanel, v, total):
 
 
 def _marginal_value(lny):
-    """y = exp(lny), checked.
-
-    A log y that is not finite, or large enough to overflow y, raises
-    AllocationError naming the worst row.  Only a caller that has set
-    numpy's overflow handling to 'ignore' (``np.errstate(over="ignore")``)
-    gets the IEEE result, y = inf, instead.
-    """
+    """y = exp(lny), checked: a log y that is not finite, or large
+    enough to overflow y, raises AllocationError naming the worst row."""
     bad = ~np.isfinite(lny) | (lny > _LOG_MAX)
-    if bad.any() and np.geterr()["over"] != "ignore":
+    if bad.any():
         rows = np.flatnonzero(bad)
         worst = int(rows[np.argmax(np.abs(lny[rows]))])  # NaN ranks first
         raise AllocationError(

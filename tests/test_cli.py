@@ -115,6 +115,14 @@ def test_pareto_subcommand(capsys):
     assert split == pytest.approx([-0.5, 0.5], abs=1e-12)
 
 
+@pytest.mark.parametrize("total", ["-800", "nan"])
+def test_pareto_out_of_range_total_exits_3(capsys, total):
+    assert main(["pareto", "--gammas", "1", "--total", total]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("allocation error: marginal value out of range")
+    assert "Traceback" not in err
+
+
 def test_pareto_dual_readout(capsys):
     # G at terminal with u = (-1,) and gamma=1 is x = -ln(-u) = 0
     assert main(["pareto", "--gammas", "1.0", "--u", "-1.0"]) == 0
