@@ -6,7 +6,6 @@ from .representative import (
     allocate,
     representative_utility,
     representative_gradient,
-    pareto_allocation,
     weights_from_allocation,
 )
 from .tree import ScenarioTree, binomial_tree, binomial_lattice

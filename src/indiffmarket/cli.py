@@ -44,32 +44,29 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-def _write_csv(path: Path, header_cols, rows):
-    lines = [f"# indiffmarket {_CSV_VERSION}", ",".join(header_cols)]
-    for row in rows:
-        lines.append(",".join(
-            str(c) if isinstance(c, (int, str)) else _fmt(c) for c in row))
-    path.write_text("\n".join(lines) + "\n")
+_CELL = {"b": "%d", "i": "%d", "u": "%d", "f": "%.17g", "U": "%s"}
 
 
 def _write_table(path: Path, header_cols, columns):
-    """Write equally long columns as the bytes ``_write_csv`` would.
+    """Write equally long columns as a versioned CSV.
 
-    Integer columns print with ``%d``, float columns with ``%.17g``, and
-    a ``None`` column as empty cells, through one format string per row.
-    Rows holding a non-finite float fall back to ``_fmt`` cell by cell.
+    Integer and boolean columns print with ``%d``, float columns with
+    ``%.17g`` and string columns with ``%s``, through one format string
+    per row; a ``None`` column and a non-finite float print as empty
+    cells.
     """
-    kinds = [None if c is None
-             else "%d" if np.issubdtype(c.dtype, np.integer) else "%.17g"
-             for c in columns]
+    columns = [None if c is None else np.asarray(c) for c in columns]
+    kinds = [None if c is None else _CELL[c.dtype.kind] for c in columns]
+    data = [c for c in columns if c is not None]
+    finite = np.ones(len(data[0]), dtype=bool)
+    for c in data:
+        if c.dtype.kind == "f":
+            finite &= np.isfinite(c)
     fmt = ",".join(k or "" for k in kinds)
-    data = np.column_stack([np.asarray(c, dtype=float)
-                            for c in columns if c is not None])
     lines = [f"# indiffmarket {_CSV_VERSION}", ",".join(header_cols)]
-    for row, finite in zip(data.tolist(),
-                           np.isfinite(data).all(axis=1).tolist()):
-        if finite:
-            lines.append(fmt % tuple(row))
+    for row, ok in zip(zip(*[c.tolist() for c in data]), finite.tolist()):
+        if ok:
+            lines.append(fmt % row)
             continue
         cells = iter(row)
         lines.append(",".join(
@@ -116,15 +113,14 @@ def _simulate(args) -> int:
             f"engine: key '{unread[0]}' is not read in {mode} mode")
     ev = FieldEvaluator(panel, tree)
     M, J = panel.size, tree.n_assets
+    sizes = [tree.n_nodes(k) for k in range(tree.steps + 1)]
 
     if mode == "execute":
         tol_scale = float(cfg.engine.get("tol_scale", 1e-13))
         want_v = bool(cfg.engine.get("want_v", True))
         res = execute_simple(ev, strategy, lam0=cfg.engine.get("lam0"),
                              want_interior_V=want_v, tol_scale=tol_scale)
-        U, W, X, V, Q = res.U, res.W, res.X, res.V, res.Q
-        exploded = [np.zeros(tree.n_nodes(k), dtype=bool)
-                    for k in range(tree.steps + 1)]
+        exploded = np.zeros(sum(sizes), dtype=bool)
         tolerances = {"trade_saddle": tol_scale}
         if want_v:
             tolerances["interior_v_saddle"] = _TOL_SCALE
@@ -138,16 +134,7 @@ def _simulate(args) -> int:
             u0 = ev.field(PrimalPoint(v=lam0, x=0.0, q=np.zeros(J))).dv
         q_levels = _positions_by_level(strategy, tree)
         res = simulate_sde(ev, q_levels, u0, eps_scale=eps_scale)
-        U, W, X, V = res.U, res.W, res.X, res.V
-        # the last interval's position, expanded to the terminal nodes
-        owner = tree.ancestor_index(tree.steps,
-                                    np.arange(tree.n_nodes(tree.steps)),
-                                    tree.steps - 1)
-        q_last = np.atleast_2d(res.Q[-1])
-        if q_last.shape[0] == tree.n_nodes(tree.steps - 1):
-            q_last = q_last[owner]
-        Q = res.Q + [q_last]
-        exploded = res.exploded
+        exploded = np.concatenate(res.exploded)
         tolerances = {"saddle": _TOL_SCALE, "eps_explode_scale": eps_scale}
 
     out = Path(args.out or cfg.output.get("directory", "out"))
@@ -155,25 +142,18 @@ def _simulate(args) -> int:
     cols = (["node_id", "t"] + [f"U_{m + 1}" for m in range(M)]
             + [f"W_{m + 1}" for m in range(M)] + ["X", "V"]
             + [f"Q_{j + 1}" for j in range(J)] + ["exploded"])
-    sizes = [tree.n_nodes(k) for k in range(tree.steps + 1)]
 
     def by_level(parts, width):
-        """``width`` columns over all nodes from per-level blocks: NaN on
-        a level whose block is None, all None if every block is."""
-        if all(p is None for p in parts):
+        """``width`` columns over all nodes from per-level blocks, or
+        ``width`` None columns when the levels carry no blocks."""
+        if parts[0] is None:
             return [None] * width
-        full = np.concatenate([
-            np.full((n, width), np.nan) if p is None
-            else np.broadcast_to(np.reshape(p, (-1, width)), (n, width))
-            for p, n in zip(parts, sizes)])
-        return list(full.T)
+        return list(np.concatenate(parts).reshape(-1, width).T)
 
-    q_parts = [Q[k] if k < len(Q) and Q[k] is not None else np.zeros((1, J))
-               for k in range(tree.steps + 1)]
     columns = ([np.arange(sum(sizes)), np.repeat(tree.times, sizes)]
-               + by_level(U, M) + by_level(W, M) + by_level(X, 1)
-               + by_level(V, 1) + by_level(q_parts, J)
-               + [np.concatenate(exploded).astype(int)])
+               + by_level(res.U, M) + by_level(res.W, M)
+               + by_level(res.X, 1) + by_level(res.V, 1)
+               + by_level(res.Q, J) + [exploded])
     _write_table(out / "paths.csv", cols, columns)
     _write_metadata(out, "simulate", seed,
                     scheme="exact" if mode == "execute" else "euler",
@@ -216,11 +196,13 @@ def _verify(args) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        _write_csv(out / "verify.csv",
-                   ["suite", "probes", "max_deviation", "threshold",
-                    "verdict"],
-                   [[r.name, r.probes, r.max_deviation, r.threshold,
-                     "pass" if r.passed else "fail"] for r in results])
+        _write_table(out / "verify.csv",
+                     ["suite", "probes", "max_deviation", "threshold",
+                      "verdict"],
+                     [[r.name for r in results], [r.probes for r in results],
+                      [r.max_deviation for r in results],
+                      [r.threshold for r in results],
+                      ["pass" if r.passed else "fail" for r in results]])
         _write_metadata(out, "verify", seed)
     return 0 if all(r.passed for r in results) else 1
 
@@ -252,17 +234,12 @@ def _bachelier(args) -> int:
                  ["path_id", "V_T_engine", "V_T_closed", "abs_err",
                   "U_T_engine", "U_T_closed", "exploded"],
                  [np.arange(n_paths), pb.V[:, -1], v_true, err, pb.U[:, -1],
-                  u_true, np.asarray(pb.exploded).astype(int)])
-    _write_csv(out / "bachelier_summary.csv",
-               ["metric", "value"],
-               [["mean_abs_vT_error", float(err.mean())],
-                ["max_abs_vT_error", float(err.max())],
-                ["impact_scale", 0.5 * par.gamma * par.sigma ** 2
-                 * par.horizon],
-                ["xi_engine", xi],
-                ["xi_closed", xi_closed],
-                ["xi_rel_error", abs(xi / xi_closed - 1.0)
-                 if xi_closed else abs(xi)]])
+                  u_true, pb.exploded])
+    _write_table(out / "bachelier_summary.csv", ["metric", "value"], [
+        ["mean_abs_vT_error", "max_abs_vT_error", "impact_scale",
+         "xi_engine", "xi_closed", "xi_rel_error"],
+        [err.mean(), err.max(), 0.5 * par.gamma * par.sigma ** 2 * par.horizon,
+         xi, xi_closed, abs(xi / xi_closed - 1.0) if xi_closed else abs(xi)]])
     _write_metadata(out, "bachelier", seed, scheme="euler",
                     wall_time_s=time.time() - t0,
                     extra={"steps": steps, "paths": n_paths, "q": q})
@@ -296,11 +273,8 @@ def _dump_tree(args) -> int:
     tree = cfg.build_tree(steps_override=args.steps)
     out = Path(args.out or cfg.output.get("directory", "out"))
     out.mkdir(parents=True, exist_ok=True)
-    d, J = tree.dim, tree.n_assets
-    cols = (["node_id", "parent_id", "t", "prob"]
-            + [f"dB_{i + 1}" for i in range(d)] + ["sigma0"]
-            + [f"psi_{j + 1}" for j in range(J)])
-    _write_csv(out / "tree.csv", cols, list(tree.node_rows()))
+    cols = tree.node_columns()
+    _write_table(out / "tree.csv", list(cols), list(cols.values()))
     _write_metadata(out, "dump-tree", cfg.seed)
     return 0
 

@@ -36,6 +36,11 @@ _KNOWN_KEYS = {
                   "paths"},
     "output": {"directory"},
 }
+# the strategy keys each kind reads; any other is rejected
+_STRATEGY_KEYS = {
+    "simple": {"kind", "levels", "positions"},
+    "constant": {"kind", "position"},
+}
 
 
 def _check_keys(block: str, data: dict):
@@ -104,11 +109,15 @@ class ExperimentConfig:
         if not s:
             raise ConfigError("missing 'strategy' block")
         kind = s.get("kind", "simple")
-        if kind == "constant":
-            pos = s.get("position", s.get("positions", 0.0))
-            return SimpleStrategy(levels=(0,), positions=(pos,))
-        if kind != "simple":
+        if not isinstance(kind, str) or kind not in _STRATEGY_KEYS:
             raise ConfigError(f"strategy: unknown kind '{kind}'")
+        unread = sorted(set(s) - _STRATEGY_KEYS[kind])
+        if unread:
+            raise ConfigError(
+                f"strategy: key '{unread[0]}' is not read by kind '{kind}'")
+        if kind == "constant":
+            return SimpleStrategy(levels=(0,),
+                                  positions=(s.get("position", 0.0),))
         try:
             strategy = SimpleStrategy(levels=tuple(s["levels"]),
                                       positions=tuple(s["positions"]))

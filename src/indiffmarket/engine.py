@@ -92,10 +92,12 @@ class ExecutionResult:
     """Per-level market state along a simple-strategy execution.
 
     U, W, X, Q are lists of per-node arrays; level k holds the state
-    governing the interval ending at times[k], so a trade at level k
-    shows up from level k+1 on (U itself is continuous across trades by
-    construction).  V is filled on request; V_T at the leaves is always
-    available as minus the terminal cash-plus-delivery."""
+    governing the interval ending at times[k], so at a trade level the
+    rows hold the pre-trade W, X and Q and the trade shows up from level
+    k+1 on (U itself is continuous across trades by construction).
+    ``SdeResult`` holds the post-trade state instead.  V is filled on
+    request; V_T at the leaves is always available as minus the terminal
+    cash-plus-delivery."""
 
     tree: ScenarioTree
     lam0: np.ndarray
@@ -194,7 +196,15 @@ def execute_simple(evaluator: FieldEvaluator, strategy: SimpleStrategy,
 
 @dataclass
 class SdeResult:
-    """Euler-discretized indirect utility and recovered market state."""
+    """Euler-discretized indirect utility and recovered market state.
+
+    U, W, X, V, Q and ``exploded`` are lists of per-node arrays over the
+    N+1 levels.  Level k holds the state after any trade at times[k]: Q
+    is the position over the step starting at times[k] (at the leaves,
+    the position held to maturity) and W, X solve the saddle under it,
+    whereas ``ExecutionResult`` holds the pre-trade state at a trade
+    level.  W, X and V are None without ``want_states`` and NaN at
+    exploded nodes."""
 
     tree: ScenarioTree
     U: list
@@ -241,9 +251,10 @@ def simulate_sde(evaluator: FieldEvaluator, q_levels, u0,
     """Euler scheme for dU = K(U, Q) dB on the full tree.
 
     ``q_levels`` gives the position held over each step, per node of the
-    step's starting level (broadcast from scalars or vectors).  Nodes
-    whose U leaves the negative orthant by less than eps are flagged as
-    exploded and frozen; their descendants inherit the flag.
+    step's starting level (broadcast from scalars or vectors); the
+    result's Q holds them per node and the last one again at the leaves.
+    Nodes whose U leaves the negative orthant by less than eps are
+    flagged as exploded and frozen; their descendants inherit the flag.
     """
     panel, tree = evaluator.panel, evaluator.tree
     if not tree.implicit:
@@ -289,12 +300,11 @@ def simulate_sde(evaluator: FieldEvaluator, q_levels, u0,
         exploded.append(flag)
         w_prev = np.repeat(w, nc, axis=0)
         x_prev = np.repeat(x, nc)
+    Q.append(Q[-1][tree.leaf_owner(N - 1)])
     if want_states:
-        q_term = Q[-1][tree.ancestor_index(N, np.arange(tree.n_nodes(N)),
-                                           N - 1)]
         ok = ~exploded[N]
         u_solve = np.where(ok[:, None], U[N], -1.0)
-        w, x, _, _ = saddle_batch(evaluator, N, u_solve, q_term,
+        w, x, _, _ = saddle_batch(evaluator, N, u_solve, Q[N],
                                   w0=w_prev, x0=x_prev)
         W[N] = np.where(ok[:, None], w, np.nan)
         X[N] = np.where(ok, x, np.nan)

@@ -29,7 +29,6 @@ __all__ = [
     "allocate",
     "representative_utility",
     "representative_gradient",
-    "pareto_allocation",
     "weights_from_allocation",
 ]
 
@@ -154,12 +153,6 @@ def representative_gradient(panel: MakerPanel, v, x):
         [spec.value(split[:, m]) for m, spec in enumerate(panel.makers)], axis=1
     )
     return dv, y
-
-
-def pareto_allocation(panel: MakerPanel, a: PrimalPoint, sigma: float) -> np.ndarray:
-    """Pareto split of total endowment value ``sigma`` at weights a.v."""
-    _, split, _ = representative_utility(panel, a.v, float(sigma))
-    return split
 
 
 def weights_from_allocation(panel: MakerPanel, alpha) -> np.ndarray:

@@ -309,48 +309,41 @@ class ScenarioTree:
         if self.consistency_error() > tol:
             raise ValueError("edge increments inconsistent with node B values")
 
-    def node_rows(self):
-        """Yield per-node dump rows.
+    def node_columns(self) -> dict:
+        """Per-node dump columns, keyed by their CSV header.
 
-        Columns: node_id, parent_id, time, prob (of the edge from the
-        representative parent; 1 at the root), incoming dB components,
-        then sigma0 and psi columns at the leaves (empty elsewhere).
-        Node ids number levels consecutively; on recombining lattices the
-        representative parent is the one reaching the node with an up
-        move where both exist.
+        ``node_id`` numbers the levels consecutively.  ``parent_id``,
+        ``prob`` and ``dB_1..dB_d`` describe the edge into the node from
+        its representative parent (-1, 1 and 0 at the root), and
+        ``sigma0`` and ``psi_1..psi_J`` hold the leaf payoffs, NaN off
+        the leaves.  The representative parent sends the last edge into
+        the node in (parent, edge) order.  On implicit trees it is the
+        only parent; on lattices, where both an up move from node j - 1
+        and a down move from node j reach node j, it is the down move.
         """
-        offsets = np.cumsum([0] + [self.n_nodes(k) for k in range(self.steps)])
-        d = self.dim
-        parent_of = [None] * (self.steps + 1)
-        in_p = [None] * (self.steps + 1)
-        in_db = [None] * (self.steps + 1)
+        sizes = [self.n_nodes(k) for k in range(self.steps + 1)]
+        offsets = np.cumsum([0] + sizes)
+        parent, prob = [np.array([-1])], [np.ones(1)]
+        db = [np.zeros((1, self.dim))]
         for k in range(self.steps):
-            n_next = self.n_nodes(k + 1)
-            parent = np.full(n_next, -1, dtype=int)
-            pe = np.zeros(n_next)
-            dbe = np.zeros((n_next, d))
-            for i in range(self.n_nodes(k)):
-                for e in range(self.branching(k)):
-                    c = self.child_idx[k][i, e]
-                    parent[c] = i
-                    pe[c] = self.edge_p[k][i, e]
-                    dbe[c] = self.edge_db[k][i, e]
-            parent_of[k + 1], in_p[k + 1], in_db[k + 1] = parent, pe, dbe
-        for k in range(self.steps + 1):
-            for i in range(self.n_nodes(k)):
-                node_id = int(offsets[k] + i) if k < self.steps else int(
-                    offsets[-1] + i)
-                if k == 0:
-                    parent_id, prob, db = -1, 1.0, np.zeros(d)
-                else:
-                    parent_id = int(offsets[k - 1] + parent_of[k][i])
-                    prob, db = float(in_p[k][i]), in_db[k][i]
-                if k == self.steps:
-                    tail = [float(self.sigma0[i])] + [float(x) for x in self.psi[i]]
-                else:
-                    tail = [""] * (1 + self.n_assets)
-                yield ([node_id, parent_id, float(self.times[k]), prob]
-                       + [float(x) for x in db] + tail)
+            edges = self.child_idx[k].ravel()
+            last = np.full(sizes[k + 1], -1)
+            np.maximum.at(last, edges, np.arange(edges.size))
+            parent.append(offsets[k] + last // self.branching(k))
+            prob.append(self.edge_p[k].ravel()[last])
+            db.append(self.edge_db[k].reshape(-1, self.dim)[last])
+        db = np.concatenate(db)
+        leaf = np.full((offsets[-1], 1 + self.n_assets), np.nan)
+        leaf[offsets[-2]:] = np.column_stack([self.sigma0, self.psi])
+        cols = {"node_id": np.arange(offsets[-1]),
+                "parent_id": np.concatenate(parent),
+                "t": np.repeat(self.times, sizes),
+                "prob": np.concatenate(prob)}
+        cols.update((f"dB_{i + 1}", db[:, i]) for i in range(self.dim))
+        cols["sigma0"] = leaf[:, 0]
+        cols.update((f"psi_{j + 1}", leaf[:, j + 1])
+                    for j in range(self.n_assets))
+        return cols
 
 
 def binomial_tree(steps: int, horizon: float, dim: int = 1,

@@ -26,7 +26,7 @@ from .representative import PrimalPoint
 from .tree import ScenarioTree, binomial_tree
 from .utilities import MakerPanel, UtilitySpec, exponential
 
-__all__ = ["SuiteResult", "run_suite", "run_suites", "corrupt_tree",
+__all__ = ["SuiteResult", "run_suite", "corrupt_tree",
            "SUITE_NAMES", "DEFAULT_PROBES"]
 
 
@@ -323,8 +323,3 @@ def run_suite(name: str, seed: int = 0, probes: int = None,
     dev = fn(rng, probes, tree_factory)
     return SuiteResult(name=name, probes=probes, max_deviation=float(dev),
                        threshold=threshold)
-
-
-def run_suites(names=None, seed: int = 0, probes: int = None):
-    names = SUITE_NAMES if names is None else names
-    return [run_suite(n, seed=seed, probes=probes) for n in names]

@@ -141,6 +141,23 @@ def test_dump_tree(tmp_path):
     assert len(rows) == 15
 
 
+def test_dump_tree_lattice_parent_is_down_move(tmp_path):
+    # node 4 (level 2, B = 0) is reached up from node 1 and down from
+    # node 2; the dump keeps the last edge, the down move from node 2
+    cfg = write(tmp_path, BASE_CONFIG.replace("kind: tree", "kind: lattice"))
+    out = tmp_path / "t"
+    assert main(["dump-tree", "--config", cfg, "--steps", "2",
+                 "--out", str(out)]) == 0
+    header, rows = read_csv(out / "tree.csv")
+    assert [int(r[header.index("parent_id")]) for r in rows] == [
+        -1, 0, 0, 1, 2, 2]
+    s = np.sqrt(0.5)
+    assert [float(r[header.index("dB_1")]) for r in rows] == pytest.approx(
+        [0.0, -s, s, -s, -s, s], rel=0, abs=1e-15)
+    assert [float(r[header.index("prob")]) for r in rows] == [
+        1.0, 0.5, 0.5, 0.5, 0.5, 0.5]
+
+
 def test_bachelier_subcommand(tmp_path):
     cfg = write(tmp_path, """\
 bachelier:
@@ -215,23 +232,41 @@ def test_trade_level_past_last_step_rejected(tmp_path, capsys, mode):
                  "--out", str(out)]) == 0
 
 
+def _fmt(x) -> str:
+    if x is None or (isinstance(x, float) and not np.isfinite(x)):
+        return ""
+    return format(float(x), ".17g")
+
+
+def _write_csv(path, header_cols, rows):
+    """The former row-wise writer of verify.csv, tree.csv and the
+    Bachelier summary, kept as the reference for ``_write_table``."""
+    lines = ["# indiffmarket v1", ",".join(header_cols)]
+    for row in rows:
+        lines.append(",".join(
+            str(c) if isinstance(c, (int, str)) else _fmt(c) for c in row))
+    path.write_text("\n".join(lines) + "\n")
+
+
 def test_write_table_matches_write_csv(tmp_path):
-    from indiffmarket.cli import _write_csv, _write_table
+    from indiffmarket.cli import _write_table
 
     ids = np.array([0, 7, 2 ** 40, 2 ** 53, 3, 12])
     a = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e308])
     b = np.array([0.1, -2.5e-17, 1.0 / 3.0, 7.0, -1e308, 2.0 ** -1074])
     flag = np.array([0, 1, 0, 1, 1, 0])
-    header = ["id", "a", "empty", "b", "flag"]
-    _write_table(tmp_path / "t.csv", header, [ids, a, None, b, flag])
-    rows = [[int(i), x, None, y, int(f)]
-            for i, x, y, f in zip(ids, a, b, flag)]
+    name = ["conjugacy", "", "x y", "pass", "fail", "-1"]
+    header = ["id", "name", "a", "empty", "b", "flag"]
+    _write_table(tmp_path / "t.csv", header, [ids, name, a, None, b, flag])
+    rows = [[int(i), n, x, None, y, int(f)]
+            for i, n, x, y, f in zip(ids, name, a, b, flag)]
     _write_csv(tmp_path / "c.csv", header, rows)
     assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "c.csv").read_bytes()
     lines = (tmp_path / "t.csv").read_text().splitlines()
-    assert lines[2:5] == ["0,,,0.10000000000000001,0", "7,,,-2.4999999999999999e-17,1",
-                          "1099511627776,,,0.33333333333333331,0"]
-    assert lines[5] == "9007199254740992,-0,,7,1"
+    assert lines[2:5] == ["0,conjugacy,,,0.10000000000000001,0",
+                          "7,,,,-2.4999999999999999e-17,1",
+                          "1099511627776,x y,,,0.33333333333333331,0"]
+    assert lines[5] == "9007199254740992,pass,-0,,7,1"
 
 
 @pytest.mark.parametrize("mode, key, value", [
@@ -316,3 +351,48 @@ def test_simulate_rejects_bachelier_block(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "block 'bachelier'" in err and "simulate" in err
     assert not out.exists()
+
+
+CONSTANT_CONFIG = BASE_CONFIG.replace(
+    "kind: simple\n  levels: [0, 2]\n  positions: [0.5, -0.2]",
+    "kind: constant\n  position: 0.5")
+
+
+@pytest.mark.parametrize("mode", ["execute", "sde"])
+def test_constant_strategy_is_one_trade_at_level_0(tmp_path, mode):
+    # kind: constant holds its position from the first level to maturity,
+    # the same run as a simple strategy with one trade at level 0
+    simple = CONSTANT_CONFIG.replace(
+        "kind: constant\n  position: 0.5",
+        "kind: simple\n  levels: [0]\n  positions: [0.5]")
+    outs = []
+    for name, text in (("constant", CONSTANT_CONFIG), ("simple", simple)):
+        outs.append(tmp_path / name)
+        text = text.replace("mode: execute", f"mode: {mode}")
+        assert main(["simulate", "--config", write(tmp_path, text),
+                     "--out", str(outs[-1])]) == 0
+    header, rows = read_csv(outs[0] / "paths.csv")
+    q = [float(r[header.index("Q_1")]) for r in rows]
+    # execute rows hold the pre-trade position at level 0, sde rows the
+    # position over the step starting there
+    assert q[0] == (0.0 if mode == "execute" else 0.5)
+    assert q[1:] == [0.5] * (len(rows) - 1)
+    assert ((outs[0] / "paths.csv").read_bytes()
+            == (outs[1] / "paths.csv").read_bytes())
+
+
+@pytest.mark.parametrize("kind, key, value", [
+    ("simple", "position", "9.0"),
+    ("constant", "levels", "[3, 5]"),
+    ("constant", "positions", "0.4"),
+])
+def test_strategy_key_unread_by_kind_rejected(tmp_path, capsys, kind, key,
+                                              value):
+    text = (BASE_CONFIG if kind == "simple" else CONSTANT_CONFIG).replace(
+        f"kind: {kind}", f"kind: {kind}\n  {key}: {value}")
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", write(tmp_path, text),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"'{key}'" in err and f"kind '{kind}'" in err
+    assert not (out / "paths.csv").exists()

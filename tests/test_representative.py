@@ -11,7 +11,6 @@ from indiffmarket.representative import (
     PrimalPoint,
     allocate,
     allocation_curvature,
-    pareto_allocation,
     representative_gradient,
     representative_utility,
     weights_from_allocation,
@@ -52,14 +51,13 @@ def test_tilted_pair_closed_form():
 
 def test_pareto_allocation_examples():
     p1 = panel(exponential(2.0))
-    a = PrimalPoint(v=[1.0], x=0.0, q=[0.0])
-    assert pareto_allocation(p1, a, 1.7)[0] == pytest.approx(1.7)
+    assert representative_utility(p1, [1.0], 1.7)[1][0] == pytest.approx(1.7)
 
-    a2 = PrimalPoint(v=[1.0, 1.0], x=0.0, q=[0.0])
-    assert np.allclose(pareto_allocation(PAIR, a2, 2.0), [1.0, 1.0], atol=1e-12)
+    split = representative_utility(PAIR, [1.0, 1.0], 2.0)[1]
+    assert np.allclose(split, [1.0, 1.0], atol=1e-12)
 
     p12 = panel(exponential(1.0), exponential(2.0))
-    pi = pareto_allocation(p12, a2, 0.0)
+    pi = representative_utility(p12, [1.0, 1.0], 0.0)[1]
     assert pi.sum() == pytest.approx(0.0, abs=1e-12)
     # common marginal: e^{-x1} = e^{-2 x2} with u_2 = -e^{-2x}/2
     foc = np.exp(-pi[0]) - np.exp(-2.0 * pi[1])
@@ -80,8 +78,8 @@ def test_weight_allocation_roundtrip():
         for _ in range(25):
             lam = rng.dirichlet(np.ones(p.size))
             sigma = rng.normal(scale=2.0)
-            a = PrimalPoint(v=lam, x=0.0, q=[0.0])
-            back = weights_from_allocation(p, pareto_allocation(p, a, sigma))
+            split = representative_utility(p, lam, sigma)[1]
+            back = weights_from_allocation(p, split)
             assert np.max(np.abs(back - lam)) < 1e-10
 
 

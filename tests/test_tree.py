@@ -100,23 +100,24 @@ def test_leaf_payoffs_callable_and_scalar():
     assert np.allclose(t.psi[:, 0], t.B[-1][:, 0] ** 2)
 
 
-def test_node_rows_format():
+def test_node_columns_format():
     t = binomial_tree(2, 1.0, dim=1)
-    rows = list(t.node_rows())
-    assert len(rows) == t.total_nodes
-    root = rows[0]
-    assert root[0] == 0 and root[1] == -1
+    cols = t.node_columns()
+    assert list(cols) == ["node_id", "parent_id", "t", "prob", "dB_1",
+                          "sigma0", "psi_1"]
+    assert all(c.shape == (t.total_nodes,) for c in cols.values())
+    assert cols["node_id"][0] == 0 and cols["parent_id"][0] == -1
     # edge probabilities out of each parent sum to one
-    leaf_rows = [r for r in rows if r[2] == t.times[-1]]
-    assert len(leaf_rows) == t.n_leaves
+    leaf = cols["t"] == t.times[-1]
+    assert leaf.sum() == t.n_leaves
     by_parent = {}
-    for r in leaf_rows:
-        by_parent[r[1]] = by_parent.get(r[1], 0.0) + r[3]
+    for parent, p in zip(cols["parent_id"][leaf], cols["prob"][leaf]):
+        by_parent[parent] = by_parent.get(parent, 0.0) + p
     for total in by_parent.values():
         assert total == pytest.approx(1.0)
     # leaves carry payoffs, interior nodes do not
-    assert leaf_rows[0][-2] != ""
-    assert root[-1] == ""
+    assert not np.isnan(cols["sigma0"][leaf]).any()
+    assert np.isnan(cols["psi_1"][~leaf]).all()
 
 
 def test_payoff_expression_grammar():
