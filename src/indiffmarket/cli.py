@@ -27,7 +27,7 @@ from .field import FieldEvaluator
 from .representative import (AllocationError, PrimalPoint,
                              representative_utility)
 from .utilities import exponential, panel as make_panel
-from .verify import DEFAULT_PROBES, SUITE_NAMES, run_suite
+from .verify import SUITE_NAMES, run_suite
 
 _CSV_VERSION = "v1"
 
@@ -94,6 +94,18 @@ def _reject_blocks(cfg, command: str, blocks):
             raise ConfigError(f"block '{block}' is not read by {command}")
 
 
+def _maker_weights(values, M: int, what: str) -> np.ndarray:
+    """``values`` as M positive finite weights, or a config error."""
+    try:
+        v = np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        v = None
+    if v is None or v.shape != (M,) or not np.all(np.isfinite(v) & (v > 0)):
+        raise ConfigError(f"{what} must be positive, one per maker "
+                          f"({M} makers)")
+    return v
+
+
 def _simulate(args) -> int:
     cfg = load_config(args.config)
     _reject_blocks(cfg, "simulate", ("bachelier",))
@@ -114,11 +126,14 @@ def _simulate(args) -> int:
     ev = FieldEvaluator(panel, tree)
     M, J = panel.size, tree.n_assets
     sizes = [tree.n_nodes(k) for k in range(tree.steps + 1)]
+    lam0 = cfg.engine.get("lam0")
+    if lam0 is not None:
+        lam0 = _maker_weights(lam0, M, "engine: lam0")
 
     if mode == "execute":
         tol_scale = float(cfg.engine.get("tol_scale", 1e-13))
         want_v = bool(cfg.engine.get("want_v", True))
-        res = execute_simple(ev, strategy, lam0=cfg.engine.get("lam0"),
+        res = execute_simple(ev, strategy, lam0=lam0,
                              want_interior_V=want_v, tol_scale=tol_scale)
         exploded = np.zeros(sum(sizes), dtype=bool)
         tolerances = {"trade_saddle": tol_scale}
@@ -126,9 +141,7 @@ def _simulate(args) -> int:
             tolerances["interior_v_saddle"] = _TOL_SCALE
     else:
         eps_scale = float(cfg.engine.get("eps_explode_scale", 1e-10))
-        lam0 = cfg.engine.get("lam0")
-        lam0 = (np.full(M, 1.0 / M) if lam0 is None
-                else np.asarray(lam0, float) / np.sum(lam0))
+        lam0 = np.full(M, 1.0 / M) if lam0 is None else lam0 / np.sum(lam0)
         u0 = cfg.engine.get("u0")
         if u0 is None:
             u0 = ev.field(PrimalPoint(v=lam0, x=0.0, q=np.zeros(J))).dv
@@ -218,13 +231,11 @@ def _bachelier(args) -> int:
     n_paths = args.paths or int(cfg.bachelier.get("paths", 10_000))
     q = float(cfg.bachelier.get("q", 1.0))
     t0 = time.time()
-    panel = par.panel()
-    lat = par.lattice(steps)
-    pb = simulate_sde_paths(panel, lat, q, float(par.N0(0.0)), n_paths,
-                            seed=seed)
+    ev = FieldEvaluator(par.panel(), par.lattice(steps))
+    pb = simulate_sde_paths(ev, q, float(par.N0(0.0)), n_paths, seed=seed)
     v_true = par.gain(q, pb.db, pb.times)[:, -1]
     u_true = par.indirect_utility(q, pb.db, pb.times)[:, -1]
-    xi = indifference_cash(panel, lat, q)
+    xi = indifference_cash(ev, q)
     xi_closed = float(par.indifference_price(q))
 
     out = Path(args.out or cfg.output.get("directory", "out"))
@@ -250,9 +261,8 @@ def _pareto(args) -> int:
     gammas = [float(g) for g in args.gammas.split(",")]
     panel = make_panel(*[exponential(g) for g in gammas])
     v = (np.ones(panel.size) if args.weights is None
-         else np.asarray([float(w) for w in args.weights.split(",")]))
-    if v.shape != (panel.size,) or np.any(v <= 0):
-        raise ConfigError("pareto: weights must be positive, one per maker")
+         else _maker_weights([float(w) for w in args.weights.split(",")],
+                             panel.size, "pareto: weights"))
     r, split, y = representative_utility(panel, v, float(args.total))
     print(f"r = {_fmt(r)}")
     print(f"y = {_fmt(y)}")

@@ -116,17 +116,28 @@ class ExperimentConfig:
             raise ConfigError(
                 f"strategy: key '{unread[0]}' is not read by kind '{kind}'")
         if kind == "constant":
-            return SimpleStrategy(levels=(0,),
-                                  positions=(s.get("position", 0.0),))
-        try:
-            strategy = SimpleStrategy(levels=tuple(s["levels"]),
-                                      positions=tuple(s["positions"]))
-        except (KeyError, ValueError) as exc:
-            raise ConfigError(f"strategy: {exc}") from None
-        if strategy.levels[-1] >= tree.steps:
-            raise ConfigError(
-                f"strategy: trade level {strategy.levels[-1]} is not before "
-                f"the last step of a {tree.steps}-step tree")
+            strategy = SimpleStrategy(levels=(0,),
+                                      positions=(s.get("position", 0.0),))
+        else:
+            try:
+                strategy = SimpleStrategy(levels=tuple(s["levels"]),
+                                          positions=tuple(s["positions"]))
+            except (KeyError, ValueError) as exc:
+                raise ConfigError(f"strategy: {exc}") from None
+            if strategy.levels[-1] >= tree.steps:
+                raise ConfigError(
+                    f"strategy: trade level {strategy.levels[-1]} is not "
+                    f"before the last step of a {tree.steps}-step tree")
+        J = tree.n_assets
+        for n, lev in enumerate(strategy.levels):
+            try:
+                strategy.position_at(n, tree)
+            except (TypeError, ValueError):
+                raise ConfigError(
+                    f"strategy: position {strategy.positions[n]!r} at level "
+                    f"{lev} does not fit a {J}-asset tree: give a scalar, "
+                    f"{J} value(s) or a ({tree.n_nodes(lev)}, {J}) per-node "
+                    f"table") from None
         return strategy
 
     def build_bachelier(self) -> BachelierParams:

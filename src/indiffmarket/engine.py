@@ -14,7 +14,10 @@ tree, states per node) and a fast path-mode restricted to one
 exponential maker, where the field separates as F(v, x, q) =
 v e^{-gamma x} Phi(q) and everything reduces to table lookups on a
 recombining lattice; the fast mode carries thousands of Monte Carlo
-paths on fine grids.  The path engines store their paths step-major,
+paths on fine grids.  Every engine takes the ``FieldEvaluator`` of its
+(panel, tree) first; the path engines read their Phi tables from its
+memoized point sweeps, so calls that share an evaluator sweep each
+position once.  The path engines store their paths step-major,
 (N+1, n_paths) C-contiguous, so every Euler step, gather and trade
 update works on one contiguous row; ``PathBundle`` hands them out as
 transposed (n_paths, N+1) views.
@@ -30,7 +33,6 @@ from .conjugate import saddle_batch
 from .field import FieldEvaluator, increment_slope
 from .representative import PrimalPoint, representative_utility
 from .tree import ScenarioTree, accumulate_rows
-from .utilities import MakerPanel
 
 __all__ = [
     "SimpleStrategy",
@@ -352,29 +354,33 @@ def no_arbitrage_gap(evaluator: FieldEvaluator, lam0, v_terminal) -> float:
 # -- fast lattice engines (one exponential maker) ------------------------
 
 
-def _check_fast(panel: MakerPanel, tree: ScenarioTree):
+def _check_fast(evaluator: FieldEvaluator) -> float:
+    """Risk aversion of the single exponential maker, or ValueError."""
+    panel, tree = evaluator.panel, evaluator.tree
     if panel.size != 1 or not panel.all_exponential:
         raise ValueError("path-mode engines need a single exponential maker")
     if tree.dim != 1 or tree.n_assets != 1:
         raise ValueError("path-mode engines need one asset on a 1d lattice")
+    return float(panel.gammas[0])
 
 
-def _phi_tables(panel, tree, qs):
+def _phi_tables(evaluator: FieldEvaluator, qs):
     """Per-level tables of Phi(q) = dF/dv(1, 0, q) for each position q.
 
     With one exponential maker the field separates as F(v, x, q) =
     v exp(-gamma x) Phi(q), so these tables carry all the information
-    the path engines need.
+    the path engines need.  Each table is read from the evaluator's
+    memoized point sweep, so a position is swept once per evaluator.
     """
-    ev = FieldEvaluator(panel, tree)
     tables = {}
     for q in qs:
         key = round(float(q), 12)
         if key in tables:
             continue
-        sweep = ev.sweep_point(PrimalPoint(v=[1.0], x=0.0, q=[float(q)]),
-                               names=("dv",))
-        tables[key] = [sweep.at("dv", k)[:, 0] for k in range(tree.steps + 1)]
+        sweep = evaluator.sweep_point(
+            PrimalPoint(v=[1.0], x=0.0, q=[float(q)]), names=("dv",))
+        tables[key] = [sweep.at("dv", k)[:, 0]
+                       for k in range(evaluator.tree.steps + 1)]
     return tables
 
 
@@ -437,8 +443,8 @@ class PathBundle:
     eps_explode: float = 0.0
 
 
-def simulate_sde_paths(panel: MakerPanel, tree: ScenarioTree, q_levels,
-                       u0: float, n_paths: int, seed=None, signs=None,
+def simulate_sde_paths(evaluator: FieldEvaluator, q_levels, u0: float,
+                       n_paths: int, seed=None, signs=None,
                        eps_scale: float = _EPS_EXPLODE_SCALE) -> PathBundle:
     """Euler scheme for dU = K(U, Q) dB along sampled lattice paths.
 
@@ -447,15 +453,15 @@ def simulate_sde_paths(panel: MakerPanel, tree: ScenarioTree, q_levels,
     vectorized update per step, on one contiguous row of the step-major
     state.
     """
-    _check_fast(panel, tree)
-    gamma = float(panel.gammas[0])
+    gamma = _check_fast(evaluator)
+    tree = evaluator.tree
     N = tree.steps
     q_levels = np.broadcast_to(np.asarray(q_levels, dtype=float), (N,))
     u0 = float(u0)
     if u0 >= 0:
         raise ValueError("initial indirect utility must be negative")
     eps = eps_scale * abs(u0)
-    tables = _phi_tables(panel, tree, list(q_levels) + [0.0])
+    tables = _phi_tables(evaluator, list(q_levels) + [0.0])
     j, db = sample_lattice_paths(tree, n_paths, seed, signs)
     j, db = j.T, db.T  # step-major: row k holds every path at step k
     sqdt = np.sqrt(tree.dt(0))
@@ -482,17 +488,16 @@ def simulate_sde_paths(panel: MakerPanel, tree: ScenarioTree, q_levels,
                       V=V.T, exploded=exploded, eps_explode=eps)
 
 
-def execute_simple_paths(panel: MakerPanel, tree: ScenarioTree, levels,
-                         thetas, n_paths: int, seed=None,
-                         signs=None) -> PathBundle:
+def execute_simple_paths(evaluator: FieldEvaluator, levels, thetas,
+                         n_paths: int, seed=None, signs=None) -> PathBundle:
     """Exact simple-strategy execution along sampled lattice paths.
 
     With one exponential maker the indifference condition at each trade
     is an explicit cash adjustment through the Phi tables, so the
     path-dependent state never needs the lattice to be non-recombining.
     """
-    _check_fast(panel, tree)
-    gamma = float(panel.gammas[0])
+    gamma = _check_fast(evaluator)
+    tree = evaluator.tree
     N = tree.steps
     levels = [int(l) for l in levels]
     thetas = [float(t) for t in thetas]
@@ -500,7 +505,7 @@ def execute_simple_paths(panel: MakerPanel, tree: ScenarioTree, levels,
         raise ValueError("levels and thetas must align and be nonempty")
     if any(b <= a for a, b in zip(levels, levels[1:])) or levels[-1] >= N:
         raise ValueError("trade levels must increase and precede maturity")
-    tables = _phi_tables(panel, tree, thetas + [0.0])
+    tables = _phi_tables(evaluator, thetas + [0.0])
     phi0 = tables[0.0]
     j, db = sample_lattice_paths(tree, n_paths, seed, signs)
     j, db = j.T, db.T  # step-major: row k holds every path at step k
@@ -527,15 +532,14 @@ def execute_simple_paths(panel: MakerPanel, tree: ScenarioTree, levels,
                       V=V.T, exploded=np.zeros(n_paths, dtype=bool))
 
 
-def indifference_cash(panel: MakerPanel, tree: ScenarioTree, q: float) -> float:
+def indifference_cash(evaluator: FieldEvaluator, q: float) -> float:
     """Cash the investor receives for selling q shares at time zero.
 
     The single trade moves the maker from position 0 to q at unchanged
     expected utility; positive convexity in q reflects the price impact.
     """
-    _check_fast(panel, tree)
-    gamma = float(panel.gammas[0])
-    tables = _phi_tables(panel, tree, [float(q), 0.0])
+    gamma = _check_fast(evaluator)
+    tables = _phi_tables(evaluator, [float(q), 0.0])
     phi_q = tables[round(float(q), 12)][0][0]
     phi_0 = tables[0.0][0][0]
     return float(np.log(-phi_q) - np.log(-phi_0)) / gamma

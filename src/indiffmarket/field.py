@@ -186,7 +186,8 @@ class FieldEvaluator:
 
     def sweep_point(self, point: PrimalPoint, order: int = 1,
                     names=None) -> Sweep:
-        """Sweep for one constant state; memoized per rounded point."""
+        """Sweep for one constant state: ``sweep_states`` at the root,
+        memoized per point rounded to ``_CACHE_DIGITS``."""
         d = _CACHE_DIGITS
         key = (tuple(np.round(point.v, d)), round(float(point.x), d),
                tuple(np.round(point.q, d)))
@@ -195,18 +196,10 @@ class FieldEvaluator:
             _FIRST + _SECOND if order >= 2 else _FIRST)
         if hit is not None and all(nm in hit.comps for nm in need):
             return hit
-        v = np.asarray(point.v, dtype=float)
-        x = float(point.x)
-        q = np.asarray(point.q, dtype=float)
-        small = self._recombined(0)
-        if small is not None:
-            sweep = self._sweep_recombined(0, small, v[None], np.full(1, x),
-                                           q[None], order, names)
-        else:
-            n = self.tree.n_leaves
-            sweep = self.sweep_leaf_states(
-                np.broadcast_to(v, (n, self.panel.size)), np.full(n, x),
-                np.broadcast_to(q, (n, self.tree.n_assets)), order, names)
+        sweep = self.sweep_states(0, np.asarray(point.v, dtype=float)[None],
+                                  np.full(1, float(point.x)),
+                                  np.asarray(point.q, dtype=float)[None],
+                                  order, names)
         self._cache[key] = sweep
         return sweep
 

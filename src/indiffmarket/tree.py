@@ -177,7 +177,10 @@ class ScenarioTree:
         return self.node_probabilities(self.steps)
 
     def leaf_owner(self, level: int) -> np.ndarray:
-        """Ancestor at ``level`` of every leaf (implicit trees only)."""
+        """Ancestor at ``level`` of every leaf: the root at level 0 on any
+        tree, lattices included; other levels on implicit trees only."""
+        if level == 0:
+            return np.zeros(self.n_leaves, dtype=int)
         return self.ancestor_index(self.steps, np.arange(self.n_leaves), level)
 
     def expect(self, level: int, values) -> np.ndarray:

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bachelier import BachelierParams
-from .conjugate import conjugacy_residuals, saddle_batch, state_identities
+from .conjugate import (conjugacy_residuals, matrices_primal, saddle_batch,
+                        state_identities)
 from .engine import (SimpleStrategy, execute_simple, indifference_cash,
                      no_arbitrage_gap, simulate_sde, simulate_sde_paths)
 from .field import FieldEvaluator
@@ -26,8 +27,7 @@ from .representative import PrimalPoint
 from .tree import ScenarioTree, binomial_tree
 from .utilities import MakerPanel, UtilitySpec, exponential
 
-__all__ = ["SuiteResult", "run_suite", "corrupt_tree",
-           "SUITE_NAMES", "DEFAULT_PROBES"]
+__all__ = ["SuiteResult", "run_suite", "corrupt_tree", "SUITE_NAMES"]
 
 
 @dataclass
@@ -120,179 +120,135 @@ def _random_strategy(rng, tree) -> SimpleStrategy:
                           positions=positions)
 
 
-# -- suites --------------------------------------------------------------
+# -- probes --------------------------------------------------------------
+#
+# A probe measures one invariant family on the evaluator of one random
+# (panel, tree) and returns its worst deviation; ``run_suite`` draws the
+# tree, then the panel, and keeps the max over probes.
 
 
-def _suite_conjugacy(rng, probes, tree_factory):
-    worst = 0.0
-    for _ in range(probes):
-        tree = tree_factory(rng)
-        panel = _random_panel(rng)
-        ev = FieldEvaluator(panel, tree)
-        a = _random_point(rng, panel.size, tree.n_assets)
-        res = conjugacy_residuals(ev, a, _random_node(rng, tree))
-        worst = max(worst, res["BA_identity"], res["E_plus_BC"],
-                    res["Hg_identity"], res["C_row_sums"], res["A_row_sums"])
-    return worst
+def _probe_conjugacy(rng, ev):
+    a = _random_point(rng, ev.panel.size, ev.tree.n_assets)
+    res = conjugacy_residuals(ev, a, _random_node(rng, ev.tree))
+    return max(res["BA_identity"], res["E_plus_BC"], res["Hg_identity"],
+               res["C_row_sums"], res["A_row_sums"])
 
 
-def _suite_roundtrip(rng, probes, tree_factory):
-    worst = 0.0
-    for _ in range(probes):
-        tree = tree_factory(rng)
-        panel = _random_panel(rng)
-        ev = FieldEvaluator(panel, tree)
-        a = _random_point(rng, panel.size, tree.n_assets)
-        res = state_identities(ev, a, _random_node(rng, tree))
-        worst = max(worst, max(res.values()))
-    return worst
+def _probe_roundtrip(rng, ev):
+    a = _random_point(rng, ev.panel.size, ev.tree.n_assets)
+    return max(state_identities(ev, a, _random_node(rng, ev.tree)).values())
 
 
-def _suite_martingale(rng, probes, tree_factory):
-    worst = 0.0
-    for _ in range(probes):
-        tree = tree_factory(rng)
-        panel = _random_panel(rng)
-        ev = FieldEvaluator(panel, tree)
-        a = _random_point(rng, panel.size, tree.n_assets)
-        worst = max(worst, ev.martingale_deviation(ev.sweep_point(a, order=2)))
-        worst = max(worst, max(tree.moment_errors()), tree.consistency_error())
-        res = execute_simple(ev, _random_strategy(rng, tree))
-        worst = max(worst, res.martingale_residual())
-        u0 = ev.field(PrimalPoint(v=res.lam0, x=0.0,
-                                  q=np.zeros(tree.n_assets))).dv
-        sde = simulate_sde(
-            ev, [rng.uniform(-0.5, 0.5, size=tree.n_assets)] * tree.steps,
-            u0, want_states=False)
-        worst = max(worst, sde.martingale_residual())
-    return worst
+def _probe_martingale(rng, ev):
+    tree = ev.tree
+    a = _random_point(rng, ev.panel.size, tree.n_assets)
+    devs = [ev.martingale_deviation(ev.sweep_point(a, order=2)),
+            *tree.moment_errors(), tree.consistency_error()]
+    res = execute_simple(ev, _random_strategy(rng, tree))
+    devs.append(res.martingale_residual())
+    u0 = ev.field(PrimalPoint(v=res.lam0, x=0.0,
+                              q=np.zeros(tree.n_assets))).dv
+    sde = simulate_sde(
+        ev, [rng.uniform(-0.5, 0.5, size=tree.n_assets)] * tree.steps,
+        u0, want_states=False)
+    devs.append(sde.martingale_residual())
+    return max(devs)
 
 
-def _suite_preservation(rng, probes, tree_factory):
-    worst = 0.0
-    for _ in range(probes):
-        tree = tree_factory(rng)
-        panel = _random_panel(rng)
-        ev = FieldEvaluator(panel, tree)
-        res = execute_simple(ev, _random_strategy(rng, tree))
-        worst = max(worst, res.indifference_residual)
-    return worst
+def _probe_preservation(rng, ev):
+    res = execute_simple(ev, _random_strategy(rng, ev.tree))
+    return res.indifference_residual
 
 
-def _suite_cbound(rng, probes, tree_factory):
-    worst = 0.0
-    for _ in range(probes):
-        tree = tree_factory(rng)
-        panel = _random_panel(rng, exponential_only=True)
-        ev = FieldEvaluator(panel, tree)
-        a = _random_point(rng, panel.size, tree.n_assets)
-        res = conjugacy_residuals(ev, a, _random_node(rng, tree))
-        c = panel.bound_constant
-        worst = max(worst, 1.0 / c - res["A_eig_min"],
-                    res["A_eig_max"] - c, 0.0)
-    return worst
+def _probe_cbound(rng, ev):
+    # the risk-aversion bounds confine the eigenvalues of A to [1/c, c]
+    a = _random_point(rng, ev.panel.size, ev.tree.n_assets)
+    A, _, _ = matrices_primal(ev, a, _random_node(rng, ev.tree))
+    eig = np.linalg.eigvalsh(0.5 * (A + A.T))
+    c = ev.panel.bound_constant
+    return max(1.0 / c - float(eig.min()), float(eig.max()) - c, 0.0)
 
 
-def _suite_sandwich(rng, probes, tree_factory):
-    worst = 0.0
-    for _ in range(probes):
-        tree = tree_factory(rng)
-        panel = _random_panel(rng)
-        ev = FieldEvaluator(panel, tree)
-        res = execute_simple(ev, _random_strategy(rng, tree))
-        c = panel.bound_constant
-        for k in range(tree.steps + 1):
-            u = res.U[k]
-            mone = -np.ones_like(u)
-            _, xg, _, _ = saddle_batch(ev, k, mone, res.Q[k])
-            mid = xg - res.X[k]
-            lo = (np.log(np.maximum(-u, 1.0)) / c
-                  + c * np.log(np.minimum(-u, 1.0))).sum(axis=1)
-            hi = (np.log(np.minimum(-u, 1.0)) / c
-                  + c * np.log(np.maximum(-u, 1.0))).sum(axis=1)
-            worst = max(worst, float(np.maximum(lo - mid, 0.0).max()),
-                        float(np.maximum(mid - hi, 0.0).max()))
-    return worst
+def _probe_sandwich(rng, ev):
+    res = execute_simple(ev, _random_strategy(rng, ev.tree))
+    c = ev.panel.bound_constant
+    devs = []
+    for k in range(ev.tree.steps + 1):
+        u = res.U[k]
+        _, xg, _, _ = saddle_batch(ev, k, -np.ones_like(u), res.Q[k])
+        mid = xg - res.X[k]
+        lo = (np.log(np.maximum(-u, 1.0)) / c
+              + c * np.log(np.minimum(-u, 1.0))).sum(axis=1)
+        hi = (np.log(np.minimum(-u, 1.0)) / c
+              + c * np.log(np.maximum(-u, 1.0))).sum(axis=1)
+        devs += [float(np.maximum(lo - mid, 0.0).max()),
+                 float(np.maximum(mid - hi, 0.0).max())]
+    return max(devs)
 
 
-def _suite_noarb(rng, probes, tree_factory):
-    worst = 0.0
-    for _ in range(probes):
-        tree = tree_factory(rng)
-        panel = _random_panel(rng)
-        ev = FieldEvaluator(panel, tree)
-        res = execute_simple(ev, _random_strategy(rng, tree))
-        gap = no_arbitrage_gap(ev, res.lam0, res.v_terminal)
-        worst = max(worst, -gap)
-        zero = SimpleStrategy(levels=(0,),
-                              positions=(np.zeros(tree.n_assets),))
-        res0 = execute_simple(ev, zero)
-        gap0 = no_arbitrage_gap(ev, res0.lam0, res0.v_terminal)
-        worst = max(worst, abs(gap0))
-    return worst
+def _probe_noarb(rng, ev):
+    res = execute_simple(ev, _random_strategy(rng, ev.tree))
+    gap = no_arbitrage_gap(ev, res.lam0, res.v_terminal)
+    res0 = execute_simple(ev, SimpleStrategy(
+        levels=(0,), positions=(np.zeros(ev.tree.n_assets),)))
+    return max(-gap, abs(no_arbitrage_gap(ev, res0.lam0, res0.v_terminal)))
 
 
-def _suite_gradient(rng, probes, tree_factory):
-    worst = 0.0
-    for _ in range(probes):
-        tree = tree_factory(rng)
-        panel = _random_panel(rng)
-        ev = FieldEvaluator(panel, tree)
-        a = _random_point(rng, panel.size, tree.n_assets)
-        node = _random_node(rng, tree)
-        f = ev.field(a, node)
-        h = 1e-5
+def _probe_gradient(rng, ev):
+    a = _random_point(rng, ev.panel.size, ev.tree.n_assets)
+    node = _random_node(rng, ev.tree)
+    f = ev.field(a, node)
+    h = 1e-5
 
-        def value(v=None, x=None, q=None):
-            return ev.field(PrimalPoint(
-                v=a.v if v is None else v,
-                x=a.x if x is None else x,
-                q=a.q if q is None else q), node).value
+    def value(v=None, x=None, q=None):
+        return ev.field(PrimalPoint(
+            v=a.v if v is None else v,
+            x=a.x if x is None else x,
+            q=a.q if q is None else q), node).value
 
-        for m in range(panel.size):
-            e = np.zeros(panel.size)
-            e[m] = h
-            fd = (value(v=a.v + e) - value(v=a.v - e)) / (2 * h)
-            worst = max(worst, abs(fd - f.dv[m]) / (1.0 + abs(f.dv[m])))
-        fd = (value(x=a.x + h) - value(x=a.x - h)) / (2 * h)
-        worst = max(worst, abs(fd - f.dx) / (1.0 + abs(f.dx)))
-        for j in range(tree.n_assets):
-            e = np.zeros(tree.n_assets)
-            e[j] = h
-            fd = (value(q=a.q + e) - value(q=a.q - e)) / (2 * h)
-            worst = max(worst, abs(fd - f.dq[j]) / (1.0 + abs(f.dq[j])))
-    return worst
+    def rel(fd, exact):
+        return abs(fd - exact) / (1.0 + abs(exact))
+
+    devs = []
+    for m, e in enumerate(np.eye(ev.panel.size) * h):
+        fd = (value(v=a.v + e) - value(v=a.v - e)) / (2 * h)
+        devs.append(rel(fd, f.dv[m]))
+    devs.append(rel((value(x=a.x + h) - value(x=a.x - h)) / (2 * h), f.dx))
+    for j, e in enumerate(np.eye(ev.tree.n_assets) * h):
+        fd = (value(q=a.q + e) - value(q=a.q - e)) / (2 * h)
+        devs.append(rel(fd, f.dq[j]))
+    return max(devs)
 
 
-def _suite_bachelier(rng, probes, tree_factory):
+def _bachelier(rng, probes):
+    """One lattice run against the closed forms; ``probes`` paths, at
+    least 500."""
     par = BachelierParams(gamma=1.0, b=0.0, mu=0.1, sigma=0.2, s=10.0,
                           horizon=1.0)
-    steps, n_paths = 64, max(probes, 500)
-    lat = par.lattice(steps)
-    pb = simulate_sde_paths(par.panel(), lat, 1.0, float(par.N0(0.0)),
-                            n_paths, seed=int(rng.integers(0, 2 ** 31)))
+    ev = FieldEvaluator(par.panel(), par.lattice(64))
+    pb = simulate_sde_paths(ev, 1.0, float(par.N0(0.0)), max(probes, 500),
+                            seed=int(rng.integers(0, 2 ** 31)))
     v_true = par.gain(1.0, pb.db, pb.times)[:, -1]
     impact = 0.5 * par.gamma * par.sigma ** 2 * par.horizon
     dev_v = float(np.abs(pb.V[:, -1] - v_true).mean()) / (0.02 * impact)
-    xi = indifference_cash(par.panel(), lat, 1.0)
+    xi = indifference_cash(ev, 1.0)
     dev_xi = abs(xi / par.indifference_price(1.0) - 1.0) / 0.01
     return max(dev_v, dev_xi)
 
 
 _SUITES = {
-    "conjugacy": (_suite_conjugacy, 50, 1e-8),
-    "roundtrip": (_suite_roundtrip, 50, 1e-8),
-    "martingale": (_suite_martingale, 10, 1e-12),
-    "preservation": (_suite_preservation, 10, 1e-8),
-    "cbound": (_suite_cbound, 30, 1e-6),
-    "sandwich": (_suite_sandwich, 5, 1e-8),
-    "noarb": (_suite_noarb, 10, 1e-10),
-    "gradient": (_suite_gradient, 30, 1e-6),
-    "bachelier": (_suite_bachelier, 1000, 1.0),
+    "conjugacy": (_probe_conjugacy, 50, 1e-8),
+    "roundtrip": (_probe_roundtrip, 50, 1e-8),
+    "martingale": (_probe_martingale, 10, 1e-12),
+    "preservation": (_probe_preservation, 10, 1e-8),
+    "cbound": (_probe_cbound, 30, 1e-6),
+    "sandwich": (_probe_sandwich, 5, 1e-8),
+    "noarb": (_probe_noarb, 10, 1e-10),
+    "gradient": (_probe_gradient, 30, 1e-6),
+    "bachelier": (None, 1000, 1.0),
 }
 
 SUITE_NAMES = tuple(_SUITES)
-DEFAULT_PROBES = {name: _SUITES[name][1] for name in _SUITES}
 
 
 def run_suite(name: str, seed: int = 0, probes: int = None,
@@ -302,11 +258,14 @@ def run_suite(name: str, seed: int = 0, probes: int = None,
     'probabilities' and 'signs' corrupt every probe tree; 'threshold'
     sabotages the pass bar.  Martingale-style suites fail under tree
     corruption; purely algebraic suites (which hold for any weights)
-    only fail under threshold sabotage.
+    only fail under threshold sabotage.  Each tree suite draws, per
+    probe, a tree, then a panel (exponential makers only for 'cbound'),
+    and hands their ``FieldEvaluator`` to its probe; 'bachelier' is one
+    lattice run.
     """
     if name not in _SUITES:
         raise KeyError(f"unknown suite '{name}' (have {sorted(_SUITES)})")
-    fn, default_probes, threshold = _SUITES[name]
+    probe, default_probes, threshold = _SUITES[name]
     probes = default_probes if probes is None else int(probes)
     rng = np.random.default_rng(seed)
     if corrupt in ("probabilities", "signs"):
@@ -320,6 +279,13 @@ def run_suite(name: str, seed: int = 0, probes: int = None,
         tree_factory = _random_tree
     else:
         raise ValueError(f"unknown corruption '{corrupt}'")
-    dev = fn(rng, probes, tree_factory)
+    if probe is None:
+        dev = _bachelier(rng, probes)
+    else:
+        dev = 0.0
+        for _ in range(probes):
+            tree = tree_factory(rng)
+            panel = _random_panel(rng, exponential_only=name == "cbound")
+            dev = max(dev, probe(rng, FieldEvaluator(panel, tree)))
     return SuiteResult(name=name, probes=probes, max_deviation=float(dev),
                        threshold=threshold)

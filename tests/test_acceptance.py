@@ -77,13 +77,12 @@ def test_criterion_5_bachelier_quantitative():
     par = BachelierParams(gamma=1.0, b=0.0, mu=0.1, sigma=0.2, s=10.0,
                           horizon=1.0)
     steps, n_paths, q = 512, 10_000, 1.0
-    lat = par.lattice(steps)
-    pb = simulate_sde_paths(par.panel(), lat, q, float(par.N0(0.0)),
-                            n_paths, seed=0)
+    ev = FieldEvaluator(par.panel(), par.lattice(steps))
+    pb = simulate_sde_paths(ev, q, float(par.N0(0.0)), n_paths, seed=0)
     v_closed = par.gain(q, pb.db, pb.times)[:, -1]
     budget = 0.5 * par.gamma * par.sigma ** 2 * par.horizon
     mean_err = float(np.abs(pb.V[:, -1] - v_closed).mean())
-    xi = indifference_cash(par.panel(), lat, q)
+    xi = indifference_cash(ev, q)
     xi_rel = abs(xi / par.indifference_price(q) - 1.0)
     wall = time.perf_counter() - t0
     ok = mean_err < 0.02 * budget and xi_rel < 0.01 and wall < 300.0
@@ -95,7 +94,8 @@ def test_criterion_5_bachelier_quantitative():
 def test_criterion_6_simple_approximation_convergence():
     steps = 64
     pan = panel(exponential(1.0))
-    lat = binomial_lattice(steps, 1.0, sigma0=0.3, psi=("0.5 + 0.4 * B",))
+    ev = FieldEvaluator(pan, binomial_lattice(steps, 1.0, sigma0=0.3,
+                                              psi=("0.5 + 0.4 * B",)))
     rng = np.random.default_rng(11)
     signs = rng.integers(0, 2, size=(256, steps)) * 2 - 1
 
@@ -105,7 +105,7 @@ def test_criterion_6_simple_approximation_convergence():
         thetas = tuple(
             float(np.sin(2 * np.pi * (l + stride / 2) / steps))
             for l in levels)
-        return execute_simple_paths(pan, lat, levels, thetas, 256,
+        return execute_simple_paths(ev, levels, thetas, 256,
                                     signs=signs).X
 
     ref = cash_paths(64)

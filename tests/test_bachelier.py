@@ -125,7 +125,8 @@ def test_indifference_price_against_monte_carlo_root():
 def test_tree_indifference_cash_converges_to_closed_form():
     q = 1.0
     target = REF.indifference_price(q)
-    errs = [abs(indifference_cash(REF.panel(), REF.lattice(n), q) - target)
+    errs = [abs(indifference_cash(FieldEvaluator(REF.panel(), REF.lattice(n)),
+                                  q) - target)
             for n in (32, 64, 128)]
     assert errs[0] > errs[1] > errs[2]
     assert errs[2] < 1e-3
@@ -151,8 +152,8 @@ def test_indirect_utility_identity_on_euler_paths():
     steps = 256
     lat = REF.lattice(steps)
     qbar = 1.0
-    bundle = simulate_sde_paths(REF.panel(), lat, [qbar] * steps,
-                                REF.N0(0.0), 200, seed=20)
+    bundle = simulate_sde_paths(FieldEvaluator(REF.panel(), lat),
+                                [qbar] * steps, REF.N0(0.0), 200, seed=20)
     j, db = bundle.j, bundle.db
     times = lat.times
     closed = REF.indirect_utility(np.full(steps, qbar), db, times,
@@ -172,8 +173,8 @@ def test_engine_gain_matches_closed_form_paths():
     steps = 256
     lat = REF.lattice(steps)
     qbar = 1.0
-    bundle = simulate_sde_paths(REF.panel(), lat, [qbar] * steps,
-                                REF.N0(0.0), 500, seed=21)
+    bundle = simulate_sde_paths(FieldEvaluator(REF.panel(), lat),
+                                [qbar] * steps, REF.N0(0.0), 500, seed=21)
     closed = REF.gain(np.full(steps, qbar), bundle.db, lat.times)
     budget = 0.5 * REF.gamma * REF.sigma ** 2 * REF.horizon
     err = np.abs(bundle.V[:, -1] - closed[:, -1]).mean()

@@ -396,3 +396,38 @@ def test_strategy_key_unread_by_kind_rejected(tmp_path, capsys, kind, key,
     err = capsys.readouterr().err
     assert f"'{key}'" in err and f"kind '{kind}'" in err
     assert not (out / "paths.csv").exists()
+
+
+@pytest.mark.parametrize("mode", ["execute", "sde"])
+@pytest.mark.parametrize("old, new, name", [
+    ("positions: [0.5, -0.2]", "positions: [[0.5, 0.1, 0.2], -0.2]",
+     "strategy"),
+    ("lam0: [0.5, 0.5]", "lam0: [0.5, 0.5, 0.3]", "lam0"),
+    ("lam0: [0.5, 0.5]", "lam0: [0.5, -0.5]", "lam0"),
+    ("lam0: [0.5, 0.5]", "lam0: [0.0, 1.0]", "lam0"),
+], ids=["wide-position", "lam0-length", "lam0-negative", "lam0-zero"])
+def test_bad_position_or_lam0_is_config_error(tmp_path, capsys, mode, old,
+                                              new, name):
+    # these used to end in a numpy traceback (exit 1) or a failed
+    # allocation Newton (exit 3)
+    text = README_CONFIG.replace(old, new).replace("mode: execute",
+                                                   f"mode: {mode}")
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", write(tmp_path, text),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and name in err
+    assert not (out / "paths.csv").exists()
+
+
+def test_per_node_position_table_still_runs(tmp_path, capsys):
+    # a (n_level, J) table is a valid execute-mode position; one row too
+    # many is a config error naming the strategy
+    text = README_CONFIG.replace("levels: [0, 4]", "levels: [0, 1]")
+    good = text.replace("[0.5, -0.2]", "[0.5, [[0.1], [0.2]]]")
+    assert main(["simulate", "--config", write(tmp_path, good),
+                 "--out", str(tmp_path / "good")]) == 0
+    bad = text.replace("[0.5, -0.2]", "[0.5, [[0.1], [0.2], [0.3]]]")
+    assert main(["simulate", "--config", write(tmp_path, bad),
+                 "--out", str(tmp_path / "bad")]) == 2
+    assert "strategy" in capsys.readouterr().err

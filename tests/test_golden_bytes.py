@@ -5,8 +5,8 @@ here, so a change to the writers, the per-level layout of ``paths.csv``
 or the tree dump that moves a single byte fails this test.  The runs
 cover both simulate modes, a run whose nodes explode (empty cells), an
 execute run without V (an empty column), a two-dimensional tree, the
-Bachelier tables, the verify table and ``dump-tree`` on a tree, a d=2
-tree and a lattice.
+Bachelier tables, the verify table of two suites and of all nine, and
+``dump-tree`` on a tree, a d=2 tree and a lattice.
 """
 
 import hashlib
@@ -86,6 +86,8 @@ RUNS = {
     "bachelier": ("bachelier", None, ["--steps", "16", "--paths", "10"]),
     "verify": ("verify", None,
                ["--suite", "conjugacy,bachelier", "--probes", "2"]),
+    "verify-all": ("verify", None,
+                   ["--suite", "all", "--probes", "2", "--seed", "0"]),
     "dump-tree": ("dump-tree", "execute", []),
     "dump-tree-d2": ("dump-tree", "d2-execute", []),
     "dump-tree-lattice": ("dump-tree", "lattice", []),
@@ -113,6 +115,10 @@ SHA256 = {
         "a13db23ccd1addc05a1b3b5f8a507f08f48da1d17274579031dc4c545340f033",
     ("verify", "stdout"):
         "1b7ae7bc4ea106d7e2a4b5881cc46e06d8f50a22e2660ce3b2c4053108c7ab94",
+    ("verify-all", "verify.csv"):
+        "aea704a192369f17b30322db0f790a9da5ff88bba3c4ebc1bccc1bd54a7236f3",
+    ("verify-all", "stdout"):
+        "94b2a0004dd1b588140dad0ac41e2d1b5b44063de4a1080ac1ac52596cf62367",
     ("dump-tree", "tree.csv"):
         "c538c27926f2fde496bafc4cda2cce66f917b32c9c323a6349b99ea354997b50",
     ("dump-tree-d2", "tree.csv"):

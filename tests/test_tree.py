@@ -71,6 +71,16 @@ def test_ancestor_index_consistency():
         assert np.array_equal(owner, anc)
 
 
+def test_leaf_owner_at_root_is_zero_on_every_tree():
+    # the root owns every leaf, also on lattices, where deeper levels
+    # have no single ancestor
+    for t in (binomial_tree(3, 1.0, dim=2), binomial_lattice(5, 1.0)):
+        owner = t.leaf_owner(0)
+        assert np.array_equal(owner, np.zeros(t.n_leaves, dtype=int))
+    with pytest.raises(ValueError, match="implicit"):
+        binomial_lattice(5, 1.0).leaf_owner(1)
+
+
 def test_consistency_error_and_sign_corruption():
     t = binomial_tree(3, 1.0)
     assert t.consistency_error() < 1e-14
