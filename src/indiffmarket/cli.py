@@ -22,7 +22,7 @@ from . import __version__
 from .config import ConfigError, ExperimentConfig, load_config
 from .conjugate import _TOL_SCALE
 from .engine import execute_simple, simulate_sde
-from .engine import indifference_cash, simulate_sde_paths
+from .engine import indifference_cash, simulate_sde_terminal
 from .field import FieldEvaluator
 from .representative import (AllocationError, PrimalPoint,
                              representative_utility)
@@ -220,6 +220,26 @@ def _verify(args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
+def _bachelier_terminal(par, ev: FieldEvaluator, q: float, n_paths: int,
+                        seed):
+    """Terminal values of the Bachelier run, path by path: (V_T engine,
+    V_T closed form, U_T engine, U_T closed form, exploded).
+
+    The Euler paths start at N0(0) and are streamed block by block; the
+    closed forms are evaluated on each block's own increments.
+    """
+    times = ev.tree.times
+    blocks = []
+    for u, v, exploded, db in simulate_sde_terminal(
+            ev, q, float(par.N0(0.0)), n_paths, seed=seed):
+        # copy the last columns: a view would keep each block's full
+        # closed-form paths alive
+        blocks.append((v, par.gain(q, db, times)[:, -1].copy(), u,
+                       par.indirect_utility(q, db, times)[:, -1].copy(),
+                       exploded))
+    return tuple(np.concatenate(col) for col in zip(*blocks))
+
+
 def _bachelier(args) -> int:
     cfg = load_config(args.config) if args.config else ExperimentConfig(
         bachelier={"sigma": 0.2, "gamma": 1.0, "mu": 0.1, "s": 10.0,
@@ -232,20 +252,19 @@ def _bachelier(args) -> int:
     q = float(cfg.bachelier.get("q", 1.0))
     t0 = time.time()
     ev = FieldEvaluator(par.panel(), par.lattice(steps))
-    pb = simulate_sde_paths(ev, q, float(par.N0(0.0)), n_paths, seed=seed)
-    v_true = par.gain(q, pb.db, pb.times)[:, -1]
-    u_true = par.indirect_utility(q, pb.db, pb.times)[:, -1]
+    v_T, v_true, u_T, u_true, exploded = _bachelier_terminal(par, ev, q,
+                                                             n_paths, seed)
     xi = indifference_cash(ev, q)
     xi_closed = float(par.indifference_price(q))
 
     out = Path(args.out or cfg.output.get("directory", "out"))
     out.mkdir(parents=True, exist_ok=True)
-    err = np.abs(pb.V[:, -1] - v_true)
+    err = np.abs(v_T - v_true)
     _write_table(out / "bachelier_paths.csv",
                  ["path_id", "V_T_engine", "V_T_closed", "abs_err",
                   "U_T_engine", "U_T_closed", "exploded"],
-                 [np.arange(n_paths), pb.V[:, -1], v_true, err, pb.U[:, -1],
-                  u_true, pb.exploded])
+                 [np.arange(n_paths), v_T, v_true, err, u_T, u_true,
+                  exploded])
     _write_table(out / "bachelier_summary.csv", ["metric", "value"], [
         ["mean_abs_vT_error", "max_abs_vT_error", "impact_scale",
          "xi_engine", "xi_closed", "xi_rel_error"],
@@ -258,20 +277,25 @@ def _bachelier(args) -> int:
 
 
 def _pareto(args) -> int:
-    gammas = [float(g) for g in args.gammas.split(",")]
-    panel = make_panel(*[exponential(g) for g in gammas])
+    gammas = args.gammas.split(",")
+    gammas = _maker_weights(gammas, len(gammas), "pareto: --gammas")
+    panel = make_panel(*[exponential(g) for g in gammas.tolist()])
     v = (np.ones(panel.size) if args.weights is None
-         else _maker_weights([float(w) for w in args.weights.split(",")],
-                             panel.size, "pareto: weights"))
+         else _maker_weights(args.weights.split(","), panel.size,
+                             "pareto: --weights"))
+    if args.u:
+        try:
+            u = np.asarray(args.u.split(","), dtype=float)
+        except ValueError:
+            u = None
+        if u is None or u.shape != (panel.size,) or not np.all(u < 0):
+            raise ConfigError("pareto: --u must be negative utilities, one "
+                              "per maker")
     r, split, y = representative_utility(panel, v, float(args.total))
     print(f"r = {_fmt(r)}")
     print(f"y = {_fmt(y)}")
     print("split = " + ",".join(_fmt(s) for s in split))
     if args.u:
-        u = np.asarray([float(s) for s in args.u.split(",")])
-        if u.shape != (panel.size,) or np.any(u >= 0):
-            raise ConfigError("pareto: utilities must be negative, one "
-                              "per maker")
         pi = np.array([spec.inverse_value(u[m])
                        for m, spec in enumerate(panel.makers)])
         print(f"G = {_fmt(pi.sum())}")

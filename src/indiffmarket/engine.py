@@ -17,10 +17,14 @@ recombining lattice; the fast mode carries thousands of Monte Carlo
 paths on fine grids.  Every engine takes the ``FieldEvaluator`` of its
 (panel, tree) first; the path engines read their Phi tables from its
 memoized point sweeps, so calls that share an evaluator sweep each
-position once.  The path engines store their paths step-major,
-(N+1, n_paths) C-contiguous, so every Euler step, gather and trade
-update works on one contiguous row; ``PathBundle`` hands them out as
-transposed (n_paths, N+1) views.
+position once.  The path engines draw and run their paths in blocks of
+at most ``_PATH_BLOCK`` paths, one Euler loop per engine that carries
+only the current step's row of each block.  ``simulate_sde_paths`` and
+``execute_simple_paths`` store every row of that loop, step-major
+(N+1, n_paths) C-contiguous, and hand them out in a ``PathBundle`` as
+transposed (n_paths, N+1) views; ``simulate_sde_terminal`` runs the
+same loop and streams each block's terminal values, so its memory grows
+with the block, not with the number of paths.
 """
 
 from __future__ import annotations
@@ -45,12 +49,20 @@ __all__ = [
     "state_from_U",
     "execute_simple_paths",
     "simulate_sde_paths",
+    "simulate_sde_terminal",
     "indifference_cash",
     "no_arbitrage_gap",
     "sample_lattice_paths",
 ]
 
 _EPS_EXPLODE_SCALE = 1e-10
+
+# Paths per block of the lattice path engines: a block is drawn and run
+# to maturity before the next, so memory grows with the block, not with
+# n_paths.  At 512 steps x 10k paths (engine plus closed forms, best of
+# 5, 2 cores) 2048 and 4096 ran equally fast, 1024 about 20 % slower,
+# and 4096 peaked 24 MB higher than 2048.
+_PATH_BLOCK = 2048
 
 
 @dataclass(frozen=True)
@@ -384,6 +396,48 @@ def _phi_tables(evaluator: FieldEvaluator, qs):
     return tables
 
 
+def _path_blocks(tree: ScenarioTree, n_paths: int, seed=None, signs=None):
+    """Sampled up/down paths in blocks of at most ``_PATH_BLOCK`` paths.
+
+    Returns an iterator over (cols, up, db): the slice of path indices a
+    block covers, its up-move mask and its Brownian increments (exactly
+    +-sqrt(dt)), both (N, b) step-major.  Block after block draws
+    ``rng.random((b, N))`` from one generator, which continues a single
+    stream, so a seed gives the paths of one (n_paths, N) draw whatever
+    the block size.  ``signs`` (n_paths, N) of +-1 replaces the draw.
+    """
+    N = tree.steps
+    step = np.sqrt(tree.dt(0))
+    if signs is None:
+        rng = np.random.default_rng(seed)
+    else:
+        signs = np.asarray(signs, dtype=float)
+        if signs.shape != (n_paths, N):
+            raise ValueError(f"signs must have shape ({n_paths}, {N}), "
+                             f"got {signs.shape}")
+        if not np.all((signs == 1.0) | (signs == -1.0)):
+            raise ValueError("signs must be +1 or -1")
+
+    def blocks():
+        for start in range(0, n_paths, _PATH_BLOCK):
+            cols = slice(start, min(start + _PATH_BLOCK, n_paths))
+            up_rows = np.empty((N, cols.stop - start), dtype=bool)
+            # draw and transpose 32 paths at a time: one strided copy of
+            # a whole block's mask runs about 3x slower
+            for i in range(start, cols.stop, 32):
+                n = min(32, cols.stop - i)
+                up = (rng.random((n, N)) < 0.5 if signs is None
+                      else signs[i:i + n] > 0)
+                up_rows[:, i - start:i - start + n] = up.T
+            # +-step exactly, as signs * step: 2 step - step is exact
+            db = up_rows.astype(float)
+            db *= 2.0 * step
+            db -= step
+            yield cols, up_rows, db
+
+    return blocks()
+
+
 def sample_lattice_paths(tree: ScenarioTree, n_paths: int, seed=None,
                          signs=None):
     """Sample up/down paths on a recombining lattice.
@@ -392,35 +446,22 @@ def sample_lattice_paths(tree: ScenarioTree, n_paths: int, seed=None,
     increments (n_paths, N).  Pass ``signs`` (n_paths, N) of +-1 to
     reuse one draw across engines or grids.  Both arrays are stored
     step-major, so ``j.T`` and ``db.T`` are C-contiguous with one row
-    per time step.
+    per time step.  The path engines draw the same paths block by block.
     """
     N = tree.steps
-    step = np.sqrt(tree.dt(0))
-    if signs is None:
-        rng = np.random.default_rng(seed)
-        up = rng.random((n_paths, N)) < 0.5
-    else:
-        signs = np.asarray(signs, dtype=float)
-        if signs.shape != (n_paths, N):
-            raise ValueError(f"signs must have shape ({n_paths}, {N}), "
-                             f"got {signs.shape}")
-        if not np.all((signs == 1.0) | (signs == -1.0)):
-            raise ValueError("signs must be +1 or -1")
-        up = signs > 0
-    # transpose the 1-byte mask in blocks of 32 paths: one strided copy
-    # of the whole mask runs about 3x slower at 10k x 512
-    up_rows = np.empty((N, n_paths), dtype=bool)
-    for i in range(0, n_paths, 32):
-        up_rows[:, i:i + 32] = up[i:i + 32].T
-    # +-step exactly, as signs * step: 2 step - step is exact
-    db = up_rows.astype(float)
-    db *= 2.0 * step
-    db -= step
-    j = np.empty((N + 1, n_paths), dtype=int)
-    j[0] = 0
-    j[1:] = up_rows
+    j = np.zeros((N + 1, n_paths), dtype=int)
+    db = np.empty((N, n_paths))
+    for cols, up, db_block in _path_blocks(tree, n_paths, seed, signs):
+        j[1:, cols] = up
+        db[:, cols] = db_block
     accumulate_rows(j[1:])
     return j.T, db.T
+
+
+def _cash(phi_k, j, u, gamma: float):
+    """Saddle cash log(Phi_k(j) / u) / gamma of indirect utility u at
+    lattice node j of step k, for the Phi table row ``phi_k``."""
+    return np.log(phi_k[j] / u) / gamma
 
 
 @dataclass
@@ -430,7 +471,10 @@ class PathBundle:
     ``j``, ``U``, ``X`` and ``V`` read as (n_paths, N+1) and ``db`` as
     (n_paths, N), one row per path; they are transposed views of
     step-major arrays, so ``bundle.U.T[k]`` (all paths at step k) is
-    contiguous.  ``exploded`` is (n_paths,).
+    contiguous.  ``exploded`` is (n_paths,).  ``simulate_sde_paths`` and
+    ``execute_simple_paths`` return one, storing every step of every
+    path; ``simulate_sde_terminal`` runs the same Euler loop but hands
+    out only terminal values, block by block.
     """
 
     times: np.ndarray
@@ -443,15 +487,14 @@ class PathBundle:
     eps_explode: float = 0.0
 
 
-def simulate_sde_paths(evaluator: FieldEvaluator, q_levels, u0: float,
-                       n_paths: int, seed=None, signs=None,
-                       eps_scale: float = _EPS_EXPLODE_SCALE) -> PathBundle:
-    """Euler scheme for dU = K(U, Q) dB along sampled lattice paths.
+def _sde_scheme(evaluator: FieldEvaluator, q_levels, u0, eps_scale: float):
+    """Checked inputs of the path Euler scheme.
 
-    For one exponential maker the kernel is linear in u with a per-node
-    coefficient read from the Phi tables, so all paths advance in one
-    vectorized update per step, on one contiguous row of the step-major
-    state.
+    Returns (gamma, u0, eps, coeffs, phi_x, phi_v): the risk aversion,
+    the initial indirect utility, the explosion threshold, the kernel
+    coefficient of each step per lattice node, and per step the Phi
+    table rows that turn (j, U) into X (under the position held into
+    the step) and into V (under position 0).
     """
     gamma = _check_fast(evaluator)
     tree = evaluator.tree
@@ -460,32 +503,115 @@ def simulate_sde_paths(evaluator: FieldEvaluator, q_levels, u0: float,
     u0 = float(u0)
     if u0 >= 0:
         raise ValueError("initial indirect utility must be negative")
-    eps = eps_scale * abs(u0)
     tables = _phi_tables(evaluator, list(q_levels) + [0.0])
-    j, db = sample_lattice_paths(tree, n_paths, seed, signs)
-    j, db = j.T, db.T  # step-major: row k holds every path at step k
+    held = [tables[round(float(q), 12)] for q in q_levels]
     sqdt = np.sqrt(tree.dt(0))
+    coeffs = [np.diff(phi[k + 1]) / (2.0 * sqdt * phi[k])
+              for k, phi in enumerate(held)]
+    phi_x = [held[max(k - 1, 0)][k] for k in range(N + 1)]
+    return gamma, u0, eps_scale * abs(u0), coeffs, phi_x, tables[0.0]
 
-    U = np.empty((N + 1, n_paths))
-    U[0] = u0
-    exploded = np.zeros(n_paths, dtype=bool)
-    for k in range(N):
-        phi = tables[round(float(q_levels[k]), 12)]
-        coeff = np.diff(phi[k + 1]) / (2.0 * sqdt * phi[k])
-        u_next = U[k] * (1.0 + coeff[j[k]] * db[k])
-        u_next = np.where(exploded, U[k], u_next)
+
+def _euler_rows(coeffs, u0: float, eps: float, up, db):
+    """The Euler scheme of the path engines on one path block.
+
+    Yields (j, u, exploded) at steps 0..N: the node position, indirect
+    utility and explosion flag of every path of the block.  The three
+    rows are updated in place between yields, so a consumer that keeps
+    a row copies it.
+    """
+    j = np.zeros(db.shape[1], dtype=int)
+    u = np.full(db.shape[1], u0)
+    exploded = np.zeros(db.shape[1], dtype=bool)
+    yield j, u, exploded
+    for k, coeff in enumerate(coeffs):
+        # u (1 + coeff db) in place; a flagged path keeps its frozen u
+        u_next = coeff[j]
+        u_next *= db[k]
+        u_next += 1.0
+        u_next *= u
+        np.copyto(u_next, u, where=exploded)
         exploded |= u_next >= -eps
-        np.minimum(u_next, -eps, out=U[k + 1])
+        np.minimum(u_next, -eps, out=u)
+        j += up[k]
+        yield j, u, exploded
+
+
+def simulate_sde_paths(evaluator: FieldEvaluator, q_levels, u0: float,
+                       n_paths: int, seed=None, signs=None,
+                       eps_scale: float = _EPS_EXPLODE_SCALE) -> PathBundle:
+    """Euler scheme for dU = K(U, Q) dB along sampled lattice paths.
+
+    For one exponential maker the kernel is linear in u with a per-node
+    coefficient read from the Phi tables, so all paths of a block
+    advance in one vectorized update per step.  Every step of every
+    path is stored; ``simulate_sde_terminal`` keeps the terminal values
+    only.
+    """
+    gamma, u0, eps, coeffs, phi_x, phi_v = _sde_scheme(
+        evaluator, q_levels, u0, eps_scale)
+    tree = evaluator.tree
+    N = tree.steps
+    j = np.empty((N + 1, n_paths), dtype=int)
+    U = np.empty((N + 1, n_paths))
+    db = np.empty((N, n_paths))
+    exploded = np.empty(n_paths, dtype=bool)
+    for cols, up, db_block in _path_blocks(tree, n_paths, seed, signs):
+        db[:, cols] = db_block
+        rows = _euler_rows(coeffs, u0, eps, up, db_block)
+        for k, (j_k, u_k, exploded_k) in enumerate(rows):
+            j[k, cols] = j_k
+            U[k, cols] = u_k
+        exploded[cols] = exploded_k
     X = np.empty_like(U)
     V = np.empty_like(U)
-    phi0 = tables[0.0]
     for k in range(N + 1):
-        q_gov = q_levels[max(k - 1, 0)]
-        phi = tables[round(float(q_gov), 12)]
-        X[k] = np.log(phi[k][j[k]] / U[k]) / gamma
-        V[k] = -np.log(phi0[k][j[k]] / U[k]) / gamma
+        X[k] = _cash(phi_x[k], j[k], U[k], gamma)
+        V[k] = -_cash(phi_v[k], j[k], U[k], gamma)
     return PathBundle(times=tree.times.copy(), j=j.T, db=db.T, U=U.T, X=X.T,
                       V=V.T, exploded=exploded, eps_explode=eps)
+
+
+def simulate_sde_terminal(evaluator: FieldEvaluator, q_levels, u0: float,
+                          n_paths: int, seed=None, signs=None,
+                          eps_scale: float = _EPS_EXPLODE_SCALE):
+    """``simulate_sde_paths`` keeping only the terminal values.
+
+    Returns an iterator over blocks of at most ``_PATH_BLOCK`` paths, in
+    path order.  Each block is (U_T, V_T, exploded, db) with ``db`` the
+    block's Brownian increments as (b, N), a view of step-major storage.
+    The draws and the bits are those of ``simulate_sde_paths`` (its
+    ``U[:, -1]``, ``V[:, -1]``, ``exploded`` and ``db`` rows), but
+    memory grows with the block, not with n_paths.
+    """
+    gamma, u0, eps, coeffs, _, phi_v = _sde_scheme(evaluator, q_levels,
+                                                   u0, eps_scale)
+
+    def blocks():
+        for _, up, db in _path_blocks(evaluator.tree, n_paths, seed, signs):
+            for j, u, exploded in _euler_rows(coeffs, u0, eps, up, db):
+                pass  # run the block to maturity
+            yield u, -_cash(phi_v[-1], j, u, gamma), exploded, db.T
+
+    return blocks()
+
+
+def _execute_rows(tables, gamma: float, trade: dict, up):
+    """Simple-strategy execution of ``execute_simple_paths`` on one path
+    block: yields (j, x, u) at steps 0..N, the node position, cash and
+    indirect utility of every path, before any trade at the step."""
+    j = np.zeros(up.shape[1], dtype=int)
+    xi = np.zeros(up.shape[1])
+    phi_gov = tables[0.0]
+    for k in range(up.shape[0] + 1):
+        yield j, xi, np.exp(-gamma * xi) * phi_gov[k][j]
+        if k in trade:
+            phi_new = tables[round(trade[k], 12)]
+            xi = xi + (np.log(-phi_new[k][j])
+                       - np.log(-phi_gov[k][j])) / gamma
+            phi_gov = phi_new
+        if k < up.shape[0]:
+            j += up[k]
 
 
 def execute_simple_paths(evaluator: FieldEvaluator, levels, thetas,
@@ -506,28 +632,21 @@ def execute_simple_paths(evaluator: FieldEvaluator, levels, thetas,
     if any(b <= a for a, b in zip(levels, levels[1:])) or levels[-1] >= N:
         raise ValueError("trade levels must increase and precede maturity")
     tables = _phi_tables(evaluator, thetas + [0.0])
-    phi0 = tables[0.0]
-    j, db = sample_lattice_paths(tree, n_paths, seed, signs)
-    j, db = j.T, db.T  # step-major: row k holds every path at step k
-
-    xi = np.zeros(n_paths)
-    theta_prev = 0.0
-    X = np.zeros((N + 1, n_paths))
-    U = np.empty((N + 1, n_paths))
-    V = np.empty((N + 1, n_paths))
     trade = dict(zip(levels, thetas))
+    j = np.empty((N + 1, n_paths), dtype=int)
+    X = np.empty((N + 1, n_paths))
+    U = np.empty((N + 1, n_paths))
+    db = np.empty((N, n_paths))
+    for cols, up, db_block in _path_blocks(tree, n_paths, seed, signs):
+        db[:, cols] = db_block
+        rows = _execute_rows(tables, gamma, trade, up)
+        for k, (j_k, x_k, u_k) in enumerate(rows):
+            j[k, cols] = j_k
+            X[k, cols] = x_k
+            U[k, cols] = u_k
+    V = np.empty_like(U)
     for k in range(N + 1):
-        phi_gov = tables[round(theta_prev, 12)]
-        jk = j[k]
-        X[k] = xi
-        U[k] = np.exp(-gamma * xi) * phi_gov[k][jk]
-        V[k] = -np.log(phi0[k][jk] / U[k]) / gamma
-        if k in trade:
-            theta = trade[k]
-            phi_new = tables[round(theta, 12)]
-            xi = xi + (np.log(-phi_new[k][jk])
-                       - np.log(-phi_gov[k][jk])) / gamma
-            theta_prev = theta
+        V[k] = -_cash(tables[0.0][k], j[k], U[k], gamma)
     return PathBundle(times=tree.times.copy(), j=j.T, db=db.T, U=U.T, X=X.T,
                       V=V.T, exploded=np.zeros(n_paths, dtype=bool))
 

@@ -12,13 +12,13 @@ import numpy as np
 from conftest import ACCEPTANCE_LINES
 
 from indiffmarket.bachelier import BachelierParams
+from indiffmarket.cli import _bachelier_terminal
 from indiffmarket.engine import (
     SimpleStrategy,
     execute_simple,
     execute_simple_paths,
     indifference_cash,
     no_arbitrage_gap,
-    simulate_sde_paths,
 )
 from indiffmarket.field import FieldEvaluator
 from indiffmarket.tree import binomial_lattice, binomial_tree
@@ -78,10 +78,9 @@ def test_criterion_5_bachelier_quantitative():
                           horizon=1.0)
     steps, n_paths, q = 512, 10_000, 1.0
     ev = FieldEvaluator(par.panel(), par.lattice(steps))
-    pb = simulate_sde_paths(ev, q, float(par.N0(0.0)), n_paths, seed=0)
-    v_closed = par.gain(q, pb.db, pb.times)[:, -1]
+    v_T, v_closed, _, _, _ = _bachelier_terminal(par, ev, q, n_paths, 0)
     budget = 0.5 * par.gamma * par.sigma ** 2 * par.horizon
-    mean_err = float(np.abs(pb.V[:, -1] - v_closed).mean())
+    mean_err = float(np.abs(v_T - v_closed).mean())
     xi = indifference_cash(ev, q)
     xi_rel = abs(xi / par.indifference_price(q) - 1.0)
     wall = time.perf_counter() - t0

@@ -123,6 +123,19 @@ def test_pareto_out_of_range_total_exits_3(capsys, total):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, option", [
+    (["--gammas", "1,x"], "--gammas"),
+    (["--gammas", "1,-2"], "--gammas"),
+    (["--gammas", "1,1", "--weights", "abc,1"], "--weights"),
+    (["--gammas", "1,1", "--u=-1,x"], "--u"),
+], ids=["gammas-not-a-number", "gammas-negative", "weights", "u"])
+def test_pareto_bad_numbers_are_config_errors(capsys, argv, option):
+    assert main(["pareto", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"config error: pareto: {option} ")
+    assert captured.out == ""
+
+
 def test_pareto_dual_readout(capsys):
     # G at terminal with u = (-1,) and gamma=1 is x = -ln(-u) = 0
     assert main(["pareto", "--gammas", "1.0", "--u", "-1.0"]) == 0

@@ -491,3 +491,73 @@ def test_execute_paths_reproduce_tree_engine_on_every_path():
         assert np.max(np.abs(pb.U[:, k] / u - 1.0)) < 1e-12
         assert np.max(np.abs(pb.X[:, k] - res.X[k][nodes[k]])) < 1e-12
     assert np.max(np.abs(pb.V[:, -1] - res.v_terminal)) < 1e-12
+
+
+# -- path blocks: the same draws and bits whatever the block size ---------
+
+
+@pytest.mark.parametrize("steps, q, n_paths, seed", [
+    (64, 1.0, 300, 4),
+    (64, np.repeat([0.5, -1.0, 2.0, 0.0], 16), 300, 5),
+    (4, 50.0, 64, 3),
+], ids=["constant-q", "piecewise-q", "exploding"])
+def test_sde_path_blocks_give_the_same_bits(monkeypatch, steps, q, n_paths,
+                                            seed):
+    from indiffmarket import engine
+    from indiffmarket.cli import _bachelier_terminal
+
+    ev = FieldEvaluator(BACH.panel(), BACH.lattice(steps))
+    u0 = float(BACH.N0(0.0))
+    ref = simulate_sde_paths(ev, q, u0, n_paths, seed=seed)
+    assert ref.exploded.any() == (steps == 4)
+    v_closed = BACH.gain(q, ref.db, ref.times)[:, -1]
+    u_closed = BACH.indirect_utility(q, ref.db, ref.times)[:, -1]
+    for block in (1, 7, 1024, n_paths):
+        monkeypatch.setattr(engine, "_PATH_BLOCK", block)
+        pb = simulate_sde_paths(ev, q, u0, n_paths, seed=seed)
+        assert np.array_equal(pb.j, ref.j)
+        for got, want in ((pb.db, ref.db), (pb.U, ref.U), (pb.X, ref.X),
+                          (pb.V, ref.V)):
+            assert_same_bits(got, want, exact=True)
+        assert np.array_equal(pb.exploded, ref.exploded)
+        blocks = list(engine.simulate_sde_terminal(ev, q, u0, n_paths,
+                                                   seed=seed))
+        assert [len(b[0]) for b in blocks] == [
+            min(block, n_paths - i) for i in range(0, n_paths, block)]
+        assert_same_bits(np.concatenate([b[3] for b in blocks]), ref.db,
+                         exact=True)
+        v_T, v_true, u_T, u_true, exploded = _bachelier_terminal(
+            BACH, ev, q, n_paths, seed)
+        assert_same_bits(v_T, ref.V[:, -1], exact=True)
+        assert_same_bits(u_T, ref.U[:, -1], exact=True)
+        assert np.array_equal(exploded, ref.exploded)
+        assert_same_bits(v_true, v_closed, exact=True)
+        assert_same_bits(u_true, u_closed, exact=True)
+
+
+def test_execute_and_sampler_blocks_give_the_same_bits(monkeypatch):
+    from indiffmarket import engine
+    from indiffmarket.engine import sample_lattice_paths
+
+    steps, n_paths = 24, 200
+    lat = binomial_lattice(steps, 1.0, sigma0="0.3 + 0.2 * B",
+                           psi=("1.0 + 0.5 * B",))
+    ev = FieldEvaluator(EXP1, lat)
+    levels, thetas = (0, 7, 15), (0.7, -0.3, 1.2)
+    signs = np.random.default_rng(2).integers(0, 2, size=(n_paths, steps))
+    signs = signs * 2 - 1
+    ref = execute_simple_paths(ev, levels, thetas, n_paths, seed=9)
+    j_ref, db_ref = sample_lattice_paths(lat, n_paths, signs=signs)
+    for block in (1, 7, 1024, n_paths):
+        monkeypatch.setattr(engine, "_PATH_BLOCK", block)
+        pb = execute_simple_paths(ev, levels, thetas, n_paths, seed=9)
+        assert np.array_equal(pb.j, ref.j)
+        for got, want in ((pb.db, ref.db), (pb.U, ref.U), (pb.X, ref.X),
+                          (pb.V, ref.V)):
+            assert_same_bits(got, want, exact=True)
+        j, db = sample_lattice_paths(lat, n_paths, seed=9)
+        assert np.array_equal(j, ref.j)
+        assert_same_bits(db, ref.db, exact=True)
+        j, db = sample_lattice_paths(lat, n_paths, signs=signs)
+        assert np.array_equal(j, j_ref)
+        assert_same_bits(db, db_ref, exact=True)

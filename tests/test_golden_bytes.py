@@ -5,8 +5,9 @@ here, so a change to the writers, the per-level layout of ``paths.csv``
 or the tree dump that moves a single byte fails this test.  The runs
 cover both simulate modes, a run whose nodes explode (empty cells), an
 execute run without V (an empty column), a two-dimensional tree, the
-Bachelier tables, the verify table of two suites and of all nine, and
-``dump-tree`` on a tree, a d=2 tree and a lattice.
+Bachelier tables (small, and at the full 512 steps x 10k paths that
+streams several path blocks), the verify table of two suites and of all
+nine, and ``dump-tree`` on a tree, a d=2 tree and a lattice.
 """
 
 import hashlib
@@ -84,6 +85,8 @@ RUNS = {
     "simulate-d2-execute": ("simulate", "d2-execute", []),
     "simulate-d2-sde": ("simulate", "d2-sde", []),
     "bachelier": ("bachelier", None, ["--steps", "16", "--paths", "10"]),
+    "bachelier-512x10k": ("bachelier", None, ["--steps", "512", "--paths",
+                                              "10000", "--seed", "3"]),
     "verify": ("verify", None,
                ["--suite", "conjugacy,bachelier", "--probes", "2"]),
     "verify-all": ("verify", None,
@@ -111,6 +114,10 @@ SHA256 = {
         "b003421eec40cc87c9111f89fae7a69ca52fe75810a677ab64278e2433f44f67",
     ("bachelier", "bachelier_summary.csv"):
         "e51ce950f6aef047e47990cd529466e347154e25a14788e786b8d5a2c080d59d",
+    ("bachelier-512x10k", "bachelier_paths.csv"):
+        "d7e00b37f594633f45c517907ee6520d8188f5d164cde3e820e943dc410ba4e6",
+    ("bachelier-512x10k", "bachelier_summary.csv"):
+        "da3c270302ad133e85e563de6d0a2a1747de884430f0f02ac09ea76df3e1d868",
     ("verify", "verify.csv"):
         "a13db23ccd1addc05a1b3b5f8a507f08f48da1d17274579031dc4c545340f033",
     ("verify", "stdout"):
