@@ -401,10 +401,11 @@ def _path_blocks(tree: ScenarioTree, n_paths: int, seed=None, signs=None):
 
     Returns an iterator over (cols, up, db): the slice of path indices a
     block covers, its up-move mask and its Brownian increments (exactly
-    +-sqrt(dt)), both (N, b) step-major.  Block after block draws
-    ``rng.random((b, N))`` from one generator, which continues a single
-    stream, so a seed gives the paths of one (n_paths, N) draw whatever
-    the block size.  ``signs`` (n_paths, N) of +-1 replaces the draw.
+    +-sqrt(dt)), both (N, b) step-major.  The draws ``rng.random((n,
+    N))`` of at most 32 paths each come from one generator, which
+    continues a single stream, so a seed gives the paths of one
+    (n_paths, N) draw whatever the block size.  ``signs`` (n_paths, N)
+    of +-1 replaces the draw.
     """
     N = tree.steps
     step = np.sqrt(tree.dt(0))
@@ -422,8 +423,10 @@ def _path_blocks(tree: ScenarioTree, n_paths: int, seed=None, signs=None):
         for start in range(0, n_paths, _PATH_BLOCK):
             cols = slice(start, min(start + _PATH_BLOCK, n_paths))
             up_rows = np.empty((N, cols.stop - start), dtype=bool)
-            # draw and transpose 32 paths at a time: one strided copy of
-            # a whole block's mask runs about 3x slower
+            # draw and transpose 32 paths at a time: a whole block's
+            # float draw would raise the peak memory (about 9 MB at 2048
+            # x 512), and one strided copy of a whole mask ran about 3x
+            # slower at 10k x 512
             for i in range(start, cols.stop, 32):
                 n = min(32, cols.stop - i)
                 up = (rng.random((n, N)) < 0.5 if signs is None
