@@ -1,8 +1,9 @@
 """Command line harness: simulate, verify, bachelier, pareto, dump-tree.
 
 Exit status: 0 on success, 1 when a verification suite fails, 2 on
-configuration errors, 3 when the optimal split cannot be computed
-(marginal value out of floating-point range, or no convergence).  All
+configuration errors, 3 when a solver fails: the optimal split cannot
+be computed (marginal value out of floating-point range, or no
+convergence), or a saddle solve stalls above its tolerance.  All
 CSV output is deterministic for a fixed config and seed; run metadata
 (scheme, tolerances, versions, timing) goes to a separate JSON file so
 the CSV bytes stay reproducible.
@@ -19,8 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, ExperimentConfig, load_config
-from .conjugate import _TOL_SCALE
+from .config import ConfigError, ExperimentConfig, count, load_config
+from .conjugate import _TOL_SCALE, SaddleError
 from .engine import execute_simple, simulate_sde
 from .engine import indifference_cash, simulate_sde_terminal
 from .field import FieldEvaluator
@@ -112,7 +113,7 @@ def _simulate(args) -> int:
     seed = args.seed if args.seed is not None else cfg.seed
     t0 = time.time()
     panel = cfg.build_panel()
-    tree = cfg.build_tree(steps_override=args.steps)
+    tree = cfg.build_tree(steps_override=count(args.steps, "--steps"))
     if tree.implicit is False:
         raise ConfigError("simulate needs tree kind 'tree'")
     strategy = cfg.build_strategy(tree)
@@ -195,12 +196,13 @@ def _positions_by_level(strategy, tree):
 
 def _verify(args) -> int:
     seed = args.seed if args.seed is not None else 0
+    probes = count(args.probes, "--probes")
     names = SUITE_NAMES if args.suite in (None, "all") else tuple(
         s.strip() for s in args.suite.split(","))
     results = []
     for name in names:
         try:
-            results.append(run_suite(name, seed=seed, probes=args.probes))
+            results.append(run_suite(name, seed=seed, probes=probes))
         except KeyError as exc:
             print(str(exc), file=sys.stderr)
             return 2
@@ -247,8 +249,11 @@ def _bachelier(args) -> int:
     _reject_blocks(cfg, "bachelier", ("panel", "tree", "strategy", "engine"))
     par = cfg.build_bachelier()
     seed = args.seed if args.seed is not None else cfg.seed
-    steps = args.steps or int(cfg.bachelier.get("steps", 512))
-    n_paths = args.paths or int(cfg.bachelier.get("paths", 10_000))
+    b = cfg.bachelier
+    steps = (count(b.get("steps", 512), "bachelier: steps")
+             if args.steps is None else count(args.steps, "--steps"))
+    n_paths = (count(b.get("paths", 10_000), "bachelier: paths")
+               if args.paths is None else count(args.paths, "--paths"))
     q = float(cfg.bachelier.get("q", 1.0))
     t0 = time.time()
     ev = FieldEvaluator(par.panel(), par.lattice(steps))
@@ -304,7 +309,7 @@ def _pareto(args) -> int:
 
 def _dump_tree(args) -> int:
     cfg = load_config(args.config)
-    tree = cfg.build_tree(steps_override=args.steps)
+    tree = cfg.build_tree(steps_override=count(args.steps, "--steps"))
     out = Path(args.out or cfg.output.get("directory", "out"))
     out.mkdir(parents=True, exist_ok=True)
     cols = tree.node_columns()
@@ -369,6 +374,9 @@ def main(argv=None) -> int:
         return 2
     except AllocationError as exc:
         print(f"allocation error: {exc}", file=sys.stderr)
+        return 3
+    except SaddleError as exc:
+        print(f"saddle error: {exc}", file=sys.stderr)
         return 3
 
 

@@ -17,11 +17,25 @@ from .engine import SimpleStrategy
 from .tree import ScenarioTree, binomial_lattice, binomial_tree
 from .utilities import MakerPanel, UtilitySpec, exponential
 
-__all__ = ["ConfigError", "ExperimentConfig", "load_config"]
+__all__ = ["ConfigError", "ExperimentConfig", "load_config", "count"]
 
 
 class ConfigError(ValueError):
     """Invalid or missing configuration."""
+
+
+def count(value, what: str):
+    """``value`` as an int of at least 1, or a config error naming
+    ``what``; None passes through as None."""
+    if value is None:
+        return None
+    try:
+        n = int(value)
+    except (TypeError, ValueError):
+        n = 0
+    if n < 1:
+        raise ConfigError(f"{what} must be at least 1, got {value!r}")
+    return n
 
 
 _KNOWN_BLOCKS = {"panel", "tree", "strategy", "engine", "bachelier",
@@ -85,7 +99,8 @@ class ExperimentConfig:
         if not t:
             raise ConfigError("missing 'tree' block")
         try:
-            steps = int(steps_override or t["steps"])
+            steps = (count(t["steps"], "tree: steps") if steps_override is None
+                     else steps_override)
             horizon = float(t.get("horizon", 1.0))
             sigma0 = t.get("sigma0", 0.0)
             psi = t.get("psi", ["B"])
@@ -94,13 +109,14 @@ class ExperimentConfig:
         if isinstance(psi, (str, int, float)):
             psi = [psi]
         kind = t.get("kind", "tree")
+        dim = count(t.get("dim", 1), "tree: dim")
         if kind == "lattice":
-            if int(t.get("dim", 1)) != 1:
+            if dim != 1:
                 raise ConfigError("tree: lattices are one-dimensional")
             return binomial_lattice(steps, horizon, sigma0=sigma0,
                                     psi=tuple(psi))
         if kind == "tree":
-            return binomial_tree(steps, horizon, dim=int(t.get("dim", 1)),
+            return binomial_tree(steps, horizon, dim=dim,
                                  sigma0=sigma0, psi=tuple(psi))
         raise ConfigError(f"tree: unknown kind '{kind}'")
 

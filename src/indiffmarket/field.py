@@ -17,16 +17,23 @@ so the sweep runs on (N-k+1)^d leaves per node instead of 2^(d(N-k))
 (``ScenarioTree.recombine``).  Lattices, payoff tables that are not a
 function of the counts and trees with node-dependent probabilities keep
 the leaf sweep, which is also the oracle the recombined one is tested
-against.
+against.  A recombined level is spread back to node order only when it
+is read: a saddle Newton step reads one level of three components.
+
+Filling the leaves costs one ``allocate`` per sweep, except that each
+evaluator keeps its last leaf state and split: a saddle solve sweeps
+the same state twice whenever a line-search trial is accepted at every
+node, and the second sweep reuses the split bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .representative import PrimalPoint, allocate, allocation_curvature
+from .representative import PrimalPoint, allocate, split_tolerances
 from .tree import ScenarioTree
 from .utilities import MakerPanel
 
@@ -37,16 +44,50 @@ _SECOND = ("dvv", "dvx", "dvq", "dxx", "dxq", "dqq")
 _CACHE_DIGITS = 12
 
 
-@dataclass
 class Sweep:
-    """Backward-induction result: per-level node arrays for each component."""
+    """Backward-induction result: per-level node arrays for each component.
 
-    order: int
-    comps: dict
+    ``comps`` maps each component name to its list of per-level node
+    arrays, None at levels that were not swept.  A sweep of recombined
+    subtrees holds its levels in the order of the small tree and is
+    given the ``spread`` that maps level ``anchor + s`` of it back to
+    node order: ``at`` spreads only the levels it reads, once each, and
+    ``comps`` spreads the rest on first access.
+    """
+
+    def __init__(self, order: int, comps: dict, spread=None, anchor: int = 0):
+        self.order = order
+        self._swept = comps
+        self._spread = spread
+        self._anchor = anchor
+        self._comps = comps if spread is None else None
+        self._spreads = {}
+
+    @property
+    def names(self):
+        """Names of the swept components."""
+        return self._swept.keys()
 
     def at(self, name: str, level: int, index=None):
-        arr = self.comps[name][level]
+        if self._comps is not None:
+            arr = self._comps[name][level]
+        elif level < self._anchor:
+            arr = None
+        else:
+            arr = self._spreads.get((name, level))
+            if arr is None:
+                depth = level - self._anchor
+                arr = self._spreads[name, level] = self._spread(
+                    depth, self._swept[name][depth])
         return arr if index is None else arr[index]
+
+    @property
+    def comps(self) -> dict:
+        if self._comps is None:
+            steps = self._anchor + len(next(iter(self._swept.values())))
+            self._comps = {name: [self.at(name, k) for k in range(steps)]
+                           for name in self._swept}
+        return self._comps
 
 
 @dataclass
@@ -85,8 +126,10 @@ def increment_slope(tree: ScenarioTree, level: int, now, nxt):
 class FieldEvaluator:
     """Evaluates F, its gradient and Hessian, and the martingale integrand.
 
-    Memoizes whole sweeps per point rounded to ``_CACHE_DIGITS``.
-    Hessian components are produced by the same backward recursion
+    Memoizes whole sweeps per point rounded to ``_CACHE_DIGITS``, and
+    the last leaf allocation: a leaf state (v, total) equal bit for bit
+    to the one before it reuses that split (``_allocate``).  Hessian
+    components are produced by the same backward recursion
     applied to analytic second derivatives of r, so no finite
     differencing enters the reference path.
     """
@@ -97,8 +140,28 @@ class FieldEvaluator:
         self._cache = {}
         self._recombinable = True
         self._small = None
+        self._last_split = None
 
     # -- terminal data -------------------------------------------------
+
+    def _allocate(self, v_leaf, total):
+        """``allocate`` at the leaves with a one-entry memo.
+
+        The last leaf state allocated and its (y, pi) are kept; a state
+        of the same shape and the same bits returns them again.  The
+        repeats come from saddle solves: a line-search trial that every
+        node accepts is the next Newton sweep's state, and
+        ``conjugate_G`` sweeps the converged state once more.  The kept
+        arrays are read-only, so an in-place write fails loudly.
+        """
+        key = (v_leaf.shape, v_leaf.tobytes(), total.tobytes())
+        if self._last_split is not None and self._last_split[0] == key:
+            return self._last_split[1]
+        y, pi = allocate(self.panel, v_leaf, total)
+        y.flags.writeable = False
+        pi.flags.writeable = False
+        self._last_split = (key, (y, pi))
+        return y, pi
 
     def _terminal(self, v_leaf, x_leaf, q_leaf, order, names=None):
         """Leaf values of r and its derivatives; only ``names`` (by
@@ -108,10 +171,9 @@ class FieldEvaluator:
         if names is None:
             names = _FIRST + _SECOND if order >= 2 else _FIRST
         total = tree.sigma0 + x_leaf + (tree.psi * q_leaf).sum(axis=1)
+        y, pi = self._allocate(v_leaf, total)
         if order >= 2:
-            y, pi, t, tsum = allocation_curvature(panel, v_leaf, total)
-        else:
-            y, pi = allocate(panel, v_leaf, total)
+            t, tsum = split_tolerances(panel, pi)
         if "value" in names or "dv" in names:
             uvals = np.stack([spec.value(pi[:, m])
                               for m, spec in enumerate(panel.makers)], axis=1)
@@ -169,9 +231,9 @@ class FieldEvaluator:
         so the arrays at ``level`` are each node's own F values.  When
         ``ScenarioTree.recombine`` accepts the level, the sweep runs on
         the recombined subtrees, one leaf per node and down-move count
-        class, and spreads each level back to node order; levels 0 to
-        level-1, which mix the states of several nodes and which no
-        caller reads, are then left None.
+        class, and a level is spread back to node order when it is read
+        (see ``Sweep``); levels 0 to level-1, which mix the states of
+        several nodes and which no caller reads, are then left None.
         """
         v_nodes = np.asarray(v_nodes, dtype=float)
         x_nodes = np.asarray(x_nodes, dtype=float)
@@ -194,7 +256,7 @@ class FieldEvaluator:
         hit = self._cache.get(key)
         need = names if names is not None else (
             _FIRST + _SECOND if order >= 2 else _FIRST)
-        if hit is not None and all(nm in hit.comps for nm in need):
+        if hit is not None and all(nm in hit.names for nm in need):
             return hit
         sweep = self.sweep_states(0, np.asarray(point.v, dtype=float)[None],
                                   np.full(1, float(point.x)),
@@ -223,17 +285,15 @@ class FieldEvaluator:
 
     def _sweep_recombined(self, level, small, v_nodes, x_nodes, q_nodes,
                           order, names) -> Sweep:
-        """Leaf sweep of ``small``, spread back to the levels of this tree."""
+        """Leaf sweep of ``small``, spread back to the levels of this tree
+        as they are read."""
         per = small.tree.n_leaves // self.tree.n_nodes(level)
         swept = small.sweep_leaf_states(np.repeat(v_nodes, per, axis=0),
                                         np.repeat(x_nodes, per),
                                         np.repeat(q_nodes, per, axis=0),
                                         order, names)
-        comps = {name: [None] * level + [
-                     self.tree.spread_recombined(level, s, arr)
-                     for s, arr in enumerate(levels)]
-                 for name, levels in swept.comps.items()}
-        return Sweep(order=order, comps=comps)
+        spread = functools.partial(self.tree.spread_recombined, level)
+        return Sweep(order, swept.comps, spread=spread, anchor=level)
 
     # -- point queries ---------------------------------------------------
 
@@ -264,9 +324,10 @@ class FieldEvaluator:
         if level >= tree.steps:
             raise ValueError("integrand is defined on non-terminal nodes")
         sweep = self.sweep_point(point, order=1)
-        value, dv = sweep.comps["value"], sweep.comps["dv"]
-        H, dF = increment_slope(tree, level, value[level], value[level + 1])
-        dHdv, _ = increment_slope(tree, level, dv[level], dv[level + 1])
+        H, dF = increment_slope(tree, level, sweep.at("value", level),
+                                sweep.at("value", level + 1))
+        dHdv, _ = increment_slope(tree, level, sweep.at("dv", level),
+                                  sweep.at("dv", level + 1))
         resid = np.abs(dF - np.einsum("ni,nei->ne", H, tree.edge_db[level]))
         resid = resid.max(axis=1)[idx]
         return H[idx], dHdv[idx], float(resid) if np.ndim(idx) == 0 else resid
@@ -288,7 +349,7 @@ class FieldEvaluator:
         v_leaf = np.broadcast_to(point.v, (n, self.panel.size))
         total = (self.tree.sigma0 + float(point.x)
                  + self.tree.psi @ np.asarray(point.q, dtype=float))
-        _, pi = allocate(self.panel, v_leaf, total)
+        _, pi = self._allocate(v_leaf, total)
         dens = v_leaf[:, 0] * self.panel.makers[0].marginal(pi[:, 0])
         num, den = self.tree.psi * dens[:, None], dens
         for k in range(self.tree.steps - 1, level - 1, -1):

@@ -14,6 +14,14 @@ That gives the same bits as summing the trailing axis of (n, M) arrays,
 since numpy sums axes shorter than eight left to right too, while
 avoiding a reduction setup per row.  The result comes back as the usual
 (n, M) split.
+
+On small batches the fixed cost of a call dominates, so nothing that
+does not depend on the rows is recomputed per call or per iteration:
+the start values log u'_m(0) and min_i g_m,i and the closed-form
+inputs of an all-exponential panel are cached on the panel
+(``MakerPanel.newton_start``, ``MakerPanel.exponential_split``), log
+w_i on each spec, and the loop clips with in-place ``np.maximum`` and
+``np.minimum`` and sums with plain row additions.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .utilities import MakerPanel
+from .utilities import MakerPanel, _total
 
 __all__ = [
     "PrimalPoint",
@@ -73,9 +81,7 @@ def allocate(panel: MakerPanel, v, total):
     logv = np.log(v)
 
     if panel.all_exponential:
-        g = panel.gammas
-        logw = np.log([m.weights[0] for m in panel.makers])
-        tau = float(np.sum(1.0 / g))
+        g, logw, tau = panel.exponential_split
         lny = ((logv + logw) / g).sum(axis=1) / tau - total / tau
         pi = (logv + logw - lny[:, None]) / g
         return _marginal_value(lny), pi
@@ -86,30 +92,31 @@ def allocate(panel: MakerPanel, v, total):
     # risk aversions a_m, all from a single mixture evaluation per maker.
     # Maker-major (see the module docstring): one row per maker.
     logv = np.ascontiguousarray(logv.T)
-    logup0 = np.log([m.marginal(0.0) for m in panel.makers])[:, None]
-    gmin = np.array([min(m.rates) for m in panel.makers])[:, None]
-    lny = (logv + logup0).sum(axis=0) / M - total / M
+    logup0, gmin = panel.newton_start
+    lny = _total(logv + logup0) / M - total / M
     pi = (logv + logup0 - lny) / gmin
     logup = np.empty_like(pi)
     av = np.empty_like(pi)
     for it in range(_MAX_NEWTON):
         for m, spec in enumerate(panel.makers):
             logup[m], av[m] = spec.log_marginal_and_aversion(pi[m])
-        f = logv + logup - lny
-        g = total - pi.sum(axis=0)
-        tsum = (1.0 / av).sum(axis=0)
-        dlny = ((f / av).sum(axis=0) - g) / tsum
-        dpi = (f - dlny) / av
-        np.clip(dpi, -20.0, 20.0, out=dpi)
+        f = logv + logup
+        f -= lny
+        g = total - _total(pi)
+        dlny = (_total(f / av) - g) / _total(1.0 / av)
+        dpi = f - dlny
+        dpi /= av
+        np.maximum(dpi, -20.0, out=dpi)
+        np.minimum(dpi, 20.0, out=dpi)
         pi += dpi
         lny += dlny
-        if max(np.max(np.abs(dpi)), np.max(np.abs(dlny))) < _REL_TOL * (
-                1.0 + np.max(np.abs(pi))):
+        if max(np.abs(dpi).max(), np.abs(dlny).max()) < _REL_TOL * (
+                1.0 + np.abs(pi).max()):
             break
     else:
         raise AllocationError(
             f"allocation Newton did not converge: last step "
-            f"{np.max(np.abs(dpi)):.3e}")
+            f"{np.abs(dpi).max():.3e}")
     return _marginal_value(lny), np.ascontiguousarray(pi.T)
 
 
@@ -169,19 +176,21 @@ def allocation_curvature(panel: MakerPanel, v, total):
     """Second-derivative ingredients of r at the optimal split.
 
     Returns ``(y, pi, t, tsum)`` with per-maker risk tolerances t (n, M)
-    evaluated at the split and their row sum.  The second derivatives of
-    r follow as
+    evaluated at the split and their row sum (``split_tolerances``).
+    The second derivatives of r follow as
 
         d2r/dx2        = -y / tsum
         d2r/dv^m dx    =  y t^m / (v^m tsum)
         d2r/dv^l dv^m  =  y t^m/(v^l v^m) (delta_lm - t^l/tsum)
     """
-    total = np.atleast_1d(np.asarray(total, dtype=float))
-    v = np.asarray(v, dtype=float)
-    if v.ndim == 1:
-        v = np.broadcast_to(v, (total.shape[0], panel.size))
     y, pi = allocate(panel, v, total)
+    return (y, pi) + split_tolerances(panel, pi)
+
+
+def split_tolerances(panel: MakerPanel, pi):
+    """Risk tolerances t (n, M) of each maker at the split ``pi`` (n, M),
+    and their row sum."""
     t = np.stack(
         [spec.risk_tolerance(pi[:, m]) for m, spec in enumerate(panel.makers)], axis=1
     )
-    return y, pi, t, t.sum(axis=1)
+    return t, t.sum(axis=1)

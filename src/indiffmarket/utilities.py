@@ -99,10 +99,15 @@ class UtilitySpec:
         up, slope = self._marginal_and_slope(x)
         return up, slope / up
 
+    @functools.cached_property
+    def _log_weights(self) -> np.ndarray:
+        """log w_i, computed once per spec."""
+        return np.log(self.weights)
+
     def log_marginal_and_aversion(self, x):
         """(log u'(x), a(x)) with exponent shifting, stable for any x."""
         x = np.asarray(x, dtype=float)
-        logw = np.log(self.weights)
+        logw = self._log_weights
         if self.is_exponential:
             # the shifted sum is exp(0) = 1, so log u' = log w - g x
             return logw[0] - x * self.rates[0], np.full(x.shape,
@@ -142,15 +147,17 @@ class UtilitySpec:
         if self.is_exponential:
             # u'(x) = w * exp(-g x)
             return (np.log(self.weights[0]) - np.log(y)) / self.rates[0]
-        gmin = min(self.rates)
+        logy = np.log(y)
         if x0 is None:
-            x = np.asarray((np.log(self.marginal(0.0)) - np.log(y)) / gmin,
-                           dtype=float)
+            x = np.asarray((np.log(self.marginal(0.0)) - logy)
+                           / min(self.rates), dtype=float)
         else:
             x = np.asarray(x0, dtype=float).copy()
         for _ in range(100):
-            f = np.log(self.marginal(x)) - np.log(y)
-            step = f / self.risk_aversion(x)
+            # log u' and a with exponent shifting: an iterate far below
+            # the root must not overflow u'(x)
+            logup, aversion = self.log_marginal_and_aversion(x)
+            step = (logup - logy) / aversion
             x = x + step
             if np.max(np.abs(step)) < 1e-14 * (1.0 + np.max(np.abs(x))):
                 break
@@ -160,8 +167,9 @@ class UtilitySpec:
         """Solve u(x) = c for x; c must be negative.
 
         Closed form for a single exponential; Newton on x otherwise
-        (u is increasing and concave, so starting from the exponential
-        bound below the root converges monotonically).
+        (u is increasing and concave, so starting from a bound below the
+        root converges monotonically).  Raises ValueError if neither
+        start converges.
         """
         c = np.asarray(c, dtype=float)
         if np.any(c >= 0) or not np.all(np.isfinite(c)):
@@ -176,12 +184,26 @@ class UtilitySpec:
         scale = sum(w / g for w, g in zip(self.weights, self.rates))
         x = np.minimum(-np.log(-c / scale) / gmax,
                        -np.log(-c / scale) / min(self.rates))
-        for _ in range(200):
-            step = (c - self.value(x)) / self.marginal(x)
-            x = x + step
-            if np.max(np.abs(step)) < 1e-15 * (1.0 + np.max(np.abs(x))):
-                break
-        return x if np.ndim(x) else float(x)
+        # Far below zero that start can overflow u, or lie so far below
+        # the root that Newton, which climbs about 1/g_max per step while
+        # u(x) << c, runs out of steps.  Then it starts again from the
+        # largest of the per-term bounds -log(-c g_i/w_i)/g_i, also below
+        # the root, where every term of u is at most -c.
+        for attempt in range(2):
+            if attempt:
+                x = functools.reduce(np.maximum, (
+                    -np.log(-c * g / w) / g
+                    for w, g in zip(self.weights, self.rates)))
+            with np.errstate(over="ignore", invalid="ignore"):
+                for _ in range(200):
+                    step = (c - self.value(x)) / self.marginal(x)
+                    x = x + step
+                    size = np.max(np.abs(step))
+                    if size < 1e-15 * (1.0 + np.max(np.abs(x))):
+                        return x if np.ndim(x) else float(x)
+                    if not np.isfinite(size):
+                        break
+        raise ValueError("inverse_value: Newton did not converge")
 
 
 def exponential(gamma: float) -> UtilitySpec:
@@ -212,7 +234,7 @@ class MakerPanel:
     def size(self) -> int:
         return len(self.makers)
 
-    @property
+    @functools.cached_property
     def all_exponential(self) -> bool:
         return all(m.is_exponential for m in self.makers)
 
@@ -220,6 +242,22 @@ class MakerPanel:
     def gammas(self) -> np.ndarray:
         """Risk aversions of an all-exponential panel."""
         return np.array([m.gamma for m in self.makers])
+
+    @functools.cached_property
+    def exponential_split(self):
+        """Row-independent inputs of the closed-form split of an
+        all-exponential panel, computed once: (g, log w, sum 1/g)."""
+        g = self.gammas
+        return (g, np.log([m.weights[0] for m in self.makers]),
+                float(np.sum(1.0 / g)))
+
+    @functools.cached_property
+    def newton_start(self):
+        """Row-independent inputs of the allocation Newton iteration,
+        computed once per panel: (log u'_m(0), min_i g_m,i), each as an
+        (M, 1) column."""
+        return (np.log([m.marginal(0.0) for m in self.makers])[:, None],
+                np.array([min(m.rates) for m in self.makers])[:, None])
 
 
 def panel(*specs: UtilitySpec) -> MakerPanel:

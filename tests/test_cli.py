@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from indiffmarket import conjugate
 from indiffmarket.cli import main
 
 BASE_CONFIG = """\
@@ -444,3 +445,51 @@ def test_per_node_position_table_still_runs(tmp_path, capsys):
     assert main(["simulate", "--config", write(tmp_path, bad),
                  "--out", str(tmp_path / "bad")]) == 2
     assert "strategy" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "conjugacy", "--probes", "2", "--seed", "0"],
+    ["simulate", "--config", "{cfg}"],
+    ["simulate", "--config", "{sde}"],
+], ids=["verify", "simulate-execute", "simulate-sde"])
+def test_stalled_saddle_is_one_line_exit_three(tmp_path, capsys, monkeypatch,
+                                               argv):
+    monkeypatch.setattr(conjugate, "_MAX_ITER", 1)
+    monkeypatch.setattr(conjugate, "_RESTARTS", 0)
+    cfg = write(tmp_path, BASE_CONFIG)
+    sde = write(tmp_path, BASE_CONFIG.replace("mode: execute", "mode: sde"),
+                "sde.yaml")
+    argv = [a.format(cfg=cfg, sde=sde) for a in argv]
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("saddle error: saddle solve stalled at level ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, config, option", [
+    (["simulate", "--steps", "0"], None, "--steps"),
+    (["simulate", "--steps", "-2"], None, "--steps"),
+    (["simulate"], ("steps: 3", "steps: 0"), "tree: steps"),
+    (["simulate"], ("steps: 3", "steps: 3\n  dim: 0"), "tree: dim"),
+    (["dump-tree", "--steps", "0"], None, "--steps"),
+    (["bachelier", "--steps", "0"], None, "--steps"),
+    (["bachelier", "--steps", "-2"], None, "--steps"),
+    (["bachelier", "--paths", "0"], None, "--paths"),
+    (["bachelier", "--paths", "-5"], None, "--paths"),
+    (["bachelier"], "paths: 0", "bachelier: paths"),
+    (["bachelier"], "steps: -1", "bachelier: steps"),
+    (["verify", "--suite", "conjugacy", "--probes", "0"], None, "--probes"),
+])
+def test_count_below_one_is_config_error(tmp_path, capsys, argv, config,
+                                         option):
+    if argv[0] == "bachelier":
+        if config is not None:
+            argv = argv + ["--config", write(
+                tmp_path, f"bachelier:\n  sigma: 0.2\n  {config}\n")]
+    elif argv[0] != "verify":
+        text = BASE_CONFIG if config is None else BASE_CONFIG.replace(*config)
+        argv = argv + ["--config", write(tmp_path, text)]
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {option} must be at least 1")
+    assert not (tmp_path / "o").exists()

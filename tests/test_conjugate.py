@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from indiffmarket import conjugate
 from indiffmarket.conjugate import (
@@ -232,3 +234,33 @@ def test_saddle_error_names_level_node_and_residual(monkeypatch):
     msg = str(err)
     assert f"level 1, node {err.node}" in msg
     assert f"{err.residual:.3e}" in msg and f"{err.tolerance:.3e}" in msg
+
+
+utility_specs = st.one_of(
+    st.floats(0.5, 2.0).map(exponential),
+    st.builds(lambda w1, w2, g1, g2: sum_of_exponentials([w1, w2], [g1, g2]),
+              st.floats(0.5, 1.5), st.floats(0.5, 1.5), st.floats(0.5, 1.0),
+              st.floats(1.2, 2.5)))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(specs=st.lists(utility_specs, min_size=1, max_size=3),
+       steps=st.sampled_from([2, 4]), coef=st.floats(-0.5, 0.5),
+       const=st.floats(-0.5, 1.0), data=st.data())
+def test_saddle_restores_primal_state_property(specs, steps, coef, const,
+                                               data):
+    # the saddle of G at b = dual_point(a), solved from its own seed,
+    # gives back a = (v, x) within the 1e-8 bound of the roundtrip suite
+    tree = binomial_tree(steps, 1.0, sigma0=f"{coef} * B",
+                         psi=(f"{const} + {-coef} * B",))
+    ev = FieldEvaluator(panel(*specs), tree)
+    M = len(specs)
+    v = np.array(data.draw(st.lists(st.floats(0.3, 3.0), min_size=M,
+                                    max_size=M)))
+    a = PrimalPoint(v=v, x=data.draw(st.floats(-1.0, 1.0)),
+                    q=[data.draw(st.floats(-1.0, 1.0))])
+    level = data.draw(st.integers(0, steps - 1))
+    node = (level, data.draw(st.integers(0, tree.n_nodes(level) - 1)))
+    sad = conjugate_G(ev, dual_point(ev, a, node), node)
+    assert abs(sad.x - a.x) / (1.0 + abs(a.x)) < 1e-8
+    assert np.abs(sad.v - v).max() / (1.0 + np.abs(v).max()) < 1e-8

@@ -307,3 +307,101 @@ def test_newton_sweep_work_count(allocate_rows):
     del allocate_rows[:]
     saddle_batch(ev, 2, u, np.full((4, 1), 0.3), w0=[0.5, 0.5], x0=0.0)
     assert allocate_rows and set(allocate_rows) == {48}
+
+
+def test_saddle_probe_allocation_count(allocate_rows):
+    # six Newton sweeps and five line-search trials; every trial is
+    # accepted at both nodes, so the next Newton sweep reuses its split:
+    # 7 allocations, where one allocation per sweep would be 12
+    t = binomial_tree(4, 1.0, sigma0="0.3 + 0.2 * B", psi=("1.0 + 0.5 * B",))
+    ev = FieldEvaluator(MIXED, t)
+    u = ev.field(PrimalPoint(v=[0.5, 0.5], x=0.0, q=[0.3]), node=(1, 0)).dv
+    del allocate_rows[:]
+    _, _, _, iters = saddle_batch(ev, 1, u, [0.3], w0=[0.7, 0.3], x0=1.0)
+    assert iters == 6
+    assert allocate_rows == [8] * 7
+
+
+def test_leaf_allocation_memo_holds_the_last_state(allocate_rows):
+    t = binomial_tree(3, 1.0, sigma0="0.3 + 0.2 * B", psi=("1.0 + 0.5 * B",))
+    ev = FieldEvaluator(MIXED, t)
+    rng = np.random.default_rng(11)
+    n = t.n_leaves
+    a = (rng.uniform(0.3, 2.0, size=(n, 2)), rng.normal(size=n),
+         rng.normal(size=(n, 1)))
+    b = (a[0], a[1] + 0.25, a[2])
+    ref = FieldEvaluator(MIXED, t).sweep_leaf_states(*a, order=2)
+    del allocate_rows[:]
+    # one entry: A, B, A allocates three times
+    for state, order in ((a, 1), (b, 1), (a, 2)):
+        last = ev.sweep_leaf_states(*state, order=order)
+    assert len(allocate_rows) == 3
+    # B twice, then A: the repeat of B allocates nothing, and the
+    # reused split gives the same bits
+    del allocate_rows[:]
+    for state, order in ((b, 1), (b, 2), (a, 2)):
+        last = ev.sweep_leaf_states(*state, order=order)
+    assert len(allocate_rows) == 2
+    for name in ref.comps:
+        for k in range(t.steps + 1):
+            assert np.array_equal(last.at(name, k), ref.at(name, k))
+
+    total = t.sigma0 + a[1] + (t.psi * a[2]).sum(axis=1)
+    y, pi = ev._allocate(a[0], total)
+    assert ev._allocate(a[0].copy(), total.copy())[0] is y
+    with pytest.raises(ValueError, match="read-only"):
+        y[0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        pi += 1.0
+
+
+@pytest.mark.parametrize("tree", [
+    binomial_tree(5, 1.0, sigma0="0.3 + 0.2 * B", psi=("1.0 + 0.5 * B",)),
+    binomial_tree(4, 1.0, dim=2, sigma0="0.3 + 0.2 * B1 - 0.1 * B2",
+                  psi=("1.0 + 0.5 * B1", "0.8 + 0.4 * B2")),
+], ids=["d1", "d2"])
+def test_recombined_sweep_spreads_levels_as_read(tree, monkeypatch):
+    ev = FieldEvaluator(MIXED, tree)
+    rng = np.random.default_rng(6)
+    spread = []
+    original = tree.spread_recombined
+
+    def counting(level, depth, values):
+        spread.append((level, depth))
+        return original(level, depth, values)
+
+    monkeypatch.setattr(tree, "spread_recombined", counting)
+    for level in range(tree.steps - 1):
+        v, x, q = _node_states(rng, tree, level)
+        small = ev._recombined(level)
+        per = small.tree.n_leaves // tree.n_nodes(level)
+        swept = small.sweep_leaf_states(
+            np.repeat(v, per, axis=0), np.repeat(x, per),
+            np.repeat(q, per, axis=0), order=2)
+        eager = {name: [original(level, s, arr) for s, arr in enumerate(levels)]
+                 for name, levels in swept.comps.items()}
+        del spread[:]
+        sweep = ev.sweep_states(level, v, x, q, order=2)
+        assert spread == []
+        assert np.array_equal(sweep.at("dv", level), eager["dv"][0])
+        assert spread == [(level, 0)]
+        for name, levels in eager.items():
+            assert sweep.at(name, level - 1) is None
+            for s, ref in enumerate(levels):
+                got = sweep.at(name, level + s)
+                assert got.shape == ref.shape and np.array_equal(got, ref)
+        n_read = len(spread)
+        comps = sweep.comps
+        assert len(spread) == n_read
+        assert comps.keys() == eager.keys()
+        for name, levels in eager.items():
+            assert comps[name][:level] == [None] * level
+            for s, ref in enumerate(levels):
+                assert np.array_equal(comps[name][level + s], ref)
+                assert np.array_equal(sweep.at(name, level + s), ref)
+        # comps first, at after: the same arrays
+        sweep = ev.sweep_states(level, v, x, q, order=2)
+        for name, levels in eager.items():
+            for s, ref in enumerate(levels):
+                assert np.array_equal(sweep.comps[name][level + s], ref)
+                assert sweep.at(name, level + s) is sweep.comps[name][level + s]

@@ -257,3 +257,38 @@ def test_oracle_tells_a_reordered_sum_apart():
     reordered = t[:, 0] + (t[:, 1] + t[:, 2])
     assert not np.array_equal(reordered, spec.marginal(x))
     assert_same_bits(reordered, spec.marginal(x), exact=False)
+
+
+def _round_trip_targets(spec, fractions):
+    """Wealth levels s * 700 / max(rates): every term exp(-g_i x) stays
+    inside floating-point range, and with rates near 1 the targets span
+    about +-700."""
+    return np.array(fractions) * (700.0 / max(spec.rates))
+
+
+fractions = st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=20)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(spec=specs, s=fractions)
+@example(spec=MIX, s=[-1.0, 1.0, 0.0])
+@example(spec=sum_of_exponentials([0.3, 0.7, 1.1], [0.05, 1.0, 5.0]),
+         s=[-1.0, -0.5, 0.5, 1.0])
+def test_inverse_marginal_round_trip_property(spec, s):
+    x = _round_trip_targets(spec, s)
+    back = spec.inverse_marginal(spec.marginal(x))
+    assert np.all(np.abs(back - x) <= 1e-10 * (1.0 + np.abs(x)))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(spec=specs, s=fractions)
+@example(spec=MIX, s=[-1.0, 1.0, 0.0])
+@example(spec=sum_of_exponentials([0.3, 0.7, 1.1], [0.05, 1.0, 5.0]),
+         s=[-1.0, -0.5, 0.5, 1.0])
+# the bound start lies ~260 below the root, where Newton climbs 0.5 a step
+@example(spec=sum_of_exponentials([1.0, 1.0, 1.0], [1.0, 2.0, 0.5]),
+         s=[-0.25])
+def test_inverse_value_round_trip_property(spec, s):
+    x = _round_trip_targets(spec, s)
+    back = spec.inverse_value(spec.value(x))
+    assert np.all(np.abs(back - x) <= 1e-10 * (1.0 + np.abs(x)))
