@@ -1,12 +1,12 @@
 """Command line harness: simulate, verify, bachelier, pareto, dump-tree.
 
-Exit status: 0 on success, 1 when a verification suite fails, 2 on
-configuration errors, 3 when a solver fails: the optimal split cannot
-be computed (marginal value out of floating-point range, or no
-convergence), or a saddle solve stalls above its tolerance.  All
-CSV output is deterministic for a fixed config and seed; run metadata
-(scheme, tolerances, versions, timing) goes to a separate JSON file so
-the CSV bytes stay reproducible.
+Config blocks are read and checked only in ``config``; this module
+dispatches, runs and writes output.  Exit status: 0 on success, 1 when
+a verification suite fails, 2 on a malformed config value or option, 3
+when a solver fails (the optimal split cannot be computed, or a saddle
+solve stalls above its tolerance).  CSV output is deterministic for a
+fixed config and seed; run metadata goes to a separate JSON file so the
+CSV bytes stay reproducible.
 """
 
 from __future__ import annotations
@@ -20,23 +20,17 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, ExperimentConfig, count, load_config
+from .config import (ConfigError, ExperimentConfig, count, load_config,
+                     per_maker)
 from .conjugate import _TOL_SCALE, SaddleError
-from .engine import execute_simple, simulate_sde
-from .engine import indifference_cash, simulate_sde_terminal
+from .engine import execute_simple, indifference_cash, simulate_sde
 from .field import FieldEvaluator
 from .representative import (AllocationError, PrimalPoint,
                              representative_utility)
 from .utilities import exponential, panel as make_panel
-from .verify import SUITE_NAMES, run_suite
+from .verify import SUITE_NAMES, _bachelier_terminal, run_suite
 
 _CSV_VERSION = "v1"
-
-# The engine keys each simulate mode reads; any other is rejected.
-_MODE_KEYS = {
-    "execute": {"mode", "lam0", "tol_scale", "want_v"},
-    "sde": {"mode", "lam0", "u0", "eps_explode_scale"},
-}
 
 
 def _fmt(x) -> str:
@@ -88,52 +82,21 @@ def _write_metadata(out: Path, command: str, cfg_seed: int, scheme=None,
     (out / "metadata.json").write_text(json.dumps(meta, indent=2) + "\n")
 
 
-def _reject_blocks(cfg, command: str, blocks):
-    """Config error for a nonempty block that ``command`` never reads."""
-    for block in blocks:
-        if getattr(cfg, block):
-            raise ConfigError(f"block '{block}' is not read by {command}")
-
-
-def _maker_weights(values, M: int, what: str) -> np.ndarray:
-    """``values`` as M positive finite weights, or a config error."""
-    try:
-        v = np.asarray(values, dtype=float)
-    except (TypeError, ValueError):
-        v = None
-    if v is None or v.shape != (M,) or not np.all(np.isfinite(v) & (v > 0)):
-        raise ConfigError(f"{what} must be positive, one per maker "
-                          f"({M} makers)")
-    return v
-
-
 def _simulate(args) -> int:
-    cfg = load_config(args.config)
-    _reject_blocks(cfg, "simulate", ("bachelier",))
-    seed = args.seed if args.seed is not None else cfg.seed
+    cfg = load_config(args.config, "simulate")
+    seed = cfg.build_seed(args.seed)
     t0 = time.time()
     panel = cfg.build_panel()
-    tree = cfg.build_tree(steps_override=count(args.steps, "--steps"))
+    tree = cfg.build_tree(args.steps)
     if tree.implicit is False:
         raise ConfigError("simulate needs tree kind 'tree'")
     strategy = cfg.build_strategy(tree)
-    mode = cfg.engine.get("mode", "execute")
-    if not isinstance(mode, str) or mode not in _MODE_KEYS:
-        raise ConfigError(f"engine: unknown mode '{mode}'")
-    unread = sorted(set(cfg.engine) - _MODE_KEYS[mode])
-    if unread:
-        raise ConfigError(
-            f"engine: key '{unread[0]}' is not read in {mode} mode")
-    ev = FieldEvaluator(panel, tree)
     M, J = panel.size, tree.n_assets
+    mode, lam0, tol_scale, want_v, u0, eps_scale = cfg.build_engine(M)
+    ev = FieldEvaluator(panel, tree)
     sizes = [tree.n_nodes(k) for k in range(tree.steps + 1)]
-    lam0 = cfg.engine.get("lam0")
-    if lam0 is not None:
-        lam0 = _maker_weights(lam0, M, "engine: lam0")
 
     if mode == "execute":
-        tol_scale = float(cfg.engine.get("tol_scale", 1e-13))
-        want_v = bool(cfg.engine.get("want_v", True))
         res = execute_simple(ev, strategy, lam0=lam0,
                              want_interior_V=want_v, tol_scale=tol_scale)
         exploded = np.zeros(sum(sizes), dtype=bool)
@@ -141,9 +104,7 @@ def _simulate(args) -> int:
         if want_v:
             tolerances["interior_v_saddle"] = _TOL_SCALE
     else:
-        eps_scale = float(cfg.engine.get("eps_explode_scale", 1e-10))
         lam0 = np.full(M, 1.0 / M) if lam0 is None else lam0 / np.sum(lam0)
-        u0 = cfg.engine.get("u0")
         if u0 is None:
             u0 = ev.field(PrimalPoint(v=lam0, x=0.0, q=np.zeros(J))).dv
         q_levels = _positions_by_level(strategy, tree)
@@ -151,7 +112,7 @@ def _simulate(args) -> int:
         exploded = np.concatenate(res.exploded)
         tolerances = {"saddle": _TOL_SCALE, "eps_explode_scale": eps_scale}
 
-    out = Path(args.out or cfg.output.get("directory", "out"))
+    out = cfg.build_output(args.out)
     out.mkdir(parents=True, exist_ok=True)
     cols = (["node_id", "t"] + [f"U_{m + 1}" for m in range(M)]
             + [f"W_{m + 1}" for m in range(M)] + ["X", "V"]
@@ -178,34 +139,23 @@ def _simulate(args) -> int:
 
 
 def _positions_by_level(strategy, tree):
-    q_levels = []
-    current = np.zeros(tree.n_assets)
-    trades = dict(zip(strategy.levels,
-                      range(len(strategy.levels))))
-    for k in range(tree.steps):
-        if k in trades:
-            pos = np.asarray(strategy.positions[trades[k]], float)
-            if pos.ndim > 1:
-                raise ConfigError(
-                    "sde mode needs deterministic strategy positions")
-            current = np.broadcast_to(np.atleast_1d(pos),
-                                      (tree.n_assets,)).copy()
-        q_levels.append(current.copy())
-    return q_levels
+    """The position held over each step: row k of a (steps, J) array."""
+    held = np.zeros((tree.steps, tree.n_assets))
+    for level, position in zip(strategy.levels, strategy.positions):
+        held[level:] = position
+    return held
 
 
 def _verify(args) -> int:
-    seed = args.seed if args.seed is not None else 0
+    seed = ExperimentConfig().build_seed(args.seed)
     probes = count(args.probes, "--probes")
     names = SUITE_NAMES if args.suite in (None, "all") else tuple(
         s.strip() for s in args.suite.split(","))
-    results = []
-    for name in names:
-        try:
-            results.append(run_suite(name, seed=seed, probes=probes))
-        except KeyError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
+    unknown = sorted(set(names) - set(SUITE_NAMES))
+    if unknown:
+        raise ConfigError(f"--suite: unknown suites {unknown} (have "
+                          f"{', '.join(SUITE_NAMES)})")
+    results = [run_suite(name, seed=seed, probes=probes) for name in names]
     for r in results:
         print(r.line())
     if args.out:
@@ -222,39 +172,10 @@ def _verify(args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
-def _bachelier_terminal(par, ev: FieldEvaluator, q: float, n_paths: int,
-                        seed):
-    """Terminal values of the Bachelier run, path by path: (V_T engine,
-    V_T closed form, U_T engine, U_T closed form, exploded).
-
-    The Euler paths start at N0(0) and are streamed block by block; the
-    closed forms are evaluated on each block's own increments.
-    """
-    times = ev.tree.times
-    blocks = []
-    for u, v, exploded, db in simulate_sde_terminal(
-            ev, q, float(par.N0(0.0)), n_paths, seed=seed):
-        # copy the last columns: a view would keep each block's full
-        # closed-form paths alive
-        blocks.append((v, par.gain(q, db, times)[:, -1].copy(), u,
-                       par.indirect_utility(q, db, times)[:, -1].copy(),
-                       exploded))
-    return tuple(np.concatenate(col) for col in zip(*blocks))
-
-
 def _bachelier(args) -> int:
-    cfg = load_config(args.config) if args.config else ExperimentConfig(
-        bachelier={"sigma": 0.2, "gamma": 1.0, "mu": 0.1, "s": 10.0,
-                   "horizon": 1.0})
-    _reject_blocks(cfg, "bachelier", ("panel", "tree", "strategy", "engine"))
-    par = cfg.build_bachelier()
-    seed = args.seed if args.seed is not None else cfg.seed
-    b = cfg.bachelier
-    steps = (count(b.get("steps", 512), "bachelier: steps")
-             if args.steps is None else count(args.steps, "--steps"))
-    n_paths = (count(b.get("paths", 10_000), "bachelier: paths")
-               if args.paths is None else count(args.paths, "--paths"))
-    q = float(cfg.bachelier.get("q", 1.0))
+    cfg = load_config(args.config, "bachelier")
+    par, q, steps, n_paths = cfg.build_bachelier(args.steps, args.paths)
+    seed = cfg.build_seed(args.seed)
     t0 = time.time()
     ev = FieldEvaluator(par.panel(), par.lattice(steps))
     v_T, v_true, u_T, u_true, exploded = _bachelier_terminal(par, ev, q,
@@ -262,7 +183,7 @@ def _bachelier(args) -> int:
     xi = indifference_cash(ev, q)
     xi_closed = float(par.indifference_price(q))
 
-    out = Path(args.out or cfg.output.get("directory", "out"))
+    out = cfg.build_output(args.out)
     out.mkdir(parents=True, exist_ok=True)
     err = np.abs(v_T - v_true)
     _write_table(out / "bachelier_paths.csv",
@@ -283,19 +204,13 @@ def _bachelier(args) -> int:
 
 def _pareto(args) -> int:
     gammas = args.gammas.split(",")
-    gammas = _maker_weights(gammas, len(gammas), "pareto: --gammas")
+    gammas = per_maker(gammas, len(gammas), 1, "pareto: --gammas")
     panel = make_panel(*[exponential(g) for g in gammas.tolist()])
     v = (np.ones(panel.size) if args.weights is None
-         else _maker_weights(args.weights.split(","), panel.size,
-                             "pareto: --weights"))
+         else per_maker(args.weights.split(","), panel.size, 1,
+                        "pareto: --weights"))
     if args.u:
-        try:
-            u = np.asarray(args.u.split(","), dtype=float)
-        except ValueError:
-            u = None
-        if u is None or u.shape != (panel.size,) or not np.all(u < 0):
-            raise ConfigError("pareto: --u must be negative utilities, one "
-                              "per maker")
+        u = per_maker(args.u.split(","), panel.size, -1, "pareto: --u")
     r, split, y = representative_utility(panel, v, float(args.total))
     print(f"r = {_fmt(r)}")
     print(f"y = {_fmt(y)}")
@@ -308,9 +223,9 @@ def _pareto(args) -> int:
 
 
 def _dump_tree(args) -> int:
-    cfg = load_config(args.config)
-    tree = cfg.build_tree(steps_override=count(args.steps, "--steps"))
-    out = Path(args.out or cfg.output.get("directory", "out"))
+    cfg = load_config(args.config, "dump-tree")
+    tree = cfg.build_tree(args.steps)
+    out = cfg.build_output(args.out)
     out.mkdir(parents=True, exist_ok=True)
     cols = tree.node_columns()
     _write_table(out / "tree.csv", list(cols), list(cols.values()))

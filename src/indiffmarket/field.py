@@ -55,8 +55,7 @@ class Sweep:
     ``comps`` spreads the rest on first access.
     """
 
-    def __init__(self, order: int, comps: dict, spread=None, anchor: int = 0):
-        self.order = order
+    def __init__(self, comps: dict, spread=None, anchor: int = 0):
         self._swept = comps
         self._spread = spread
         self._anchor = anchor
@@ -221,7 +220,7 @@ class FieldEvaluator:
         for k in range(tree.steps - 1, -1, -1):
             for levels in comps.values():
                 levels[k] = tree.expect(k, levels[k + 1])
-        return Sweep(order=order, comps=comps)
+        return Sweep(comps)
 
     def sweep_states(self, level: int, v_nodes, x_nodes, q_nodes,
                      order: int = 1, names=None) -> Sweep:
@@ -293,7 +292,7 @@ class FieldEvaluator:
                                         np.repeat(q_nodes, per, axis=0),
                                         order, names)
         spread = functools.partial(self.tree.spread_recombined, level)
-        return Sweep(order, swept.comps, spread=spread, anchor=level)
+        return Sweep(swept.comps, spread=spread, anchor=level)
 
     # -- point queries ---------------------------------------------------
 

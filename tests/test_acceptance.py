@@ -12,7 +12,6 @@ import numpy as np
 from conftest import ACCEPTANCE_LINES
 
 from indiffmarket.bachelier import BachelierParams
-from indiffmarket.cli import _bachelier_terminal
 from indiffmarket.engine import (
     SimpleStrategy,
     execute_simple,
@@ -23,7 +22,7 @@ from indiffmarket.engine import (
 from indiffmarket.field import FieldEvaluator
 from indiffmarket.tree import binomial_lattice, binomial_tree
 from indiffmarket.utilities import exponential, panel, sum_of_exponentials
-from indiffmarket.verify import run_suite
+from indiffmarket.verify import _bachelier_terminal, run_suite
 
 
 def _verdict(num, name, passed, detail):

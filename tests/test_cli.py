@@ -2,9 +2,11 @@ import json
 
 import numpy as np
 import pytest
+import yaml
 
 from indiffmarket import conjugate
 from indiffmarket.cli import main
+from indiffmarket.config import _READS, _Choice
 
 BASE_CONFIG = """\
 seed: 7
@@ -492,4 +494,121 @@ def test_count_below_one_is_config_error(tmp_path, capsys, argv, config,
     assert main(argv + ["--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {option} must be at least 1")
+    assert not (tmp_path / "o").exists()
+
+
+def _engine(mode, key, value):
+    return BASE_CONFIG.replace("mode: execute",
+                               f"mode: {mode}\n  {key}: {value}")
+
+
+# (argv, config text or None, a word the error must name): malformed
+# input from outside the program, each a one-line config error, exit 2
+OUTSIDE_INPUTS = {
+    "tree-horizon-0": (["simulate"], BASE_CONFIG.replace(
+        "horizon: 1.0", "horizon: 0"), "tree"),
+    "verify-seed": (["verify", "--suite", "conjugacy", "--probes", "1",
+                     "--seed", "-1"], None, "--seed"),
+    "bachelier-seed": (["bachelier", "--steps", "8", "--paths", "10",
+                        "--seed", "-1"], None, "--seed"),
+    "simulate-seed": (["simulate", "--seed", "-1"], BASE_CONFIG, "--seed"),
+    "config-seed": (["simulate"], BASE_CONFIG.replace("seed: 7", "seed: abc"),
+                    "seed"),
+    "gamma-0": (["simulate"], BASE_CONFIG.replace("- gamma: 1.0",
+                                                  "- gamma: 0"), "panel"),
+    "maker-extra-key": (["simulate"], BASE_CONFIG.replace(
+        "- gamma: 1.0", "- gamma: 1.0\n      rates: [9.0]"), "makers[0]"),
+    "psi": (["simulate"], BASE_CONFIG.replace(
+        'psi: ["1.0 + 0.5 * B"]', 'psi: ["1.0 + foo"]'), "tree"),
+    "sigma-0": (["bachelier"], BACHELIER_BLOCK.replace("0.2", "0.0"),
+                "bachelier"),
+    "sigma-abc": (["bachelier"], BACHELIER_BLOCK.replace("0.2", "abc"),
+                  "bachelier"),
+    "q-abc": (["bachelier"], BACHELIER_BLOCK + "  q: abc\n", "bachelier"),
+    "tol_scale-abc": (["simulate"], _engine("execute", "tol_scale", "abc"),
+                      "engine"),
+    "u0-abc": (["simulate"], _engine("sde", "u0", "abc"), "u0"),
+    "eps-abc": (["simulate"], _engine("sde", "eps_explode_scale", "abc"),
+                "engine"),
+    "u0-positive": (["simulate"], _engine("sde", "u0", "[1.0, -1.0]"), "u0"),
+    "want_v-string": (["simulate"], _engine("execute", "want_v", '"false"'),
+                      "want_v"),
+    "dump-tree-strategy": (["dump-tree"], CONSTANT_CONFIG.replace(
+        "kind: constant\n  position: 0.5", "kind: bogus"), "strategy"),
+    "dump-tree-engine": (["dump-tree"], BASE_CONFIG.replace(
+        "mode: execute\n  lam0: [0.5, 0.5]", "mode: sde\n  tol_scale: 1"),
+        "tol_scale"),
+    "dump-tree-bachelier": (["dump-tree"], BASE_CONFIG + BACHELIER_BLOCK,
+                            "bachelier"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUTSIDE_INPUTS))
+def test_malformed_outside_input_is_config_error(tmp_path, capsys, case):
+    argv, text, word = OUTSIDE_INPUTS[case]
+    if text is not None:
+        argv = argv + ["--config", write(tmp_path, text)]
+    if argv[0] == "bachelier" and "--steps" not in argv:
+        argv = argv + ["--steps", "8", "--paths", "10"]
+    out = tmp_path / "o"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and word in err
+    assert err.count("\n") == 1
+    assert not list(tmp_path.glob("o/*.csv"))
+
+
+# a config each command runs, and the arguments it is run with
+COMMAND_RUNS = {
+    "simulate": (BASE_CONFIG, []),
+    "dump-tree": (BASE_CONFIG, []),
+    "bachelier": (BACHELIER_BLOCK, ["--steps", "8", "--paths", "5"]),
+}
+ALL_BLOCKS = sorted({block for reads in _READS.values() for block in reads})
+
+
+def _run_with(tmp_path, command, edit):
+    """Exit status of ``command`` on its config after ``edit(config)``."""
+    text, extra = COMMAND_RUNS[command]
+    cfg = yaml.safe_load(text)
+    edit(cfg)
+    path = write(tmp_path, yaml.safe_dump(cfg))
+    return main([command, "--config", path, *extra,
+                 "--out", str(tmp_path / "o")])
+
+
+def _some_keys(keys):
+    """A nonempty block whose keys a command reading ``keys`` accepts."""
+    if isinstance(keys, _Choice):
+        return {keys.key: keys.default}
+    return {sorted(keys)[0]: 1}
+
+
+@pytest.mark.parametrize("command, block", [
+    (command, block) for command in sorted(_READS) for block in ALL_BLOCKS
+    if block not in _READS[command]])
+def test_every_block_a_command_does_not_read_is_rejected(tmp_path, capsys,
+                                                         command, block):
+    reader = next(r for r in _READS.values() if block in r)
+    assert _run_with(tmp_path, command, lambda cfg: cfg.update(
+        {block: _some_keys(reader[block])})) == 2
+    err = capsys.readouterr().err
+    assert f"block '{block}' is not read by {command}" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command, block, choice, key", [
+    (command, block, choice, key)
+    for command in sorted(_READS)
+    for block, keys in sorted(_READS[command].items())
+    if isinstance(keys, _Choice)
+    for choice in sorted(keys.keys)
+    for key in sorted(set().union(*keys.keys.values()) - keys.keys[choice])])
+def test_key_of_another_kind_or_mode_is_rejected(tmp_path, capsys, command,
+                                                 block, choice, key):
+    selector = _READS[command][block].key
+    assert _run_with(tmp_path, command, lambda cfg: cfg.update(
+        {block: {selector: choice, key: 1}})) == 2
+    err = capsys.readouterr().err
+    assert f"{block}: key '{key}' is not read" in err
     assert not (tmp_path / "o").exists()

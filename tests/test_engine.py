@@ -504,7 +504,7 @@ def test_execute_paths_reproduce_tree_engine_on_every_path():
 def test_sde_path_blocks_give_the_same_bits(monkeypatch, steps, q, n_paths,
                                             seed):
     from indiffmarket import engine
-    from indiffmarket.cli import _bachelier_terminal
+    from indiffmarket.verify import _bachelier_terminal
 
     ev = FieldEvaluator(BACH.panel(), BACH.lattice(steps))
     u0 = float(BACH.N0(0.0))
