@@ -20,8 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import (ConfigError, ExperimentConfig, count, load_config,
-                     per_maker)
+from .config import ConfigError, count, load_config, per_maker, seed_of
 from .conjugate import _TOL_SCALE, SaddleError
 from .engine import execute_simple, indifference_cash, simulate_sde
 from .field import FieldEvaluator
@@ -84,7 +83,7 @@ def _write_metadata(out: Path, command: str, cfg_seed: int, scheme=None,
 
 def _simulate(args) -> int:
     cfg = load_config(args.config, "simulate")
-    seed = cfg.build_seed(args.seed)
+    seed = seed_of(args.seed, cfg.seed)
     t0 = time.time()
     panel = cfg.build_panel()
     tree = cfg.build_tree(args.steps)
@@ -147,7 +146,7 @@ def _positions_by_level(strategy, tree):
 
 
 def _verify(args) -> int:
-    seed = ExperimentConfig().build_seed(args.seed)
+    seed = seed_of(args.seed, 0)
     probes = count(args.probes, "--probes")
     names = SUITE_NAMES if args.suite in (None, "all") else tuple(
         s.strip() for s in args.suite.split(","))
@@ -175,7 +174,7 @@ def _verify(args) -> int:
 def _bachelier(args) -> int:
     cfg = load_config(args.config, "bachelier")
     par, q, steps, n_paths = cfg.build_bachelier(args.steps, args.paths)
-    seed = cfg.build_seed(args.seed)
+    seed = seed_of(args.seed, cfg.seed)
     t0 = time.time()
     ev = FieldEvaluator(par.panel(), par.lattice(steps))
     v_T, v_true, u_T, u_true, exploded = _bachelier_terminal(par, ev, q,

@@ -23,7 +23,7 @@ from .tree import ScenarioTree, binomial_lattice, binomial_tree
 from .utilities import MakerPanel, UtilitySpec, exponential
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "count",
-           "per_maker"]
+           "seed_of", "per_maker"]
 
 
 class ConfigError(ValueError):
@@ -34,6 +34,11 @@ def count(value, what: str):
     """``value`` as an int of at least 1, or a config error naming
     ``what``; None passes through as None."""
     return None if value is None else _integer(value, what, 1)
+
+
+def seed_of(option, default: int) -> int:
+    """``--seed`` (``option``) as an int of at least 0, else ``default``."""
+    return default if option is None else _integer(option, "--seed", 0)
 
 
 def _integer(value, what: str, least: int) -> int:
@@ -51,7 +56,7 @@ def per_maker(values, M: int, sign: int, what: str) -> np.ndarray:
     if values is None:
         return None
     try:
-        v = np.atleast_1d(np.asarray(values, dtype=float))
+        v = np.asarray(values, dtype=float)
     except (TypeError, ValueError):
         v = None
     if (v is None or v.shape != (M,)
@@ -77,7 +82,7 @@ _ENGINE = _Choice("mode", "execute", "in {} mode", {
     "sde": {"lam0", "u0", "eps_explode_scale"}})
 # The blocks and keys each command reads, besides the top-level seed.
 # dump-tree reads only the tree and output, but it is given experiment
-# configs, so their other blocks are checked as simulate checks them.
+# configs, so it takes simulate's block and key names.
 _READS = {
     "simulate": {
         "panel": {"makers"},
@@ -144,10 +149,6 @@ class ExperimentConfig:
 
     blocks: dict = field(default_factory=dict)
     seed: int = 0
-
-    def build_seed(self, option) -> int:
-        """``--seed`` when given, else the config's seed."""
-        return self.seed if option is None else _integer(option, "--seed", 0)
 
     @_builds("output")
     def build_output(self, o, option) -> Path:

@@ -21,7 +21,8 @@ from .bachelier import BachelierParams
 from .conjugate import (conjugacy_residuals, matrices_primal, saddle_batch,
                         state_identities)
 from .engine import (SimpleStrategy, execute_simple, indifference_cash,
-                     no_arbitrage_gap, simulate_sde, simulate_sde_terminal)
+                     no_arbitrage_gap, simulate_sde, simulate_sde_paths,
+                     simulate_sde_terminal)
 from .field import FieldEvaluator
 from .representative import PrimalPoint
 from .tree import ScenarioTree, binomial_tree
@@ -246,10 +247,11 @@ def _bachelier(rng, probes):
     par = BachelierParams(gamma=1.0, b=0.0, mu=0.1, sigma=0.2, s=10.0,
                           horizon=1.0)
     ev = FieldEvaluator(par.panel(), par.lattice(64))
-    v_T, v_true, _, _, _ = _bachelier_terminal(
-        par, ev, 1.0, max(probes, 500), int(rng.integers(0, 2 ** 31)))
+    pb = simulate_sde_paths(ev, 1.0, float(par.N0(0.0)), max(probes, 500),
+                            seed=int(rng.integers(0, 2 ** 31)))
+    v_true = par.gain(1.0, pb.db, pb.times)[:, -1]
     impact = 0.5 * par.gamma * par.sigma ** 2 * par.horizon
-    dev_v = float(np.abs(v_T - v_true).mean()) / (0.02 * impact)
+    dev_v = float(np.abs(pb.V[:, -1] - v_true).mean()) / (0.02 * impact)
     xi = indifference_cash(ev, 1.0)
     dev_xi = abs(xi / par.indifference_price(1.0) - 1.0) / 0.01
     return max(dev_v, dev_xi)
