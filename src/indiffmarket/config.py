@@ -240,9 +240,13 @@ class ExperimentConfig:
         if not (0 < tol_scale < np.inf and 0 < eps_scale < np.inf):
             raise ConfigError("engine: tol_scale and eps_explode_scale must "
                               "be positive numbers")
-        return (e.get("mode", _ENGINE.default),
-                per_maker(e.get("lam0"), M, 1, "engine: lam0"), tol_scale,
-                want_v, per_maker(e.get("u0"), M, -1, "engine: u0"), eps_scale)
+        lam0 = per_maker(e.get("lam0"), M, 1, "engine: lam0")
+        u0 = per_maker(e.get("u0"), M, -1, "engine: u0")
+        if lam0 is not None and u0 is not None:
+            raise ConfigError("engine: give lam0 or u0 in sde mode, not both "
+                              "(lam0 only sets the default u0)")
+        return (e.get("mode", _ENGINE.default), lam0, tol_scale, want_v, u0,
+                eps_scale)
 
     @_builds("bachelier")
     def build_bachelier(self, b, steps, paths):

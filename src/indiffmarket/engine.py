@@ -15,20 +15,22 @@ exponential maker, where the field separates as F(v, x, q) =
 v e^{-gamma x} Phi(q) and everything reduces to table lookups on a
 recombining lattice; the fast mode carries thousands of Monte Carlo
 paths on fine grids.  Every engine takes the ``FieldEvaluator`` of its
-(panel, tree) first; the path engines read their Phi tables from its
-memoized point sweeps, so calls that share an evaluator sweep each
-position once.  The path engines draw and run their paths in blocks of
-at most ``_PATH_BLOCK`` paths, one Euler loop per engine that carries
-only the current step's row of each block.  ``simulate_sde_paths`` and
-``execute_simple_paths`` store every row of that loop, step-major
-(N+1, n_paths) C-contiguous, and hand them out in a ``PathBundle`` as
-transposed (n_paths, N+1) views; ``simulate_sde_terminal`` runs the
-same loop and streams each block's terminal values, so its memory grows
-with the block, not with the number of paths.
+(panel, tree) first, and both execute engines a ``SimpleStrategy``; the
+path engines read their Phi tables from its memoized point sweeps, so
+calls that share an evaluator sweep each position once.  The path
+engines draw and run their paths in blocks of at most ``_PATH_BLOCK``
+paths, through one row generator per engine (``_euler_rows``,
+``_execute_rows``) that carries only the current step's row of each
+block.  ``simulate_sde_paths`` and ``execute_simple_paths`` store every
+row through ``_stored_rows``, step-major (N+1, n_paths), and hand them
+out in a ``PathBundle`` as transposed (n_paths, N+1) views;
+``simulate_sde_terminal`` streams each block's terminal values, so its
+memory grows with the block, not with the number of paths.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -36,7 +38,7 @@ import numpy as np
 from .conjugate import saddle_batch
 from .field import FieldEvaluator, increment_slope
 from .representative import PrimalPoint, representative_utility
-from .tree import ScenarioTree, accumulate_rows
+from .tree import ScenarioTree
 
 __all__ = [
     "SimpleStrategy",
@@ -52,7 +54,6 @@ __all__ = [
     "simulate_sde_terminal",
     "indifference_cash",
     "no_arbitrage_gap",
-    "sample_lattice_paths",
 ]
 
 _EPS_EXPLODE_SCALE = 1e-10
@@ -72,13 +73,18 @@ class SimpleStrategy:
     until maturity).  Each position entry may be a scalar, a (J,)
     vector, or a per-node (n_level, J) table; node dependence keeps the
     strategy predictable because the trade at a level is a function of
-    that level's node only."""
+    that level's node only.  Levels are integers (numpy integers pass);
+    any other level is a ValueError, never truncated."""
 
     levels: tuple
     positions: tuple
 
     def __post_init__(self):
-        lv = tuple(int(l) for l in self.levels)
+        try:
+            lv = tuple(map(operator.index, self.levels))
+        except TypeError:
+            raise ValueError(f"trade levels must be integers, got "
+                             f"{list(self.levels)!r}") from None
         if len(lv) != len(self.positions) or not lv:
             raise ValueError("levels and positions must align and be nonempty")
         if any(b <= a for a, b in zip(lv, lv[1:])) or lv[0] < 0:
@@ -441,24 +447,24 @@ def _path_blocks(tree: ScenarioTree, n_paths: int, seed=None, signs=None):
     return blocks()
 
 
-def sample_lattice_paths(tree: ScenarioTree, n_paths: int, seed=None,
-                         signs=None):
-    """Sample up/down paths on a recombining lattice.
+def _stored_rows(tree: ScenarioTree, n_paths: int, seed, signs, rows,
+                 dtypes):
+    """Every row of a path engine's generator, for every path.
 
-    Returns (j, db): node positions (n_paths, N+1) and Brownian
-    increments (n_paths, N).  Pass ``signs`` (n_paths, N) of +-1 to
-    reuse one draw across engines or grids.  Both arrays are stored
-    step-major, so ``j.T`` and ``db.T`` are C-contiguous with one row
-    per time step.  The path engines draw the same paths block by block.
+    ``rows(up, db)`` is the generator on one block (``_euler_rows`` or
+    ``_execute_rows`` with its scheme bound); it yields one row per
+    entry of ``dtypes`` at steps 0..N.  Returns db (N, n_paths) and one
+    (N+1, n_paths) array of each dtype, all step-major and C-contiguous.
     """
     N = tree.steps
-    j = np.zeros((N + 1, n_paths), dtype=int)
     db = np.empty((N, n_paths))
+    store = [np.empty((N + 1, n_paths), dtype=t) for t in dtypes]
     for cols, up, db_block in _path_blocks(tree, n_paths, seed, signs):
-        j[1:, cols] = up
         db[:, cols] = db_block
-    accumulate_rows(j[1:])
-    return j.T, db.T
+        for k, row in enumerate(rows(up, db_block)):
+            for a, r in zip(store, row):
+                a[k, cols] = r
+    return db, store
 
 
 def _cash(phi_k, j, u, gamma: float):
@@ -490,7 +496,7 @@ class PathBundle:
     eps_explode: float = 0.0
 
 
-def _sde_scheme(evaluator: FieldEvaluator, q_levels, u0, eps_scale: float):
+def _sde_scheme(evaluator: FieldEvaluator, q_levels, u0):
     """Checked inputs of the path Euler scheme.
 
     Returns (gamma, u0, eps, coeffs, phi_x, phi_v): the risk aversion,
@@ -512,7 +518,8 @@ def _sde_scheme(evaluator: FieldEvaluator, q_levels, u0, eps_scale: float):
     coeffs = [np.diff(phi[k + 1]) / (2.0 * sqdt * phi[k])
               for k, phi in enumerate(held)]
     phi_x = [held[max(k - 1, 0)][k] for k in range(N + 1)]
-    return gamma, u0, eps_scale * abs(u0), coeffs, phi_x, tables[0.0]
+    return (gamma, u0, _EPS_EXPLODE_SCALE * abs(u0), coeffs, phi_x,
+            tables[0.0])
 
 
 def _euler_rows(coeffs, u0: float, eps: float, up, db):
@@ -541,8 +548,7 @@ def _euler_rows(coeffs, u0: float, eps: float, up, db):
 
 
 def simulate_sde_paths(evaluator: FieldEvaluator, q_levels, u0: float,
-                       n_paths: int, seed=None, signs=None,
-                       eps_scale: float = _EPS_EXPLODE_SCALE) -> PathBundle:
+                       n_paths: int, seed=None, signs=None) -> PathBundle:
     """Euler scheme for dU = K(U, Q) dB along sampled lattice paths.
 
     For one exponential maker the kernel is linear in u with a per-node
@@ -551,33 +557,24 @@ def simulate_sde_paths(evaluator: FieldEvaluator, q_levels, u0: float,
     path is stored; ``simulate_sde_terminal`` keeps the terminal values
     only.
     """
-    gamma, u0, eps, coeffs, phi_x, phi_v = _sde_scheme(
-        evaluator, q_levels, u0, eps_scale)
+    gamma, u0, eps, coeffs, phi_x, phi_v = _sde_scheme(evaluator, q_levels,
+                                                       u0)
     tree = evaluator.tree
-    N = tree.steps
-    j = np.empty((N + 1, n_paths), dtype=int)
-    U = np.empty((N + 1, n_paths))
-    db = np.empty((N, n_paths))
-    exploded = np.empty(n_paths, dtype=bool)
-    for cols, up, db_block in _path_blocks(tree, n_paths, seed, signs):
-        db[:, cols] = db_block
-        rows = _euler_rows(coeffs, u0, eps, up, db_block)
-        for k, (j_k, u_k, exploded_k) in enumerate(rows):
-            j[k, cols] = j_k
-            U[k, cols] = u_k
-        exploded[cols] = exploded_k
+    db, (j, U, exploded) = _stored_rows(
+        tree, n_paths, seed, signs,
+        lambda up, db: _euler_rows(coeffs, u0, eps, up, db),
+        (int, float, bool))
     X = np.empty_like(U)
     V = np.empty_like(U)
-    for k in range(N + 1):
+    for k in range(tree.steps + 1):
         X[k] = _cash(phi_x[k], j[k], U[k], gamma)
         V[k] = -_cash(phi_v[k], j[k], U[k], gamma)
     return PathBundle(times=tree.times.copy(), j=j.T, db=db.T, U=U.T, X=X.T,
-                      V=V.T, exploded=exploded, eps_explode=eps)
+                      V=V.T, exploded=exploded[-1], eps_explode=eps)
 
 
 def simulate_sde_terminal(evaluator: FieldEvaluator, q_levels, u0: float,
-                          n_paths: int, seed=None, signs=None,
-                          eps_scale: float = _EPS_EXPLODE_SCALE):
+                          n_paths: int, seed=None, signs=None):
     """``simulate_sde_paths`` keeping only the terminal values.
 
     Returns an iterator over blocks of at most ``_PATH_BLOCK`` paths, in
@@ -587,8 +584,7 @@ def simulate_sde_terminal(evaluator: FieldEvaluator, q_levels, u0: float,
     ``U[:, -1]``, ``V[:, -1]``, ``exploded`` and ``db`` rows), but
     memory grows with the block, not with n_paths.
     """
-    gamma, u0, eps, coeffs, _, phi_v = _sde_scheme(evaluator, q_levels,
-                                                   u0, eps_scale)
+    gamma, u0, eps, coeffs, _, phi_v = _sde_scheme(evaluator, q_levels, u0)
 
     def blocks():
         for _, up, db in _path_blocks(evaluator.tree, n_paths, seed, signs):
@@ -617,38 +613,33 @@ def _execute_rows(tables, gamma: float, trade: dict, up):
             j += up[k]
 
 
-def execute_simple_paths(evaluator: FieldEvaluator, levels, thetas,
+def execute_simple_paths(evaluator: FieldEvaluator, strategy: SimpleStrategy,
                          n_paths: int, seed=None, signs=None) -> PathBundle:
     """Exact simple-strategy execution along sampled lattice paths.
 
     With one exponential maker the indifference condition at each trade
     is an explicit cash adjustment through the Phi tables, so the
     path-dependent state never needs the lattice to be non-recombining.
+    Every position of ``strategy`` must be a scalar.
     """
     gamma = _check_fast(evaluator)
     tree = evaluator.tree
-    N = tree.steps
-    levels = [int(l) for l in levels]
-    thetas = [float(t) for t in thetas]
-    if len(levels) != len(thetas) or not levels:
-        raise ValueError("levels and thetas must align and be nonempty")
-    if any(b <= a for a, b in zip(levels, levels[1:])) or levels[-1] >= N:
-        raise ValueError("trade levels must increase and precede maturity")
+    if strategy.levels[-1] >= tree.steps:
+        raise ValueError("rebalance levels must precede maturity")
+    thetas = []
+    for lev, pos in zip(strategy.levels, strategy.positions):
+        if np.ndim(pos):
+            raise ValueError(f"position {pos!r} at level {lev} is not a "
+                             f"scalar, as the path engines need")
+        thetas.append(float(pos))
     tables = _phi_tables(evaluator, thetas + [0.0])
-    trade = dict(zip(levels, thetas))
-    j = np.empty((N + 1, n_paths), dtype=int)
-    X = np.empty((N + 1, n_paths))
-    U = np.empty((N + 1, n_paths))
-    db = np.empty((N, n_paths))
-    for cols, up, db_block in _path_blocks(tree, n_paths, seed, signs):
-        db[:, cols] = db_block
-        rows = _execute_rows(tables, gamma, trade, up)
-        for k, (j_k, x_k, u_k) in enumerate(rows):
-            j[k, cols] = j_k
-            X[k, cols] = x_k
-            U[k, cols] = u_k
+    trade = dict(zip(strategy.levels, thetas))
+    db, (j, X, U) = _stored_rows(
+        tree, n_paths, seed, signs,
+        lambda up, db: _execute_rows(tables, gamma, trade, up),
+        (int, float, float))
     V = np.empty_like(U)
-    for k in range(N + 1):
+    for k in range(tree.steps + 1):
         V[k] = -_cash(tables[0.0][k], j[k], U[k], gamma)
     return PathBundle(times=tree.times.copy(), j=j.T, db=db.T, U=U.T, X=X.T,
                       V=V.T, exploded=np.zeros(n_paths, dtype=bool))

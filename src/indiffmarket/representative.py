@@ -172,24 +172,15 @@ def weights_from_allocation(panel: MakerPanel, alpha) -> np.ndarray:
     return inv / inv.sum()
 
 
-def allocation_curvature(panel: MakerPanel, v, total):
-    """Second-derivative ingredients of r at the optimal split.
-
-    Returns ``(y, pi, t, tsum)`` with per-maker risk tolerances t (n, M)
-    evaluated at the split and their row sum (``split_tolerances``).
-    The second derivatives of r follow as
+def split_tolerances(panel: MakerPanel, pi):
+    """Risk tolerances t (n, M) of each maker at the split ``pi`` (n, M),
+    and their row sum tsum.  With the marginal value y of the split
+    (``allocate``), the second derivatives of r follow as
 
         d2r/dx2        = -y / tsum
         d2r/dv^m dx    =  y t^m / (v^m tsum)
         d2r/dv^l dv^m  =  y t^m/(v^l v^m) (delta_lm - t^l/tsum)
     """
-    y, pi = allocate(panel, v, total)
-    return (y, pi) + split_tolerances(panel, pi)
-
-
-def split_tolerances(panel: MakerPanel, pi):
-    """Risk tolerances t (n, M) of each maker at the split ``pi`` (n, M),
-    and their row sum."""
     t = np.stack(
         [spec.risk_tolerance(pi[:, m]) for m, spec in enumerate(panel.makers)], axis=1
     )

@@ -132,14 +132,12 @@ class UtilitySpec:
         """1/a(x)."""
         return 1.0 / self.risk_aversion(x)
 
-    def inverse_marginal(self, y, x0=None):
+    def inverse_marginal(self, y):
         """Solve u'(x) = y for x; y must be positive.
 
         Closed form for a single exponential; otherwise a guarded Newton
         iteration on log u'(x) - log y, which is convex and decreasing
-        with slope in [-g_max, -g_min], so the iteration is global.  An
-        optional warm start ``x0`` cuts the iteration count when called
-        repeatedly with slowly moving targets.
+        with slope in [-g_max, -g_min], so the iteration is global.
         """
         y = np.asarray(y, dtype=float)
         if np.any(y <= 0) or not np.all(np.isfinite(y)):
@@ -148,11 +146,8 @@ class UtilitySpec:
             # u'(x) = w * exp(-g x)
             return (np.log(self.weights[0]) - np.log(y)) / self.rates[0]
         logy = np.log(y)
-        if x0 is None:
-            x = np.asarray((np.log(self.marginal(0.0)) - logy)
-                           / min(self.rates), dtype=float)
-        else:
-            x = np.asarray(x0, dtype=float).copy()
+        x = np.asarray((np.log(self.marginal(0.0)) - logy)
+                       / min(self.rates), dtype=float)
         for _ in range(100):
             # log u' and a with exponent shifting: an iterate far below
             # the root must not overflow u'(x)

@@ -103,7 +103,7 @@ def test_criterion_6_simple_approximation_convergence():
         thetas = tuple(
             float(np.sin(2 * np.pi * (l + stride / 2) / steps))
             for l in levels)
-        return execute_simple_paths(ev, levels, thetas, 256,
+        return execute_simple_paths(ev, SimpleStrategy(levels, thetas), 256,
                                     signs=signs).X
 
     ref = cash_paths(64)

@@ -9,7 +9,6 @@ from indiffmarket.engine import (
     SimpleStrategy,
     execute_simple,
     indifference_cash,
-    sample_lattice_paths,
     simulate_sde_paths,
 )
 from indiffmarket.field import FieldEvaluator

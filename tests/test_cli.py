@@ -531,6 +531,10 @@ OUTSIDE_INPUTS = {
     "eps-abc": (["simulate"], _engine("sde", "eps_explode_scale", "abc"),
                 "engine"),
     "u0-positive": (["simulate"], _engine("sde", "u0", "[1.0, -1.0]"), "u0"),
+    "lam0-and-u0": (["simulate"], _engine("sde", "u0", "[-1.0, -2.0]"),
+                    "lam0 or u0"),
+    "level-not-integer": (["simulate"], BASE_CONFIG.replace(
+        "levels: [0, 2]", "levels: [0.7, 2.9]"), "strategy: trade levels"),
     "want_v-string": (["simulate"], _engine("execute", "want_v", '"false"'),
                       "want_v"),
     "dump-tree-strategy": (["dump-tree"], CONSTANT_CONFIG.replace(

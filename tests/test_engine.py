@@ -199,8 +199,9 @@ def test_path_engines_match_tree_engine_on_lattice():
     levels, thetas = (0, 2), (0.7, -0.2)
     res = execute_simple(ev, SimpleStrategy(levels=levels, positions=thetas))
     signs = np.ones((1, steps), dtype=int)
-    bundle = execute_simple_paths(FieldEvaluator(EXP1, lat), levels, thetas,
-                                  1, signs=signs)
+    bundle = execute_simple_paths(FieldEvaluator(EXP1, lat),
+                                  SimpleStrategy(levels, thetas), 1,
+                                  signs=signs)
     for k in range(steps + 1):
         assert bundle.U[0, k] == pytest.approx(float(res.U[k][0, 0]), rel=1e-12)
         assert bundle.X[0, k] == pytest.approx(float(res.X[k][0]), abs=1e-11)
@@ -220,7 +221,7 @@ def test_path_engines_share_the_evaluator_sweeps(monkeypatch):
     ev = FieldEvaluator(EXP1, binomial_lattice(16, 1.0))
     simulate_sde_paths(ev, 0.8, -1.0, 10, seed=1)
     indifference_cash(ev, 0.8)
-    execute_simple_paths(ev, (0, 5), (0.8, 0.0), 10, seed=1)
+    execute_simple_paths(ev, SimpleStrategy((0, 5), (0.8, 0.0)), 10, seed=1)
     assert calls == [17, 17]
 
 
@@ -379,7 +380,8 @@ def test_execute_paths_match_column_loop():
                            psi=("1.0 + 0.5 * B",))
     levels, thetas = (0, 7, 15), (0.7, -0.3, 1.2)
     ev = FieldEvaluator(EXP1, lat)
-    bundle = execute_simple_paths(ev, levels, thetas, n_paths, seed=9)
+    bundle = execute_simple_paths(ev, SimpleStrategy(levels, thetas), n_paths,
+                                  seed=9)
     _check_bundle_layout(bundle, n_paths, steps)
     assert not bundle.exploded.any()
     j, db = _column_sampler(lat, n_paths, seed=9)
@@ -393,11 +395,12 @@ def test_execute_paths_match_column_loop():
 
 
 def test_sampler_reuses_signs_exactly():
-    from indiffmarket.engine import sample_lattice_paths
-
     lat = binomial_lattice(40, 2.0)
     signs = np.random.default_rng(5).integers(0, 2, size=(37, 40)) * 2 - 1
-    j, db = sample_lattice_paths(lat, 37, signs=signs)
+    bundle = execute_simple_paths(FieldEvaluator(EXP1, lat),
+                                  SimpleStrategy((0,), (0.5,)), 37,
+                                  signs=signs)
+    j, db = bundle.j, bundle.db
     j_ref, db_ref = _column_sampler(lat, 37, signs=signs)
     assert np.array_equal(j, j_ref) and j.shape == (37, 41)
     assert_same_bits(db, db_ref, exact=True)
@@ -406,13 +409,12 @@ def test_sampler_reuses_signs_exactly():
 
 @pytest.mark.parametrize("bad", [0.0, 0.5, 2.0, -2.0, np.nan])
 def test_sampler_rejects_signs_other_than_plus_minus_one(bad):
-    from indiffmarket.engine import sample_lattice_paths
-
     lat = binomial_lattice(5, 1.0)
     signs = np.ones((3, 5))
     signs[1, 2] = bad
     with pytest.raises(ValueError, match=r"\+1 or -1"):
-        sample_lattice_paths(lat, 3, signs=signs)
+        execute_simple_paths(FieldEvaluator(EXP1, lat),
+                             SimpleStrategy((0,), (0.5,)), 3, signs=signs)
     with pytest.raises(ValueError, match=r"\+1 or -1"):
         simulate_sde_paths(FieldEvaluator(EXP1, lat), 0.5, -1.0, 3,
                            signs=signs)
@@ -420,14 +422,23 @@ def test_sampler_rejects_signs_other_than_plus_minus_one(bad):
 
 @pytest.mark.parametrize("shape", [(3, 4), (2, 5), (5, 3), (15,), (3, 5, 1)])
 def test_sampler_rejects_signs_of_wrong_shape(shape):
-    from indiffmarket.engine import sample_lattice_paths
-
     lat = binomial_lattice(5, 1.0)
     with pytest.raises(ValueError, match=r"shape \(3, 5\)"):
-        sample_lattice_paths(lat, 3, signs=np.ones(shape))
+        simulate_sde_paths(FieldEvaluator(EXP1, lat), 0.5, -1.0, 3,
+                           signs=np.ones(shape))
     with pytest.raises(ValueError, match=r"shape \(3, 5\)"):
-        execute_simple_paths(FieldEvaluator(EXP1, lat), (0,), (0.5,), 3,
+        execute_simple_paths(FieldEvaluator(EXP1, lat),
+                             SimpleStrategy((0,), (0.5,)), 3,
                              signs=np.ones(shape))
+
+
+@pytest.mark.parametrize("position", [[0.5], [[0.5]], np.array([0.5, 0.1])])
+def test_execute_paths_reject_a_position_that_is_not_a_scalar(position):
+    ev = FieldEvaluator(EXP1, binomial_lattice(5, 1.0))
+    with pytest.raises(ValueError, match=r"position .* at level 2 is not a "
+                                         r"scalar"):
+        execute_simple_paths(ev, SimpleStrategy((0, 2), (0.3, position)), 3,
+                             seed=1)
 
 
 # -- differential oracle: path engines against the tree engines ----------
@@ -484,8 +495,8 @@ def test_execute_paths_reproduce_tree_engine_on_every_path():
     res = execute_simple(tree_ev, SimpleStrategy(levels=levels,
                                                  positions=thetas))
     pb = execute_simple_paths(
-        FieldEvaluator(BACH.panel(), BACH.lattice(steps)), levels, thetas,
-        2 ** steps, signs=signs)
+        FieldEvaluator(BACH.panel(), BACH.lattice(steps)),
+        SimpleStrategy(levels, thetas), 2 ** steps, signs=signs)
     for k in range(steps + 1):
         u = res.U[k][nodes[k], 0]
         assert np.max(np.abs(pb.U[:, k] / u - 1.0)) < 1e-12
@@ -537,27 +548,25 @@ def test_sde_path_blocks_give_the_same_bits(monkeypatch, steps, q, n_paths,
 
 def test_execute_and_sampler_blocks_give_the_same_bits(monkeypatch):
     from indiffmarket import engine
-    from indiffmarket.engine import sample_lattice_paths
 
     steps, n_paths = 24, 200
     lat = binomial_lattice(steps, 1.0, sigma0="0.3 + 0.2 * B",
                            psi=("1.0 + 0.5 * B",))
     ev = FieldEvaluator(EXP1, lat)
-    levels, thetas = (0, 7, 15), (0.7, -0.3, 1.2)
+    strategy = SimpleStrategy((0, 7, 15), (0.7, -0.3, 1.2))
     signs = np.random.default_rng(2).integers(0, 2, size=(n_paths, steps))
     signs = signs * 2 - 1
-    ref = execute_simple_paths(ev, levels, thetas, n_paths, seed=9)
-    j_ref, db_ref = sample_lattice_paths(lat, n_paths, signs=signs)
+    ref = execute_simple_paths(ev, strategy, n_paths, seed=9)
+    ref_signs = execute_simple_paths(ev, strategy, n_paths, signs=signs)
     for block in (1, 7, 1024, n_paths):
         monkeypatch.setattr(engine, "_PATH_BLOCK", block)
-        pb = execute_simple_paths(ev, levels, thetas, n_paths, seed=9)
+        pb = execute_simple_paths(ev, strategy, n_paths, seed=9)
         assert np.array_equal(pb.j, ref.j)
         for got, want in ((pb.db, ref.db), (pb.U, ref.U), (pb.X, ref.X),
                           (pb.V, ref.V)):
             assert_same_bits(got, want, exact=True)
-        j, db = sample_lattice_paths(lat, n_paths, seed=9)
-        assert np.array_equal(j, ref.j)
-        assert_same_bits(db, ref.db, exact=True)
-        j, db = sample_lattice_paths(lat, n_paths, signs=signs)
-        assert np.array_equal(j, j_ref)
-        assert_same_bits(db, db_ref, exact=True)
+        pb = execute_simple_paths(ev, strategy, n_paths, signs=signs)
+        assert np.array_equal(pb.j, ref_signs.j)
+        for got, want in ((pb.db, ref_signs.db), (pb.U, ref_signs.U),
+                          (pb.X, ref_signs.X), (pb.V, ref_signs.V)):
+            assert_same_bits(got, want, exact=True)

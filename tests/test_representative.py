@@ -10,9 +10,9 @@ from indiffmarket.representative import (
     AllocationError,
     PrimalPoint,
     allocate,
-    allocation_curvature,
     representative_gradient,
     representative_utility,
+    split_tolerances,
     weights_from_allocation,
 )
 from indiffmarket.utilities import (
@@ -164,7 +164,8 @@ def test_allocation_curvature_matches_finite_differences():
     h = 1e-5
     v = np.array([1.3, 0.6])
     x = -0.7
-    y, pi, t, tsum = allocation_curvature(MIXED, v, np.array([x]))
+    y, pi = allocate(MIXED, v, np.array([x]))
+    t, tsum = split_tolerances(MIXED, pi)
     rxx = -y[0] / tsum[0]
     fd = (representative_utility(MIXED, v, x + h)[2]
           - representative_utility(MIXED, v, x - h)[2]) / (2 * h)
