@@ -50,6 +50,22 @@ def _integer(value, what: str, least: int) -> int:
     return value
 
 
+def _number(value, what: str):
+    """``value``, a number or a (nested) list of numbers, unchanged, or a
+    config error naming ``what`` when any entry is a bool or a string:
+    YAML reads ``true`` and ``"0.5"`` as such, and float() would take
+    them for 1.0 and 0.5."""
+    many = isinstance(value, (list, tuple))
+    for item in value if many else [value]:
+        if isinstance(item, (list, tuple)):
+            _number(item, what)
+        elif isinstance(item, (bool, str)):
+            raise ConfigError(f"{what} must be "
+                              f"{'numbers' if many else 'a number'}, "
+                              f"got {value!r}")
+    return value
+
+
 def per_maker(values, M: int, sign: int, what: str) -> np.ndarray:
     """``values`` as M finite numbers of the given sign, or a config
     error naming ``what``; None passes through as None."""
@@ -164,12 +180,16 @@ class ExperimentConfig:
         for i, mk in enumerate(makers):
             if not isinstance(mk, dict):
                 raise ConfigError(f"panel.makers[{i}] must be a mapping")
+            where = f"panel.makers[{i}]"
             if set(mk) == {"gamma"}:
-                specs.append(exponential(float(mk["gamma"])))
+                specs.append(exponential(float(
+                    _number(mk["gamma"], f"{where}: gamma"))))
             elif set(mk) == {"weights", "rates"}:
                 specs.append(UtilitySpec(
-                    weights=tuple(float(w) for w in mk["weights"]),
-                    rates=tuple(float(g) for g in mk["rates"])))
+                    weights=tuple(float(w) for w in _number(
+                        mk["weights"], f"{where}: weights")),
+                    rates=tuple(float(g) for g in _number(
+                        mk["rates"], f"{where}: rates"))))
             else:
                 raise ConfigError(
                     f"panel.makers[{i}]: give 'gamma' or 'weights'+'rates'")
@@ -182,7 +202,7 @@ class ExperimentConfig:
             raise ConfigError("missing 'tree' block")
         steps = (count(t["steps"], "tree: steps") if steps is None
                  else count(steps, "--steps"))
-        horizon = float(t.get("horizon", 1.0))
+        horizon = float(_number(t.get("horizon", 1.0), "tree: horizon"))
         sigma0 = t.get("sigma0", 0.0)
         psi = t.get("psi", ["B"])
         if isinstance(psi, (str, int, float)):
@@ -202,11 +222,13 @@ class ExperimentConfig:
     @_builds("strategy")
     def build_strategy(self, s, tree: ScenarioTree) -> SimpleStrategy:
         if s.get("kind") == "constant":
-            strategy = SimpleStrategy(levels=(0,),
-                                      positions=(s.get("position", 0.0),))
+            strategy = SimpleStrategy(levels=(0,), positions=(_number(
+                s.get("position", 0.0), "strategy: position"),))
         else:
             strategy = SimpleStrategy(levels=tuple(s["levels"]),
-                                      positions=tuple(s["positions"]))
+                                      positions=tuple(_number(
+                                          s["positions"],
+                                          "strategy: positions")))
             if strategy.levels[-1] >= tree.steps:
                 raise ConfigError(
                     f"strategy: trade level {strategy.levels[-1]} is not "
@@ -235,13 +257,16 @@ class ExperimentConfig:
         if not isinstance(want_v, bool):
             raise ConfigError(
                 f"engine: want_v must be true or false, got {want_v!r}")
-        tol_scale = float(e.get("tol_scale", 1e-13))
-        eps_scale = float(e.get("eps_explode_scale", 1e-10))
+        tol_scale = float(_number(e.get("tol_scale", 1e-13),
+                                 "engine: tol_scale"))
+        eps_scale = float(_number(e.get("eps_explode_scale", 1e-10),
+                                 "engine: eps_explode_scale"))
         if not (0 < tol_scale < np.inf and 0 < eps_scale < np.inf):
             raise ConfigError("engine: tol_scale and eps_explode_scale must "
                               "be positive numbers")
-        lam0 = per_maker(e.get("lam0"), M, 1, "engine: lam0")
-        u0 = per_maker(e.get("u0"), M, -1, "engine: u0")
+        lam0 = per_maker(_number(e.get("lam0"), "engine: lam0"), M, 1,
+                         "engine: lam0")
+        u0 = per_maker(_number(e.get("u0"), "engine: u0"), M, -1, "engine: u0")
         if lam0 is not None and u0 is not None:
             raise ConfigError("engine: give lam0 or u0 in sde mode, not both "
                               "(lam0 only sets the default u0)")
@@ -252,15 +277,19 @@ class ExperimentConfig:
     def build_bachelier(self, b, steps, paths):
         """(params, q, steps, paths) of the run, with ``--steps`` and
         ``--paths`` (``steps``, ``paths``) overriding the block's."""
+        def real(key, default=None):
+            value = b[key] if default is None else b.get(key, default)
+            return float(_number(value, f"bachelier: {key}"))
+
         par = BachelierParams(
-            gamma=float(b.get("gamma", 1.0)), b=float(b.get("b", 0.0)),
-            mu=float(b.get("mu", 0.0)), sigma=float(b["sigma"]),
-            s=float(b.get("s", 0.0)), horizon=float(b.get("horizon", 1.0)))
+            gamma=real("gamma", 1.0), b=real("b", 0.0), mu=real("mu", 0.0),
+            sigma=real("sigma"), s=real("s", 0.0),
+            horizon=real("horizon", 1.0))
         steps = (count(b.get("steps", 512), "bachelier: steps")
                  if steps is None else count(steps, "--steps"))
         paths = (count(b.get("paths", 10_000), "bachelier: paths")
                  if paths is None else count(paths, "--paths"))
-        return par, float(b.get("q", 1.0)), steps, paths
+        return par, real("q", 1.0), steps, paths
 
 
 def load_config(path, command: str) -> ExperimentConfig:

@@ -66,6 +66,13 @@ _EPS_EXPLODE_SCALE = 1e-10
 _PATH_BLOCK = 2048
 
 
+def _level(lev) -> int:
+    """``lev`` as an int; a bool is not a trade level."""
+    if isinstance(lev, bool):
+        raise TypeError(f"{lev!r} is not a trade level")
+    return operator.index(lev)
+
+
 @dataclass(frozen=True)
 class SimpleStrategy:
     """Piecewise constant position: trade n fixes positions[n] at
@@ -74,14 +81,14 @@ class SimpleStrategy:
     vector, or a per-node (n_level, J) table; node dependence keeps the
     strategy predictable because the trade at a level is a function of
     that level's node only.  Levels are integers (numpy integers pass);
-    any other level is a ValueError, never truncated."""
+    any other level, a bool included, is a ValueError, never truncated."""
 
     levels: tuple
     positions: tuple
 
     def __post_init__(self):
         try:
-            lv = tuple(map(operator.index, self.levels))
+            lv = tuple(map(_level, self.levels))
         except TypeError:
             raise ValueError(f"trade levels must be integers, got "
                              f"{list(self.levels)!r}") from None

@@ -3,10 +3,17 @@
 F(v, x, q, node) is the conditional expectation, given the node, of the
 representative utility evaluated at the terminal endowment sigma0 + x +
 q . psi.  On a finite tree that is one backward sweep: fill the leaves
-with r and its analytic derivatives, then pull every array back one
-level at a time with the edge probabilities.  All derivatives of F
-satisfy the same one-step conditional-expectation identity as F itself,
-which the tests exercise to machine precision.
+with r and its analytic derivatives, then pull them back one level at a
+time with the edge probabilities.  All derivatives of F satisfy the
+same one-step conditional-expectation identity as F itself, which the
+tests exercise to machine precision.
+
+A sweep packs the components it carries (value, dv, dvv, ...) into one
+C-contiguous (nodes, K) block per level, each component a slice of
+columns, so a level costs one ``ScenarioTree.expect`` call, which reads
+the children as row windows of the block below; ``Sweep`` hands out
+per-component views of the blocks.  The columns do not mix, so a
+component's bits do not depend on what else is swept with it.
 
 The same sweep also serves batched queries: states may differ per leaf,
 so assigning each leaf the state of its level-k ancestor evaluates F at
@@ -29,6 +36,7 @@ node, and the second sweep reuses the split bit for bit.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,31 +53,39 @@ _CACHE_DIGITS = 12
 
 
 class Sweep:
-    """Backward-induction result: per-level node arrays for each component.
+    """Backward-induction result: one packed (nodes, K) block per level.
 
-    ``comps`` maps each component name to its list of per-level node
-    arrays, None at levels that were not swept.  A sweep of recombined
-    subtrees holds its levels in the order of the small tree and is
-    given the ``spread`` that maps level ``anchor + s`` of it back to
-    node order: ``at`` spreads only the levels it reads, once each, and
-    ``comps`` spreads the rest on first access.
+    ``blocks`` holds the per-level blocks and ``columns`` maps each
+    component name to its column slice and its per-node shape; ``at``
+    and ``comps`` hand out views of the blocks, shaped (nodes, *shape).
+    A sweep of recombined subtrees holds its levels in the order of the
+    small tree and is given the ``spread`` that maps level ``anchor + s``
+    of it back to node order: ``at`` spreads only the levels it reads,
+    once per component, and ``comps`` spreads the rest on first access;
+    levels before ``anchor`` are None.
     """
 
-    def __init__(self, comps: dict, spread=None, anchor: int = 0):
-        self._swept = comps
+    def __init__(self, blocks: list, columns: dict, spread=None,
+                 anchor: int = 0):
+        self.blocks = blocks
+        self.columns = columns
         self._spread = spread
         self._anchor = anchor
-        self._comps = comps if spread is None else None
+        self._comps = None
         self._spreads = {}
 
     @property
     def names(self):
         """Names of the swept components."""
-        return self._swept.keys()
+        return self.columns.keys()
+
+    def _view(self, name: str, block):
+        cols, shape = self.columns[name]
+        return block[:, cols].reshape(block.shape[:1] + shape)
 
     def at(self, name: str, level: int, index=None):
-        if self._comps is not None:
-            arr = self._comps[name][level]
+        if self._spread is None:
+            arr = self._view(name, self.blocks[level])
         elif level < self._anchor:
             arr = None
         else:
@@ -77,15 +93,16 @@ class Sweep:
             if arr is None:
                 depth = level - self._anchor
                 arr = self._spreads[name, level] = self._spread(
-                    depth, self._swept[name][depth])
+                    depth, self._view(name, self.blocks[depth]))
         return arr if index is None else arr[index]
 
     @property
     def comps(self) -> dict:
+        """Each component's list of per-level node arrays."""
         if self._comps is None:
-            steps = self._anchor + len(next(iter(self._swept.values())))
+            steps = self._anchor + len(self.blocks)
             self._comps = {name: [self.at(name, k) for k in range(steps)]
-                           for name in self._swept}
+                           for name in self.columns}
         return self._comps
 
 
@@ -163,10 +180,12 @@ class FieldEvaluator:
         return y, pi
 
     def _terminal(self, v_leaf, x_leaf, q_leaf, order, names=None):
-        """Leaf values of r and its derivatives; only ``names`` (by
-        default every component of ``order``) are computed."""
+        """Leaf values of r and its derivatives, packed: returns the
+        (n_leaves, K) block and its ``Sweep`` columns.  Only ``names``
+        (by default every component of ``order``) are computed, each
+        written into the block as it is made."""
         tree, panel = self.tree, self.panel
-        M = panel.size
+        M, J = panel.size, tree.n_assets
         if names is None:
             names = _FIRST + _SECOND if order >= 2 else _FIRST
         total = tree.sigma0 + x_leaf + (tree.psi * q_leaf).sum(axis=1)
@@ -199,7 +218,18 @@ class FieldEvaluator:
                 dvx=lambda: rvx,
                 dvq=lambda: np.einsum("nm,nj->nmj", rvx, tree.psi),
                 dvv=dvv)
-        return {name: terms[name]() for name in names}
+        shapes = {"value": (), "dv": (M,), "dx": (), "dq": (J,),
+                  "dvv": (M, M), "dvx": (M,), "dvq": (M, J), "dxx": (),
+                  "dxq": (J,), "dqq": (J, J)}
+        columns, start = {}, 0
+        for name in names:
+            width = math.prod(shapes[name])
+            columns[name] = (slice(start, start + width), shapes[name])
+            start += width
+        block = np.empty((len(total), start))
+        for name in names:
+            block[:, columns[name][0]] = terms[name]().reshape(len(total), -1)
+        return block, columns
 
     # -- sweeps ----------------------------------------------------------
 
@@ -214,13 +244,11 @@ class FieldEvaluator:
         v_leaf = np.asarray(v_leaf, dtype=float)
         x_leaf = np.asarray(x_leaf, dtype=float)
         q_leaf = np.asarray(q_leaf, dtype=float)
-        terminal = self._terminal(v_leaf, x_leaf, q_leaf, order, names)
-        comps = {name: [None] * tree.steps + [arr]
-                 for name, arr in terminal.items()}
+        block, columns = self._terminal(v_leaf, x_leaf, q_leaf, order, names)
+        blocks = [None] * tree.steps + [block]
         for k in range(tree.steps - 1, -1, -1):
-            for levels in comps.values():
-                levels[k] = tree.expect(k, levels[k + 1])
-        return Sweep(comps)
+            blocks[k] = tree.expect(k, blocks[k + 1])
+        return Sweep(blocks, columns)
 
     def sweep_states(self, level: int, v_nodes, x_nodes, q_nodes,
                      order: int = 1, names=None) -> Sweep:
@@ -292,7 +320,7 @@ class FieldEvaluator:
                                         np.repeat(q_nodes, per, axis=0),
                                         order, names)
         spread = functools.partial(self.tree.spread_recombined, level)
-        return Sweep(swept.comps, spread=spread, anchor=level)
+        return Sweep(swept.blocks, swept.columns, spread=spread, anchor=level)
 
     # -- point queries ---------------------------------------------------
 
@@ -350,9 +378,10 @@ class FieldEvaluator:
                  + self.tree.psi @ np.asarray(point.q, dtype=float))
         _, pi = self._allocate(v_leaf, total)
         dens = v_leaf[:, 0] * self.panel.makers[0].marginal(pi[:, 0])
-        num, den = self.tree.psi * dens[:, None], dens
+        block = np.column_stack([self.tree.psi * dens[:, None], dens])
         for k in range(self.tree.steps - 1, level - 1, -1):
-            num, den = self.tree.expect(k, num), self.tree.expect(k, den)
+            block = self.tree.expect(k, block)
+        num, den = block[:, :-1], block[:, -1]
         dens_price = num[idx] / den[idx]
         gap = float(np.abs(dens_price - grad_price).max())
         return grad_price, gap

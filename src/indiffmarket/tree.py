@@ -13,18 +13,25 @@ node-dependent states.  The recombining binomial lattice (d = 1, level k
 has k+1 nodes) keeps the node count linear in the step count and serves
 the fine-grid convergence and Monte Carlo runs, where states depend on
 the node only through (level, B).
+
+Every tree describes its children as row windows (``RowWindows``):
+child e of the node in row P is row stride * P + offset_e of the next
+level, so the conditional expectation reads each edge's children as one
+strided slice of the next level's values and never copies them out by
+index.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from .payoff import PayoffExpression
 
-__all__ = ["ScenarioTree", "binomial_tree", "binomial_lattice",
+__all__ = ["ScenarioTree", "RowWindows", "binomial_tree", "binomial_lattice",
            "count_classes", "accumulate_rows"]
 
 # leaf payoffs count as a function of the down-move counts when they
@@ -84,6 +91,43 @@ def count_classes(dim: int, depth: int):
     return cls, rep, child
 
 
+@lru_cache(maxsize=64)
+def _grid_corner(keep: int, full: int, dim: int):
+    """Rows of the points with every coordinate below ``keep`` of a grid
+    with ``full`` values per coordinate, in C order; read-only."""
+    corner = np.ravel_multi_index(np.indices((keep,) * dim).reshape(dim, -1),
+                                  (full,) * dim)
+    corner.flags.writeable = False
+    return corner
+
+
+class RowWindows(NamedTuple):
+    """Where the children of one level sit among the next level's rows.
+
+    Child e of the node in row P is row ``stride * P + offsets[e]`` of
+    the next level.  ``pad = (keep, full, dim)`` marks a level of a
+    recombined forest, whose rows are padded: each root owns ``full **
+    dim`` rows, one per point of a grid with ``full`` values per
+    coordinate, and the nodes are the rows whose coordinates are all
+    below ``keep``, in C order.  Without ``pad`` node i is row i.
+    """
+
+    stride: int
+    offsets: tuple
+    pad: tuple = None
+
+    def children(self, n: int) -> np.ndarray:
+        """(n, nc) indices of the children of the ``n`` nodes in the next
+        level."""
+        rows = np.arange(n)
+        if self.pad is not None:
+            keep, full, dim = self.pad
+            corner = _grid_corner(keep, full, dim)
+            rows = (np.arange(n // corner.size)[:, None] * full ** dim
+                    + corner).ravel()
+        return self.stride * rows[:, None] + np.array(self.offsets)
+
+
 @dataclass
 class ScenarioTree:
     """Level-array representation of a scenario tree.
@@ -92,8 +136,11 @@ class ScenarioTree:
     ----------
     times : (N+1,) grid 0 = t_0 < ... < t_N = T.
     B : list of N+1 arrays (n_k, d), Brownian value at each node.
-    child_idx : list of N int arrays (n_k, nc), children in level k+1.
-    edge_db : list of N arrays (n_k, nc, d), Brownian increments.
+    windows : list of N ``RowWindows``, the children of each level.
+    child_idx : list of N int arrays (n_k, nc), children in level k+1,
+        derived from ``windows``.
+    edge_db : list of N arrays (n_k, nc, d), Brownian increments; None
+        takes the differences of B along the edges.
     edge_p : list of N arrays (n_k, nc), transition probabilities.
     sigma0 : (n_N,) random endowment at the leaves.
     psi : (n_N, J) traded payoffs at the leaves.
@@ -103,17 +150,23 @@ class ScenarioTree:
 
     times: np.ndarray
     B: list
-    child_idx: list
+    windows: list
     edge_db: list
     edge_p: list
     sigma0: np.ndarray
     psi: np.ndarray
     implicit: bool = False
     dim: int = field(init=False)
+    child_idx: list = field(init=False)
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
         self.dim = self.B[0].shape[1]
+        self.child_idx = [w.children(b.shape[0])
+                          for w, b in zip(self.windows, self.B)]
+        if self.edge_db is None:
+            self.edge_db = [nxt[idx] - b[:, None, :] for b, nxt, idx
+                            in zip(self.B, self.B[1:], self.child_idx)]
         self.sigma0 = np.asarray(self.sigma0, dtype=float)
         self.psi = np.atleast_2d(np.asarray(self.psi, dtype=float))
         if self.psi.shape[0] != self.n_leaves:
@@ -187,11 +240,41 @@ class ScenarioTree:
         """One-step conditional expectation E[values | node at ``level``].
 
         ``values`` holds one entry per node of level+1, with any trailing
-        shape; the result holds one entry per node of ``level``.
+        shape; the result holds one entry per node of ``level``.  The
+        trailing axes are flattened to K columns, so a packed (nodes, K)
+        block costs one call.  Child e of every node is one row window
+        of that block (``RowWindows``), and the result is p_0 * window_0
+        + p_1 * window_1 + ..., multiplied, then added in edge order;
+        a forest level is swept over its padded rows, which are dropped
+        after.  Probabilities are read from ``edge_p`` on every call, per
+        node, except on forests, whose rows ``recombine`` builds equal.
         """
-        g = values[self.child_idx[level]]
-        p = self.edge_p[level]
-        return (p.reshape(p.shape + (1,) * (g.ndim - 2)) * g).sum(axis=1)
+        stride, offsets, pad = self.windows[level]
+        n, p = self.n_nodes(level), self.edge_p[level]
+        if values.shape[0] != self.n_nodes(level + 1):
+            raise ValueError(f"expect at level {level} needs one row per node "
+                             f"of level {level + 1}, got {values.shape[0]}")
+        flat = values.reshape(values.shape[0], -1)
+        m = flat.shape[1]
+        if pad is None:
+            out = np.empty((n, m))
+            live, weights = n, [p[:, e, None] for e in range(len(offsets))]
+        else:
+            keep, full, dim = pad
+            out = np.empty((n // keep ** dim * full ** dim, m))
+            live, weights = len(out) - max(offsets), p[0]
+        acc, term = out[:live], np.empty((live, m))
+        for e, off in enumerate(offsets):
+            window = flat[off:off + stride * (live - 1) + 1:stride]
+            np.multiply(weights[e], window, out=term if e else acc)
+            if e:
+                acc += term
+        # a sum that starts from zero turns an all -0.0 sum into +0.0
+        acc += 0.0
+        if pad is not None:
+            grid = out.reshape((-1,) + (full,) * dim + (m,))
+            out = grid[(slice(None),) + (slice(keep),) * dim]
+        return out.reshape((n,) + values.shape[1:])
 
     def recombine(self, level: int):
         """Recombined copy of the subtrees hanging from the nodes of ``level``.
@@ -205,6 +288,7 @@ class ScenarioTree:
         classes; its level 0 is the n nodes of ``level``, so the copy is
         a forest.  Edge probabilities are the original rows, and B,
         sigma0 and psi are read from one representative node per class.
+        Its children are row windows of padded levels (``RowWindows``).
 
         Returns None unless the tree is implicit with 2^d children per
         node, every level carries a single ``edge_p`` row, sigma0 and
@@ -226,22 +310,21 @@ class ScenarioTree:
 
         n = self.n_nodes(level)
         roots = np.arange(n)[:, None]
-        B, child_idx, edge_db, edge_p = [], [], [], []
+        B, windows, edge_p = [], [], []
         for s in range(depth + 1):
             _, rep, child = count_classes(d, s)
             B.append(self.B[level + s][(roots * nc ** s + rep).ravel()])
             if s < depth:
-                idx = (roots[:, :, None] * (s + 2) ** d + child).reshape(-1, nc)
-                child_idx.append(idx)
+                # class c of a root is the row of its counts in a padded
+                # grid of (s + 2)^d rows, which holds the classes of s + 1
+                windows.append(RowWindows(1, tuple(child[0].tolist()),
+                                          (s + 1, s + 2, d)))
                 edge_p.append(np.broadcast_to(self.edge_p[level + s][0],
-                                              idx.shape))
-        for s in range(depth):
-            edge_db.append(B[s + 1][child_idx[s]] - B[s][:, None, :])
+                                              (n * (s + 1) ** d, nc)))
         leaves = (roots * nc ** depth + count_classes(d, depth)[1]).ravel()
-        return ScenarioTree(times=self.times[level:], B=B,
-                            child_idx=child_idx, edge_db=edge_db,
-                            edge_p=edge_p, sigma0=self.sigma0[leaves],
-                            psi=self.psi[leaves])
+        return ScenarioTree(times=self.times[level:], B=B, windows=windows,
+                            edge_db=None, edge_p=edge_p,
+                            sigma0=self.sigma0[leaves], psi=self.psi[leaves])
 
     def spread_recombined(self, level: int, depth: int, values):
         """Spread per-node values of level ``depth`` of ``recombine(level)``
@@ -370,10 +453,9 @@ def binomial_tree(steps: int, horizon: float, dim: int = 1,
     signs = np.array([[1.0 if (e >> j) & 1 == 0 else -1.0 for j in range(dim)]
                       for e in range(nc)])
     times = np.linspace(0.0, horizon, steps + 1)
-    B, child_idx, edge_db, edge_p = [np.zeros((1, dim))], [], [], []
+    B, edge_db, edge_p = [np.zeros((1, dim))], [], []
     for k in range(steps):
         n = nc ** k
-        child_idx.append(np.arange(n * nc).reshape(n, nc))
         edge_db.append(np.broadcast_to(step * signs, (n, nc, dim)).copy())
         edge_p.append(np.full((n, nc), 1.0 / nc))
         B.append(np.repeat(B[-1], nc, axis=0) + np.tile(step * signs, (n, 1)))
@@ -381,10 +463,10 @@ def binomial_tree(steps: int, horizon: float, dim: int = 1,
     if isinstance(psi, (str, int, float)) or callable(psi):
         psi = (psi,)
     psi_cols = np.stack([_as_payoff(p, leaves) for p in psi], axis=1)
-    tree = ScenarioTree(times=times, B=B, child_idx=child_idx, edge_db=edge_db,
+    windows = [RowWindows(nc, tuple(range(nc)))] * steps
+    return ScenarioTree(times=times, B=B, windows=windows, edge_db=edge_db,
                         edge_p=edge_p, sigma0=_as_payoff(sigma0, leaves),
                         psi=psi_cols, implicit=True)
-    return tree
 
 
 def binomial_lattice(steps: int, horizon: float,
@@ -403,12 +485,11 @@ def binomial_lattice(steps: int, horizon: float,
     dt = horizon / steps
     step = np.sqrt(dt)
     times = np.linspace(0.0, horizon, steps + 1)
-    B, child_idx, edge_db, edge_p = [], [], [], []
+    B, edge_db, edge_p = [], [], []
     for k in range(steps + 1):
         j = np.arange(k + 1)
         B.append(((2 * j - k) * step)[:, None])
         if k < steps:
-            child_idx.append(np.stack([j + 1, j], axis=1))
             edge_db.append(np.broadcast_to(np.array([[step], [-step]]),
                                            (k + 1, 2, 1)).copy())
             edge_p.append(np.full((k + 1, 2), 0.5))
@@ -416,6 +497,8 @@ def binomial_lattice(steps: int, horizon: float,
     if isinstance(psi, (str, int, float)) or callable(psi):
         psi = (psi,)
     psi_cols = np.stack([_as_payoff(p, leaves) for p in psi], axis=1)
-    return ScenarioTree(times=times, B=B, child_idx=child_idx, edge_db=edge_db,
+    # node j moves up to j + 1 and down to j
+    windows = [RowWindows(1, (1, 0))] * steps
+    return ScenarioTree(times=times, B=B, windows=windows, edge_db=edge_db,
                         edge_p=edge_p, sigma0=_as_payoff(sigma0, leaves),
                         psi=psi_cols, implicit=False)

@@ -502,6 +502,12 @@ def _engine(mode, key, value):
                                f"mode: {mode}\n  {key}: {value}")
 
 
+def _bachelier(key, value):
+    lines = [line for line in BACHELIER_BLOCK.splitlines()
+             if not line.startswith(f"  {key}:")]
+    return "\n".join(lines + [f"  {key}: {value}"]) + "\n"
+
+
 # (argv, config text or None, a word the error must name): malformed
 # input from outside the program, each a one-line config error, exit 2
 OUTSIDE_INPUTS = {
@@ -537,6 +543,47 @@ OUTSIDE_INPUTS = {
         "levels: [0, 2]", "levels: [0.7, 2.9]"), "strategy: trade levels"),
     "want_v-string": (["simulate"], _engine("execute", "want_v", '"false"'),
                       "want_v"),
+    # a bool or a quoted number where a number is expected
+    "level-bool": (["simulate"], BASE_CONFIG.replace(
+        "levels: [0, 2]", "levels: [false, 2]"), "strategy: trade levels"),
+    "positions-string": (["simulate"], BASE_CONFIG.replace(
+        "positions: [0.5, -0.2]", 'positions: ["0.5", -0.2]'),
+        "strategy: positions"),
+    "positions-bool": (["simulate"], BASE_CONFIG.replace(
+        "positions: [0.5, -0.2]", "positions: [true, -0.2]"),
+        "strategy: positions"),
+    "positions-table-string": (["simulate"], BASE_CONFIG.replace(
+        "positions: [0.5, -0.2]", 'positions: [0.5, [[-0.2], ["0.1"], '
+        '[0.0], [0.3]]]'), "strategy: positions"),
+    "position-string": (["simulate"], CONSTANT_CONFIG.replace(
+        "position: 0.5", 'position: "0.5"'), "strategy: position"),
+    "lam0-string": (["simulate"], BASE_CONFIG.replace(
+        "lam0: [0.5, 0.5]", 'lam0: ["0.5", "0.5"]'), "engine: lam0"),
+    "u0-string": (["simulate"], BASE_CONFIG.replace(
+        "mode: execute\n  lam0: [0.5, 0.5]",
+        'mode: sde\n  u0: ["-1.0", -2.0]'), "engine: u0"),
+    "gamma-string": (["simulate"], BASE_CONFIG.replace(
+        "- gamma: 1.0", '- gamma: "1.0"'), "panel.makers[0]: gamma"),
+    "weights-bool": (["simulate"], BASE_CONFIG.replace(
+        "weights: [1.0, 0.5]", "weights: [true, 0.5]"),
+        "panel.makers[1]: weights"),
+    "rates-string": (["simulate"], BASE_CONFIG.replace(
+        "rates: [1.0, 2.0]", 'rates: ["1.0", 2.0]'),
+        "panel.makers[1]: rates"),
+    "horizon-string": (["simulate"], BASE_CONFIG.replace(
+        "horizon: 1.0", 'horizon: "1.0"'), "tree: horizon"),
+    "tol_scale-bool": (["simulate"], _engine("execute", "tol_scale", "true"),
+                       "engine: tol_scale"),
+    "eps-string": (["simulate"], _engine("sde", "eps_explode_scale",
+                                         '"1e-10"'),
+                   "engine: eps_explode_scale"),
+    **{f"bachelier-{key}-{kind}": (["bachelier"], _bachelier(key, text),
+                                   f"bachelier: {key}")
+       for key, kind, text in (
+           ("gamma", "bool", "true"), ("b", "string", '"0.5"'),
+           ("mu", "string", '"0.1"'), ("sigma", "string", '"0.2"'),
+           ("s", "bool", "true"), ("horizon", "string", '"1.0"'),
+           ("q", "bool", "true"))},
     "dump-tree-strategy": (["dump-tree"], CONSTANT_CONFIG.replace(
         "kind: constant\n  position: 0.5", "kind: bogus"), "strategy"),
     "dump-tree-engine": (["dump-tree"], BASE_CONFIG.replace(

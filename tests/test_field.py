@@ -3,7 +3,7 @@ import pytest
 
 from indiffmarket import field, representative
 from indiffmarket.conjugate import saddle_batch
-from indiffmarket.field import FieldEvaluator
+from indiffmarket.field import _FIRST, _SECOND, FieldEvaluator, Sweep
 from indiffmarket.representative import PrimalPoint
 from indiffmarket.tree import binomial_lattice, binomial_tree
 from indiffmarket.utilities import exponential, panel, sum_of_exponentials
@@ -290,12 +290,14 @@ def test_terminal_computes_only_requested_components():
                rng.normal(size=(n, 2)))
     for order, subsets in ((1, [("dx",), ("dq", "value")]),
                            (2, [("dv", "dvv", "dvx"), ("dqq",), ("dvq", "dx")])):
-        every = ev._terminal(v, x, q, order)
+        block, columns = ev._terminal(v, x, q, order)
+        every = Sweep([block], columns)
         for names in subsets:
-            some = ev._terminal(v, x, q, order, names)
-            assert tuple(some) == names
+            block, columns = ev._terminal(v, x, q, order, names)
+            assert tuple(columns) == names
+            some = Sweep([block], columns)
             for name in names:
-                assert np.array_equal(some[name], every[name])
+                assert np.array_equal(some.at(name, 0), every.at(name, 0))
 
 
 def test_newton_sweep_work_count(allocate_rows):
@@ -405,3 +407,53 @@ def test_recombined_sweep_spreads_levels_as_read(tree, monkeypatch):
             for s, ref in enumerate(levels):
                 assert np.array_equal(sweep.comps[name][level + s], ref)
                 assert sweep.at(name, level + s) is sweep.comps[name][level + s]
+
+
+def _component_shapes(M, J):
+    return {"value": (), "dv": (M,), "dx": (), "dq": (J,),
+            "dvv": (M, M), "dvx": (M,), "dvq": (M, J), "dxx": (),
+            "dxq": (J,), "dqq": (J, J)}
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("tree", [
+    binomial_tree(4, 1.0, sigma0="0.3 + 0.2 * B", psi=("1.0 + 0.5 * B",)),
+    binomial_tree(3, 1.0, dim=2, sigma0="0.3 + 0.2 * B1 - 0.1 * B2",
+                  psi=("1.0 + 0.5 * B1", "0.8 + 0.4 * B2")),
+    binomial_lattice(5, 1.0, sigma0="0.1 * B", psi=("B",)),
+], ids=["d1", "d2", "lattice"])
+def test_sweep_components_are_node_arrays_of_their_own_bits(tree, order):
+    # every swept level of a component is an array of one entry per node
+    # in the component's shape, and the packed sweep gives it the bits of
+    # a sweep of that component alone
+    ev = FieldEvaluator(MIXED, tree)
+    shapes = _component_shapes(MIXED.size, tree.n_assets)
+    rng = np.random.default_rng(8)
+    n = tree.n_leaves
+    leaf = (rng.uniform(0.5, 1.5, size=(n, MIXED.size)),
+            rng.normal(0.0, 0.3, size=n),
+            rng.normal(0.0, 0.5, size=(n, tree.n_assets)))
+    sweeps = [(ev.sweep_leaf_states(*leaf, order=order),
+               lambda name: ev.sweep_leaf_states(*leaf, order=order,
+                                                 names=(name,)), 0)]
+    for level in range(tree.steps - 1) if tree.implicit else ():
+        state = _node_states(rng, tree, level)
+        assert ev._recombined(level) is not None
+        sweeps.append((ev.sweep_states(level, *state, order=order),
+                       lambda name, lv=level, st=state: ev.sweep_states(
+                           lv, *st, order=order, names=(name,)), level))
+    for sweep, alone, first in sweeps:
+        assert set(sweep.comps) == set(_FIRST + _SECOND if order == 2
+                                       else _FIRST)
+        for name, levels in sweep.comps.items():
+            assert len(levels) == tree.steps + 1
+            assert levels[:first] == [None] * first
+            single = alone(name).comps[name]
+            for k in range(first, tree.steps + 1):
+                arr = levels[k]
+                assert isinstance(arr, np.ndarray)
+                assert arr.shape == (tree.n_nodes(k),) + shapes[name]
+                assert arr.nbytes // arr.shape[0] == 8 * max(
+                    1, int(np.prod(shapes[name])))
+                assert single[k].shape == arr.shape
+                assert single[k].tobytes() == arr.tobytes(), (name, k)

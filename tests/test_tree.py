@@ -222,3 +222,83 @@ def test_recombine_guards():
     nudged = t.sigma0.copy()
     nudged[7] += 1e-9
     assert binomial_tree(5, 1.0, sigma0=nudged, psi=("B",)).recombine(0) is None
+
+
+def _gather_expect(tree, level, values):
+    """The gather formula: copy each node's children out by index, then
+    sum the weighted copies over the edge axis."""
+    g = values[tree.child_idx[level]]
+    p = tree.edge_p[level]
+    return (p.reshape(p.shape + (1,) * (g.ndim - 2)) * g).sum(axis=1)
+
+
+def _every_tree_kind():
+    for dim, steps in ((1, 4), (2, 3), (3, 3)):
+        t = binomial_tree(steps, 1.0, dim=dim, sigma0="0.3 + 0.2 * B1",
+                          psi=("B1", f"1.0 - 0.5 * B{dim}"))
+        yield f"tree-d{dim}", t
+        for level in range(steps - 1):
+            yield f"forest-d{dim}-{level}", t.recombine(level)
+    yield "lattice", binomial_lattice(5, 1.0)
+
+
+def _awkward_values(rng, tree, level, shape):
+    """Values for the children of ``level`` with -0.0, 0, +-1e300 and
+    normals at mixed scales; one node's children are all -0.0."""
+    n = tree.n_nodes(level + 1)
+    v = rng.normal(size=(n,) + shape) * 10.0 ** rng.integers(
+        -3, 4, size=(n,) + shape)
+    pick = rng.integers(0, 5, size=v.shape)
+    v[pick == 0] = -0.0
+    v[pick == 1] = 0.0
+    v[pick == 2] = rng.choice([1e300, -1e300], size=(pick == 2).sum())
+    v[tree.child_idx[level][rng.integers(0, tree.n_nodes(level))]] = -0.0
+    return v
+
+
+@pytest.mark.parametrize("name, tree", list(_every_tree_kind()),
+                         ids=[name for name, _ in _every_tree_kind()])
+def test_expect_matches_the_gather_bit_for_bit(name, tree):
+    rng = np.random.default_rng(12)
+    for level in range(tree.steps):
+        for shape in ((), (2,), (3, 3), (7,)):
+            values = _awkward_values(rng, tree, level, shape)
+            got = tree.expect(level, values)
+            ref = _gather_expect(tree, level, values)
+            if tree.branching(level) >= 8 and values[0].size == 1:
+                # numpy adds a contiguous run of 8 or more terms pairwise,
+                # not in edge order; with two columns the edge axis is
+                # not the contiguous one and the gather adds in order
+                two = np.stack([values.ravel(), values.ravel()], axis=1)
+                ref = _gather_expect(tree, level, two)[:, 0].reshape(
+                    ref.shape)
+            assert got.shape == ref.shape == (tree.n_nodes(level),) + shape
+            assert got.dtype == ref.dtype
+            assert got.tobytes() == ref.tobytes(), (level, shape)
+            # the all -0.0 node comes out +0.0, as from the gather
+            assert not np.signbit(got[got == 0]).any()
+
+
+def test_expect_rejects_values_of_another_level():
+    t = binomial_tree(3, 1.0)
+    with pytest.raises(ValueError, match="level 2"):
+        t.expect(1, np.zeros(t.n_nodes(3)))
+
+
+@pytest.mark.parametrize("tree", [binomial_tree(4, 1.0),
+                                  binomial_tree(3, 1.0, dim=2),
+                                  binomial_lattice(4, 1.0)],
+                         ids=["d1", "d2", "lattice"])
+def test_expect_reads_corrupted_probabilities(tree):
+    bad = corrupt_tree(tree, "probabilities", seed=5)
+    hit = [(k, i) for k in range(tree.steps)
+           for i in np.flatnonzero((bad.edge_p[k] != tree.edge_p[k]).any(1))]
+    assert len(hit) == 1
+    k, i = hit[0]
+    for level in range(tree.steps):
+        one = bad.expect(level, np.ones(tree.n_nodes(level + 1)))
+        off = np.abs(one - 1.0)
+        if level == k:
+            assert off[i] == pytest.approx(0.05, abs=1e-12)
+            off[i] = 0.0
+        assert off.max() < 1e-15
