@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -38,35 +39,35 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-_CELL = {"b": "%d", "i": "%d", "u": "%d", "f": "%.17g", "U": "%s"}
+def _cells(column, n: int) -> list:
+    """The CSV cells of one column of ``n`` rows.
+
+    A float column formats each distinct value once, keyed by its bits
+    (so -0.0 and every NaN payload stay apart), with ``%.17g``, and a
+    non-finite value as an empty cell; integer and boolean columns print
+    as ``str`` of int64, string columns as they are, and a None column
+    as empty cells.
+    """
+    if column is None:
+        return [""] * n
+    column = np.asarray(column)
+    if column.dtype.kind in "biu":
+        return list(map(str, column.astype(np.int64).tolist()))
+    if column.dtype.kind != "f":
+        return list(map(str, column.tolist()))
+    bits, where = np.unique(np.asarray(column, dtype=float).view(np.int64),
+                            return_inverse=True)
+    text = ["%.17g" % v if math.isfinite(v) else ""
+            for v in bits.view(float).tolist()]
+    return np.array(text, dtype=object)[where].tolist()
 
 
 def _write_table(path: Path, header_cols, columns):
-    """Write equally long columns as a versioned CSV.
-
-    Integer and boolean columns print with ``%d``, float columns with
-    ``%.17g`` and string columns with ``%s``, through one format string
-    per row; a ``None`` column and a non-finite float print as empty
-    cells.
-    """
-    columns = [None if c is None else np.asarray(c) for c in columns]
-    kinds = [None if c is None else _CELL[c.dtype.kind] for c in columns]
-    data = [c for c in columns if c is not None]
-    finite = np.ones(len(data[0]), dtype=bool)
-    for c in data:
-        if c.dtype.kind == "f":
-            finite &= np.isfinite(c)
-    fmt = ",".join(k or "" for k in kinds)
-    lines = [f"# indiffmarket {_CSV_VERSION}", ",".join(header_cols)]
-    for row, ok in zip(zip(*[c.tolist() for c in data]), finite.tolist()):
-        if ok:
-            lines.append(fmt % row)
-            continue
-        cells = iter(row)
-        lines.append(",".join(
-            "" if k is None else _fmt(next(cells)) if k == "%.17g"
-            else k % next(cells) for k in kinds))
-    path.write_text("\n".join(lines) + "\n")
+    """Write equally long columns as a versioned CSV (cells: ``_cells``)."""
+    n = len(next(c for c in columns if c is not None))
+    rows = map(",".join, zip(*[_cells(c, n) for c in columns]))
+    path.write_text("\n".join([f"# indiffmarket {_CSV_VERSION}",
+                               ",".join(header_cols), *rows]) + "\n")
 
 
 def _write_metadata(out: Path, command: str, cfg_seed: int, scheme=None,
@@ -223,7 +224,17 @@ def _pareto(args) -> int:
 
 def _dump_tree(args) -> int:
     cfg = load_config(args.config, "dump-tree")
+    # the other blocks of an experiment config are optional here, but
+    # those given are built as simulate builds them, so a malformed
+    # value is the config error that simulate reports; the strategy is
+    # not fitted to the tree, which --steps may resize
+    present = cfg.blocks.keys()
+    makers = cfg.build_panel().size if "panel" in present else None
     tree = cfg.build_tree(args.steps)
+    if "strategy" in present:
+        cfg.build_strategy()
+    if "engine" in present:
+        cfg.build_engine(makers)
     out = cfg.build_output(args.out)
     out.mkdir(parents=True, exist_ok=True)
     cols = tree.node_columns()

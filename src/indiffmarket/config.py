@@ -66,20 +66,21 @@ def _number(value, what: str):
     return value
 
 
-def per_maker(values, M: int, sign: int, what: str) -> np.ndarray:
-    """``values`` as M finite numbers of the given sign, or a config
-    error naming ``what``; None passes through as None."""
+def per_maker(values, M, sign: int, what: str) -> np.ndarray:
+    """``values`` as M finite numbers of the given sign (any number of
+    them when M is None), or a config error naming ``what``; None
+    passes through as None."""
     if values is None:
         return None
     try:
         v = np.asarray(values, dtype=float)
     except (TypeError, ValueError):
         v = None
-    if (v is None or v.shape != (M,)
+    if (v is None or v.ndim != 1 or M is not None and len(v) != M
             or not np.all(np.isfinite(v) & (sign * v > 0))):
         word = "positive" if sign > 0 else "negative"
-        raise ConfigError(f"{what} must be {word}, one per maker "
-                          f"({M} makers)")
+        makers = "" if M is None else f" ({M} makers)"
+        raise ConfigError(f"{what} must be {word}, one per maker{makers}")
     return v
 
 
@@ -220,7 +221,9 @@ class ExperimentConfig:
         raise ConfigError(f"tree: unknown kind '{kind}'")
 
     @_builds("strategy")
-    def build_strategy(self, s, tree: ScenarioTree) -> SimpleStrategy:
+    def build_strategy(self, s, tree: ScenarioTree = None) -> SimpleStrategy:
+        """The strategy; given a ``tree``, its trades must come before the
+        tree's last step and its positions fit the tree."""
         if s.get("kind") == "constant":
             strategy = SimpleStrategy(levels=(0,), positions=(_number(
                 s.get("position", 0.0), "strategy: position"),))
@@ -229,15 +232,15 @@ class ExperimentConfig:
                                       positions=tuple(_number(
                                           s["positions"],
                                           "strategy: positions")))
-            if strategy.levels[-1] >= tree.steps:
+            if tree is not None and strategy.levels[-1] >= tree.steps:
                 raise ConfigError(
                     f"strategy: trade level {strategy.levels[-1]} is not "
                     f"before the last step of a {tree.steps}-step tree")
-        J = tree.n_assets
-        for n, lev in enumerate(strategy.levels):
+        for n, lev in enumerate(strategy.levels if tree is not None else ()):
             try:
                 strategy.position_at(n, tree)
             except (TypeError, ValueError):
+                J = tree.n_assets
                 raise ConfigError(
                     f"strategy: position {strategy.positions[n]!r} at level "
                     f"{lev} does not fit a {J}-asset tree: give a scalar, "
@@ -250,9 +253,10 @@ class ExperimentConfig:
         return strategy
 
     @_builds("engine")
-    def build_engine(self, e, M: int):
+    def build_engine(self, e, M):
         """(mode, lam0, tol_scale, want_v, u0, eps_explode_scale) of a run
-        with ``M`` makers; lam0 and u0 are None when not given."""
+        with ``M`` makers (None: lam0 and u0 may hold any number of
+        them); lam0 and u0 are None when not given."""
         want_v = e.get("want_v", True)
         if not isinstance(want_v, bool):
             raise ConfigError(

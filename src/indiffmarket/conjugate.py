@@ -7,7 +7,9 @@ matters in the stationarity system) the saddle reduces to the square
 system F_v(w, x, q) = u in the M unknowns (logits of w, x), solved by a
 damped Newton iteration with multi-start fallback.  At y = 1 the saddle
 value is exactly the cash coordinate x, and general y follows by
-homogeneity of degree one.
+homogeneity of degree one.  On recombining trees many nodes of a level
+hold the same problem bit for bit; a level's solve iterates each
+distinct problem once, on the subtree of one node that holds it.
 
 Sensitivities of the two fields are linked through the matrices A, C, D
 on the primal side and B, E, Hg on the dual side; ``conjugacy_residuals``
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import FieldEvaluator
+from .field import FieldEvaluator, distinct_rows
 from .representative import PrimalPoint
 
 __all__ = [
@@ -121,10 +123,15 @@ def saddle_batch(evaluator: FieldEvaluator, level: int, u, q,
     """Solve F_v(w, x, q) = u at every node of one level at once.
 
     ``u`` has shape (n, M) and ``q`` shape (n, J) with n the node count
-    of the level (rows are broadcast if a single state is given).  Each
-    Newton iteration is one backward sweep with per-node candidate
-    states; a backtracking line search on the residual norm keeps the
-    iteration inside the domain.  Returns (w, x, resid, iters).
+    of the level (rows are broadcast if a single state is given).  Nodes
+    whose problems agree bit for bit, in subtree class
+    (``FieldEvaluator.subtree_classes``), target, position, start logits
+    and start cash, are solved once and share the result.  Each Newton
+    iteration is one backward sweep of the subtrees of one node per
+    distinct problem (``FieldEvaluator.sweep_nodes``); a backtracking
+    line search on the residual norm keeps the iteration inside the
+    domain.  A restart jitters only the problems above tolerance.
+    Returns (w, x, resid, iters), one row per node.
     """
     panel, tree = evaluator.panel, evaluator.tree
     n, M = tree.n_nodes(level), panel.size
@@ -140,28 +147,42 @@ def saddle_batch(evaluator: FieldEvaluator, level: int, u, q,
     x = xs if x0 is None else np.broadcast_to(x0, (n,)).astype(float).copy()
     s = np.log(w[:, :-1]) - np.log(w[:, -1:])
 
+    cls = evaluator.subtree_classes(level).astype(float)
+    nodes, node_of = distinct_rows(np.column_stack([cls, u, q, s, x]))
+    u, q, s, x, tol = u[nodes], q[nodes], s[nodes], x[nodes], tol[nodes]
+    w, x, resid, iters = _newton(evaluator, level, nodes, u, q, s, x, tol)
     rng = np.random.default_rng(0)
-    best = None
-    for _ in range(1 + _RESTARTS):
-        res = _newton(evaluator, level, u, q, s, x, tol)
-        if best is None or res[2].max() < best[2].max():
-            best = res
-        if np.all(best[2] <= tol):
+    for _ in range(_RESTARTS):
+        bad = np.flatnonzero(resid > tol)
+        if not bad.size:
             break
-        # fallback: jitter around the best iterate found so far
-        wb = best[0]
+        # fallback: jitter the problems above tolerance around their
+        # iterates, and keep the restart if its worst residual is better
+        s = np.log(w[bad, :-1]) - np.log(w[bad, -1:])
         if M > 1:
-            s = (np.log(wb[:, :-1]) - np.log(wb[:, -1:])
-                 + 0.3 * rng.standard_normal((n, M - 1)))
-        x = best[1] + 0.1 * rng.standard_normal(n)
-    w, x, resid, iters = best
+            s = s + 0.3 * rng.standard_normal((bad.size, M - 1))
+        res = _newton(evaluator, level, nodes[bad], u[bad], q[bad], s,
+                      x[bad] + 0.1 * rng.standard_normal(bad.size), tol[bad])
+        if res[2].max() < resid[bad].max():
+            w[bad], x[bad], resid[bad], iters = res
     if np.any(resid > tol):
-        node = int(np.argmax(resid / tol))
-        raise SaddleError(level, node, float(resid[node]), float(tol[node]))
-    return w, x, resid, iters
+        worst = int(np.argmax(resid / tol))
+        raise SaddleError(level, int(nodes[worst]), float(resid[worst]),
+                          float(tol[worst]))
+    return w[node_of], x[node_of], resid[node_of], iters
 
 
-def _newton(evaluator, level, u, q, s, x, tol):
+def _newton(evaluator, level, nodes, u, q, s, x, tol):
+    """Damped Newton on one problem per row, at the nodes ``nodes`` of
+    ``level``.
+
+    Every iteration and line-search trial sweeps all the problems, those
+    within tolerance too: ``allocate`` stops on one test over all the
+    leaves it is given, so dropping some problems from a sweep could
+    change the last bits of the others.  With one node per distinct
+    problem, each sweep allocates the same distinct leaf states as a
+    sweep of the whole level, so the iterates keep their bits.
+    """
     n, M = u.shape
     s = s.copy()
     x = x.copy()
@@ -170,15 +191,14 @@ def _newton(evaluator, level, u, q, s, x, tol):
     iters = 0
     for it in range(_MAX_ITER):
         iters = it + 1
-        sweep = evaluator.sweep_states(level, w, x, q, order=2,
-                                       names=("dv", "dvv", "dvx"))
-        dv = sweep.at("dv", level)
-        R = dv - u
+        sweep = evaluator.sweep_nodes(level, nodes, w, x, q, order=2,
+                                      names=("dv", "dvv", "dvx"))
+        R = sweep.at("dv", 0) - u
         resid_norm = np.abs(R).max(axis=1)
         if np.all(resid_norm <= tol):
             break
-        dvv = sweep.at("dvv", level)
-        dvx = sweep.at("dvx", level)
+        dvv = sweep.at("dvv", 0)
+        dvx = sweep.at("dvx", 0)
         # dw_i/ds_j = w_i (delta_ij - w_j), j over the first M-1 weights
         eye = np.eye(M)[:, :-1]
         dws = w[:, :, None] * (eye[None] - w[:, None, :-1])
@@ -195,13 +215,12 @@ def _newton(evaluator, level, u, q, s, x, tol):
         active = resid_norm > tol
         cand_s, cand_x = s.copy(), x.copy()
         for _ in range(_MAX_HALVINGS):
-            trial_s = s + (alpha[:, None] * dz[:, :-1] if M > 1
-                           else np.zeros_like(s))
+            trial_s = s + alpha[:, None] * dz[:, :-1]
             trial_x = x + alpha * dz[:, -1]
             trial_w = _softmax(trial_s)
-            sweep_t = evaluator.sweep_states(level, trial_w, trial_x, q,
-                                             order=1, names=("dv",))
-            trial_norm = np.abs(sweep_t.at("dv", level) - u).max(axis=1)
+            sweep_t = evaluator.sweep_nodes(level, nodes, trial_w, trial_x,
+                                            q, order=1, names=("dv",))
+            trial_norm = np.abs(sweep_t.at("dv", 0) - u).max(axis=1)
             better = active & (trial_norm < resid_norm)
             cand_s[better] = trial_s[better]
             cand_x[better] = trial_x[better]

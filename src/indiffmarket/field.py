@@ -25,7 +25,20 @@ so the sweep runs on (N-k+1)^d leaves per node instead of 2^(d(N-k))
 function of the counts and trees with node-dependent probabilities keep
 the leaf sweep, which is also the oracle the recombined one is tested
 against.  A recombined level is spread back to node order only when it
-is read: a saddle Newton step reads one level of three components.
+is read.
+
+A node-subset sweep (``sweep_nodes``) runs on the subtrees of some
+nodes of a level only: their blocks of the recombined forest, or their
+own leaf blocks with their own ``edge_p`` rows
+(``ScenarioTree.subtrees``).  Nodes whose subtrees carry equal leaf
+payoffs and edge probabilities, bit for bit, share a
+``subtree_classes`` class, so equal states at two nodes of one class
+give equal values.  A node's values depend on the other leaves swept
+with it only through ``allocate``, which stops on one test over all
+its rows and so may move their last bits; a sweep of one node per
+distinct (class, state) of a level allocates the same distinct leaf
+states as the whole level and keeps its bits.  That is how a saddle
+solve sweeps its distinct problems.
 
 Filling the leaves costs one ``allocate`` per sweep, except that each
 evaluator keeps its last leaf state and split: a saddle solve sweeps
@@ -45,7 +58,8 @@ from .representative import PrimalPoint, allocate, split_tolerances
 from .tree import ScenarioTree
 from .utilities import MakerPanel
 
-__all__ = ["FieldEvaluator", "FieldValue", "Sweep", "increment_slope"]
+__all__ = ["FieldEvaluator", "FieldValue", "Sweep", "distinct_rows",
+           "increment_slope"]
 
 _FIRST = ("value", "dv", "dx", "dq")
 _SECOND = ("dvv", "dvx", "dvq", "dxx", "dxq", "dqq")
@@ -95,6 +109,16 @@ class Sweep:
                 arr = self._spreads[name, level] = self._spread(
                     depth, self._view(name, self.blocks[depth]))
         return arr if index is None else arr[index]
+
+    def block(self, level: int):
+        """The packed block of ``level`` in node order (None before the
+        anchor); a recombined level is spread on every call."""
+        if self._spread is None:
+            return self.blocks[level]
+        if level < self._anchor:
+            return None
+        depth = level - self._anchor
+        return self._spread(depth, self.blocks[depth])
 
     @property
     def comps(self) -> dict:
@@ -157,6 +181,8 @@ class FieldEvaluator:
         self._recombinable = True
         self._small = None
         self._last_split = None
+        self._classes = {}
+        self._subset = None
 
     # -- terminal data -------------------------------------------------
 
@@ -314,13 +340,70 @@ class FieldEvaluator:
                           order, names) -> Sweep:
         """Leaf sweep of ``small``, spread back to the levels of this tree
         as they are read."""
-        per = small.tree.n_leaves // self.tree.n_nodes(level)
-        swept = small.sweep_leaf_states(np.repeat(v_nodes, per, axis=0),
-                                        np.repeat(x_nodes, per),
-                                        np.repeat(q_nodes, per, axis=0),
-                                        order, names)
+        swept = small._sweep_roots(v_nodes, x_nodes, q_nodes, order, names)
         spread = functools.partial(self.tree.spread_recombined, level)
         return Sweep(swept.blocks, swept.columns, spread=spread, anchor=level)
+
+    def _sweep_roots(self, v_nodes, x_nodes, q_nodes, order, names) -> Sweep:
+        """Leaf sweep with the state of each level-0 node at every leaf
+        below it, on a tree (or forest) whose leaves are grouped by root."""
+        per = self.tree.n_leaves // self.tree.n_nodes(0)
+        return self.sweep_leaf_states(np.repeat(v_nodes, per, axis=0),
+                                      np.repeat(x_nodes, per),
+                                      np.repeat(q_nodes, per, axis=0),
+                                      order, names)
+
+    # -- node subsets ----------------------------------------------------
+
+    def _rooted(self, level: int):
+        """(evaluator, level) whose nodes at that level are this level's
+        nodes, each the root of a contiguous block of descendants: the
+        recombined forest at its roots, else this tree at ``level``."""
+        small = self._recombined(level)
+        return (small, 0) if small is not None else (self, level)
+
+    def subtree_classes(self, level: int) -> np.ndarray:
+        """Class of each node of ``level``: nodes share a class when the
+        subtrees that a ``sweep_nodes`` call sweeps for them carry equal
+        leaf sigma0 and psi rows and equal edge probabilities, bit for
+        bit, so that equal states give them equal sweeps.  Computed once
+        per level."""
+        cls = self._classes.get(level)
+        if cls is None:
+            ev, at = self._rooted(level)
+            tree = ev.tree
+            n = tree.n_nodes(at)
+            rows = [np.column_stack([tree.sigma0, tree.psi]).reshape(n, -1)]
+            rows += [p.reshape(n, -1) for p in tree.edge_p[at:]]
+            cls = self._classes[level] = distinct_rows(
+                np.concatenate(rows, axis=1))[1]
+        return cls
+
+    def sweep_nodes(self, level: int, nodes, v_nodes, x_nodes, q_nodes,
+                    order: int = 1, names=None) -> Sweep:
+        """Sweep of the subtrees of ``nodes`` of ``level`` only, with one
+        state per node given.
+
+        Level 0 of the result holds the nodes in the order given, with
+        their own F values.  On a level that ``ScenarioTree.recombine``
+        accepts the subtrees are the nodes' blocks of the recombined
+        forest, else their leaf blocks with their own ``edge_p`` rows
+        (``ScenarioTree.subtrees``).  The forest of the last node set
+        asked is kept, so that repeated sweeps of one set share its leaf
+        allocation memo; all the nodes of a level that are roots (the
+        recombined forest's, or this tree's root) sweep that tree itself.
+        """
+        nodes = np.asarray(nodes, dtype=np.intp)
+        key = (level, nodes.tobytes())
+        if self._subset is None or self._subset[0] != key:
+            ev, at = self._rooted(level)
+            n = ev.tree.n_nodes(at)
+            if not (at == 0 and np.array_equal(nodes, np.arange(n))):
+                ev = FieldEvaluator(self.panel, ev.tree.subtrees(at, nodes))
+            self._subset = (key, ev)
+        return self._subset[1]._sweep_roots(
+            np.asarray(v_nodes, dtype=float), np.asarray(x_nodes, dtype=float),
+            np.asarray(q_nodes, dtype=float), order, names)
 
     # -- point queries ---------------------------------------------------
 
@@ -388,6 +471,37 @@ class FieldEvaluator:
 
     def martingale_deviation(self, sweep: Sweep) -> float:
         """Worst one-step conditional-expectation gap over all components,
-        nodes and levels; construction-exact up to floating point."""
-        return max(self.tree.martingale_gap(levels)
-                   for levels in sweep.comps.values())
+        nodes and levels; construction-exact up to floating point.
+
+        Each component's gap at a level is scaled by 1 + its largest
+        magnitude there, as ``ScenarioTree.martingale_gap`` does; one
+        ``expect`` per level serves every component of the packed block.
+        """
+        tree, worst = self.tree, 0.0
+        for k in range(tree.steps):
+            now = sweep.block(k)
+            gap = np.abs(tree.expect(k, sweep.block(k + 1)) - now)
+            for cols, _ in sweep.columns.values():
+                worst = max(worst, float(gap[:, cols].max())
+                            / (1.0 + np.abs(now[:, cols]).max()))
+        return worst
+
+
+def distinct_rows(a):
+    """Distinct rows of a 2-d array by their bits, so -0.0 and 0.0 differ.
+
+    Returns ``(first, inverse)``: the first row holding each distinct
+    row, increasing, and for every row the position of its own in
+    ``first``.
+    """
+    a = np.ascontiguousarray(a)
+    rows = a.view(np.dtype((np.void, a.dtype.itemsize * a.shape[1])))
+    rows = rows.ravel().tolist()
+    ids = {row: i for i, row in enumerate(dict.fromkeys(rows))}
+    inverse = np.fromiter(map(ids.__getitem__, rows), dtype=np.intp,
+                          count=len(rows))
+    # ids are numbered in order of first sight, so each is first seen
+    # where the running maximum rises
+    first = np.flatnonzero(np.diff(np.maximum.accumulate(inverse),
+                                   prepend=-1) > 0)
+    return first, inverse

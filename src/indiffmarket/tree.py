@@ -326,6 +326,36 @@ class ScenarioTree:
                             edge_db=None, edge_p=edge_p,
                             sigma0=self.sigma0[leaves], psi=self.psi[leaves])
 
+    def subtrees(self, level: int, nodes) -> "ScenarioTree":
+        """Forest of the subtrees hanging from ``nodes`` of ``level``.
+
+        Level s of the forest holds the descendants s steps below each
+        given node, node by node in the order given, with their own
+        ``edge_p`` and ``edge_db`` rows; its leaves carry their sigma0
+        and psi rows.  The descendants of node i at level ``level + s``
+        must be the rows i c .. (i + 1) c - 1 of that level, c being its
+        node count over that of ``level``: so it is on implicit trees, at
+        the roots of a ``recombine`` forest, and under a single root.
+        """
+        n = self.n_nodes(level)
+        if not (self.implicit or level == 0 and (
+                n == 1 or all(w.pad for w in self.windows))):
+            raise ValueError("subtrees needs an implicit tree or the roots "
+                             "of a forest")
+        nodes = np.asarray(nodes, dtype=np.intp)
+        rows = []
+        for k in range(level, self.steps + 1):
+            c = self.n_nodes(k) // n
+            rows.append((nodes[:, None] * c + np.arange(c)).ravel())
+        return ScenarioTree(
+            times=self.times[level:],
+            B=[b[r] for b, r in zip(self.B[level:], rows)],
+            windows=self.windows[level:],
+            edge_db=[a[r] for a, r in zip(self.edge_db[level:], rows)],
+            edge_p=[a[r] for a, r in zip(self.edge_p[level:], rows)],
+            sigma0=self.sigma0[rows[-1]], psi=self.psi[rows[-1]],
+            implicit=self.implicit)
+
     def spread_recombined(self, level: int, depth: int, values):
         """Spread per-node values of level ``depth`` of ``recombine(level)``
         back to the nodes of level + depth of this tree, whose node i *

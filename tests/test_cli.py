@@ -157,6 +157,20 @@ def test_dump_tree(tmp_path):
     assert len(rows) == 15
 
 
+@pytest.mark.parametrize("text", [
+    "tree: {steps: 2}\n",
+    "tree: {steps: 2}\nengine: {lam0: [0.2, 0.3, 0.5]}\n",
+    "tree: {steps: 2}\nstrategy: {levels: [0, 2], positions: [0.5, 0.1]}\n",
+], ids=["tree-only", "lam0-without-panel", "level-past-the-tree"])
+def test_dump_tree_needs_no_other_block(tmp_path, text):
+    # absent blocks are optional, lam0 has no panel to count makers
+    # against, and the strategy is not fitted to the dumped tree
+    out = tmp_path / "t"
+    assert main(["dump-tree", "--config", write(tmp_path, text),
+                 "--out", str(out)]) == 0
+    assert len(read_csv(out / "tree.csv")[1]) == 7
+
+
 def test_dump_tree_lattice_parent_is_down_move(tmp_path):
     # node 4 (level 2, B = 0) is reached up from node 1 and down from
     # node 2; the dump keeps the last edge, the down move from node 2
@@ -591,6 +605,18 @@ OUTSIDE_INPUTS = {
         "tol_scale"),
     "dump-tree-bachelier": (["dump-tree"], BASE_CONFIG + BACHELIER_BLOCK,
                             "bachelier"),
+    # dump-tree builds the experiment blocks it is given, as simulate does
+    "dump-tree-gamma": (["dump-tree"], BASE_CONFIG.replace(
+        "- gamma: 1.0", "- gamma: abc"), "panel.makers[0]: gamma"),
+    "dump-tree-positions": (["dump-tree"], BASE_CONFIG.replace(
+        "positions: [0.5, -0.2]", "positions: [xyz]"), "strategy: positions"),
+    "dump-tree-lam0": (["dump-tree"], BASE_CONFIG.replace(
+        "lam0: [0.5, 0.5]", "lam0: abc"), "engine: lam0"),
+    "dump-tree-lam0-makers": (["dump-tree"], BASE_CONFIG.replace(
+        "lam0: [0.5, 0.5]", "lam0: [0.2, 0.3, 0.5]"), "engine: lam0"),
+    "dump-tree-lam0-no-panel": (["dump-tree"], "tree: {steps: 2}\n"
+                                "engine: {lam0: [0.5, -0.5]}\n",
+                                "engine: lam0"),
 }
 
 

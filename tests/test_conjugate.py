@@ -19,6 +19,7 @@ from indiffmarket.field import FieldEvaluator
 from indiffmarket.representative import PrimalPoint, allocate
 from indiffmarket.tree import binomial_tree
 from indiffmarket.utilities import exponential, panel, sum_of_exponentials
+from indiffmarket.verify import corrupt_tree
 
 EXP1 = panel(exponential(1.0))
 P12 = panel(exponential(1.0), exponential(2.0))
@@ -264,3 +265,231 @@ def test_saddle_restores_primal_state_property(specs, steps, coef, const,
     sad = conjugate_G(ev, dual_point(ev, a, node), node)
     assert abs(sad.x - a.x) / (1.0 + abs(a.x)) < 1e-8
     assert np.abs(sad.v - v).max() / (1.0 + np.abs(v).max()) < 1e-8
+
+
+# -- solving each distinct node problem once --------------------------------
+
+
+def _whole_level_saddle(evaluator, level, u, q, w0=None, x0=None,
+                        tol_scale=conjugate._TOL_SCALE):
+    """The whole-level solve that ``saddle_batch`` replaced: every Newton
+    iteration and line-search trial sweeps all nodes of the level, and a
+    restart re-jitters them all.  The oracle of the tests below."""
+    panel, tree = evaluator.panel, evaluator.tree
+    n, M = tree.n_nodes(level), panel.size
+    u = np.broadcast_to(np.asarray(u, float), (n, M)).copy()
+    q = np.broadcast_to(np.atleast_2d(np.asarray(q, float)),
+                        (n, tree.n_assets)).copy()
+    tol = tol_scale * (1.0 + np.abs(u).max(axis=1))
+    if w0 is None or x0 is None:
+        ws, xs = conjugate._seed(panel, tree, u, q)
+    w = ws if w0 is None else np.broadcast_to(w0, (n, M)).copy()
+    x = xs if x0 is None else np.broadcast_to(x0, (n,)).astype(float).copy()
+    s = np.log(w[:, :-1]) - np.log(w[:, -1:])
+    rng = np.random.default_rng(0)
+    best = None
+    for _ in range(1 + conjugate._RESTARTS):
+        res = _whole_level_newton(evaluator, level, u, q, s, x, tol)
+        if best is None or res[2].max() < best[2].max():
+            best = res
+        if np.all(best[2] <= tol):
+            break
+        wb = best[0]
+        if M > 1:
+            s = (np.log(wb[:, :-1]) - np.log(wb[:, -1:])
+                 + 0.3 * rng.standard_normal((n, M - 1)))
+        x = best[1] + 0.1 * rng.standard_normal(n)
+    return best
+
+
+def _whole_level_newton(evaluator, level, u, q, s, x, tol):
+    n, M = u.shape
+    s, x = s.copy(), x.copy()
+    resid_norm = np.full(n, np.inf)
+    w = conjugate._softmax(s)
+    iters = 0
+    for it in range(conjugate._MAX_ITER):
+        iters = it + 1
+        sweep = evaluator.sweep_states(level, w, x, q, order=2,
+                                       names=("dv", "dvv", "dvx"))
+        R = sweep.at("dv", level) - u
+        resid_norm = np.abs(R).max(axis=1)
+        if np.all(resid_norm <= tol):
+            break
+        dvv, dvx = sweep.at("dvv", level), sweep.at("dvx", level)
+        eye = np.eye(M)[:, :-1]
+        dws = w[:, :, None] * (eye[None] - w[:, None, :-1])
+        J = np.concatenate([dvv @ dws, dvx[:, :, None]], axis=2)
+        try:
+            dz = np.linalg.solve(J, -R[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            dz = -np.einsum("nij,nj->ni", np.linalg.pinv(J), R)
+        norm = np.abs(dz).max(axis=1, keepdims=True)
+        dz = dz * np.minimum(1.0, 20.0 / np.maximum(norm, 1e-300))
+        alpha = np.ones(n)
+        active = resid_norm > tol
+        cand_s, cand_x = s.copy(), x.copy()
+        for _ in range(conjugate._MAX_HALVINGS):
+            trial_s = s + alpha[:, None] * dz[:, :-1]
+            trial_x = x + alpha * dz[:, -1]
+            sweep_t = evaluator.sweep_states(level, conjugate._softmax(trial_s),
+                                             trial_x, q, order=1,
+                                             names=("dv",))
+            trial_norm = np.abs(sweep_t.at("dv", level) - u).max(axis=1)
+            better = active & (trial_norm < resid_norm)
+            cand_s[better] = trial_s[better]
+            cand_x[better] = trial_x[better]
+            active = active & ~better
+            if not active.any():
+                break
+            alpha[active] *= 0.5
+        s, x = cand_s, cand_x
+        w = conjugate._softmax(s)
+    return w, x, resid_norm, iters
+
+
+def _assert_same_solve(ev, level, u, q, w0=None, x0=None):
+    """``saddle_batch`` equals the whole-level oracle bit for bit at every
+    node, with the same iteration count; returns the distinct problems."""
+    got = saddle_batch(ev, level, u, q, w0=w0, x0=x0)
+    # the oracle on an evaluator of its own, whose memos start empty
+    want = _whole_level_saddle(FieldEvaluator(ev.panel, ev.tree), level, u,
+                               q, w0=w0, x0=x0)
+    for g, w in zip(got[:3], want[:3]):
+        assert g.shape == w.shape
+        assert g.tobytes() == w.tobytes(), level
+    assert got[3] == want[3]
+
+
+def _execute_targets(ev, level, lam, q):
+    """Targets as ``execute_simple`` sets them: F_v at ``level`` of the
+    state held from the root, repeated wherever subtrees recombine."""
+    return ev.sweep_states(0, lam[None], np.zeros(1), np.atleast_2d(q),
+                           names=("dv",)).at("dv", level)
+
+
+def test_distinct_solves_match_the_whole_level_on_a_deep_tree():
+    t = binomial_tree(13, 1.0, sigma0="0.3 + 0.2 * B",
+                      psi=("1.0 + 0.5 * B",))
+    ev = FieldEvaluator(MIXED, t)
+    lam = np.array([0.35, 0.65])
+    for level in range(t.steps + 1):
+        u = _execute_targets(ev, level, lam, [0.4])
+        n = t.n_nodes(level)
+        if level >= 4:
+            # recombination repeats the targets: far fewer problems
+            assert len(np.unique(u, axis=0)) < n / 2
+        _assert_same_solve(ev, level, u, np.full((n, 1), -0.3),
+                           w0=lam, x0=np.zeros(n))
+
+
+def test_distinct_solves_match_the_whole_level_in_two_dimensions():
+    t = binomial_tree(6, 1.0, dim=2, sigma0="0.3 + 0.2 * B1 - 0.1 * B2",
+                      psi=("1.0 + 0.5 * B1", "0.8 + 0.4 * B2"))
+    ev = FieldEvaluator(MIXED, t)
+    lam = np.array([0.6, 0.4])
+    for level in range(t.steps + 1):
+        u = _execute_targets(ev, level, lam, [0.2, -0.1])
+        _assert_same_solve(ev, level, u, [0.3, 0.2])
+
+
+def _twin_tree():
+    """A 5-step tree whose payoff table is no function of the down-move
+    counts, so every level takes the leaf sweep, and whose two halves
+    are equal: node i and node i + n/2 of every level carry equal
+    subtrees."""
+    rng = np.random.default_rng(3)
+    table = np.round(rng.normal(size=32), 1)
+    table[16:] = table[:16]
+    return binomial_tree(5, 1.0, sigma0=0.1, psi=(table,))
+
+
+def test_distinct_solves_match_the_whole_level_without_recombination():
+    t = _twin_tree()
+    assert t.recombine(0) is None
+    ev = FieldEvaluator(MIXED, t)
+    for level in range(t.steps + 1):
+        classes = ev.subtree_classes(level)
+        half = t.n_nodes(level) // 2
+        if level:
+            assert np.array_equal(classes[:half], classes[half:])
+        u = _execute_targets(ev, level, np.array([0.5, 0.5]), [0.3])
+        _assert_same_solve(ev, level, u, [0.3], w0=[0.5, 0.5], x0=0.0)
+
+
+def test_distinct_solves_match_the_whole_level_on_a_corrupted_tree():
+    # a corrupted probability row puts its node in a class of its own
+    t = corrupt_tree(binomial_tree(5, 1.0, sigma0="0.2 * B",
+                                   psi=("1.0 + 0.5 * B",)),
+                     "probabilities", seed=2)
+    ev = FieldEvaluator(MIXED, t)
+    for level in range(t.steps + 1):
+        u = _execute_targets(ev, level, np.array([0.5, 0.5]), [0.3])
+        _assert_same_solve(ev, level, u, [0.3], w0=[0.5, 0.5], x0=0.0)
+
+
+def test_distinct_solves_match_the_whole_level_with_dummy_rows():
+    # simulate_sde solves exploded nodes with the dummy target -1
+    t = binomial_tree(8, 1.0, sigma0="0.3 + 0.2 * B", psi=("1.0 + 0.5 * B",))
+    ev = FieldEvaluator(MIXED, t)
+    for level in (4, 7, 8):
+        u = _execute_targets(ev, level, np.array([0.4, 0.6]), [0.2]).copy()
+        u[::3] = -1.0
+        _assert_same_solve(ev, level, u, [0.2])
+
+
+def test_distinct_solves_match_the_whole_level_when_all_differ():
+    t = binomial_tree(6, 1.0, sigma0="0.3 + 0.2 * B", psi=("1.0 + 0.5 * B",))
+    ev = FieldEvaluator(MIXED, t)
+    rng = np.random.default_rng(5)
+    level = 4
+    n = t.n_nodes(level)
+    u = _execute_targets(ev, level, np.array([0.5, 0.5]), [0.3])
+    u = u * rng.uniform(0.9, 1.1, size=u.shape)
+    q = rng.normal(0.0, 0.3, size=(n, 1))
+    assert len(np.unique(np.column_stack([u, q]), axis=0)) == n
+    _assert_same_solve(ev, level, u, q)
+
+
+@pytest.mark.parametrize("steps, level, lam, q0, q1", [
+    (5, 4, [0.9472473850656326, 0.05275261493436742], 0.07, -0.64),
+    (6, 3, [0.8794372157364472, 0.12056278426355282], 0.34, 1.09),
+])
+def test_problems_within_tolerance_stay_in_the_sweeps(steps, level, lam, q0,
+                                                      q1):
+    # here some problems reach tolerance iterations before the others;
+    # sweeping only those left would change the last bits of the rest,
+    # since allocate stops on one test over all the leaves of a sweep
+    t = binomial_tree(steps, 1.0, sigma0="0.3 + 0.2 * B",
+                      psi=("1.0 + 0.5 * B",))
+    ev = FieldEvaluator(MIXED, t)
+    lam = np.array(lam)
+    u = _execute_targets(ev, level, lam, [q0])
+    _assert_same_solve(ev, level, u, [q1], w0=lam, x0=0.0)
+
+
+def test_saddle_error_on_a_repeated_problem_names_one_of_its_nodes(
+        monkeypatch):
+    monkeypatch.setattr(conjugate, "_MAX_ITER", 1)
+    monkeypatch.setattr(conjugate, "_RESTARTS", 0)
+    t = _twin_tree()
+    ev = FieldEvaluator(MIXED, t)
+    level = 4
+    n = t.n_nodes(level)
+    u = _execute_targets(ev, level, np.array([0.5, 0.5]), [0.3])
+    with pytest.raises(SaddleError) as info:
+        saddle_batch(ev, level, u, [0.3], w0=[0.5, 0.5], x0=3.0)
+    err = info.value
+    # every problem is held by node i and by its twin i + n/2; the
+    # error names the first of them
+    assert err.level == level and 0 <= err.node < n // 2
+    assert np.array_equal(u[err.node], u[err.node + n // 2])
+    assert err.tolerance == conjugate._TOL_SCALE * (
+        1.0 + np.abs(u[err.node]).max())
+    # the node's own residual: its problem solved alone
+    one = np.array([err.node])
+    _, _, resid, _ = conjugate._newton(
+        ev, level, one, u[one], np.full((1, 1), 0.3), np.zeros((1, 1)),
+        np.full(1, 3.0), np.full(1, err.tolerance))
+    assert err.residual == pytest.approx(float(resid[0]), rel=1e-12)
+    assert err.residual > err.tolerance

@@ -3,7 +3,8 @@ import pytest
 
 from indiffmarket import field, representative
 from indiffmarket.conjugate import saddle_batch
-from indiffmarket.field import _FIRST, _SECOND, FieldEvaluator, Sweep
+from indiffmarket.field import (_FIRST, _SECOND, FieldEvaluator, Sweep,
+                               distinct_rows)
 from indiffmarket.representative import PrimalPoint
 from indiffmarket.tree import binomial_lattice, binomial_tree
 from indiffmarket.utilities import exponential, panel, sum_of_exponentials
@@ -266,6 +267,91 @@ def test_unrecombinable_trees_take_the_leaf_sweep(kind, allocate_rows):
         assert allocate_rows[-1] == t.n_leaves
 
 
+def _subset_cases():
+    d1 = binomial_tree(7, 1.0, sigma0="0.3 + 0.2 * B", psi=("1.0 + 0.5 * B",))
+    d2 = binomial_tree(4, 1.0, dim=2, sigma0="0.3 + 0.2 * B1 - 0.1 * B2",
+                       psi=("1.0 + 0.5 * B1", "0.8 + 0.4 * B2"))
+    leaf = _leaf_path_trees()
+    return {"d1": (d1, (0, 2, 5, 6, 7)), "d2": (d2, (1, 2, 3, 4)),
+            "corrupt": (leaf["corrupt-probabilities"], (1, 3, 5)),
+            "table": (leaf["table-not-of-B"], (0, 2, 4)),
+            "lattice": (leaf["lattice"], (0,))}
+
+
+@pytest.mark.parametrize("kind", sorted(_subset_cases()))
+def test_node_subset_sweep_of_the_distinct_states(kind, allocate_rows):
+    # states repeat over the nodes of a level; the subtrees of one node
+    # per distinct (subtree class, state) give every node's values of
+    # the level sweep bit for bit, from the leaves of those nodes only
+    tree, levels = _subset_cases()[kind]
+    ev = FieldEvaluator(MIXED, tree)
+    rng = np.random.default_rng(21)
+    for level in levels:
+        n = tree.n_nodes(level)
+        pick = rng.integers(0, 3, size=n)
+        v, x, q = (rng.uniform(0.3, 2.0, size=(3, 2))[pick],
+                   rng.uniform(-1.0, 1.0, size=3)[pick],
+                   rng.uniform(-1.0, 1.0, size=(3, tree.n_assets))[pick])
+        full = ev.sweep_states(level, v, x, q, order=2)
+        nodes, node_of = distinct_rows(np.column_stack(
+            [ev.subtree_classes(level), v, x, q]))
+        del allocate_rows[:]
+        some = ev.sweep_nodes(level, nodes, v[nodes], x[nodes], q[nodes],
+                              order=2)
+        root, at = ev._rooted(level)
+        if at == 0 and len(nodes) == n:
+            # every root of the level sweep's own tree: its split is reused
+            assert allocate_rows == []
+        else:
+            assert allocate_rows == [len(nodes) * root.tree.n_leaves // n]
+        for name in full.names:
+            got, want = some.at(name, 0)[node_of], full.at(name, level)
+            assert got.tobytes() == want.tobytes(), (level, name)
+
+
+@pytest.mark.parametrize("kind", sorted(_subset_cases()))
+def test_node_subset_sweep_in_any_order_with_closed_form_splits(kind):
+    # with an all-exponential panel the split of a leaf does not depend
+    # on the other leaves allocated with it, so any subset of nodes, in
+    # any order, gives their values of the level sweep bit for bit
+    tree, levels = _subset_cases()[kind]
+    ev = FieldEvaluator(PAIR, tree)
+    rng = np.random.default_rng(22)
+    for level in levels:
+        n = tree.n_nodes(level)
+        v, x, q = _node_states(rng, tree, level)
+        full = ev.sweep_states(level, v, x, q, order=2)
+        nodes = rng.permutation(n)[:max(1, n // 3)]
+        some = ev.sweep_nodes(level, nodes, v[nodes], x[nodes], q[nodes],
+                              order=2)
+        for name in full.names:
+            got, want = some.at(name, 0), full.at(name, level)[nodes]
+            assert got.tobytes() == want.tobytes(), (level, name)
+
+
+def test_distinct_rows_go_by_bits():
+    nan2 = np.array([np.nan]).view(np.int64) + 1
+    rows = np.array([[1.0, 0.0], [1.0, -0.0], [1.0, 0.0], [np.nan, 1.0],
+                     [nan2.view(float)[0], 1.0], [np.nan, 1.0]])
+    first, inverse = distinct_rows(rows)
+    assert first.tolist() == [0, 1, 3, 4]
+    assert inverse.tolist() == [0, 1, 0, 2, 3, 2]
+
+
+def test_martingale_deviation_is_the_worst_component_gap():
+    # one expect per level on the packed block, the value of one
+    # martingale_gap per component
+    for tree in (binomial_tree(5, 1.0, sigma0="0.3 + 0.2 * B",
+                               psi=("1.0 + 0.5 * B",)),
+                 _leaf_path_trees()["table-not-of-B"]):
+        ev = FieldEvaluator(MIXED, tree)
+        sweep = ev.sweep_point(PrimalPoint(v=[0.7, 1.2], x=0.2, q=[0.4]),
+                               order=2)
+        want = max(tree.martingale_gap(levels)
+                   for levels in sweep.comps.values())
+        assert ev.martingale_deviation(sweep) == want
+
+
 def test_payoff_table_of_B_takes_the_recombined_sweep(allocate_rows):
     base = binomial_tree(5, 1.0, sigma0="0.3 + 0.2 * B",
                          psi=("1.0 + 0.5 * B",))
@@ -301,20 +387,22 @@ def test_terminal_computes_only_requested_components():
 
 
 def test_newton_sweep_work_count(allocate_rows):
-    # one Newton sweep at level 2 of a 13-step tree: 4 nodes times 12
-    # count classes, not 2^13 leaves
+    # level 2 of a 13-step tree, one target: its 4 nodes hold 3 distinct
+    # problems, one per down-move count, each swept on its 12 count
+    # classes (not 2^11 leaves), in every Newton sweep and trial
     t = binomial_tree(13, 1.0, sigma0="0.3 + 0.2 * B", psi=("1.0 + 0.5 * B",))
     ev = FieldEvaluator(MIXED, t)
     u = ev.field(PrimalPoint(v=[0.5, 0.5], x=0.0, q=[0.0])).dv
     del allocate_rows[:]
     saddle_batch(ev, 2, u, np.full((4, 1), 0.3), w0=[0.5, 0.5], x0=0.0)
-    assert allocate_rows and set(allocate_rows) == {48}
+    assert allocate_rows == [36] * 6
 
 
 def test_saddle_probe_allocation_count(allocate_rows):
-    # six Newton sweeps and five line-search trials; every trial is
-    # accepted at both nodes, so the next Newton sweep reuses its split:
-    # 7 allocations, where one allocation per sweep would be 12
+    # six Newton sweeps and five line-search trials; the two nodes are
+    # two distinct problems, every trial is accepted at both, so the
+    # next Newton sweep reuses its split: 7 allocations, where one
+    # allocation per sweep would be 12
     t = binomial_tree(4, 1.0, sigma0="0.3 + 0.2 * B", psi=("1.0 + 0.5 * B",))
     ev = FieldEvaluator(MIXED, t)
     u = ev.field(PrimalPoint(v=[0.5, 0.5], x=0.0, q=[0.3]), node=(1, 0)).dv
@@ -322,6 +410,25 @@ def test_saddle_probe_allocation_count(allocate_rows):
     _, _, _, iters = saddle_batch(ev, 1, u, [0.3], w0=[0.7, 0.3], x0=1.0)
     assert iters == 6
     assert allocate_rows == [8] * 7
+
+
+@pytest.mark.parametrize("level", [0, 5, 11, 12, 13])
+def test_saddle_allocates_rows_of_the_distinct_problems_only(allocate_rows,
+                                                             level):
+    # one target, position and start for the whole level: the problems
+    # are the subtree classes, r of them, and the first sweep allocates
+    # the leaves below r nodes (their recombined count classes on levels
+    # 0 to 11, their own leaves on levels 12 and 13), no more
+    t = binomial_tree(13, 1.0, sigma0="0.3 + 0.2 * B", psi=("1.0 + 0.5 * B",))
+    ev = FieldEvaluator(MIXED, t)
+    u = ev.field(PrimalPoint(v=[0.5, 0.5], x=0.0, q=[0.0])).dv
+    r = len(set(ev.subtree_classes(level).tolist()))
+    per = t.steps - level + 1 if level < 12 else 2 ** (t.steps - level)
+    assert r < t.n_nodes(level) or level == 0
+    del allocate_rows[:]
+    saddle_batch(ev, level, u, [0.3], w0=[0.5, 0.5], x0=0.0)
+    assert allocate_rows[0] == r * per
+    assert max(allocate_rows) == r * per
 
 
 def test_leaf_allocation_memo_holds_the_last_state(allocate_rows):

@@ -279,6 +279,40 @@ def test_expect_matches_the_gather_bit_for_bit(name, tree):
             assert not np.signbit(got[got == 0]).any()
 
 
+@pytest.mark.parametrize("name, tree, level", [
+    ("tree-d1", binomial_tree(5, 1.0, sigma0="0.3 + 0.2 * B1"), 2),
+    ("tree-d2", binomial_tree(3, 1.0, dim=2, psi=("B1", "B2")), 1),
+    ("forest", binomial_tree(5, 1.0, sigma0="0.3 + 0.2 * B1").recombine(2),
+     0),
+    ("leaves", binomial_tree(3, 1.0), 3),
+], ids=["tree-d1", "tree-d2", "forest", "leaves"])
+def test_subtrees_hold_the_descendants_of_the_nodes_given(name, tree, level):
+    rng = np.random.default_rng(4)
+    nodes = rng.permutation(tree.n_nodes(level))[:3]
+    sub = tree.subtrees(level, nodes)
+    assert sub.steps == tree.steps - level
+    assert np.array_equal(sub.B[0], tree.B[level][nodes])
+    # a process on the tree, restricted to the subtrees, has the same
+    # conditional expectations; the leaves below node i are the i-th
+    # block of the leaf rows
+    n = tree.n_nodes(level)
+    values = rng.normal(size=(tree.n_leaves, 2))
+    mine = values.reshape(n, -1, 2)[nodes].reshape(-1, 2)
+    assert np.array_equal(sub.sigma0, tree.sigma0.reshape(n, -1)[nodes]
+                          .ravel())
+    for k in range(tree.steps - 1, level - 1, -1):
+        values = tree.expect(k, values)
+        mine = sub.expect(k - level, mine)
+    assert mine.tobytes() == values[nodes].tobytes()
+
+
+def test_subtrees_need_contiguous_descendants():
+    lattice = binomial_lattice(4, 1.0)
+    assert lattice.subtrees(0, [0]).n_leaves == lattice.n_leaves
+    with pytest.raises(ValueError, match="subtrees"):
+        lattice.subtrees(1, [0])
+
+
 def test_expect_rejects_values_of_another_level():
     t = binomial_tree(3, 1.0)
     with pytest.raises(ValueError, match="level 2"):
