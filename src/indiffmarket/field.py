@@ -401,9 +401,8 @@ class FieldEvaluator:
             if not (at == 0 and np.array_equal(nodes, np.arange(n))):
                 ev = FieldEvaluator(self.panel, ev.tree.subtrees(at, nodes))
             self._subset = (key, ev)
-        return self._subset[1]._sweep_roots(
-            np.asarray(v_nodes, dtype=float), np.asarray(x_nodes, dtype=float),
-            np.asarray(q_nodes, dtype=float), order, names)
+        return self._subset[1]._sweep_roots(v_nodes, x_nodes, q_nodes,
+                                            order, names)
 
     # -- point queries ---------------------------------------------------
 
