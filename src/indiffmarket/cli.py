@@ -3,10 +3,11 @@
 Config blocks are read and checked only in ``config``; this module
 dispatches, runs and writes output.  Exit status: 0 on success, 1 when
 a verification suite fails, 2 on a malformed config value or option, 3
-when a solver fails (the optimal split cannot be computed, or a saddle
-solve stalls above its tolerance).  CSV output is deterministic for a
-fixed config and seed; run metadata goes to a separate JSON file so the
-CSV bytes stay reproducible.
+when a solver fails (the optimal split cannot be computed, a utility
+value cannot be inverted, or a saddle solve stalls above its
+tolerance).  CSV output is deterministic for a fixed config and seed;
+run metadata goes to a separate JSON file so the CSV bytes stay
+reproducible.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .engine import execute_simple, indifference_cash, simulate_sde
 from .field import FieldEvaluator
 from .representative import (AllocationError, PrimalPoint,
                              representative_utility)
-from .utilities import exponential, panel as make_panel
+from .utilities import InverseValueError, exponential, panel as make_panel
 from .verify import SUITE_NAMES, _bachelier_terminal, run_suite
 
 _CSV_VERSION = "v1"
@@ -302,6 +303,9 @@ def main(argv=None) -> int:
         return 3
     except SaddleError as exc:
         print(f"saddle error: {exc}", file=sys.stderr)
+        return 3
+    except InverseValueError as exc:
+        print(f"solver error: {exc}", file=sys.stderr)
         return 3
 
 

@@ -394,18 +394,18 @@ def _phi_tables(evaluator: FieldEvaluator, qs):
 
     With one exponential maker the field separates as F(v, x, q) =
     v exp(-gamma x) Phi(q), so these tables carry all the information
-    the path engines need.  Each table is read from the evaluator's
-    memoized point sweep, so a position is swept once per evaluator.
+    the path engines need.  The tables are keyed by ``float(q)``, and
+    each is read from the evaluator's memoized point sweep, so a
+    position is swept once per evaluator.
     """
     tables = {}
-    for q in qs:
-        key = round(float(q), 12)
-        if key in tables:
+    for q in map(float, qs):
+        if q in tables:
             continue
         sweep = evaluator.sweep_point(
-            PrimalPoint(v=[1.0], x=0.0, q=[float(q)]), names=("dv",))
-        tables[key] = [sweep.at("dv", k)[:, 0]
-                       for k in range(evaluator.tree.steps + 1)]
+            PrimalPoint(v=[1.0], x=0.0, q=[q]), names=("dv",))
+        tables[q] = [sweep.at("dv", k)[:, 0]
+                     for k in range(evaluator.tree.steps + 1)]
     return tables
 
 
@@ -520,7 +520,7 @@ def _sde_scheme(evaluator: FieldEvaluator, q_levels, u0):
     if u0 >= 0:
         raise ValueError("initial indirect utility must be negative")
     tables = _phi_tables(evaluator, list(q_levels) + [0.0])
-    held = [tables[round(float(q), 12)] for q in q_levels]
+    held = [tables[float(q)] for q in q_levels]
     sqdt = np.sqrt(tree.dt(0))
     coeffs = [np.diff(phi[k + 1]) / (2.0 * sqdt * phi[k])
               for k, phi in enumerate(held)]
@@ -612,7 +612,7 @@ def _execute_rows(tables, gamma: float, trade: dict, up):
     for k in range(up.shape[0] + 1):
         yield j, xi, np.exp(-gamma * xi) * phi_gov[k][j]
         if k in trade:
-            phi_new = tables[round(trade[k], 12)]
+            phi_new = tables[float(trade[k])]
             xi = xi + (np.log(-phi_new[k][j])
                        - np.log(-phi_gov[k][j])) / gamma
             phi_gov = phi_new
@@ -660,6 +660,6 @@ def indifference_cash(evaluator: FieldEvaluator, q: float) -> float:
     """
     gamma = _check_fast(evaluator)
     tables = _phi_tables(evaluator, [float(q), 0.0])
-    phi_q = tables[round(float(q), 12)][0][0]
+    phi_q = tables[float(q)][0][0]
     phi_0 = tables[0.0][0][0]
     return float(np.log(-phi_q) - np.log(-phi_0)) / gamma

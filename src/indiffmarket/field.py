@@ -15,30 +15,28 @@ the children as row windows of the block below; ``Sweep`` hands out
 per-component views of the blocks.  The columns do not mix, so a
 component's bits do not depend on what else is swept with it.
 
-The same sweep also serves batched queries: states may differ per leaf,
-so assigning each leaf the state of its level-k ancestor evaluates F at
-every level-k node in a single pass.  On binomial trees whose payoffs
-depend on terminal B only, a level-k node's subtree recombines: its
-law depends on a path only through the per-component down-move counts,
-so the sweep runs on (N-k+1)^d leaves per node instead of 2^(d(N-k))
-(``ScenarioTree.recombine``).  Lattices, payoff tables that are not a
-function of the counts and trees with node-dependent probabilities keep
-the leaf sweep, which is also the oracle the recombined one is tested
-against.  A recombined level is spread back to node order only when it
-is read.
+The same sweep also serves batched queries: a state per node of a
+level evaluates F at every node of it in one pass over the forest below
+those nodes (``FieldEvaluator._forest``).  On binomial trees whose
+payoffs depend on terminal B only, a level-k node's subtree recombines:
+its law depends on a path only through the per-component down-move
+counts, so the forest is ``ScenarioTree.recombine``'s, (N-k+1)^d leaves
+per node instead of 2^(d(N-k)), spread back to node order only when a
+level is read.  Lattices, payoff tables that are not a function of the
+counts and trees with node-dependent probabilities sweep the nodes' own
+leaves (``ScenarioTree.subtrees``), the oracle the recombined sweep is
+tested against.
 
-A node-subset sweep (``sweep_nodes``) runs on the subtrees of some
-nodes of a level only: their blocks of the recombined forest, or their
-own leaf blocks with their own ``edge_p`` rows
-(``ScenarioTree.subtrees``).  Nodes whose subtrees carry equal leaf
-payoffs and edge probabilities, bit for bit, share a
-``subtree_classes`` class, so equal states at two nodes of one class
-give equal values.  A node's values depend on the other leaves swept
-with it only through ``allocate``, which stops on one test over all
-its rows and so may move their last bits; a sweep of one node per
-distinct (class, state) of a level allocates the same distinct leaf
-states as the whole level and keeps its bits.  That is how a saddle
-solve sweeps its distinct problems.
+A node-subset sweep (``sweep_nodes``) runs on the forest of some nodes
+of a level only.  Nodes whose subtrees carry equal leaf payoffs and
+edge probabilities, bit for bit, share a ``subtree_classes`` class, so
+equal states at two nodes of one class give equal values.  A node's
+values depend on the other leaves swept with it only through
+``allocate``, which stops on one test over all its rows and so may
+move their last bits; a sweep of one node per distinct (class, state)
+of a level allocates the same distinct leaf states as the whole level
+and keeps its bits.  That is how a saddle solve sweeps its distinct
+problems.
 
 Filling the leaves costs one ``allocate`` per sweep, except that each
 evaluator keeps its last leaf state and split: a saddle solve sweeps
@@ -63,7 +61,6 @@ __all__ = ["FieldEvaluator", "FieldValue", "Sweep", "distinct_rows",
 
 _FIRST = ("value", "dv", "dx", "dq")
 _SECOND = ("dvv", "dvx", "dvq", "dxx", "dxq", "dqq")
-_CACHE_DIGITS = 12
 
 
 class Sweep:
@@ -72,11 +69,12 @@ class Sweep:
     ``blocks`` holds the per-level blocks and ``columns`` maps each
     component name to its column slice and its per-node shape; ``at``
     and ``comps`` hand out views of the blocks, shaped (nodes, *shape).
-    A sweep of recombined subtrees holds its levels in the order of the
-    small tree and is given the ``spread`` that maps level ``anchor + s``
-    of it back to node order: ``at`` spreads only the levels it reads,
-    once per component, and ``comps`` spreads the rest on first access;
-    levels before ``anchor`` are None.
+    A sweep of the forest below the nodes of level ``anchor`` holds
+    level ``anchor + s`` as its block s, and levels before ``anchor``
+    are None.  A recombined forest holds its levels in its own order
+    and is given the ``spread`` that maps its level s back to node
+    order: ``at`` spreads only the levels it reads, once per component,
+    and ``comps`` spreads the rest on first access.
     """
 
     def __init__(self, blocks: list, columns: dict, spread=None,
@@ -98,14 +96,14 @@ class Sweep:
         return block[:, cols].reshape(block.shape[:1] + shape)
 
     def at(self, name: str, level: int, index=None):
-        if self._spread is None:
-            arr = self._view(name, self.blocks[level])
-        elif level < self._anchor:
+        depth = level - self._anchor
+        if depth < 0:
             arr = None
+        elif self._spread is None:
+            arr = self._view(name, self.blocks[depth])
         else:
             arr = self._spreads.get((name, level))
             if arr is None:
-                depth = level - self._anchor
                 arr = self._spreads[name, level] = self._spread(
                     depth, self._view(name, self.blocks[depth]))
         return arr if index is None else arr[index]
@@ -113,12 +111,11 @@ class Sweep:
     def block(self, level: int):
         """The packed block of ``level`` in node order (None before the
         anchor); a recombined level is spread on every call."""
-        if self._spread is None:
-            return self.blocks[level]
-        if level < self._anchor:
-            return None
         depth = level - self._anchor
-        return self._spread(depth, self.blocks[depth])
+        if depth < 0:
+            return None
+        block = self.blocks[depth]
+        return block if self._spread is None else self._spread(depth, block)
 
     @property
     def comps(self) -> dict:
@@ -166,23 +163,22 @@ def increment_slope(tree: ScenarioTree, level: int, now, nxt):
 class FieldEvaluator:
     """Evaluates F, its gradient and Hessian, and the martingale integrand.
 
-    Memoizes whole sweeps per point rounded to ``_CACHE_DIGITS``, and
-    the last leaf allocation: a leaf state (v, total) equal bit for bit
-    to the one before it reuses that split (``_allocate``).  Hessian
-    components are produced by the same backward recursion
-    applied to analytic second derivatives of r, so no finite
-    differencing enters the reference path.
+    Memoizes whole sweeps per point, keyed by the bits of (v, x, q), the
+    forests of the last level swept (``_forest``), and the last leaf
+    allocation: a leaf state (v, total) equal bit for bit to the one
+    before it reuses that split (``_allocate``).  Hessian components are
+    produced by the same backward recursion applied to analytic second
+    derivatives of r, so no finite differencing enters the reference
+    path.
     """
 
     def __init__(self, panel: MakerPanel, tree: ScenarioTree):
         self.panel = panel
         self.tree = tree
         self._cache = {}
-        self._recombinable = True
-        self._small = None
+        self._forests = (None, {})
         self._last_split = None
         self._classes = {}
-        self._subset = None
 
     # -- terminal data -------------------------------------------------
 
@@ -281,68 +277,65 @@ class FieldEvaluator:
         """Sweep with a state per node of one level, pushed to the leaves.
 
         Conditional expectations never mix leaves of different ancestors,
-        so the arrays at ``level`` are each node's own F values.  When
-        ``ScenarioTree.recombine`` accepts the level, the sweep runs on
-        the recombined subtrees, one leaf per node and down-move count
-        class, and a level is spread back to node order when it is read
-        (see ``Sweep``); levels 0 to level-1, which mix the states of
-        several nodes and which no caller reads, are then left None.
+        so the arrays at ``level`` are each node's own F values.  The
+        sweep runs on the forest of the level (``_forest``), whose levels
+        are spread back to node order when they are read if it is
+        recombined (see ``Sweep``); levels 0 to level-1, which would mix
+        the states of several nodes and which no caller reads, are None.
         """
-        v_nodes = np.asarray(v_nodes, dtype=float)
-        x_nodes = np.asarray(x_nodes, dtype=float)
-        q_nodes = np.asarray(q_nodes, dtype=float)
-        small = self._recombined(level)
-        if small is not None:
-            return self._sweep_recombined(level, small, v_nodes, x_nodes,
-                                          q_nodes, order, names)
-        owner = self.tree.leaf_owner(level)
-        return self.sweep_leaf_states(v_nodes[owner], x_nodes[owner],
-                                      q_nodes[owner], order, names)
+        ev, spread = self._forest(level)
+        swept = ev._sweep_roots(v_nodes, x_nodes, q_nodes, order, names)
+        return Sweep(swept.blocks, swept.columns, spread=spread, anchor=level)
 
     def sweep_point(self, point: PrimalPoint, order: int = 1,
                     names=None) -> Sweep:
         """Sweep for one constant state: ``sweep_states`` at the root,
-        memoized per point rounded to ``_CACHE_DIGITS``."""
-        d = _CACHE_DIGITS
-        key = (tuple(np.round(point.v, d)), round(float(point.x), d),
-               tuple(np.round(point.q, d)))
+        memoized per point by the bits of (v, x, q)."""
+        key = (point.v.tobytes(), np.float64(point.x).tobytes(),
+               point.q.tobytes())
         hit = self._cache.get(key)
         need = names if names is not None else (
             _FIRST + _SECOND if order >= 2 else _FIRST)
         if hit is not None and all(nm in hit.names for nm in need):
             return hit
-        sweep = self.sweep_states(0, np.asarray(point.v, dtype=float)[None],
-                                  np.full(1, float(point.x)),
-                                  np.asarray(point.q, dtype=float)[None],
-                                  order, names)
+        sweep = self.sweep_states(0, point.v[None], np.full(1, float(point.x)),
+                                  point.q[None], order, names)
         self._cache[key] = sweep
         return sweep
 
-    def _recombined(self, level: int):
-        """Evaluator on ``tree.recombine(level)``, or None for a leaf sweep.
-
-        Only the recombined tree of the last level asked is kept, and a
-        leaf sweep drops it; a tree that fails the checks is remembered
-        and never asked again.
+    def _forest(self, level: int, nodes=None):
+        """(evaluator, spread) of the forest below ``nodes`` of ``level``
+        (all of them when None), each node a root over a block of leaves:
+        ``tree.recombine(level, nodes)`` with ``tree.spread_recombined``
+        at the level when the level recombines, else this evaluator at
+        level 0 and the nodes' own ``tree.subtrees`` below it, with
+        spread None.  The last level's forests are kept per node set,
+        each with its own leaf-split memo; every node of the level in
+        order is the whole level's set, so its sweeps share the memo of
+        ``sweep_states``.
         """
-        if not self._recombinable or self.tree.steps - level < 2:
-            self._small = None
-            return None
-        if self._small is None or self._small[0] != level:
-            small = self.tree.recombine(level)
-            if small is None:
-                self._recombinable = False
-                return None
-            self._small = (level, FieldEvaluator(self.panel, small))
-        return self._small[1]
-
-    def _sweep_recombined(self, level, small, v_nodes, x_nodes, q_nodes,
-                          order, names) -> Sweep:
-        """Leaf sweep of ``small``, spread back to the levels of this tree
-        as they are read."""
-        swept = small._sweep_roots(v_nodes, x_nodes, q_nodes, order, names)
-        spread = functools.partial(self.tree.spread_recombined, level)
-        return Sweep(swept.blocks, swept.columns, spread=spread, anchor=level)
+        tree = self.tree
+        if nodes is not None:
+            nodes = np.asarray(nodes, dtype=np.intp)
+            if np.array_equal(nodes, np.arange(tree.n_nodes(level))):
+                nodes = None
+        if self._forests[0] != level:
+            self._forests = (level, {})
+        forests = self._forests[1]
+        key = None if nodes is None else nodes.tobytes()
+        if key not in forests:
+            small = tree.recombine(level, nodes)
+            if small is not None:
+                forests[key] = (FieldEvaluator(self.panel, small),
+                                functools.partial(tree.spread_recombined,
+                                                  level))
+            elif level == 0 and nodes is None:
+                # not kept: the cache would hold this evaluator in a cycle
+                return self, None
+            else:
+                forests[key] = (FieldEvaluator(
+                    self.panel, tree.subtrees(level, nodes)), None)
+        return forests[key]
 
     def _sweep_roots(self, v_nodes, x_nodes, q_nodes, order, names) -> Sweep:
         """Leaf sweep with the state of each level-0 node at every leaf
@@ -355,13 +348,6 @@ class FieldEvaluator:
 
     # -- node subsets ----------------------------------------------------
 
-    def _rooted(self, level: int):
-        """(evaluator, level) whose nodes at that level are this level's
-        nodes, each the root of a contiguous block of descendants: the
-        recombined forest at its roots, else this tree at ``level``."""
-        small = self._recombined(level)
-        return (small, 0) if small is not None else (self, level)
-
     def subtree_classes(self, level: int) -> np.ndarray:
         """Class of each node of ``level``: nodes share a class when the
         subtrees that a ``sweep_nodes`` call sweeps for them carry equal
@@ -370,39 +356,24 @@ class FieldEvaluator:
         per level."""
         cls = self._classes.get(level)
         if cls is None:
-            ev, at = self._rooted(level)
-            tree = ev.tree
-            n = tree.n_nodes(at)
+            tree = self._forest(level)[0].tree
+            n = tree.n_nodes(0)
             rows = [np.column_stack([tree.sigma0, tree.psi]).reshape(n, -1)]
-            rows += [p.reshape(n, -1) for p in tree.edge_p[at:]]
+            rows += [p.reshape(n, -1) for p in tree.edge_p]
             cls = self._classes[level] = distinct_rows(
                 np.concatenate(rows, axis=1))[1]
         return cls
 
     def sweep_nodes(self, level: int, nodes, v_nodes, x_nodes, q_nodes,
                     order: int = 1, names=None) -> Sweep:
-        """Sweep of the subtrees of ``nodes`` of ``level`` only, with one
-        state per node given.
+        """Sweep of the forest of ``nodes`` of ``level`` only
+        (``_forest``), with one state per node given.
 
         Level 0 of the result holds the nodes in the order given, with
-        their own F values.  On a level that ``ScenarioTree.recombine``
-        accepts the subtrees are the nodes' blocks of the recombined
-        forest, else their leaf blocks with their own ``edge_p`` rows
-        (``ScenarioTree.subtrees``).  The forest of the last node set
-        asked is kept, so that repeated sweeps of one set share its leaf
-        allocation memo; all the nodes of a level that are roots (the
-        recombined forest's, or this tree's root) sweep that tree itself.
+        their own F values; its deeper levels are in forest order.
         """
-        nodes = np.asarray(nodes, dtype=np.intp)
-        key = (level, nodes.tobytes())
-        if self._subset is None or self._subset[0] != key:
-            ev, at = self._rooted(level)
-            n = ev.tree.n_nodes(at)
-            if not (at == 0 and np.array_equal(nodes, np.arange(n))):
-                ev = FieldEvaluator(self.panel, ev.tree.subtrees(at, nodes))
-            self._subset = (key, ev)
-        return self._subset[1]._sweep_roots(v_nodes, x_nodes, q_nodes,
-                                            order, names)
+        ev = self._forest(level, nodes)[0]
+        return ev._sweep_roots(v_nodes, x_nodes, q_nodes, order, names)
 
     # -- point queries ---------------------------------------------------
 

@@ -24,7 +24,7 @@ index.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -276,40 +276,50 @@ class ScenarioTree:
             out = grid[(slice(None),) + (slice(keep),) * dim]
         return out.reshape((n,) + values.shape[1:])
 
-    def recombine(self, level: int):
-        """Recombined copy of the subtrees hanging from the nodes of ``level``.
+    @cached_property
+    def _recombinable(self) -> bool:
+        """Whether the tree is implicit with 2^d children per node, every
+        level carries a single ``edge_p`` row, and sigma0 and each psi
+        column are constant within 1e-13 (1 + max|column|) over leaves
+        with equal down-move counts; checked once per tree."""
+        nc = 1 << self.dim
+        if (not self.implicit
+                or any(self.branching(k) != nc for k in range(self.steps))
+                or any((p != p[:1]).any() for p in self.edge_p)):
+            return False
+        cls, rep, _ = count_classes(self.dim, self.steps)
+        cols = np.column_stack([self.sigma0, self.psi])
+        spread = np.abs(cols - cols[rep][cls]).max(axis=0)
+        return not np.any(
+            spread > _RECOMBINE_RTOL * (1.0 + np.abs(cols).max(axis=0)))
+
+    def recombine(self, level: int, nodes=None):
+        """Recombined copy of the subtrees hanging from ``nodes`` of
+        ``level`` (all of its nodes when None).
 
         When every level moves all its nodes with one probability row and
         the leaf payoffs depend on a path only through its per-component
         down-move counts, the terminal law of a subtree depends only on
         those counts: the recombination of Cox, Ross and Rubinstein
-        (1979).  Level s of the copy holds node i * C_s + c for node i of
-        ``level`` and class c of ``count_classes(dim, s)``, C_s = (s+1)^d
-        classes; its level 0 is the n nodes of ``level``, so the copy is
-        a forest.  Edge probabilities are the original rows, and B,
-        sigma0 and psi are read from one representative node per class.
-        Its children are row windows of padded levels (``RowWindows``).
+        (1979).  Level s of the copy holds node i * C_s + c for the i-th
+        node given and class c of ``count_classes(dim, s)``, C_s =
+        (s+1)^d classes; its level 0 is the nodes given, in that order,
+        so the copy is a forest.  Edge probabilities are the original
+        rows, and B, sigma0 and psi are read from one representative
+        node per class.  Its children are row windows of padded levels
+        (``RowWindows``).
 
-        Returns None unless the tree is implicit with 2^d children per
-        node, every level carries a single ``edge_p`` row, sigma0 and
-        each psi column are constant within 1e-13 (1 + max|column|) over
-        leaves with equal counts, and the copy has fewer leaves than the
+        Returns None unless the tree passes the checks of
+        ``_recombinable`` and the copy has fewer leaves than the
         subtrees, i.e. steps - level >= 2.
         """
         depth, d = self.steps - level, self.dim
+        if depth < 2 or not self._recombinable:
+            return None
         nc = 1 << d
-        if (not self.implicit or depth < 2
-                or any(self.branching(k) != nc for k in range(self.steps))
-                or any((p != p[:1]).any() for p in self.edge_p)):
-            return None
-        cls, rep, _ = count_classes(d, self.steps)
-        cols = np.column_stack([self.sigma0, self.psi])
-        spread = np.abs(cols - cols[rep][cls]).max(axis=0)
-        if np.any(spread > _RECOMBINE_RTOL * (1.0 + np.abs(cols).max(axis=0))):
-            return None
-
-        n = self.n_nodes(level)
-        roots = np.arange(n)[:, None]
+        roots = (np.arange(self.n_nodes(level)) if nodes is None
+                 else np.asarray(nodes, dtype=np.intp))[:, None]
+        n = len(roots)
         B, windows, edge_p = [], [], []
         for s in range(depth + 1):
             _, rep, child = count_classes(d, s)
@@ -326,27 +336,26 @@ class ScenarioTree:
                             edge_db=None, edge_p=edge_p,
                             sigma0=self.sigma0[leaves], psi=self.psi[leaves])
 
-    def subtrees(self, level: int, nodes) -> "ScenarioTree":
-        """Forest of the subtrees hanging from ``nodes`` of ``level``.
+    def subtrees(self, level: int, nodes=None) -> "ScenarioTree":
+        """Forest of the subtrees hanging from ``nodes`` of ``level`` (all
+        of its nodes when None, as views of this tree's levels).
 
         Level s of the forest holds the descendants s steps below each
         given node, node by node in the order given, with their own
         ``edge_p`` and ``edge_db`` rows; its leaves carry their sigma0
         and psi rows.  The descendants of node i at level ``level + s``
         must be the rows i c .. (i + 1) c - 1 of that level, c being its
-        node count over that of ``level``: so it is on implicit trees, at
-        the roots of a ``recombine`` forest, and under a single root.
+        node count over that of ``level``: so it is on implicit trees
+        and under a single root.
         """
         n = self.n_nodes(level)
-        if not (self.implicit or level == 0 and (
-                n == 1 or all(w.pad for w in self.windows))):
-            raise ValueError("subtrees needs an implicit tree or the roots "
-                             "of a forest")
-        nodes = np.asarray(nodes, dtype=np.intp)
-        rows = []
-        for k in range(level, self.steps + 1):
-            c = self.n_nodes(k) // n
-            rows.append((nodes[:, None] * c + np.arange(c)).ravel())
+        if not (self.implicit or n == 1):
+            raise ValueError("subtrees needs an implicit tree or a single "
+                             "root")
+        counts = [self.n_nodes(k) // n for k in range(level, self.steps + 1)]
+        rows = ([slice(None)] * len(counts) if nodes is None else
+                [(np.asarray(nodes, dtype=np.intp)[:, None] * c
+                  + np.arange(c)).ravel() for c in counts])
         return ScenarioTree(
             times=self.times[level:],
             B=[b[r] for b, r in zip(self.B[level:], rows)],

@@ -28,6 +28,7 @@ import numpy as np
 __all__ = [
     "UtilitySpec",
     "MakerPanel",
+    "InverseValueError",
     "exponential",
     "sum_of_exponentials",
 ]
@@ -36,6 +37,10 @@ __all__ = [
 def _total(arrays):
     """Left-to-right sum ((a_1 + a_2) + a_3) + ... of equally shaped arrays."""
     return functools.reduce(operator.add, arrays)
+
+
+class InverseValueError(RuntimeError):
+    """Newton on u(x) = c did not converge (``UtilitySpec.inverse_value``)."""
 
 
 @dataclass(frozen=True)
@@ -163,8 +168,8 @@ class UtilitySpec:
 
         Closed form for a single exponential; Newton on x otherwise
         (u is increasing and concave, so starting from a bound below the
-        root converges monotonically).  Raises ValueError if neither
-        start converges.
+        root converges monotonically).  Raises ValueError unless c < 0,
+        and ``InverseValueError`` if neither start converges.
         """
         c = np.asarray(c, dtype=float)
         if np.any(c >= 0) or not np.all(np.isfinite(c)):
@@ -198,7 +203,7 @@ class UtilitySpec:
                         return x if np.ndim(x) else float(x)
                     if not np.isfinite(size):
                         break
-        raise ValueError("inverse_value: Newton did not converge")
+        raise InverseValueError("inverse_value: Newton did not converge")
 
 
 def exponential(gamma: float) -> UtilitySpec:

@@ -12,8 +12,7 @@ under which the affected suite must fail; the tests assert that it does.
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -50,10 +49,10 @@ class SuiteResult:
 
 
 def corrupt_tree(tree: ScenarioTree, kind: str, seed: int = 0) -> ScenarioTree:
-    """Seeded defect injection for negative controls."""
-    t = copy.copy(tree)
-    t.edge_p = [a.copy() for a in tree.edge_p]
-    t.edge_db = [a.copy() for a in tree.edge_db]
+    """Seeded defect injection for negative controls, into a fresh tree
+    that caches nothing of ``tree`` (``ScenarioTree._recombinable``)."""
+    t = replace(tree, edge_p=[a.copy() for a in tree.edge_p],
+                edge_db=[a.copy() for a in tree.edge_db])
     rng = np.random.default_rng(seed)
     k = int(rng.integers(0, tree.steps))
     i = int(rng.integers(0, tree.n_nodes(k)))

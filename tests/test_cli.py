@@ -482,6 +482,25 @@ def test_stalled_saddle_is_one_line_exit_three(tmp_path, capsys, monkeypatch,
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("mode", ["execute", "sde"])
+def test_solver_failure_is_one_line_exit_three(tmp_path, capsys, mode):
+    # a gamma-20 maker beside the mixture of rates 0.001 and 50 on an
+    # 8-step tree: the split stalls in execute mode, the inversion of a
+    # utility value in the saddle start of sde mode
+    text = (BASE_CONFIG.replace("gamma: 1.0", "gamma: 20.0")
+            .replace("rates: [1.0, 2.0]", "rates: [0.001, 50.0]")
+            .replace("weights: [1.0, 0.5]", "weights: [1.0, 1.0]")
+            .replace("steps: 3", "steps: 8")
+            .replace("mode: execute", f"mode: {mode}"))
+    assert main(["simulate", "--config", write(tmp_path, text),
+                 "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err.endswith("did not converge: last step 2.000e+01\n"
+                        if mode == "execute" else
+                        "inverse_value: Newton did not converge\n")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv, config, option", [
     (["simulate", "--steps", "0"], None, "--steps"),
     (["simulate", "--steps", "-2"], None, "--steps"),

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -218,8 +221,7 @@ def test_recombined_sweep_matches_leaf_sweep(tree, allocate_rows):
         full = ev.sweep_leaf_states(v[owner], x[owner], q[owner], order=2)
         assert fast.comps.keys() == full.comps.keys()
         for name, levels in full.comps.items():
-            if recombined:
-                assert all(a is None for a in fast.comps[name][:level])
+            assert all(a is None for a in fast.comps[name][:level])
             for k in range(level, tree.steps + 1):
                 ref = levels[k]
                 assert fast.comps[name][k].shape == ref.shape
@@ -241,6 +243,39 @@ def test_recombined_sweep_point_matches_leaf_sweep(allocate_rows):
             assert np.all(np.abs(fast.comps[name][k] - ref)
                           <= 1e-13 * (1.0 + np.abs(ref))), (name, k)
     assert ev.martingale_deviation(fast) < 1e-12
+
+
+def test_point_memo_tells_points_apart_by_their_bits():
+    # x = 0.2 and 0.2 + 4e-13 agree to 12 digits but are two points: the
+    # second gets its own sweep, as from a fresh evaluator
+    t = binomial_tree(4, 1.0, sigma0="0.3 + 0.2 * B", psi=("1.0 + 0.5 * B",))
+    ev = FieldEvaluator(MIXED, t)
+    near = PrimalPoint(v=[0.5, 0.5], x=0.2 + 4e-13, q=[0.3])
+    first = ev.field(PrimalPoint(v=[0.5, 0.5], x=0.2, q=[0.3])).value
+    got = ev.field(near).value
+    assert got == FieldEvaluator(MIXED, t).field(near).value
+    assert got != first
+
+
+@pytest.mark.parametrize("tree", [
+    binomial_tree(4, 1.0, sigma0="0.3 + 0.2 * B", psi=("1.0 + 0.5 * B",)),
+    binomial_tree(4, 1.0, psi=(np.arange(16.0),)),
+    binomial_lattice(4, 1.0, psi=("B",)),
+], ids=["recombined", "leaves", "lattice"])
+def test_evaluator_is_freed_without_the_cycle_collector(tree):
+    # the evaluator keeps its sweeps and forests; none of them may refer
+    # back to it, or a dropped evaluator would wait for the collector
+    ev = FieldEvaluator(MIXED, tree)
+    ev.sweep_point(PrimalPoint(v=[1.0, 1.0], x=0.1, q=[0.3]), order=2)
+    if tree.implicit:
+        ev.sweep_states(2, *_node_states(np.random.default_rng(1), tree, 2))
+    ref = weakref.ref(ev)
+    gc.disable()
+    try:
+        del ev
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def _leaf_path_trees():
@@ -265,6 +300,26 @@ def test_unrecombinable_trees_take_the_leaf_sweep(kind, allocate_rows):
     if t.implicit:
         ev.sweep_states(1, *_node_states(np.random.default_rng(0), t, 1))
         assert allocate_rows[-1] == t.n_leaves
+
+
+@pytest.mark.parametrize("kind", ["corrupt-probabilities", "table-not-of-B"])
+def test_unrecombined_level_sweeps_the_subtrees_of_its_nodes(kind):
+    # a level that does not recombine sweeps its nodes' own subtrees:
+    # the levels above it are None, and the others hold the bits of the
+    # leaf sweep with each node's state at the leaves below it
+    t = _leaf_path_trees()[kind]
+    ev = FieldEvaluator(MIXED, t)
+    rng = np.random.default_rng(3)
+    for level in range(1, t.steps + 1):
+        v, x, q = _node_states(rng, t, level)
+        sweep = ev.sweep_states(level, v, x, q, order=2)
+        owner = t.leaf_owner(level)
+        full = FieldEvaluator(MIXED, t).sweep_leaf_states(
+            v[owner], x[owner], q[owner], order=2)
+        for name, levels in full.comps.items():
+            assert sweep.comps[name][:level] == [None] * level
+            for k in range(level, t.steps + 1):
+                assert sweep.at(name, k).tobytes() == levels[k].tobytes()
 
 
 def _subset_cases():
@@ -298,12 +353,13 @@ def test_node_subset_sweep_of_the_distinct_states(kind, allocate_rows):
         del allocate_rows[:]
         some = ev.sweep_nodes(level, nodes, v[nodes], x[nodes], q[nodes],
                               order=2)
-        root, at = ev._rooted(level)
-        if at == 0 and len(nodes) == n:
-            # every root of the level sweep's own tree: its split is reused
+        if len(nodes) == n:
+            # every node of the level: the level sweep's own forest, whose
+            # split is reused
             assert allocate_rows == []
         else:
-            assert allocate_rows == [len(nodes) * root.tree.n_leaves // n]
+            per = ev._forest(level)[0].tree.n_leaves // n
+            assert allocate_rows == [len(nodes) * per]
         for name in full.names:
             got, want = some.at(name, 0)[node_of], full.at(name, level)
             assert got.tobytes() == want.tobytes(), (level, name)
@@ -482,7 +538,7 @@ def test_recombined_sweep_spreads_levels_as_read(tree, monkeypatch):
     monkeypatch.setattr(tree, "spread_recombined", counting)
     for level in range(tree.steps - 1):
         v, x, q = _node_states(rng, tree, level)
-        small = ev._recombined(level)
+        small = FieldEvaluator(MIXED, tree.recombine(level))
         per = small.tree.n_leaves // tree.n_nodes(level)
         swept = small.sweep_leaf_states(
             np.repeat(v, per, axis=0), np.repeat(x, per),
@@ -545,7 +601,7 @@ def test_sweep_components_are_node_arrays_of_their_own_bits(tree, order):
                                                  names=(name,)), 0)]
     for level in range(tree.steps - 1) if tree.implicit else ():
         state = _node_states(rng, tree, level)
-        assert ev._recombined(level) is not None
+        assert tree.recombine(level) is not None
         sweeps.append((ev.sweep_states(level, *state, order=order),
                        lambda name, lv=level, st=state: ev.sweep_states(
                            lv, *st, order=order, names=(name,)), level))

@@ -123,9 +123,9 @@ SHA256 = {
     ("verify", "stdout"):
         "1b7ae7bc4ea106d7e2a4b5881cc46e06d8f50a22e2660ce3b2c4053108c7ab94",
     ("verify-all", "verify.csv"):
-        "aea704a192369f17b30322db0f790a9da5ff88bba3c4ebc1bccc1bd54a7236f3",
+        "80e107f9413c37108ab0d496cd8efde081159acfdc2f8bce576871a9ed942c38",
     ("verify-all", "stdout"):
-        "94b2a0004dd1b588140dad0ac41e2d1b5b44063de4a1080ac1ac52596cf62367",
+        "57db77cda25816c8544485d4f8b55eadaaf158d7aaaeeaf36c894acce7557a77",
     ("dump-tree", "tree.csv"):
         "c538c27926f2fde496bafc4cda2cce66f917b32c9c323a6349b99ea354997b50",
     ("dump-tree-d2", "tree.csv"):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from indiffmarket.payoff import PayoffExpression
-from indiffmarket.tree import binomial_lattice, binomial_tree, count_classes
+from indiffmarket.tree import (ScenarioTree, binomial_lattice, binomial_tree,
+                              count_classes)
 from indiffmarket.verify import corrupt_tree
 
 
@@ -279,17 +280,27 @@ def test_expect_matches_the_gather_bit_for_bit(name, tree):
             assert not np.signbit(got[got == 0]).any()
 
 
-@pytest.mark.parametrize("name, tree, level", [
-    ("tree-d1", binomial_tree(5, 1.0, sigma0="0.3 + 0.2 * B1"), 2),
-    ("tree-d2", binomial_tree(3, 1.0, dim=2, psi=("B1", "B2")), 1),
-    ("forest", binomial_tree(5, 1.0, sigma0="0.3 + 0.2 * B1").recombine(2),
-     0),
-    ("leaves", binomial_tree(3, 1.0), 3),
-], ids=["tree-d1", "tree-d2", "forest", "leaves"])
-def test_subtrees_hold_the_descendants_of_the_nodes_given(name, tree, level):
+def _cuts():
+    """(tree, level, cut): ``cut(nodes)`` is the forest below ``nodes`` of
+    ``level`` of ``tree``; the recombined forest of some nodes is cut
+    from the tree it was recombined from."""
+    d1 = binomial_tree(5, 1.0, sigma0="0.3 + 0.2 * B1")
+    d2 = binomial_tree(3, 1.0, dim=2, psi=("B1", "B2"))
+    leaves = binomial_tree(3, 1.0)
+    return {
+        "tree-d1": (d1, 2, lambda nodes: d1.subtrees(2, nodes)),
+        "tree-d2": (d2, 1, lambda nodes: d2.subtrees(1, nodes)),
+        "forest": (d1.recombine(2), 0, lambda nodes: d1.recombine(2, nodes)),
+        "leaves": (leaves, 3, lambda nodes: leaves.subtrees(3, nodes)),
+    }
+
+
+@pytest.mark.parametrize("name", list(_cuts()))
+def test_subtrees_hold_the_descendants_of_the_nodes_given(name):
+    tree, level, cut = _cuts()[name]
     rng = np.random.default_rng(4)
     nodes = rng.permutation(tree.n_nodes(level))[:3]
-    sub = tree.subtrees(level, nodes)
+    sub = cut(nodes)
     assert sub.steps == tree.steps - level
     assert np.array_equal(sub.B[0], tree.B[level][nodes])
     # a process on the tree, restricted to the subtrees, has the same
@@ -311,6 +322,77 @@ def test_subtrees_need_contiguous_descendants():
     assert lattice.subtrees(0, [0]).n_leaves == lattice.n_leaves
     with pytest.raises(ValueError, match="subtrees"):
         lattice.subtrees(1, [0])
+
+
+def test_subtrees_of_every_node_are_views_of_the_levels():
+    t = binomial_tree(4, 1.0, sigma0="0.3 + 0.2 * B", psi=("B",))
+    sub = t.subtrees(1)
+    assert np.array_equal(sub.sigma0, t.subtrees(1, [0, 1]).sigma0)
+    for mine, theirs in ((sub.B, t.B[1:]), (sub.edge_p, t.edge_p[1:]),
+                         (sub.edge_db, t.edge_db[1:]),
+                         ([sub.sigma0, sub.psi], [t.sigma0, t.psi])):
+        assert all(np.shares_memory(a, b) and np.array_equal(a, b)
+                   for a, b in zip(mine, theirs, strict=True))
+
+
+def _forest_roots(forest, nodes):
+    """The forest below some roots of a recombined forest, cut as the
+    subtrees of its level 0: the descendants of root i at level s are
+    its rows i c_s .. (i + 1) c_s - 1, c_s rows per root."""
+    n, rows = forest.n_nodes(0), []
+    for k in range(forest.steps + 1):
+        c = forest.n_nodes(k) // n
+        rows.append((np.asarray(nodes)[:, None] * c + np.arange(c)).ravel())
+    return ScenarioTree(
+        times=forest.times, B=[b[r] for b, r in zip(forest.B, rows)],
+        windows=forest.windows,
+        edge_db=[a[r] for a, r in zip(forest.edge_db, rows)],
+        edge_p=[a[r] for a, r in zip(forest.edge_p, rows)],
+        sigma0=forest.sigma0[rows[-1]], psi=forest.psi[rows[-1]])
+
+
+@pytest.mark.parametrize("dim, steps", [(1, 7), (2, 4)])
+def test_recombined_forest_of_some_nodes_is_cut_from_the_whole(dim, steps):
+    # recombine(level, nodes) builds directly, bit for bit, the forest
+    # that cutting the roots ``nodes`` out of recombine(level) gives
+    t = binomial_tree(steps, 1.0, dim=dim, sigma0="0.3 + 0.2 * B1",
+                      psi=("B1", f"1.0 - 0.5 * B{dim}"))
+    rng = np.random.default_rng(9)
+    for level in range(steps - 1):
+        n = t.n_nodes(level)
+        for nodes in (rng.permutation(n)[:max(1, n // 2)], np.arange(n)):
+            got = t.recombine(level, nodes)
+            want = _forest_roots(t.recombine(level), nodes)
+            assert got.steps == want.steps and not got.implicit
+            assert got.windows == want.windows
+            for name in ("times", "sigma0", "psi"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+            for name in ("B", "edge_db", "edge_p", "child_idx"):
+                for a, b in zip(getattr(got, name), getattr(want, name),
+                                strict=True):
+                    assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_recombinability_is_checked_once_per_tree(monkeypatch):
+    calls = []
+    branching = ScenarioTree.branching
+
+    def counting(self, level):
+        calls.append(level)
+        return branching(self, level)
+
+    monkeypatch.setattr(ScenarioTree, "branching", counting)
+    t = binomial_tree(6, 1.0, sigma0="0.3 + 0.2 * B", psi=("B",))
+    for level in range(t.steps + 1):
+        t.recombine(level)
+        t.recombine(level, [0])
+    # the check asks every level's branching once, on the first call
+    # that can recombine, and never again for this tree
+    assert calls == list(range(t.steps))
+    # a corrupted copy is a fresh tree with a check of its own
+    bad = corrupt_tree(t, "probabilities", seed=1)
+    assert bad.recombine(0) is None and t.recombine(0) is not None
 
 
 def test_expect_rejects_values_of_another_level():

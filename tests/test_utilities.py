@@ -5,6 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from indiffmarket.utilities import (
+    InverseValueError,
     MakerPanel,
     UtilitySpec,
     exponential,
@@ -112,6 +113,17 @@ def test_inverse_value_roundtrip(spec):
     assert np.max(np.abs(back - x)) < 1e-10
     with pytest.raises(ValueError):
         spec.inverse_value(0.5)
+
+
+def test_inverse_value_stall_is_a_named_solver_error():
+    # a target neither Newton start reaches on rates 0.001 and 50; a
+    # target that is not negative stays a bad input
+    stiff = sum_of_exponentials([1.0, 1.0], [0.001, 50.0])
+    with pytest.raises(InverseValueError, match="did not converge"):
+        stiff.inverse_value(-1000.1492341383038)
+    assert not issubclass(InverseValueError, ValueError)
+    with pytest.raises(ValueError):
+        stiff.inverse_value(0.0)
 
 
 def test_log_marginal_and_aversion_agree_with_direct():
