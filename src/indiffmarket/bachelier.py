@@ -22,6 +22,17 @@ from .utilities import MakerPanel, exponential, panel as make_panel
 __all__ = ["BachelierParams"]
 
 
+def _sum_rows(a):
+    """Sum of the rows of ``a`` as a new row, added in the order of
+    ``accumulate_rows``, so its bits are those of the last running sum.
+    ``a.sum(axis=0)`` is not: for one column, or an F-ordered ``a``, it
+    adds pairwise."""
+    total = a[0].copy()
+    for row in a[1:]:
+        np.add(total, row, out=total)
+    return total
+
+
 @dataclass(frozen=True)
 class BachelierParams:
     gamma: float
@@ -75,13 +86,15 @@ class BachelierParams:
         """K(u, q) = -kappa(q) u; the indirect utility SDE is linear."""
         return -self.kappa(q) * np.asarray(u, float)
 
-    def indirect_utility(self, q_levels, db, times, u0=None):
+    def indirect_utility(self, q_levels, db, times, u0=None,
+                         terminal: bool = False):
         """Exact solution of dU = -kappa(Q) U dB along discrete paths.
 
         ``q_levels`` holds the position over each step (scalar or (N,)),
         ``db`` the Brownian increments (n_paths, N).  Piecewise constant
         Q makes the stochastic exponential exact, not an Euler scheme.
-        Returns (n_paths, N+1), a view of step-major storage.
+        Returns (n_paths, N+1), a view of step-major storage, or with
+        ``terminal`` U_T alone, (n_paths,), the bits of its last column.
         """
         dbs, dt = self._step_major(db, times)
         kap = self.kappa(np.broadcast_to(np.asarray(q_levels, float),
@@ -93,17 +106,20 @@ class BachelierParams:
         growth = out[1:]
         np.multiply(dbs, -kap, out=growth)
         growth -= 0.5 * kap ** 2 * dt
+        if terminal:
+            return np.exp(_sum_rows(growth)) * u0
         accumulate_rows(growth)
         np.exp(growth, out=growth)
         np.multiply(growth, u0, out=growth)
         return out.T
 
-    def gain(self, q_levels, db, times):
+    def gain(self, q_levels, db, times, terminal: bool = False):
         """Cumulative gain V of the investor along discrete paths.
 
         V_t = int (-Q) dS - (gamma sigma^2 / 2) int Q^2 dt; exact for
         piecewise constant Q.  Returns (n_paths, N+1), a view of
-        step-major storage.
+        step-major storage, or with ``terminal`` V_T alone, (n_paths,),
+        the bits of its last column.
         """
         dbs, dt = self._step_major(db, times)
         q = np.broadcast_to(np.asarray(q_levels, float), (len(dt),))[:, None]
@@ -113,14 +129,17 @@ class BachelierParams:
         inc += self.mu * dt
         inc *= -q
         inc -= 0.5 * self.gamma * self.sigma ** 2 * q ** 2 * dt
+        if terminal:
+            return _sum_rows(inc)
         accumulate_rows(inc)
         return out.T
 
     # ``gain`` and ``indirect_utility`` build their increments in place
     # on (N, n_paths) rows.  Each product and sum takes the operands of
     # the formula in the docstring, at most swapped, which leaves IEEE
-    # results unchanged, and ``accumulate_rows`` adds in cumsum's order;
-    # the tests pin these bits against ``cumsum(axis=1)`` forms.
+    # results unchanged, and ``accumulate_rows`` and ``_sum_rows`` add in
+    # cumsum's order; the tests pin these bits against ``cumsum(axis=1)``
+    # forms.
 
     @staticmethod
     def _step_major(db, times):

@@ -9,7 +9,8 @@ damped Newton iteration with multi-start fallback.  At y = 1 the saddle
 value is exactly the cash coordinate x, and general y follows by
 homogeneity of degree one.  On recombining trees many nodes of a level
 hold the same problem bit for bit; a level's solve iterates each
-distinct problem once, on the subtree of one node that holds it.
+distinct problem once, on the subtree of one node that holds it, and a
+query of G at one node solves that node alone.
 
 Sensitivities of the two fields are linked through the matrices A, C, D
 on the primal side and B, E, Hg on the dual side; ``conjugacy_residuals``
@@ -119,22 +120,32 @@ def _seed(panel, tree, u, q):
 
 
 def saddle_batch(evaluator: FieldEvaluator, level: int, u, q,
-                 w0=None, x0=None, tol_scale: float = _TOL_SCALE):
-    """Solve F_v(w, x, q) = u at every node of one level at once.
+                 w0=None, x0=None, tol_scale: float = _TOL_SCALE, nodes=None):
+    """Solve F_v(w, x, q) = u at the nodes ``nodes`` of one level (all of
+    them, in order, when None).
 
-    ``u`` has shape (n, M) and ``q`` shape (n, J) with n the node count
-    of the level (rows are broadcast if a single state is given).  Nodes
+    ``u`` has shape (n, M) and ``q`` shape (n, J) with n the number of
+    nodes solved (rows are broadcast if a single state is given).  Nodes
     whose problems agree bit for bit, in subtree class
     (``FieldEvaluator.subtree_classes``), target, position, start logits
-    and start cash, are solved once and share the result.  Each Newton
-    iteration is one backward sweep of the subtrees of one node per
-    distinct problem (``FieldEvaluator.sweep_nodes``); a backtracking
+    and start cash, are solved once and share the result; a one-node
+    solve sweeps that node's subtree alone.  Each Newton iteration is one
+    backward sweep of the subtrees of one node per distinct problem
+    (``FieldEvaluator.sweep_nodes``, see ``_newton``); a backtracking
     line search on the residual norm keeps the iteration inside the
-    domain.  A restart jitters only the problems above tolerance.
-    Returns (w, x, resid, iters), one row per node.
+    domain.  A restart jitters only the problems above tolerance, and
+    each problem keeps the best of its own solves.  Returns (w, x, resid,
+    iters), one row per node solved, with iters the Newton iterations of
+    the first solve and every restart.
     """
     panel, tree = evaluator.panel, evaluator.tree
-    n, M = tree.n_nodes(level), panel.size
+    n_level, M = tree.n_nodes(level), panel.size
+    nodes = (np.arange(n_level) if nodes is None
+             else np.atleast_1d(np.asarray(nodes, dtype=np.intp)))
+    if nodes.size and (nodes.min() < 0 or nodes.max() >= n_level):
+        raise ValueError(f"node index out of range at level {level}: "
+                         f"{nodes.tolist()}")
+    n = nodes.size
     u = np.broadcast_to(np.asarray(u, float), (n, M)).copy()
     q = np.broadcast_to(np.atleast_2d(np.asarray(q, float)), (n, tree.n_assets)).copy()
     if np.any(u >= 0):
@@ -147,9 +158,12 @@ def saddle_batch(evaluator: FieldEvaluator, level: int, u, q,
     x = xs if x0 is None else np.broadcast_to(x0, (n,)).astype(float).copy()
     s = np.log(w[:, :-1]) - np.log(w[:, -1:])
 
-    cls = evaluator.subtree_classes(level).astype(float)
-    nodes, node_of = distinct_rows(np.column_stack([cls, u, q, s, x]))
-    u, q, s, x, tol = u[nodes], q[nodes], s[nodes], x[nodes], tol[nodes]
+    # a lone node shares its problem with no other, so it needs no classes
+    cls = (evaluator.subtree_classes(level)[nodes] if n > 1
+           else np.zeros(n)).astype(float)
+    first, row_of = distinct_rows(np.column_stack([cls, u, q, s, x]))
+    nodes = nodes[first]
+    u, q, s, x, tol = u[first], q[first], s[first], x[first], tol[first]
     w, x, resid, iters = _newton(evaluator, level, nodes, u, q, s, x, tol)
     rng = np.random.default_rng(0)
     for _ in range(_RESTARTS):
@@ -157,19 +171,26 @@ def saddle_batch(evaluator: FieldEvaluator, level: int, u, q,
         if not bad.size:
             break
         # fallback: jitter the problems above tolerance around their
-        # iterates, and keep the restart if its worst residual is better
+        # best iterates; each keeps the restart only where it does better
         s = np.log(w[bad, :-1]) - np.log(w[bad, -1:])
         if M > 1:
             s = s + 0.3 * rng.standard_normal((bad.size, M - 1))
-        res = _newton(evaluator, level, nodes[bad], u[bad], q[bad], s,
-                      x[bad] + 0.1 * rng.standard_normal(bad.size), tol[bad])
-        if res[2].max() < resid[bad].max():
-            w[bad], x[bad], resid[bad], iters = res
+        w_r, x_r, resid_r, iters_r = _newton(
+            evaluator, level, nodes[bad], u[bad], q[bad], s,
+            x[bad] + 0.1 * rng.standard_normal(bad.size), tol[bad])
+        iters += iters_r
+        better = resid_r < resid[bad]
+        keep = bad[better]
+        w[keep], x[keep], resid[keep] = (w_r[better], x_r[better],
+                                         resid_r[better])
     if np.any(resid > tol):
         worst = int(np.argmax(resid / tol))
         raise SaddleError(level, int(nodes[worst]), float(resid[worst]),
                           float(tol[worst]))
-    return w[node_of], x[node_of], resid[node_of], iters
+    return w[row_of], x[row_of], resid[row_of], iters
+
+
+_NEWTON_SWEEP = ("dv", "dvv", "dvx")
 
 
 def _newton(evaluator, level, nodes, u, q, s, x, tol):
@@ -182,6 +203,14 @@ def _newton(evaluator, level, nodes, u, q, s, x, tol):
     change the last bits of the others.  With one node per distinct
     problem, each sweep allocates the same distinct leaf states as a
     sweep of the whole level, so the iterates keep their bits.
+
+    Each step costs one sweep when the full step is taken (Nocedal and
+    Wright, *Numerical Optimization*, 2006, sec. 3.1): while every
+    problem is above tolerance, the first trial (alpha = 1) sweeps the
+    Newton components, and if every problem accepts it, that sweep is
+    the next iterate's.  Otherwise the next iterate is swept afresh.
+    Sweeps do not mix columns, so either way every iterate keeps its
+    bits.
     """
     n, M = u.shape
     s = s.copy()
@@ -189,10 +218,12 @@ def _newton(evaluator, level, nodes, u, q, s, x, tol):
     resid_norm = np.full(n, np.inf)
     w = _softmax(s)
     iters = 0
+    sweep = None
     for it in range(_MAX_ITER):
         iters = it + 1
-        sweep = evaluator.sweep_nodes(level, nodes, w, x, q, order=2,
-                                      names=("dv", "dvv", "dvx"))
+        if sweep is None:
+            sweep = evaluator.sweep_nodes(level, nodes, w, x, q, order=2,
+                                          names=_NEWTON_SWEEP)
         R = sweep.at("dv", 0) - u
         resid_norm = np.abs(R).max(axis=1)
         if np.all(resid_norm <= tol):
@@ -213,19 +244,27 @@ def _newton(evaluator, level, nodes, u, q, s, x, tol):
 
         alpha = np.ones(n)
         active = resid_norm > tol
+        full = bool(active.all())
+        sweep = None
         cand_s, cand_x = s.copy(), x.copy()
-        for _ in range(_MAX_HALVINGS):
+        for h in range(_MAX_HALVINGS):
             trial_s = s + alpha[:, None] * dz[:, :-1]
             trial_x = x + alpha * dz[:, -1]
             trial_w = _softmax(trial_s)
-            sweep_t = evaluator.sweep_nodes(level, nodes, trial_w, trial_x,
-                                            q, order=1, names=("dv",))
+            reuse = full and h == 0
+            sweep_t = evaluator.sweep_nodes(
+                level, nodes, trial_w, trial_x, q, order=2 if reuse else 1,
+                names=_NEWTON_SWEEP if reuse else ("dv",))
             trial_norm = np.abs(sweep_t.at("dv", 0) - u).max(axis=1)
             better = active & (trial_norm < resid_norm)
             cand_s[better] = trial_s[better]
             cand_x[better] = trial_x[better]
             active = active & ~better
             if not active.any():
+                if reuse:
+                    # every problem took the full step: the next iterate
+                    # is this trial, bit for bit
+                    sweep = sweep_t
                 break
             alpha[active] *= 0.5
         s, x = cand_s, cand_x
@@ -237,25 +276,19 @@ def conjugate_G(evaluator: FieldEvaluator, b: DualPoint, node=(0, 0),
                 w0=None, x0=None) -> SaddleResult:
     """Evaluate G at one dual point and node.
 
-    Solves the saddle at y = 1 and scales by homogeneity: G(u, y, q) =
-    y * G(u, 1, q), with the saddle weights v = y * w / F_x(w, x, q).
+    Solves the saddle at y = 1 at that node alone and scales by
+    homogeneity: G(u, y, q) = y * G(u, 1, q), with the saddle weights
+    v = y * w / F_x(w, x, q).
     """
     level, idx = node
-    tree = evaluator.tree
-    n = tree.n_nodes(level)
-    mask = np.arange(n) == idx
-    if not mask.any():
-        raise ValueError(f"node index {idx} out of range at level {level}")
-    # solve on the whole level with the same target; only row idx is used
-    w, x, resid, iters = saddle_batch(evaluator, level, b.u, b.q, w0=w0, x0=x0)
-    sweep = evaluator.sweep_states(level, w, x,
-                                   np.broadcast_to(b.q, (n, tree.n_assets)),
-                                   order=1, names=("dx",))
-    fx = sweep.at("dx", level)
-    v = b.y * w[idx] / fx[idx]
-    return SaddleResult(value=float(b.y * x[idx]), x=float(x[idx]),
-                        weights=w[idx].copy(), v=v,
-                        residual=float(resid[idx]), iterations=iters)
+    w, x, resid, iters = saddle_batch(evaluator, level, b.u, b.q, w0=w0,
+                                      x0=x0, nodes=[idx])
+    sweep = evaluator.sweep_nodes(level, [idx], w, x, b.q[None], order=1,
+                                  names=("dx",))
+    v = b.y * w[0] / sweep.at("dx", 0, 0)
+    return SaddleResult(value=float(b.y * x[0]), x=float(x[0]),
+                        weights=w[0].copy(), v=v,
+                        residual=float(resid[0]), iterations=iters)
 
 
 def dual_point(evaluator: FieldEvaluator, a: PrimalPoint, node=(0, 0)) -> DualPoint:

@@ -350,18 +350,15 @@ def state_from_U(evaluator: FieldEvaluator, u, q, node):
     """Recover (W, X, V) from indirect utilities and position at a node.
 
     W are the normalized saddle weights of G(u, 1, q), X the saddle
-    cash, and V minus the saddle cash of G(u, 1, 0).
+    cash, and V minus the saddle cash of G(u, 1, 0), each solved at that
+    node alone.
     """
     level, idx = node
-    tree = evaluator.tree
-    n = tree.n_nodes(level)
-    u = np.broadcast_to(np.asarray(u, float), (n, evaluator.panel.size))
-    q = np.broadcast_to(np.atleast_1d(np.asarray(q, float)),
-                        (n, tree.n_assets))
-    w, x, _, _ = saddle_batch(evaluator, level, u, q)
+    w, x, _, _ = saddle_batch(evaluator, level, u, q, nodes=[idx])
     _, x0, _, _ = saddle_batch(evaluator, level, u,
-                               np.zeros((n, tree.n_assets)), w0=w, x0=x)
-    return w[idx], float(x[idx]), float(-x0[idx])
+                               np.zeros(evaluator.tree.n_assets), w0=w, x0=x,
+                               nodes=[idx])
+    return w[0], float(x[0]), float(-x0[0])
 
 
 def no_arbitrage_gap(evaluator: FieldEvaluator, lam0, v_terminal) -> float:

@@ -39,9 +39,8 @@ and keeps its bits.  That is how a saddle solve sweeps its distinct
 problems.
 
 Filling the leaves costs one ``allocate`` per sweep, except that each
-evaluator keeps its last leaf state and split: a saddle solve sweeps
-the same state twice whenever a line-search trial is accepted at every
-node, and the second sweep reuses the split bit for bit.
+evaluator keeps its last leaf state and split, which a sweep of the
+same state again reuses bit for bit (``_allocate``).
 """
 
 from __future__ import annotations
@@ -187,10 +186,12 @@ class FieldEvaluator:
 
         The last leaf state allocated and its (y, pi) are kept; a state
         of the same shape and the same bits returns them again.  The
-        repeats come from saddle solves: a line-search trial that every
-        node accepts is the next Newton sweep's state, and
-        ``conjugate_G`` sweeps the converged state once more.  The kept
-        arrays are read-only, so an in-place write fails loudly.
+        repeats come from saddle solves: a Newton iterate that every
+        problem reached by a halved line-search step is the state of
+        that last trial (a full step's trial sweep is reused whole, see
+        ``conjugate._newton``), and ``conjugate_G`` sweeps the converged
+        state once more for F_x.  The kept arrays are read-only, so an
+        in-place write fails loudly.
         """
         key = (v_leaf.shape, v_leaf.tobytes(), total.tobytes())
         if self._last_split is not None and self._last_split[0] == key:

@@ -232,10 +232,8 @@ def _bachelier_terminal(par, ev: FieldEvaluator, q: float, n_paths: int,
     blocks = []
     for u, v, exploded, db in simulate_sde_terminal(
             ev, q, float(par.N0(0.0)), n_paths, seed=seed):
-        # copy the last columns: a view would keep each block's full
-        # closed-form paths alive
-        blocks.append((v, par.gain(q, db, times)[:, -1].copy(), u,
-                       par.indirect_utility(q, db, times)[:, -1].copy(),
+        blocks.append((v, par.gain(q, db, times, terminal=True), u,
+                       par.indirect_utility(q, db, times, terminal=True),
                        exploded))
     return tuple(np.concatenate(col) for col in zip(*blocks))
 
@@ -248,7 +246,7 @@ def _bachelier(rng, probes):
     ev = FieldEvaluator(par.panel(), par.lattice(64))
     pb = simulate_sde_paths(ev, 1.0, float(par.N0(0.0)), max(probes, 500),
                             seed=int(rng.integers(0, 2 ** 31)))
-    v_true = par.gain(1.0, pb.db, pb.times)[:, -1]
+    v_true = par.gain(1.0, pb.db, pb.times, terminal=True)
     impact = 0.5 * par.gamma * par.sigma ** 2 * par.horizon
     dev_v = float(np.abs(pb.V[:, -1] - v_true).mean()) / (0.02 * impact)
     xi = indifference_cash(ev, 1.0)

@@ -257,3 +257,31 @@ def test_oracle_accepts_one_path_as_a_vector():
                      _cumsum_gain(REF, 1.0, db, times), exact=True)
     assert_same_bits(REF.indirect_utility(1.0, db, times),
                      _cumsum_indirect_utility(REF, 1.0, db, times), exact=True)
+
+
+@pytest.mark.parametrize("n_paths", [1, 7, 2048])
+@pytest.mark.parametrize("step_major", [False, True])
+def test_terminal_forms_are_the_last_column_of_the_paths(n_paths, step_major):
+    # one block of the streamed engine is at most 2048 paths wide; the
+    # terminal forms sum the increments into one row, which must keep the
+    # bits of the running sum's last row (a pairwise sum(axis=0) does not
+    # for one path or for F-ordered increments)
+    steps = 512
+    rng = np.random.default_rng(n_paths)
+    dt = rng.uniform(0.001, 0.004, size=steps)
+    times = np.concatenate([[0.0], np.cumsum(dt)])
+    db = rng.normal(size=(n_paths, steps)) * np.sqrt(dt)
+    if step_major:
+        db = np.ascontiguousarray(db.T).T
+    q = 1.5 * np.sin(2 * np.pi * times[:-1]) + 0.5
+    for par in (REF, BachelierParams(gamma=2.5, b=0.3, mu=-0.2, sigma=0.7,
+                                     s=1.0, horizon=0.7)):
+        got = par.gain(q, db, times, terminal=True)
+        assert got.shape == (n_paths,)
+        assert_same_bits(got, par.gain(q, db, times)[:, -1], exact=True)
+        for u0 in (None, -0.8):
+            got = par.indirect_utility(q, db, times, u0=u0, terminal=True)
+            assert got.shape == (n_paths,)
+            assert_same_bits(
+                got, par.indirect_utility(q, db, times, u0=u0)[:, -1],
+                exact=True)

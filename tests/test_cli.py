@@ -464,7 +464,7 @@ def test_per_node_position_table_still_runs(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["verify", "--suite", "conjugacy", "--probes", "2", "--seed", "0"],
+    ["verify", "--suite", "sandwich", "--probes", "2", "--seed", "0"],
     ["simulate", "--config", "{cfg}"],
     ["simulate", "--config", "{sde}"],
 ], ids=["verify", "simulate-execute", "simulate-sde"])

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from indiffmarket import conjugate
+from indiffmarket import conjugate, verify
 from indiffmarket.conjugate import (
     DualPoint,
     SaddleError,
@@ -15,6 +15,7 @@ from indiffmarket.conjugate import (
     saddle_batch,
     state_identities,
 )
+from indiffmarket.engine import state_from_U
 from indiffmarket.field import FieldEvaluator
 from indiffmarket.representative import PrimalPoint, allocate
 from indiffmarket.tree import binomial_tree
@@ -493,3 +494,149 @@ def test_saddle_error_on_a_repeated_problem_names_one_of_its_nodes(
         np.full(1, 3.0), np.full(1, err.tolerance))
     assert err.residual == pytest.approx(float(resid[0]), rel=1e-12)
     assert err.residual > err.tolerance
+
+
+# -- one-node solves and per-problem restarts -------------------------------
+
+
+def _whole_level_G(ev, b, node, w0=None, x0=None):
+    """``conjugate_G`` solved at every node of the level, one row kept:
+    (w, x, v) at the node."""
+    level, idx = node
+    q = np.broadcast_to(b.q, (ev.tree.n_nodes(level), ev.tree.n_assets))
+    w, x, _, _ = saddle_batch(ev, level, b.u, q, w0=w0, x0=x0)
+    fx = ev.sweep_states(level, w, x, q, names=("dx",)).at("dx", level)
+    return w[idx], x[idx], b.y * w[idx] / fx[idx]
+
+
+def _whole_level_state(ev, u, q, node):
+    """``state_from_U`` solved at every node of the level, one row kept."""
+    level, idx = node
+    n, J = ev.tree.n_nodes(level), ev.tree.n_assets
+    w, x, _, _ = saddle_batch(ev, level, u, q)
+    _, x0, _, _ = saddle_batch(ev, level, u, np.zeros((n, J)), w0=w, x0=x)
+    return w[idx], x[idx], -x0[idx]
+
+
+def test_one_node_solves_match_the_whole_level():
+    # the one-node solve sweeps its node's subtree alone, so allocate may
+    # stop on other rows and move last bits; the solutions still agree
+    # within the saddle tolerance
+    rng = np.random.default_rng(21)
+    for _ in range(25):
+        tree = verify._random_tree(rng)
+        pan = verify._random_panel(rng)
+        a = verify._random_point(rng, pan.size, tree.n_assets)
+        node = verify._random_node(rng, tree)
+        ev = FieldEvaluator(pan, tree)
+        b = dual_point(ev, a, node)
+        tol = conjugate._TOL_SCALE * (1.0 + np.abs(b.u).max())
+        for start in ({}, {"w0": a.v / a.v.sum(), "x0": a.x}):
+            got = conjugate_G(ev, b, node, **start)
+            w, x, v = _whole_level_G(FieldEvaluator(pan, tree), b, node,
+                                     **start)
+            assert got.residual <= tol
+            assert np.abs(got.weights - w).max() <= tol
+            assert abs(got.x - x) <= tol * (1.0 + abs(x))
+            assert np.abs(got.v - v).max() <= tol * (1.0 + np.abs(v).max())
+        got = state_from_U(ev, b.u, a.q, node)
+        want = _whole_level_state(FieldEvaluator(pan, tree), b.u, a.q, node)
+        assert np.abs(got[0] - want[0]).max() <= tol
+        for g, w in zip(got[1:], want[1:]):
+            assert abs(g - w) <= tol * (1.0 + abs(w))
+
+
+def test_one_node_stall_names_that_node(monkeypatch):
+    monkeypatch.setattr(conjugate, "_MAX_ITER", 1)
+    monkeypatch.setattr(conjugate, "_RESTARTS", 0)
+    ev = small_evaluator(pan=MIXED)
+    a = PrimalPoint(v=[0.5, 0.5], x=0.0, q=[0.3])
+    node = (1, 1)
+    b = dual_point(ev, a, node)
+    with pytest.raises(SaddleError) as info:
+        conjugate_G(ev, b, node, w0=[0.5, 0.5], x0=3.0)
+    err = info.value
+    assert (err.level, err.node) == node
+    assert err.tolerance == conjugate._TOL_SCALE * (1.0 + np.abs(b.u).max())
+    # the node's own residual, its problem solved alone
+    _, _, resid, _ = conjugate._newton(
+        ev, 1, np.array([1]), b.u[None], b.q[None], np.zeros((1, 1)),
+        np.full(1, 3.0), np.full(1, err.tolerance))
+    assert err.residual == float(resid[0]) > err.tolerance
+    assert f"level 1, node 1: residual {err.residual:.3e}" in str(err)
+
+
+def test_a_node_out_of_range_is_a_value_error():
+    ev = small_evaluator()
+    b = DualPoint(u=[-1.0, -1.0], y=1.0, q=[0.0])
+    for node in ((1, 2), (1, -1)):
+        with pytest.raises(ValueError, match="out of range at level 1"):
+            conjugate_G(ev, b, node)
+
+
+def _stuck_solve(monkeypatch, stuck):
+    """Solve the eight distinct problems of level 3 of a 6-step tree with
+    the problems ``stuck(call)`` (node indices) held stuck in the
+    ``call``-th Newton run: their swept F_v reads +1, which no negative
+    target matches, so the line search never moves them.  Returns the
+    nodes and results of every Newton run, and the solve or its error."""
+    t = binomial_tree(6, 1.0, sigma0="0.3 + 0.2 * B", psi=("1.0 + 0.5 * B",))
+    ev = FieldEvaluator(MIXED, t)
+    rng = np.random.default_rng(7)
+    u = _execute_targets(ev, 3, np.array([0.5, 0.5]), [0.3])
+    u = u * rng.uniform(0.9, 1.1, size=u.shape)
+    runs = []
+    sweep_nodes, newton = FieldEvaluator.sweep_nodes, conjugate._newton
+
+    def sweep(self, level, nodes, *args, **kwargs):
+        out = sweep_nodes(self, level, nodes, *args, **kwargs)
+        rows = np.isin(nodes, list(stuck(len(runs))))
+        out.blocks[0][rows, out.columns["dv"][0]] = 1.0
+        return out
+
+    def run(ev_, level, nodes, *args):
+        runs.append([nodes.copy()])
+        out = newton(ev_, level, nodes, *args)
+        # copies: the solve writes restarts into the first run's arrays
+        runs[-1].append([np.copy(a) for a in out])
+        return out
+
+    monkeypatch.setattr(FieldEvaluator, "sweep_nodes", sweep)
+    monkeypatch.setattr(conjugate, "_newton", run)
+    # a stuck problem runs every iteration and halving: keep them few
+    monkeypatch.setattr(conjugate, "_MAX_ITER", 12)
+    monkeypatch.setattr(conjugate, "_MAX_HALVINGS", 4)
+    try:
+        return runs, saddle_batch(ev, 3, u, [0.3], w0=[0.5, 0.5], x0=0.0)
+    except SaddleError as err:
+        return runs, err
+
+
+def test_a_stuck_problem_leaves_the_others_first_solution_intact(
+        monkeypatch):
+    runs, (w, x, resid, _) = _stuck_solve(
+        monkeypatch, lambda call: {5} if call == 1 else set())
+    (nodes, first), restarts = runs[0], runs[1:]
+    assert np.array_equal(nodes, np.arange(8))
+    assert first[2][5] > 1.0 and np.all(np.delete(first[2], 5) < 1e-9)
+    # only the stuck problem restarts; it is solved, and every other
+    # problem keeps its first solution bit for bit
+    assert restarts and all(np.array_equal(r[0], [5]) for r in restarts)
+    others = np.arange(8) != 5
+    for got, want in zip((w, x, resid), first[:3]):
+        assert got[others].tobytes() == want[others].tobytes()
+    assert resid[5] == restarts[-1][1][2][0] < 1e-9
+
+
+def test_each_problem_keeps_its_best_restart(monkeypatch):
+    # problem 5 stays stuck; problem 2 is stuck in the first run only.
+    # The first restart solves problem 2 and leaves problem 5 where it
+    # was: problem 2 keeps that restart, so later restarts leave it out
+    runs, err = _stuck_solve(
+        monkeypatch, lambda call: {2, 5} if call == 1 else {5})
+    assert isinstance(err, SaddleError)
+    assert (err.level, err.node) == (3, 5)
+    assert len(runs) == 1 + conjugate._RESTARTS
+    assert np.array_equal(runs[1][0], [2, 5])
+    assert runs[1][1][2][0] < 1e-9 < runs[0][1][2][2]
+    assert all(np.array_equal(r[0], [5]) for r in runs[2:])

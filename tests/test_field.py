@@ -468,6 +468,29 @@ def test_saddle_probe_allocation_count(allocate_rows):
     assert allocate_rows == [8] * 7
 
 
+def test_full_newton_steps_cost_one_sweep_each(allocate_rows, monkeypatch):
+    # from this start both nodes take the full step at every iteration,
+    # so each first trial's sweep is the next iterate's: one order-2
+    # sweep per iteration (11 sweeps when every iterate was swept again)
+    # and one allocation per sweep, as many as with the memo alone
+    t = binomial_tree(4, 1.0, sigma0="0.3 + 0.2 * B", psi=("1.0 + 0.5 * B",))
+    ev = FieldEvaluator(MIXED, t)
+    u = ev.field(PrimalPoint(v=[0.5, 0.5], x=0.0, q=[0.3]), node=(1, 0)).dv
+    orders = []
+    sweep = FieldEvaluator.sweep_leaf_states
+
+    def counting(self, v, x, q, order=1, names=None):
+        orders.append(order)
+        return sweep(self, v, x, q, order, names)
+
+    monkeypatch.setattr(FieldEvaluator, "sweep_leaf_states", counting)
+    del allocate_rows[:]
+    _, _, _, iters = saddle_batch(ev, 1, u, [0.3], w0=[0.5, 0.5], x0=1.0)
+    assert iters == 6
+    assert orders == [2] * iters
+    assert allocate_rows == [8] * iters
+
+
 @pytest.mark.parametrize("level", [0, 5, 11, 12, 13])
 def test_saddle_allocates_rows_of_the_distinct_problems_only(allocate_rows,
                                                              level):
