@@ -22,15 +22,40 @@ from .utilities import MakerPanel, exponential, panel as make_panel
 __all__ = ["BachelierParams"]
 
 
-def _sum_rows(a):
-    """Sum of the rows of ``a`` as a new row, added in the order of
-    ``accumulate_rows``, so its bits are those of the last running sum.
-    ``a.sum(axis=0)`` is not: for one column, or an F-ordered ``a``, it
-    adds pairwise."""
-    total = a[0].copy()
-    for row in a[1:]:
-        np.add(total, row, out=total)
-    return total
+class _StepSum:
+    """Sum over the steps of one per-step increment formula ``inc``
+    (``BachelierParams._gain_steps``, ``_growth_steps``), fed one step
+    of a path block at a time.
+
+    Within a block the steps add in ``accumulate_rows``' order, so
+    ``total`` has the bits of the running sum's last row; a pairwise
+    ``sum(axis=0)`` does not, for one path or F-ordered increments.
+    """
+
+    def __init__(self, inc, n_paths: int):
+        self._inc = inc
+        self.total = np.empty(n_paths)
+        self._row = np.empty(n_paths)
+
+    def add(self, cols, k: int, db):
+        """Add the increments of step k of the paths ``cols`` (a slice),
+        from their Brownian increments ``db``; a block's steps come in
+        order from 0."""
+        total = self.total[cols]
+        if k == 0:
+            self._inc(k, db, total)
+        else:
+            row = self._row[cols]
+            self._inc(k, db, row)
+            total += row
+
+    @classmethod
+    def over(cls, inc, dbs):
+        """The sum over the rows of step-major increments ``dbs``."""
+        acc = cls(inc, dbs.shape[1])
+        for k, db in enumerate(dbs):
+            acc.add(slice(None), k, db)
+        return acc.total
 
 
 @dataclass(frozen=True)
@@ -96,18 +121,15 @@ class BachelierParams:
         Returns (n_paths, N+1), a view of step-major storage, or with
         ``terminal`` U_T alone, (n_paths,), the bits of its last column.
         """
-        dbs, dt = self._step_major(db, times)
-        kap = self.kappa(np.broadcast_to(np.asarray(q_levels, float),
-                                         (len(dt),)))[:, None]
-        if u0 is None:
-            u0 = float(self.N0(0.0) * np.exp(self.gamma * 0.0))
+        dbs = self._step_major(db)
+        inc = self._growth_steps(q_levels, times)
+        u0 = self._u0(u0)
+        if terminal:
+            return np.exp(_StepSum.over(inc, dbs)) * u0
         out = np.empty((dbs.shape[0] + 1, dbs.shape[1]))
         out[0] = u0
         growth = out[1:]
-        np.multiply(dbs, -kap, out=growth)
-        growth -= 0.5 * kap ** 2 * dt
-        if terminal:
-            return np.exp(_sum_rows(growth)) * u0
+        inc(slice(None), dbs, growth)
         accumulate_rows(growth)
         np.exp(growth, out=growth)
         np.multiply(growth, u0, out=growth)
@@ -121,32 +143,85 @@ class BachelierParams:
         step-major storage, or with ``terminal`` V_T alone, (n_paths,),
         the bits of its last column.
         """
-        dbs, dt = self._step_major(db, times)
-        q = np.broadcast_to(np.asarray(q_levels, float), (len(dt),))[:, None]
-        out = np.zeros((dbs.shape[0] + 1, dbs.shape[1]))
-        inc = out[1:]
-        np.multiply(dbs, self.sigma, out=inc)
-        inc += self.mu * dt
-        inc *= -q
-        inc -= 0.5 * self.gamma * self.sigma ** 2 * q ** 2 * dt
+        dbs = self._step_major(db)
+        inc = self._gain_steps(q_levels, times)
         if terminal:
-            return _sum_rows(inc)
-        accumulate_rows(inc)
+            return _StepSum.over(inc, dbs)
+        out = np.zeros((dbs.shape[0] + 1, dbs.shape[1]))
+        inc(slice(None), dbs, out[1:])
+        accumulate_rows(out[1:])
         return out.T
 
-    # ``gain`` and ``indirect_utility`` build their increments in place
-    # on (N, n_paths) rows.  Each product and sum takes the operands of
-    # the formula in the docstring, at most swapped, which leaves IEEE
-    # results unchanged, and ``accumulate_rows`` and ``_sum_rows`` add in
-    # cumsum's order; the tests pin these bits against ``cumsum(axis=1)``
-    # forms.
+    def terminal_forms(self, q_levels, times, n_paths: int, u0=None):
+        """``gain`` and ``indirect_utility`` at maturity, fed the
+        Brownian increments one step at a time: returns (add, result).
+
+        ``add(cols, k, db)`` takes the increments (b,) of step k of the
+        paths ``cols`` (a slice), steps in order from 0 within each
+        block of paths, as ``engine.simulate_sde_terminal`` hands them
+        to its ``on_step``; ``result()`` then gives (V_T, U_T),
+        (n_paths,) each, with the bits of the ``terminal`` forms on the
+        same increments.
+        """
+        v_sum = _StepSum(self._gain_steps(q_levels, times), n_paths)
+        log_u = _StepSum(self._growth_steps(q_levels, times), n_paths)
+        u0 = self._u0(u0)
+
+        def add(cols, k, db):
+            v_sum.add(cols, k, db)
+            log_u.add(cols, k, db)
+
+        def result():
+            return v_sum.total, np.exp(log_u.total) * u0
+
+        return add, result
+
+    # The per-step increments of V and of log(U / u0), as functions
+    # inc(k, db, out) of the Brownian increments db of step k (an int,
+    # with db and out rows) or of steps k (a slice, with (steps,
+    # n_paths) db and out).  They are the one formula of the full-path
+    # and the streamed forms: each product and sum takes the operands
+    # of the formula in the docstrings, at most swapped, which leaves
+    # IEEE results unchanged, and ``accumulate_rows`` and ``_StepSum``
+    # add in cumsum's order; the tests pin these bits against
+    # ``cumsum(axis=1)`` forms.
+
+    def _gain_steps(self, q_levels, times):
+        dt = np.diff(np.asarray(times, float))[:, None]
+        q = np.broadcast_to(np.asarray(q_levels, float), (len(dt),))[:, None]
+        drift = self.mu * dt
+        neg_q = -q
+        cost = 0.5 * self.gamma * self.sigma ** 2 * q ** 2 * dt
+
+        def inc(k, db, out):
+            np.multiply(db, self.sigma, out=out)
+            out += drift[k]
+            out *= neg_q[k]
+            out -= cost[k]
+
+        return inc
+
+    def _growth_steps(self, q_levels, times):
+        dt = np.diff(np.asarray(times, float))[:, None]
+        kap = self.kappa(np.broadcast_to(np.asarray(q_levels, float),
+                                         (len(dt),)))[:, None]
+        neg_kap = -kap
+        comp = 0.5 * kap ** 2 * dt
+
+        def inc(k, db, out):
+            np.multiply(db, neg_kap[k], out=out)
+            out -= comp[k]
+
+        return inc
+
+    def _u0(self, u0):
+        return float(self.N0(0.0) * np.exp(self.gamma * 0.0)) \
+            if u0 is None else u0
 
     @staticmethod
-    def _step_major(db, times):
-        """Increments as (N, n_paths) rows and step lengths as (N, 1)."""
-        db = np.atleast_2d(np.asarray(db, float)).T
-        dt = np.diff(np.asarray(times, float))[:, None]
-        return db, dt
+    def _step_major(db):
+        """Increments as (N, n_paths) rows."""
+        return np.atleast_2d(np.asarray(db, float)).T
 
     def indifference_price(self, q):
         """Cash leaving the maker indifferent to taking position q at

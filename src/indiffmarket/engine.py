@@ -18,18 +18,27 @@ paths on fine grids.  Every engine takes the ``FieldEvaluator`` of its
 (panel, tree) first, and both execute engines a ``SimpleStrategy``; the
 path engines read their Phi tables from its memoized point sweeps, so
 calls that share an evaluator sweep each position once.  The path
-engines draw and run their paths in blocks of at most ``_PATH_BLOCK``
-paths, through one row generator per engine (``_euler_rows``,
-``_execute_rows``) that carries only the current step's row of each
-block.  ``simulate_sde_paths`` and ``execute_simple_paths`` store every
-row through ``_stored_rows``, step-major (N+1, n_paths), and hand them
-out in a ``PathBundle`` as transposed (n_paths, N+1) views;
-``simulate_sde_terminal`` streams each block's terminal values, so its
-memory grows with the block, not with the number of paths.
+engines draw their paths in blocks, each block an (N, b) up-move mask
+of at most ``_PATH_BLOCK_BYTES`` (one byte a step and path), and run
+each block one step at a time through one row generator per engine
+(``_euler_rows``, ``_execute_rows``), which carries only the current
+step's row; ``_db_rows`` derives each step's Brownian increments from
+the mask as the step is taken.  ``simulate_sde_paths`` and
+``execute_simple_paths`` store every row through ``_stored_rows``,
+step-major (N+1, n_paths), and hand them out in a ``PathBundle`` as
+transposed (n_paths, N+1) views; ``simulate_sde_terminal`` streams each
+block's terminal values and hands each step's increments to a caller
+(``on_step``), so no (N, b) float array is made and its memory grows
+with the mask, not with the number of paths times 8 bytes a step.  At
+512 steps x 10k paths that is one block: the Bachelier run with its
+closed forms took about 80 ms at a 7 MB tracemalloc peak (2 cores,
+Python 3.11, numpy 2.4), where one (N, b) float array alone would be
+41 MB.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass, field as dc_field
 
@@ -58,12 +67,16 @@ __all__ = [
 
 _EPS_EXPLODE_SCALE = 1e-10
 
-# Paths per block of the lattice path engines: a block is drawn and run
-# to maturity before the next, so memory grows with the block, not with
-# n_paths.  At 512 steps x 10k paths (engine plus closed forms, best of
-# 5, 2 cores) 2048 and 4096 ran equally fast, 1024 about 20 % slower,
-# and 4096 peaked 24 MB higher than 2048.
-_PATH_BLOCK = 2048
+# Up-move mask bytes per block of the lattice path engines (one byte a
+# step and path; ``_block_paths``): a block is drawn and run to maturity
+# before the next, so memory grows with the block, not with n_paths.
+# 8 MiB is 16,384 paths at 512 steps, one block for 10k.  The streamed
+# Bachelier run at 512 steps x 10k paths (``verify._bachelier_terminal``,
+# best of 7, 2 cores) took 204, 163, 127 and 79 ms in blocks of 1024,
+# 2048, 4096 and 10k paths, at tracemalloc peaks of 2.9, 3.9, 6.0 and
+# 7.1 MB: each step costs a fixed Python overhead per block, and a block
+# adds only its mask and a few float rows per path.
+_PATH_BLOCK_BYTES = 8 << 20
 
 
 def _level(lev) -> int:
@@ -406,19 +419,25 @@ def _phi_tables(evaluator: FieldEvaluator, qs):
     return tables
 
 
-def _path_blocks(tree: ScenarioTree, n_paths: int, seed=None, signs=None):
-    """Sampled up/down paths in blocks of at most ``_PATH_BLOCK`` paths.
+def _block_paths(steps: int) -> int:
+    """Paths per block of the lattice path engines: as many as fit an
+    up-move mask of ``_PATH_BLOCK_BYTES`` (one byte a step), at least
+    one."""
+    return max(1, _PATH_BLOCK_BYTES // max(steps, 1))
 
-    Returns an iterator over (cols, up, db): the slice of path indices a
-    block covers, its up-move mask and its Brownian increments (exactly
-    +-sqrt(dt)), both (N, b) step-major.  The draws ``rng.random((n,
-    N))`` of at most 32 paths each come from one generator, which
-    continues a single stream, so a seed gives the paths of one
-    (n_paths, N) draw whatever the block size.  ``signs`` (n_paths, N)
-    of +-1 replaces the draw.
+
+def _path_blocks(tree: ScenarioTree, n_paths: int, seed=None, signs=None):
+    """Sampled up/down paths in blocks of at most ``_block_paths`` paths.
+
+    Returns an iterator over (cols, up): the slice of path indices a
+    block covers and its up-move mask, (N, b) step-major; ``_db_rows``
+    turns the mask into Brownian increments one step at a time.  The
+    draws ``rng.random((n, N))`` of at most 32 paths each come from one
+    generator, which continues a single stream, so a seed gives the
+    paths of one (n_paths, N) draw whatever the block size.  ``signs``
+    (n_paths, N) of +-1 replaces the draw.
     """
     N = tree.steps
-    step = np.sqrt(tree.dt(0))
     if signs is None:
         rng = np.random.default_rng(seed)
     else:
@@ -430,42 +449,61 @@ def _path_blocks(tree: ScenarioTree, n_paths: int, seed=None, signs=None):
             raise ValueError("signs must be +1 or -1")
 
     def blocks():
-        for start in range(0, n_paths, _PATH_BLOCK):
-            cols = slice(start, min(start + _PATH_BLOCK, n_paths))
+        width = _block_paths(N)
+        for start in range(0, n_paths, width):
+            cols = slice(start, min(start + width, n_paths))
             up_rows = np.empty((N, cols.stop - start), dtype=bool)
             # draw and transpose 32 paths at a time: a whole block's
-            # float draw would raise the peak memory (about 9 MB at 2048
-            # x 512), and one strided copy of a whole mask ran about 3x
-            # slower at 10k x 512
+            # float draw would be 8 bytes a step and path, and one
+            # strided copy of a whole mask ran about 3x slower at 10k x
+            # 512
             for i in range(start, cols.stop, 32):
                 n = min(32, cols.stop - i)
                 up = (rng.random((n, N)) < 0.5 if signs is None
                       else signs[i:i + n] > 0)
                 up_rows[:, i - start:i - start + n] = up.T
-            # +-step exactly, as signs * step: 2 step - step is exact
-            db = up_rows.astype(float)
-            db *= 2.0 * step
-            db -= step
-            yield cols, up_rows, db
+            yield cols, up_rows
 
     return blocks()
+
+
+def _db_rows(up, step: float, on_step=None):
+    """The Brownian increments of a path block, one step at a time.
+
+    Yields step k's increments (b,) for k = 0..N-1 from the up-move
+    mask ``up``: +-step exactly, as 2 step up - step (2 step - step is
+    exact).  Every row is the same buffer, overwritten by the next
+    step.  ``on_step(k, db)``, if given, sees each row before it is
+    yielded.
+    """
+    db = np.empty(up.shape[1])
+    for k, up_k in enumerate(up):
+        np.multiply(up_k, 2.0 * step, out=db)
+        db -= step
+        if on_step is not None:
+            on_step(k, db)
+        yield db
 
 
 def _stored_rows(tree: ScenarioTree, n_paths: int, seed, signs, rows,
                  dtypes):
     """Every row of a path engine's generator, for every path.
 
-    ``rows(up, db)`` is the generator on one block (``_euler_rows`` or
-    ``_execute_rows`` with its scheme bound); it yields one row per
-    entry of ``dtypes`` at steps 0..N.  Returns db (N, n_paths) and one
-    (N+1, n_paths) array of each dtype, all step-major and C-contiguous.
+    ``rows(up, step)`` is the generator on one block (``_euler_rows``
+    or ``_execute_rows`` with its scheme bound) for the block's up-move
+    mask and the lattice's increment size; it yields one row per entry
+    of ``dtypes`` at steps 0..N.  Returns db (N, n_paths), the rows of
+    ``_db_rows``, and one (N+1, n_paths) array of each dtype, all
+    step-major and C-contiguous.
     """
     N = tree.steps
+    step = np.sqrt(tree.dt(0))
     db = np.empty((N, n_paths))
     store = [np.empty((N + 1, n_paths), dtype=t) for t in dtypes]
-    for cols, up, db_block in _path_blocks(tree, n_paths, seed, signs):
-        db[:, cols] = db_block
-        for k, row in enumerate(rows(up, db_block)):
+    for cols, up in _path_blocks(tree, n_paths, seed, signs):
+        for k, row in enumerate(_db_rows(up, step)):
+            db[k, cols] = row
+        for k, row in enumerate(rows(up, step)):
             for a, r in zip(store, row):
                 a[k, cols] = r
     return db, store
@@ -526,28 +564,31 @@ def _sde_scheme(evaluator: FieldEvaluator, q_levels, u0):
             tables[0.0])
 
 
-def _euler_rows(coeffs, u0: float, eps: float, up, db):
+def _euler_rows(coeffs, u0: float, eps: float, up, step: float,
+                on_step=None):
     """The Euler scheme of the path engines on one path block.
 
+    Each step's Brownian increments come from the up-move mask ``up``
+    through ``_db_rows``, which hands them to ``on_step`` first.
     Yields (j, u, exploded) at steps 0..N: the node position, indirect
     utility and explosion flag of every path of the block.  The three
     rows are updated in place between yields, so a consumer that keeps
     a row copies it.
     """
-    j = np.zeros(db.shape[1], dtype=int)
-    u = np.full(db.shape[1], u0)
-    exploded = np.zeros(db.shape[1], dtype=bool)
+    j = np.zeros(up.shape[1], dtype=int)
+    u = np.full(up.shape[1], u0)
+    exploded = np.zeros(up.shape[1], dtype=bool)
     yield j, u, exploded
-    for k, coeff in enumerate(coeffs):
+    for coeff, up_k, db in zip(coeffs, up, _db_rows(up, step, on_step)):
         # u (1 + coeff db) in place; a flagged path keeps its frozen u
         u_next = coeff[j]
-        u_next *= db[k]
+        u_next *= db
         u_next += 1.0
         u_next *= u
         np.copyto(u_next, u, where=exploded)
         exploded |= u_next >= -eps
         np.minimum(u_next, -eps, out=u)
-        j += up[k]
+        j += up_k
         yield j, u, exploded
 
 
@@ -566,7 +607,7 @@ def simulate_sde_paths(evaluator: FieldEvaluator, q_levels, u0: float,
     tree = evaluator.tree
     db, (j, U, exploded) = _stored_rows(
         tree, n_paths, seed, signs,
-        lambda up, db: _euler_rows(coeffs, u0, eps, up, db),
+        lambda up, step: _euler_rows(coeffs, u0, eps, up, step),
         (int, float, bool))
     X = np.empty_like(U)
     V = np.empty_like(U)
@@ -578,23 +619,31 @@ def simulate_sde_paths(evaluator: FieldEvaluator, q_levels, u0: float,
 
 
 def simulate_sde_terminal(evaluator: FieldEvaluator, q_levels, u0: float,
-                          n_paths: int, seed=None, signs=None):
+                          n_paths: int, seed=None, signs=None, on_step=None):
     """``simulate_sde_paths`` keeping only the terminal values.
 
-    Returns an iterator over blocks of at most ``_PATH_BLOCK`` paths, in
-    path order.  Each block is (U_T, V_T, exploded, db) with ``db`` the
-    block's Brownian increments as (b, N), a view of step-major storage.
-    The draws and the bits are those of ``simulate_sde_paths`` (its
-    ``U[:, -1]``, ``V[:, -1]``, ``exploded`` and ``db`` rows), but
-    memory grows with the block, not with n_paths.
+    Returns an iterator over blocks of at most ``_block_paths`` paths,
+    in path order, each (U_T, V_T, exploded).  The draws and the bits
+    are those of ``simulate_sde_paths`` (its ``U[:, -1]``, ``V[:, -1]``
+    and ``exploded``), but each block runs one step at a time on its
+    up-move mask, with no (N, b) float array, so memory grows with the
+    mask, N bytes a path.  ``on_step(cols, k, db)``, if given, sees the
+    Brownian increments (b,) of step k of the block's paths ``cols``
+    (a slice) as the Euler step takes them, steps in order from 0
+    within a block; the row is overwritten by the next step.
     """
     gamma, u0, eps, coeffs, _, phi_v = _sde_scheme(evaluator, q_levels, u0)
+    tree = evaluator.tree
+    step = np.sqrt(tree.dt(0))
 
     def blocks():
-        for _, up, db in _path_blocks(evaluator.tree, n_paths, seed, signs):
-            for j, u, exploded in _euler_rows(coeffs, u0, eps, up, db):
+        for cols, up in _path_blocks(tree, n_paths, seed, signs):
+            seen = None if on_step is None else functools.partial(on_step,
+                                                                  cols)
+            for j, u, exploded in _euler_rows(coeffs, u0, eps, up, step,
+                                              seen):
                 pass  # run the block to maturity
-            yield u, -_cash(phi_v[-1], j, u, gamma), exploded, db.T
+            yield u, -_cash(phi_v[-1], j, u, gamma), exploded
 
     return blocks()
 
@@ -640,7 +689,7 @@ def execute_simple_paths(evaluator: FieldEvaluator, strategy: SimpleStrategy,
     trade = dict(zip(strategy.levels, thetas))
     db, (j, X, U) = _stored_rows(
         tree, n_paths, seed, signs,
-        lambda up, db: _execute_rows(tables, gamma, trade, up),
+        lambda up, step: _execute_rows(tables, gamma, trade, up),
         (int, float, float))
     V = np.empty_like(U)
     for k in range(tree.steps + 1):

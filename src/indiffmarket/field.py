@@ -176,6 +176,7 @@ class FieldEvaluator:
         self.tree = tree
         self._cache = {}
         self._forests = (None, {})
+        self._root_forest = None
         self._last_split = None
         self._classes = {}
 
@@ -311,15 +312,27 @@ class FieldEvaluator:
         at the level when the level recombines, else this evaluator at
         level 0 and the nodes' own ``tree.subtrees`` below it, with
         spread None.  The last level's forests are kept per node set,
-        each with its own leaf-split memo; every node of the level in
-        order is the whole level's set, so its sweeps share the memo of
-        ``sweep_states``.
+        each with its own leaf-split memo, and so is the recombined
+        whole of level 0 (``sweep_point``'s), beside them, so probes
+        that go from the root to a level and back build it once; every
+        node of the level in order is the whole level's set, so its
+        sweeps share the memo of ``sweep_states``.
         """
         tree = self.tree
         if nodes is not None:
             nodes = np.asarray(nodes, dtype=np.intp)
             if np.array_equal(nodes, np.arange(tree.n_nodes(level))):
                 nodes = None
+        if level == 0 and nodes is None:
+            if self._root_forest is None:
+                small = tree.recombine(0)
+                if small is None:
+                    # not kept: the evaluator would hold itself in a cycle
+                    return self, None
+                self._root_forest = (
+                    FieldEvaluator(self.panel, small),
+                    functools.partial(tree.spread_recombined, 0))
+            return self._root_forest
         if self._forests[0] != level:
             self._forests = (level, {})
         forests = self._forests[1]
@@ -330,9 +343,6 @@ class FieldEvaluator:
                 forests[key] = (FieldEvaluator(self.panel, small),
                                 functools.partial(tree.spread_recombined,
                                                   level))
-            elif level == 0 and nodes is None:
-                # not kept: the cache would hold this evaluator in a cycle
-                return self, None
             else:
                 forests[key] = (FieldEvaluator(
                     self.panel, tree.subtrees(level, nodes)), None)

@@ -225,17 +225,16 @@ def _bachelier_terminal(par, ev: FieldEvaluator, q: float, n_paths: int,
     """Terminal values of the Bachelier run, path by path: (V_T engine,
     V_T closed form, U_T engine, U_T closed form, exploded).
 
-    The Euler paths start at N0(0) and are streamed block by block; the
-    closed forms are evaluated on each block's own increments.
+    The Euler paths start at N0(0) and are streamed block by block, one
+    step at a time; the closed forms advance on each step's own
+    increments as the engine takes them.
     """
-    times = ev.tree.times
-    blocks = []
-    for u, v, exploded, db in simulate_sde_terminal(
-            ev, q, float(par.N0(0.0)), n_paths, seed=seed):
-        blocks.append((v, par.gain(q, db, times, terminal=True), u,
-                       par.indirect_utility(q, db, times, terminal=True),
-                       exploded))
-    return tuple(np.concatenate(col) for col in zip(*blocks))
+    add, result = par.terminal_forms(q, ev.tree.times, n_paths)
+    blocks = list(simulate_sde_terminal(ev, q, float(par.N0(0.0)), n_paths,
+                                        seed=seed, on_step=add))
+    u_T, v_T, exploded = (np.concatenate(col) for col in zip(*blocks))
+    v_true, u_true = result()
+    return v_T, v_true, u_T, u_true, exploded
 
 
 def _bachelier(rng, probes):

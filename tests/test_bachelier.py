@@ -262,10 +262,11 @@ def test_oracle_accepts_one_path_as_a_vector():
 @pytest.mark.parametrize("n_paths", [1, 7, 2048])
 @pytest.mark.parametrize("step_major", [False, True])
 def test_terminal_forms_are_the_last_column_of_the_paths(n_paths, step_major):
-    # one block of the streamed engine is at most 2048 paths wide; the
-    # terminal forms sum the increments into one row, which must keep the
-    # bits of the running sum's last row (a pairwise sum(axis=0) does not
-    # for one path or for F-ordered increments)
+    # the terminal forms add the increments one step at a time into one
+    # row, as the streamed run does on each block of paths (a block is
+    # as wide as 16k paths at 512 steps), which must keep the bits of
+    # the running sum's last row (a pairwise sum(axis=0) does not for
+    # one path or for F-ordered increments)
     steps = 512
     rng = np.random.default_rng(n_paths)
     dt = rng.uniform(0.001, 0.004, size=steps)
@@ -285,3 +286,15 @@ def test_terminal_forms_are_the_last_column_of_the_paths(n_paths, step_major):
             assert_same_bits(
                 got, par.indirect_utility(q, db, times, u0=u0)[:, -1],
                 exact=True)
+        # streamed in three blocks of paths, one step at a time
+        add, result = par.terminal_forms(q, times, n_paths, u0=-0.8)
+        width = -(-n_paths // 3)
+        for start in range(0, n_paths, width):
+            cols = slice(start, min(start + width, n_paths))
+            for k, row in enumerate(db[cols].T):
+                add(cols, k, row)
+        v_T, u_T = result()
+        assert_same_bits(v_T, par.gain(q, db, times)[:, -1], exact=True)
+        assert_same_bits(
+            u_T, par.indirect_utility(q, db, times, u0=-0.8)[:, -1],
+            exact=True)

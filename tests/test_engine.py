@@ -523,27 +523,78 @@ def test_sde_path_blocks_give_the_same_bits(monkeypatch, steps, q, n_paths,
     assert ref.exploded.any() == (steps == 4)
     v_closed = BACH.gain(q, ref.db, ref.times)[:, -1]
     u_closed = BACH.indirect_utility(q, ref.db, ref.times)[:, -1]
+    path_blocks = engine._path_blocks
     for block in (1, 7, 1024, n_paths):
-        monkeypatch.setattr(engine, "_PATH_BLOCK", block)
+        monkeypatch.setattr(engine, "_PATH_BLOCK_BYTES", block * steps)
+        widths = [min(block, n_paths - i) for i in range(0, n_paths, block)]
         pb = simulate_sde_paths(ev, q, u0, n_paths, seed=seed)
         assert np.array_equal(pb.j, ref.j)
         for got, want in ((pb.db, ref.db), (pb.U, ref.U), (pb.X, ref.X),
                           (pb.V, ref.V)):
             assert_same_bits(got, want, exact=True)
         assert np.array_equal(pb.exploded, ref.exploded)
+        # the increments the terminal stream's steps take, step by step
+        db = np.full((steps, n_paths), np.nan)
+        taken = []
+
+        def seen(cols, k, row):
+            taken.append(k)
+            db[k, cols] = row
+
         blocks = list(engine.simulate_sde_terminal(ev, q, u0, n_paths,
-                                                   seed=seed))
-        assert [len(b[0]) for b in blocks] == [
-            min(block, n_paths - i) for i in range(0, n_paths, block)]
-        assert_same_bits(np.concatenate([b[3] for b in blocks]), ref.db,
-                         exact=True)
+                                                   seed=seed, on_step=seen))
+        assert [len(b[0]) for b in blocks] == widths
+        assert taken == list(range(steps)) * len(widths)
+        assert_same_bits(db.T, ref.db, exact=True)
+        # the streamed Bachelier run honours the block width too
+        ran = []
+
+        def counted(*args):
+            for cols, up in path_blocks(*args):
+                ran.append(cols.stop - cols.start)
+                yield cols, up
+
+        monkeypatch.setattr(engine, "_path_blocks", counted)
         v_T, v_true, u_T, u_true, exploded = _bachelier_terminal(
             BACH, ev, q, n_paths, seed)
+        monkeypatch.setattr(engine, "_path_blocks", path_blocks)
+        assert ran == widths
         assert_same_bits(v_T, ref.V[:, -1], exact=True)
         assert_same_bits(u_T, ref.U[:, -1], exact=True)
         assert np.array_equal(exploded, ref.exploded)
         assert_same_bits(v_true, v_closed, exact=True)
         assert_same_bits(u_true, u_closed, exact=True)
+
+
+def test_streamed_bachelier_memory_has_no_float_block(monkeypatch):
+    # measured at 512 steps: one block of 3000 paths peaks 1.6 MB over a
+    # 32-path run (its 1.5 MB up-move mask and about 32 bytes a path),
+    # three blocks 1.2 MB (two 0.5 MB masks live across a block's end);
+    # one (N, b) float array of increments would add 4 kB a path
+    import tracemalloc
+
+    from indiffmarket import engine
+    from indiffmarket.verify import _bachelier_terminal
+
+    steps, n_paths, rows = 512, 3000, 16
+    ev = FieldEvaluator(BACH.panel(), BACH.lattice(steps))
+
+    def peak(n, block):
+        monkeypatch.setattr(engine, "_PATH_BLOCK_BYTES", block * steps)
+        tracemalloc.start()
+        try:
+            _bachelier_terminal(BACH, ev, 1.0, n, 0)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    _bachelier_terminal(BACH, ev, 1.0, 1, 0)  # sweeps the Phi tables
+    base = peak(32, 32)
+    one = peak(n_paths, n_paths)
+    three = peak(n_paths, n_paths // 3)
+    for block, got in ((n_paths, one), (n_paths // 3, three)):
+        assert got - base <= 2 * steps * block + rows * 8 * n_paths
+    assert three <= one + rows * 8 * n_paths
 
 
 def test_execute_and_sampler_blocks_give_the_same_bits(monkeypatch):
@@ -559,7 +610,7 @@ def test_execute_and_sampler_blocks_give_the_same_bits(monkeypatch):
     ref = execute_simple_paths(ev, strategy, n_paths, seed=9)
     ref_signs = execute_simple_paths(ev, strategy, n_paths, signs=signs)
     for block in (1, 7, 1024, n_paths):
-        monkeypatch.setattr(engine, "_PATH_BLOCK", block)
+        monkeypatch.setattr(engine, "_PATH_BLOCK_BYTES", block * steps)
         pb = execute_simple_paths(ev, strategy, n_paths, seed=9)
         assert np.array_equal(pb.j, ref.j)
         for got, want in ((pb.db, ref.db), (pb.U, ref.U), (pb.X, ref.X),

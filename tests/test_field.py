@@ -278,6 +278,29 @@ def test_evaluator_is_freed_without_the_cycle_collector(tree):
         gc.enable()
 
 
+def test_root_forest_outlives_a_probe_of_another_level(monkeypatch):
+    # a probe from the root to level 2 and back builds each recombined
+    # forest once: the root's (level 0, all nodes) is kept beside the
+    # last level's, and a root sweep does not drop the last level's
+    # (keeping only the last level's would build four)
+    tree = binomial_tree(5, 1.0, sigma0="0.3 + 0.2 * B",
+                         psi=("1.0 + 0.5 * B",))
+    ev = FieldEvaluator(MIXED, tree)
+    built = []
+    recombine = type(tree).recombine
+
+    def counting(self, level, nodes=None):
+        built.append(level)
+        return recombine(self, level, nodes)
+
+    monkeypatch.setattr(type(tree), "recombine", counting)
+    states = _node_states(np.random.default_rng(3), tree, 2)
+    for x in (0.1, 0.2):
+        ev.sweep_point(PrimalPoint(v=[1.0, 1.0], x=x, q=[0.3]))
+        ev.sweep_states(2, *states)
+    assert built == [0, 2]
+
+
 def _leaf_path_trees():
     base = binomial_tree(5, 1.0, sigma0="0.3 + 0.2 * B",
                          psi=("1.0 + 0.5 * B",))
@@ -455,10 +478,12 @@ def test_newton_sweep_work_count(allocate_rows):
 
 
 def test_saddle_probe_allocation_count(allocate_rows):
-    # six Newton sweeps and five line-search trials; the two nodes are
-    # two distinct problems, every trial is accepted at both, so the
-    # next Newton sweep reuses its split: 7 allocations, where one
-    # allocation per sweep would be 12
+    # six Newton iterations in eight sweeps on two distinct problems
+    # (the two nodes): the first full-step trial is not accepted at
+    # both, so a halved trial follows and the second iterate is swept
+    # afresh on that trial's split; from there both accept every full
+    # step, whose trial sweep is the next iterate's: 7 allocations,
+    # where one allocation per sweep would be 8
     t = binomial_tree(4, 1.0, sigma0="0.3 + 0.2 * B", psi=("1.0 + 0.5 * B",))
     ev = FieldEvaluator(MIXED, t)
     u = ev.field(PrimalPoint(v=[0.5, 0.5], x=0.0, q=[0.3]), node=(1, 0)).dv
