@@ -30,12 +30,13 @@ class _StepSum:
     Within a block the steps add in ``accumulate_rows``' order, so
     ``total`` has the bits of the running sum's last row; a pairwise
     ``sum(axis=0)`` does not, for one path or F-ordered increments.
+    The scratch row is as wide as the block being fed.
     """
 
     def __init__(self, inc, n_paths: int):
         self._inc = inc
         self.total = np.empty(n_paths)
-        self._row = np.empty(n_paths)
+        self._row = None
 
     def add(self, cols, k: int, db):
         """Add the increments of step k of the paths ``cols`` (a slice),
@@ -44,18 +45,10 @@ class _StepSum:
         total = self.total[cols]
         if k == 0:
             self._inc(k, db, total)
+            self._row = np.empty_like(total)
         else:
-            row = self._row[cols]
-            self._inc(k, db, row)
-            total += row
-
-    @classmethod
-    def over(cls, inc, dbs):
-        """The sum over the rows of step-major increments ``dbs``."""
-        acc = cls(inc, dbs.shape[1])
-        for k, db in enumerate(dbs):
-            acc.add(slice(None), k, db)
-        return acc.total
+            self._inc(k, db, self._row)
+            total += self._row
 
 
 @dataclass(frozen=True)
@@ -111,44 +104,35 @@ class BachelierParams:
         """K(u, q) = -kappa(q) u; the indirect utility SDE is linear."""
         return -self.kappa(q) * np.asarray(u, float)
 
-    def indirect_utility(self, q_levels, db, times, u0=None,
-                         terminal: bool = False):
+    def indirect_utility(self, q_levels, db, times, u0=None):
         """Exact solution of dU = -kappa(Q) U dB along discrete paths.
 
         ``q_levels`` holds the position over each step (scalar or (N,)),
         ``db`` the Brownian increments (n_paths, N).  Piecewise constant
         Q makes the stochastic exponential exact, not an Euler scheme.
-        Returns (n_paths, N+1), a view of step-major storage, or with
-        ``terminal`` U_T alone, (n_paths,), the bits of its last column.
+        Returns (n_paths, N+1), a view of step-major storage.
         """
         dbs = self._step_major(db)
-        inc = self._growth_steps(q_levels, times)
         u0 = self._u0(u0)
-        if terminal:
-            return np.exp(_StepSum.over(inc, dbs)) * u0
         out = np.empty((dbs.shape[0] + 1, dbs.shape[1]))
         out[0] = u0
         growth = out[1:]
-        inc(slice(None), dbs, growth)
+        self._growth_steps(q_levels, times)(slice(None), dbs, growth)
         accumulate_rows(growth)
         np.exp(growth, out=growth)
         np.multiply(growth, u0, out=growth)
         return out.T
 
-    def gain(self, q_levels, db, times, terminal: bool = False):
+    def gain(self, q_levels, db, times):
         """Cumulative gain V of the investor along discrete paths.
 
         V_t = int (-Q) dS - (gamma sigma^2 / 2) int Q^2 dt; exact for
         piecewise constant Q.  Returns (n_paths, N+1), a view of
-        step-major storage, or with ``terminal`` V_T alone, (n_paths,),
-        the bits of its last column.
+        step-major storage.
         """
         dbs = self._step_major(db)
-        inc = self._gain_steps(q_levels, times)
-        if terminal:
-            return _StepSum.over(inc, dbs)
         out = np.zeros((dbs.shape[0] + 1, dbs.shape[1]))
-        inc(slice(None), dbs, out[1:])
+        self._gain_steps(q_levels, times)(slice(None), dbs, out[1:])
         accumulate_rows(out[1:])
         return out.T
 
@@ -160,8 +144,8 @@ class BachelierParams:
         paths ``cols`` (a slice), steps in order from 0 within each
         block of paths, as ``engine.simulate_sde_terminal`` hands them
         to its ``on_step``; ``result()`` then gives (V_T, U_T),
-        (n_paths,) each, with the bits of the ``terminal`` forms on the
-        same increments.
+        (n_paths,) each, with the bits of the last columns of the full
+        forms on the same increments.
         """
         v_sum = _StepSum(self._gain_steps(q_levels, times), n_paths)
         log_u = _StepSum(self._growth_steps(q_levels, times), n_paths)

@@ -22,16 +22,18 @@ engines draw their paths in blocks, each block an (N, b) up-move mask
 of at most ``_PATH_BLOCK_BYTES`` (one byte a step and path), and run
 each block one step at a time through one row generator per engine
 (``_euler_rows``, ``_execute_rows``), which carries only the current
-step's row; ``_db_rows`` derives each step's Brownian increments from
-the mask as the step is taken.  ``simulate_sde_paths`` and
-``execute_simple_paths`` store every row through ``_stored_rows``,
-step-major (N+1, n_paths), and hand them out in a ``PathBundle`` as
-transposed (n_paths, N+1) views; ``simulate_sde_terminal`` streams each
-block's terminal values and hands each step's increments to a caller
+step's row; ``_increments`` is the one formula that turns the mask into
+Brownian increments.  ``simulate_sde_paths`` and
+``execute_simple_paths`` store the increments and every row through
+``_stored_rows``, step-major (N+1, n_paths), and hand them out in a
+``PathBundle`` as transposed (n_paths, N+1) views;
+``simulate_sde_terminal`` derives each step's increments as the step is
+taken (``_db_rows``), streams each block's terminal values and hands
+each step's increments to a caller
 (``on_step``), so no (N, b) float array is made and its memory grows
 with the mask, not with the number of paths times 8 bytes a step.  At
 512 steps x 10k paths that is one block: the Bachelier run with its
-closed forms took about 80 ms at a 7 MB tracemalloc peak (2 cores,
+closed forms took 80-90 ms at a 7 MB tracemalloc peak (2 cores,
 Python 3.11, numpy 2.4), where one (N, b) float array alone would be
 41 MB.
 """
@@ -72,10 +74,10 @@ _EPS_EXPLODE_SCALE = 1e-10
 # before the next, so memory grows with the block, not with n_paths.
 # 8 MiB is 16,384 paths at 512 steps, one block for 10k.  The streamed
 # Bachelier run at 512 steps x 10k paths (``verify._bachelier_terminal``,
-# best of 7, 2 cores) took 204, 163, 127 and 79 ms in blocks of 1024,
-# 2048, 4096 and 10k paths, at tracemalloc peaks of 2.9, 3.9, 6.0 and
-# 7.1 MB: each step costs a fixed Python overhead per block, and a block
-# adds only its mask and a few float rows per path.
+# best of 7, 2 cores, shared host) took 209, 149, 119 and 79-92 ms in
+# blocks of 1024, 2048, 4096 and 10k paths, at tracemalloc peaks of 2.2,
+# 2.7, 3.8 and 7.1 MB: each step costs a fixed Python overhead per
+# block, and a run holds one block's mask and a few float rows per path.
 _PATH_BLOCK_BYTES = 8 << 20
 
 
@@ -463,23 +465,30 @@ def _path_blocks(tree: ScenarioTree, n_paths: int, seed=None, signs=None):
                       else signs[i:i + n] > 0)
                 up_rows[:, i - start:i - start + n] = up.T
             yield cols, up_rows
+            del up_rows  # before the next block's mask is drawn
 
     return blocks()
+
+
+def _increments(up, step: float, out):
+    """The Brownian increments of up-move mask ``up`` into ``out``:
+    +-step exactly, as 2 step up - step (2 step - step is exact)."""
+    np.multiply(up, 2.0 * step, out=out)
+    out -= step
+    return out
 
 
 def _db_rows(up, step: float, on_step=None):
     """The Brownian increments of a path block, one step at a time.
 
     Yields step k's increments (b,) for k = 0..N-1 from the up-move
-    mask ``up``: +-step exactly, as 2 step up - step (2 step - step is
-    exact).  Every row is the same buffer, overwritten by the next
-    step.  ``on_step(k, db)``, if given, sees each row before it is
-    yielded.
+    mask ``up`` (``_increments``).  Every row is the same buffer,
+    overwritten by the next step.  ``on_step(k, db)``, if given, sees
+    each row before it is yielded.
     """
     db = np.empty(up.shape[1])
     for k, up_k in enumerate(up):
-        np.multiply(up_k, 2.0 * step, out=db)
-        db -= step
+        _increments(up_k, step, db)
         if on_step is not None:
             on_step(k, db)
         yield db
@@ -489,21 +498,20 @@ def _stored_rows(tree: ScenarioTree, n_paths: int, seed, signs, rows,
                  dtypes):
     """Every row of a path engine's generator, for every path.
 
-    ``rows(up, step)`` is the generator on one block (``_euler_rows``
-    or ``_execute_rows`` with its scheme bound) for the block's up-move
-    mask and the lattice's increment size; it yields one row per entry
-    of ``dtypes`` at steps 0..N.  Returns db (N, n_paths), the rows of
-    ``_db_rows``, and one (N+1, n_paths) array of each dtype, all
-    step-major and C-contiguous.
+    ``rows(up, db)`` is the generator on one block (``_euler_rows`` or
+    ``_execute_rows`` with its scheme bound) for the block's up-move
+    mask and its increments (N, b) (``_increments``, stored before the
+    block runs); it yields one row per entry of ``dtypes`` at steps
+    0..N.  Returns db (N, n_paths) and one (N+1, n_paths) array of each
+    dtype, all step-major and C-contiguous.
     """
     N = tree.steps
     step = np.sqrt(tree.dt(0))
     db = np.empty((N, n_paths))
     store = [np.empty((N + 1, n_paths), dtype=t) for t in dtypes]
     for cols, up in _path_blocks(tree, n_paths, seed, signs):
-        for k, row in enumerate(_db_rows(up, step)):
-            db[k, cols] = row
-        for k, row in enumerate(rows(up, step)):
+        block_db = _increments(up, step, db[:, cols])
+        for k, row in enumerate(rows(up, block_db)):
             for a, r in zip(store, row):
                 a[k, cols] = r
     return db, store
@@ -564,14 +572,14 @@ def _sde_scheme(evaluator: FieldEvaluator, q_levels, u0):
             tables[0.0])
 
 
-def _euler_rows(coeffs, u0: float, eps: float, up, step: float,
-                on_step=None):
+def _euler_rows(coeffs, u0: float, eps: float, up, dbs):
     """The Euler scheme of the path engines on one path block.
 
-    Each step's Brownian increments come from the up-move mask ``up``
-    through ``_db_rows``, which hands them to ``on_step`` first.
-    Yields (j, u, exploded) at steps 0..N: the node position, indirect
-    utility and explosion flag of every path of the block.  The three
+    ``up`` is the block's up-move mask (N, b) and ``dbs`` its Brownian
+    increments, one row (b,) per step: ``_db_rows`` on the mask, or the
+    rows of its stored increments.  Yields (j, u, exploded) at steps
+    0..N: the node position, indirect utility and explosion flag of
+    every path of the block.  The three
     rows are updated in place between yields, so a consumer that keeps
     a row copies it.
     """
@@ -579,7 +587,7 @@ def _euler_rows(coeffs, u0: float, eps: float, up, step: float,
     u = np.full(up.shape[1], u0)
     exploded = np.zeros(up.shape[1], dtype=bool)
     yield j, u, exploded
-    for coeff, up_k, db in zip(coeffs, up, _db_rows(up, step, on_step)):
+    for coeff, up_k, db in zip(coeffs, up, dbs):
         # u (1 + coeff db) in place; a flagged path keeps its frozen u
         u_next = coeff[j]
         u_next *= db
@@ -607,7 +615,7 @@ def simulate_sde_paths(evaluator: FieldEvaluator, q_levels, u0: float,
     tree = evaluator.tree
     db, (j, U, exploded) = _stored_rows(
         tree, n_paths, seed, signs,
-        lambda up, step: _euler_rows(coeffs, u0, eps, up, step),
+        lambda up, db: _euler_rows(coeffs, u0, eps, up, db),
         (int, float, bool))
     X = np.empty_like(U)
     V = np.empty_like(U)
@@ -640,9 +648,10 @@ def simulate_sde_terminal(evaluator: FieldEvaluator, q_levels, u0: float,
         for cols, up in _path_blocks(tree, n_paths, seed, signs):
             seen = None if on_step is None else functools.partial(on_step,
                                                                   cols)
-            for j, u, exploded in _euler_rows(coeffs, u0, eps, up, step,
-                                              seen):
+            for j, u, exploded in _euler_rows(coeffs, u0, eps, up,
+                                              _db_rows(up, step, seen)):
                 pass  # run the block to maturity
+            del up  # before the next block's mask is drawn
             yield u, -_cash(phi_v[-1], j, u, gamma), exploded
 
     return blocks()
@@ -689,7 +698,7 @@ def execute_simple_paths(evaluator: FieldEvaluator, strategy: SimpleStrategy,
     trade = dict(zip(strategy.levels, thetas))
     db, (j, X, U) = _stored_rows(
         tree, n_paths, seed, signs,
-        lambda up, step: _execute_rows(tables, gamma, trade, up),
+        lambda up, db: _execute_rows(tables, gamma, trade, up),
         (int, float, float))
     V = np.empty_like(U)
     for k in range(tree.steps + 1):

@@ -245,7 +245,7 @@ def _bachelier(rng, probes):
     ev = FieldEvaluator(par.panel(), par.lattice(64))
     pb = simulate_sde_paths(ev, 1.0, float(par.N0(0.0)), max(probes, 500),
                             seed=int(rng.integers(0, 2 ** 31)))
-    v_true = par.gain(1.0, pb.db, pb.times, terminal=True)
+    v_true = par.gain(1.0, pb.db, pb.times)[:, -1]
     impact = 0.5 * par.gamma * par.sigma ** 2 * par.horizon
     dev_v = float(np.abs(pb.V[:, -1] - v_true).mean()) / (0.02 * impact)
     xi = indifference_cash(ev, 1.0)

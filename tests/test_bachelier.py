@@ -263,10 +263,10 @@ def test_oracle_accepts_one_path_as_a_vector():
 @pytest.mark.parametrize("step_major", [False, True])
 def test_terminal_forms_are_the_last_column_of_the_paths(n_paths, step_major):
     # the terminal forms add the increments one step at a time into one
-    # row, as the streamed run does on each block of paths (a block is
-    # as wide as 16k paths at 512 steps), which must keep the bits of
-    # the running sum's last row (a pairwise sum(axis=0) does not for
-    # one path or for F-ordered increments)
+    # row per block of paths, as the streamed run does (a block is as
+    # wide as 16k paths at 512 steps), which must keep the bits of the
+    # running sum's last row (a pairwise sum(axis=0) does not for one
+    # path or for F-ordered increments)
     steps = 512
     rng = np.random.default_rng(n_paths)
     dt = rng.uniform(0.001, 0.004, size=steps)
@@ -277,24 +277,18 @@ def test_terminal_forms_are_the_last_column_of_the_paths(n_paths, step_major):
     q = 1.5 * np.sin(2 * np.pi * times[:-1]) + 0.5
     for par in (REF, BachelierParams(gamma=2.5, b=0.3, mu=-0.2, sigma=0.7,
                                      s=1.0, horizon=0.7)):
-        got = par.gain(q, db, times, terminal=True)
-        assert got.shape == (n_paths,)
-        assert_same_bits(got, par.gain(q, db, times)[:, -1], exact=True)
-        for u0 in (None, -0.8):
-            got = par.indirect_utility(q, db, times, u0=u0, terminal=True)
-            assert got.shape == (n_paths,)
-            assert_same_bits(
-                got, par.indirect_utility(q, db, times, u0=u0)[:, -1],
-                exact=True)
-        # streamed in three blocks of paths, one step at a time
-        add, result = par.terminal_forms(q, times, n_paths, u0=-0.8)
-        width = -(-n_paths // 3)
-        for start in range(0, n_paths, width):
-            cols = slice(start, min(start + width, n_paths))
-            for k, row in enumerate(db[cols].T):
-                add(cols, k, row)
-        v_T, u_T = result()
-        assert_same_bits(v_T, par.gain(q, db, times)[:, -1], exact=True)
-        assert_same_bits(
-            u_T, par.indirect_utility(q, db, times, u0=-0.8)[:, -1],
-            exact=True)
+        # in one block and in three, one step at a time
+        for width in (n_paths, -(-n_paths // 3)):
+            for u0 in (None, -0.8):
+                add, result = par.terminal_forms(q, times, n_paths, u0=u0)
+                for start in range(0, n_paths, width):
+                    cols = slice(start, min(start + width, n_paths))
+                    for k, row in enumerate(db[cols].T):
+                        add(cols, k, row)
+                v_T, u_T = result()
+                assert v_T.shape == u_T.shape == (n_paths,)
+                assert_same_bits(v_T, par.gain(q, db, times)[:, -1],
+                                 exact=True)
+                assert_same_bits(
+                    u_T, par.indirect_utility(q, db, times, u0=u0)[:, -1],
+                    exact=True)

@@ -569,8 +569,8 @@ def test_sde_path_blocks_give_the_same_bits(monkeypatch, steps, q, n_paths,
 def test_streamed_bachelier_memory_has_no_float_block(monkeypatch):
     # measured at 512 steps: one block of 3000 paths peaks 1.6 MB over a
     # 32-path run (its 1.5 MB up-move mask and about 32 bytes a path),
-    # three blocks 1.2 MB (two 0.5 MB masks live across a block's end);
-    # one (N, b) float array of increments would add 4 kB a path
+    # three blocks 0.6 MB (one 0.5 MB mask at a time); one (N, b) float
+    # array of increments would add 4 kB a path
     import tracemalloc
 
     from indiffmarket import engine
@@ -593,8 +593,8 @@ def test_streamed_bachelier_memory_has_no_float_block(monkeypatch):
     one = peak(n_paths, n_paths)
     three = peak(n_paths, n_paths // 3)
     for block, got in ((n_paths, one), (n_paths // 3, three)):
-        assert got - base <= 2 * steps * block + rows * 8 * n_paths
-    assert three <= one + rows * 8 * n_paths
+        assert got - base <= steps * block + rows * 8 * n_paths
+    assert three <= one
 
 
 def test_execute_and_sampler_blocks_give_the_same_bits(monkeypatch):
