@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tree import (ScenarioTree, accumulate_rows, binomial_lattice,
-                   binomial_tree)
+from .tree import ScenarioTree, binomial_lattice, binomial_tree
 from .utilities import MakerPanel, exponential, panel as make_panel
 
 __all__ = ["BachelierParams"]
@@ -27,10 +26,10 @@ class _StepSum:
     (``BachelierParams._gain_steps``, ``_growth_steps``), fed one step
     of a path block at a time.
 
-    Within a block the steps add in ``accumulate_rows``' order, so
-    ``total`` has the bits of the running sum's last row; a pairwise
-    ``sum(axis=0)`` does not, for one path or F-ordered increments.
-    The scratch row is as wide as the block being fed.
+    Within a block the steps add one row at a time in step order, so
+    ``total`` has the bits of ``cumsum(axis=1)``'s last column; a
+    pairwise ``sum(axis=0)`` does not, for one path or F-ordered
+    increments.  The scratch row is as wide as the block being fed.
     """
 
     def __init__(self, inc, n_paths: int):
@@ -104,52 +103,26 @@ class BachelierParams:
         """K(u, q) = -kappa(q) u; the indirect utility SDE is linear."""
         return -self.kappa(q) * np.asarray(u, float)
 
-    def indirect_utility(self, q_levels, db, times, u0=None):
-        """Exact solution of dU = -kappa(Q) U dB along discrete paths.
-
-        ``q_levels`` holds the position over each step (scalar or (N,)),
-        ``db`` the Brownian increments (n_paths, N).  Piecewise constant
-        Q makes the stochastic exponential exact, not an Euler scheme.
-        Returns (n_paths, N+1), a view of step-major storage.
-        """
-        dbs = self._step_major(db)
-        u0 = self._u0(u0)
-        out = np.empty((dbs.shape[0] + 1, dbs.shape[1]))
-        out[0] = u0
-        growth = out[1:]
-        self._growth_steps(q_levels, times)(slice(None), dbs, growth)
-        accumulate_rows(growth)
-        np.exp(growth, out=growth)
-        np.multiply(growth, u0, out=growth)
-        return out.T
-
-    def gain(self, q_levels, db, times):
-        """Cumulative gain V of the investor along discrete paths.
-
-        V_t = int (-Q) dS - (gamma sigma^2 / 2) int Q^2 dt; exact for
-        piecewise constant Q.  Returns (n_paths, N+1), a view of
-        step-major storage.
-        """
-        dbs = self._step_major(db)
-        out = np.zeros((dbs.shape[0] + 1, dbs.shape[1]))
-        self._gain_steps(q_levels, times)(slice(None), dbs, out[1:])
-        accumulate_rows(out[1:])
-        return out.T
-
     def terminal_forms(self, q_levels, times, n_paths: int, u0=None):
-        """``gain`` and ``indirect_utility`` at maturity, fed the
-        Brownian increments one step at a time: returns (add, result).
+        """Gain V_T and indirect utility U_T of the investor at maturity,
+        fed the Brownian increments one step at a time: returns (add,
+        result).
+
+        V_t = int (-Q) dS - (gamma sigma^2 / 2) int Q^2 dt, and U solves
+        dU = -kappa(Q) U dB from U_0 = ``u0`` (by default N0(0)).  Both
+        are exact for Q piecewise constant over the steps of ``times``,
+        ``q_levels`` holding the position over each step (scalar or
+        (N,)): the stochastic exponential, not an Euler scheme.
 
         ``add(cols, k, db)`` takes the increments (b,) of step k of the
         paths ``cols`` (a slice), steps in order from 0 within each
         block of paths, as ``engine.simulate_sde_terminal`` hands them
         to its ``on_step``; ``result()`` then gives (V_T, U_T),
-        (n_paths,) each, with the bits of the last columns of the full
-        forms on the same increments.
+        (n_paths,) each.
         """
         v_sum = _StepSum(self._gain_steps(q_levels, times), n_paths)
         log_u = _StepSum(self._growth_steps(q_levels, times), n_paths)
-        u0 = self._u0(u0)
+        u0 = float(self.N0(0.0)) if u0 is None else u0
 
         def add(cols, k, db):
             v_sum.add(cols, k, db)
@@ -161,18 +134,15 @@ class BachelierParams:
         return add, result
 
     # The per-step increments of V and of log(U / u0), as functions
-    # inc(k, db, out) of the Brownian increments db of step k (an int,
-    # with db and out rows) or of steps k (a slice, with (steps,
-    # n_paths) db and out).  They are the one formula of the full-path
-    # and the streamed forms: each product and sum takes the operands
-    # of the formula in the docstrings, at most swapped, which leaves
-    # IEEE results unchanged, and ``accumulate_rows`` and ``_StepSum``
-    # add in cumsum's order; the tests pin these bits against
-    # ``cumsum(axis=1)`` forms.
+    # inc(k, db, out) of the Brownian increments db (b,) of step k,
+    # written into the row ``out``.  Each product and sum takes the
+    # operands of the formulas in ``terminal_forms``, at most swapped,
+    # which leaves IEEE results unchanged; the tests pin the bits of
+    # the terminal forms against ``cumsum(axis=1)`` forms.
 
     def _gain_steps(self, q_levels, times):
-        dt = np.diff(np.asarray(times, float))[:, None]
-        q = np.broadcast_to(np.asarray(q_levels, float), (len(dt),))[:, None]
+        dt = np.diff(np.asarray(times, float))
+        q = np.broadcast_to(np.asarray(q_levels, float), dt.shape)
         drift = self.mu * dt
         neg_q = -q
         cost = 0.5 * self.gamma * self.sigma ** 2 * q ** 2 * dt
@@ -186,9 +156,9 @@ class BachelierParams:
         return inc
 
     def _growth_steps(self, q_levels, times):
-        dt = np.diff(np.asarray(times, float))[:, None]
+        dt = np.diff(np.asarray(times, float))
         kap = self.kappa(np.broadcast_to(np.asarray(q_levels, float),
-                                         (len(dt),)))[:, None]
+                                         dt.shape))
         neg_kap = -kap
         comp = 0.5 * kap ** 2 * dt
 
@@ -197,15 +167,6 @@ class BachelierParams:
             out -= comp[k]
 
         return inc
-
-    def _u0(self, u0):
-        return float(self.N0(0.0) * np.exp(self.gamma * 0.0)) \
-            if u0 is None else u0
-
-    @staticmethod
-    def _step_major(db):
-        """Increments as (N, n_paths) rows."""
-        return np.atleast_2d(np.asarray(db, float)).T
 
     def indifference_price(self, q):
         """Cash leaving the maker indifferent to taking position q at

@@ -268,6 +268,19 @@ class SdeResult:
                                         ok=[~e for e in self.exploded])
 
 
+def _level_kernel(evaluator: FieldEvaluator, level: int, u, q, w0=None,
+                  x0=None):
+    """Saddle state and SDE kernel at every node of ``level``: returns
+    (w, x, dHdv), the saddle weights and cash of G(u, 1, q) per node
+    (``saddle_batch``, started from ``w0``, ``x0``) and dHdv, the
+    increment slope of F_v under that state, (n, M, d)."""
+    w, x, _, _ = saddle_batch(evaluator, level, u, q, w0=w0, x0=x0)
+    sweep = evaluator.sweep_states(level, w, x, q, names=("dv",))
+    dHdv, _ = increment_slope(evaluator.tree, level, sweep.at("dv", level),
+                              sweep.at("dv", level + 1))
+    return w, x, dHdv
+
+
 def kernel_K(evaluator: FieldEvaluator, u, q, node):
     """SDE kernel K(u, q) at a node: dHdv of the integrand at the saddle.
 
@@ -280,10 +293,7 @@ def kernel_K(evaluator: FieldEvaluator, u, q, node):
     u = np.broadcast_to(np.asarray(u, float), (n, evaluator.panel.size))
     q = np.broadcast_to(np.atleast_1d(np.asarray(q, float)),
                         (n, tree.n_assets))
-    w, x, _, _ = saddle_batch(evaluator, level, u, q)
-    sweep = evaluator.sweep_states(level, w, x, q, names=("dv",))
-    dHdv, _ = increment_slope(tree, level, sweep.at("dv", level),
-                              sweep.at("dv", level + 1))
+    _, _, dHdv = _level_kernel(evaluator, level, u, q)
     return dHdv[idx]
 
 
@@ -323,11 +333,8 @@ def simulate_sde(evaluator: FieldEvaluator, q_levels, u0,
         Q.append(q)
         ok = ~exploded[k]
         u_solve = np.where(ok[:, None], U[k], -1.0)
-        w, x, _, _ = saddle_batch(evaluator, k, u_solve, q,
-                                  w0=w_prev, x0=x_prev)
-        sweep = evaluator.sweep_states(k, w, x, q, names=("dv",))
-        dHdv, _ = increment_slope(tree, k, sweep.at("dv", k),
-                                  sweep.at("dv", k + 1))
+        w, x, dHdv = _level_kernel(evaluator, k, u_solve, q, w0=w_prev,
+                                   x0=x_prev)
         if want_states:
             W[k] = np.where(ok[:, None], w, np.nan)
             X[k] = np.where(ok, x, np.nan)

@@ -107,15 +107,6 @@ class Sweep:
                     depth, self._view(name, self.blocks[depth]))
         return arr if index is None else arr[index]
 
-    def block(self, level: int):
-        """The packed block of ``level`` in node order (None before the
-        anchor); a recombined level is spread on every call."""
-        depth = level - self._anchor
-        if depth < 0:
-            return None
-        block = self.blocks[depth]
-        return block if self._spread is None else self._spread(depth, block)
-
     @property
     def comps(self) -> dict:
         """Each component's list of per-level node arrays."""
@@ -454,18 +445,12 @@ class FieldEvaluator:
         """Worst one-step conditional-expectation gap over all components,
         nodes and levels; construction-exact up to floating point.
 
-        Each component's gap at a level is scaled by 1 + its largest
-        magnitude there, as ``ScenarioTree.martingale_gap`` does; one
-        ``expect`` per level serves every component of the packed block.
+        It is the largest ``ScenarioTree.martingale_gap`` of the
+        components' per-level node arrays (``Sweep.comps``), so each gap
+        is scaled by 1 + the component's largest magnitude at its level.
         """
-        tree, worst = self.tree, 0.0
-        for k in range(tree.steps):
-            now = sweep.block(k)
-            gap = np.abs(tree.expect(k, sweep.block(k + 1)) - now)
-            for cols, _ in sweep.columns.values():
-                worst = max(worst, float(gap[:, cols].max())
-                            / (1.0 + np.abs(now[:, cols]).max()))
-        return worst
+        return max(self.tree.martingale_gap(levels)
+                   for levels in sweep.comps.values())
 
 
 def distinct_rows(a):

@@ -181,7 +181,6 @@ def split_tolerances(panel: MakerPanel, pi):
         d2r/dv^m dx    =  y t^m / (v^m tsum)
         d2r/dv^l dv^m  =  y t^m/(v^l v^m) (delta_lm - t^l/tsum)
     """
-    t = np.stack(
-        [spec.risk_tolerance(pi[:, m]) for m, spec in enumerate(panel.makers)], axis=1
-    )
+    t = np.stack([1.0 / spec.risk_aversion(pi[:, m])
+                  for m, spec in enumerate(panel.makers)], axis=1)
     return t, t.sum(axis=1)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -85,12 +85,6 @@ class UtilitySpec:
         return [(w * np.exp(-(x * g)), g)
                 for w, g in zip(self.weights, self.rates)]
 
-    def _marginal_and_slope(self, x):
-        """(u'(x), -u''(x)): the sums of t_i and of t_i g_i."""
-        terms = self._terms(x)
-        return (_total(t for t, _ in terms),
-                _total(t * g for t, g in terms))
-
     def value(self, x):
         """u(x), always negative."""
         return -_total(t / g for t, g in self._terms(x))
@@ -98,11 +92,6 @@ class UtilitySpec:
     def marginal(self, x):
         """u'(x) > 0."""
         return _total(t for t, _ in self._terms(x))
-
-    def marginal_and_aversion(self, x):
-        """(u'(x), a(x)) from a single evaluation of the mixture terms."""
-        up, slope = self._marginal_and_slope(x)
-        return up, slope / up
 
     @functools.cached_property
     def _log_weights(self) -> np.ndarray:
@@ -129,13 +118,10 @@ class UtilitySpec:
         return -_total(t * g for t, g in self._terms(x))
 
     def risk_aversion(self, x):
-        """a(x) = -u''(x)/u'(x)."""
-        up, slope = self._marginal_and_slope(x)
-        return slope / up
-
-    def risk_tolerance(self, x):
-        """1/a(x)."""
-        return 1.0 / self.risk_aversion(x)
+        """a(x) = -u''(x)/u'(x): the sum of t_i g_i over that of t_i."""
+        terms = self._terms(x)
+        return (_total(t * g for t, g in terms)
+                / _total(t for t, _ in terms))
 
     def inverse_marginal(self, y):
         """Solve u'(x) = y for x; y must be positive.
@@ -221,14 +207,16 @@ class MakerPanel:
     """Ordered collection of market makers sharing one risk-aversion bound."""
 
     makers: tuple[UtilitySpec, ...]
-    bound_constant: float = field(default=0.0)
 
     def __post_init__(self):
         if len(self.makers) < 1:
             raise ValueError("panel needs at least one maker")
-        c = max(m.bound_constant for m in self.makers)
-        c = max(c, 1.0 / c, float(self.bound_constant))
-        object.__setattr__(self, "bound_constant", c)
+
+    @functools.cached_property
+    def bound_constant(self) -> float:
+        """Constant c >= 1 with 1/c <= a_m(x) <= c for every maker m:
+        the largest of the makers' own (symmetrized) constants."""
+        return max(m.bound_constant for m in self.makers)
 
     @property
     def size(self) -> int:

@@ -245,7 +245,11 @@ def _bachelier(rng, probes):
     ev = FieldEvaluator(par.panel(), par.lattice(64))
     pb = simulate_sde_paths(ev, 1.0, float(par.N0(0.0)), max(probes, 500),
                             seed=int(rng.integers(0, 2 ** 31)))
-    v_true = par.gain(1.0, pb.db, pb.times)[:, -1]
+    # the closed form in the streamed run's step order, which fixes its bits
+    add, result = par.terminal_forms(1.0, pb.times, len(pb.db))
+    for k, db in enumerate(pb.db.T):
+        add(slice(None), k, db)
+    v_true, _ = result()
     impact = 0.5 * par.gamma * par.sigma ** 2 * par.horizon
     dev_v = float(np.abs(pb.V[:, -1] - v_true).mean()) / (0.02 * impact)
     xi = indifference_cash(ev, 1.0)

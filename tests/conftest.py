@@ -1,5 +1,7 @@
-"""Shared test scaffolding: the acceptance-report summary section and
-the bitwise comparison of the kernel oracle tests."""
+"""Shared test scaffolding: the acceptance-report summary section, the
+bitwise comparison of the kernel oracle tests, and the full-path
+Bachelier closed forms that ``BachelierParams.terminal_forms`` is
+pinned against."""
 
 import numpy as np
 
@@ -19,6 +21,38 @@ def assert_same_bits(got, want, exact):
         close = np.abs(got - want) <= 2 * np.spacing(
             np.maximum(np.abs(got), np.abs(want)))
     assert np.all(same | close)
+
+
+# -- the Bachelier closed forms along whole paths --------------------------
+# V and U of ``BachelierParams.terminal_forms`` at every step, (n_paths,
+# N+1) for increments db (n_paths, N), as cumsum(axis=1) of the per-step
+# increments: the library keeps only their last column.
+
+
+def _cumsum_indirect_utility(par, q_levels, db, times, u0=None):
+    db = np.atleast_2d(np.asarray(db, float))
+    n_paths, N = db.shape
+    dt = np.diff(np.asarray(times, float))
+    kap = par.kappa(np.broadcast_to(np.asarray(q_levels, float), (N,)))
+    if u0 is None:
+        u0 = float(par.N0(0.0) * np.exp(par.gamma * 0.0))
+    log_growth = np.cumsum(-kap * db - 0.5 * kap ** 2 * dt, axis=1)
+    out = np.empty((n_paths, N + 1))
+    out[:, 0] = u0
+    out[:, 1:] = u0 * np.exp(log_growth)
+    return out
+
+
+def _cumsum_gain(par, q_levels, db, times):
+    db = np.atleast_2d(np.asarray(db, float))
+    n_paths, N = db.shape
+    dt = np.diff(np.asarray(times, float))
+    q = np.broadcast_to(np.asarray(q_levels, float), (N,))
+    inc = (-q * (par.mu * dt + par.sigma * db)
+           - 0.5 * par.gamma * par.sigma ** 2 * q ** 2 * dt)
+    out = np.zeros((n_paths, N + 1))
+    out[:, 1:] = np.cumsum(inc, axis=1)
+    return out
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
-from conftest import assert_same_bits
+from conftest import (_cumsum_gain, _cumsum_indirect_utility,
+                      assert_same_bits)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -71,16 +72,16 @@ def test_gain_examples():
     times = np.linspace(0.0, 1.0, steps + 1)
     rng = np.random.default_rng(18)
     db = rng.normal(scale=np.sqrt(1.0 / steps), size=(1, steps))
-    zero = REF.gain(np.zeros(steps), db, times)
+    zero, _ = _terminal(REF, np.zeros(steps), db, times)
     assert np.max(np.abs(zero)) < 1e-15
     qbar = 0.9
-    v = REF.gain(np.full(steps, qbar), db, times)
+    v, _ = _terminal(REF, np.full(steps, qbar), db, times)
     s_move = REF.mu * 1.0 + REF.sigma * db.sum()
     expected = -qbar * s_move - 0.5 * REF.gamma * REF.sigma ** 2 * qbar ** 2
-    assert v[0, -1] == pytest.approx(expected, rel=1e-12)
+    assert v[0] == pytest.approx(expected, rel=1e-12)
     # the quadratic impact term is invariant under Q -> -Q
-    v_neg = REF.gain(np.full(steps, -qbar), db, times)
-    assert v[0, -1] + v_neg[0, -1] == pytest.approx(
+    v_neg, _ = _terminal(REF, np.full(steps, -qbar), db, times)
+    assert v[0] + v_neg[0] == pytest.approx(
         -REF.gamma * REF.sigma ** 2 * qbar ** 2, rel=1e-12)
 
 
@@ -155,11 +156,11 @@ def test_indirect_utility_identity_on_euler_paths():
                                 [qbar] * steps, REF.N0(0.0), 200, seed=20)
     j, db = bundle.j, bundle.db
     times = lat.times
-    closed = REF.indirect_utility(np.full(steps, qbar), db, times,
-                                  u0=REF.N0(0.0))
+    closed = _cumsum_indirect_utility(REF, np.full(steps, qbar), db, times,
+                                      u0=REF.N0(0.0))
     err = np.max(np.abs(bundle.U - closed) / np.abs(closed))
     assert err < 0.05
-    gains = REF.gain(np.full(steps, qbar), db, times)
+    gains = _cumsum_gain(REF, np.full(steps, qbar), db, times)
     b_path = np.concatenate(
         [np.zeros((db.shape[0], 1)), np.cumsum(db, axis=1)], axis=1)
     n0 = np.array([[REF.N(0.0, times[k], b_path[i, k])
@@ -174,7 +175,7 @@ def test_engine_gain_matches_closed_form_paths():
     qbar = 1.0
     bundle = simulate_sde_paths(FieldEvaluator(REF.panel(), lat),
                                 [qbar] * steps, REF.N0(0.0), 500, seed=21)
-    closed = REF.gain(np.full(steps, qbar), bundle.db, lat.times)
+    closed = _cumsum_gain(REF, np.full(steps, qbar), bundle.db, lat.times)
     budget = 0.5 * REF.gamma * REF.sigma ** 2 * REF.horizon
     err = np.abs(bundle.V[:, -1] - closed[:, -1]).mean()
     assert err < 0.02 * budget
@@ -187,33 +188,33 @@ def test_param_validation():
         BachelierParams(gamma=1.0, b=0.0, mu=0.0, sigma=0.0, s=1.0, horizon=1.0)
 
 
-# -- step-major oracle against its former cumsum(axis=1) forms -----------
+# -- streamed terminal forms against the cumsum(axis=1) path forms -------
 
 
-def _cumsum_indirect_utility(par, q_levels, db, times, u0=None):
-    db = np.atleast_2d(np.asarray(db, float))
-    n_paths, N = db.shape
-    dt = np.diff(np.asarray(times, float))
-    kap = par.kappa(np.broadcast_to(np.asarray(q_levels, float), (N,)))
-    if u0 is None:
-        u0 = float(par.N0(0.0) * np.exp(par.gamma * 0.0))
-    log_growth = np.cumsum(-kap * db - 0.5 * kap ** 2 * dt, axis=1)
-    out = np.empty((n_paths, N + 1))
-    out[:, 0] = u0
-    out[:, 1:] = u0 * np.exp(log_growth)
-    return out
+def _terminal(par, q_levels, db, times, u0=None, blocks=1):
+    """``terminal_forms`` fed the increments db (n_paths, N) one step at
+    a time, in ``blocks`` blocks of paths as the streamed run feeds
+    them: returns (V_T, U_T)."""
+    n_paths = db.shape[0]
+    width = -(-n_paths // blocks)
+    add, result = par.terminal_forms(q_levels, times, n_paths, u0=u0)
+    for start in range(0, n_paths, width):
+        cols = slice(start, min(start + width, n_paths))
+        for k, row in enumerate(db[cols].T):
+            add(cols, k, row)
+    return result()
 
 
-def _cumsum_gain(par, q_levels, db, times):
-    db = np.atleast_2d(np.asarray(db, float))
-    n_paths, N = db.shape
-    dt = np.diff(np.asarray(times, float))
-    q = np.broadcast_to(np.asarray(q_levels, float), (N,))
-    inc = (-q * (par.mu * dt + par.sigma * db)
-           - 0.5 * par.gamma * par.sigma ** 2 * q ** 2 * dt)
-    out = np.zeros((n_paths, N + 1))
-    out[:, 1:] = np.cumsum(inc, axis=1)
-    return out
+def _assert_terminal_bits(par, q, db, times, blocks):
+    n_paths = db.shape[0]
+    v_want = _cumsum_gain(par, q, db, times)[:, -1]
+    for u0 in (None, -0.8):
+        v_T, u_T = _terminal(par, q, db, times, u0=u0, blocks=blocks)
+        assert v_T.shape == u_T.shape == (n_paths,)
+        assert_same_bits(v_T, v_want, exact=True)
+        assert_same_bits(
+            u_T, _cumsum_indirect_utility(par, q, db, times, u0=u0)[:, -1],
+            exact=True)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -223,14 +224,15 @@ def _cumsum_gain(par, q_levels, db, times):
 def test_oracle_matches_cumsum_forms(n_paths, steps, data):
     if data is None:
         q = np.array([0.0, -0.0, 1.0, 0.0])
-        seed, even, step_major = 0, True, True
+        seed, even, step_major, blocks = 0, True, True, 1
     else:
         q = np.array(data.draw(st.lists(
-            st.sampled_from([0.0, -1.5, -0.5, 0.25, 1.0, 3.0]),
+            st.sampled_from([0.0, -0.0, -1.5, -0.5, 0.25, 1.0, 3.0]),
             min_size=steps, max_size=steps)))
         seed = data.draw(st.integers(0, 2 ** 16))
         even = data.draw(st.booleans())
         step_major = data.draw(st.booleans())
+        blocks = data.draw(st.sampled_from([1, 3]))
     rng = np.random.default_rng(seed)
     dt = (np.full(steps, 0.7 / steps) if even
           else rng.uniform(0.001, 0.1, size=steps))
@@ -240,23 +242,7 @@ def test_oracle_matches_cumsum_forms(n_paths, steps, data):
         db = np.ascontiguousarray(db.T).T
     for par in (REF, BachelierParams(gamma=2.5, b=0.3, mu=-0.2, sigma=0.7,
                                      s=1.0, horizon=0.7)):
-        got = par.gain(q, db, times)
-        assert got.shape == (n_paths, steps + 1)
-        assert_same_bits(got, _cumsum_gain(par, q, db, times), exact=True)
-        for u0 in (None, -0.8):
-            got = par.indirect_utility(q, db, times, u0=u0)
-            want = _cumsum_indirect_utility(par, q, db, times, u0=u0)
-            assert got.shape == (n_paths, steps + 1)
-            assert_same_bits(got, want, exact=True)
-
-
-def test_oracle_accepts_one_path_as_a_vector():
-    db = np.array([0.1, -0.2, 0.05])
-    times = np.linspace(0.0, 1.0, 4)
-    assert_same_bits(REF.gain(1.0, db, times),
-                     _cumsum_gain(REF, 1.0, db, times), exact=True)
-    assert_same_bits(REF.indirect_utility(1.0, db, times),
-                     _cumsum_indirect_utility(REF, 1.0, db, times), exact=True)
+        _assert_terminal_bits(par, q, db, times, blocks)
 
 
 @pytest.mark.parametrize("n_paths", [1, 7, 2048])
@@ -265,7 +251,7 @@ def test_terminal_forms_are_the_last_column_of_the_paths(n_paths, step_major):
     # the terminal forms add the increments one step at a time into one
     # row per block of paths, as the streamed run does (a block is as
     # wide as 16k paths at 512 steps), which must keep the bits of the
-    # running sum's last row (a pairwise sum(axis=0) does not for one
+    # running sum's last column (a pairwise sum(axis=0) does not for one
     # path or for F-ordered increments)
     steps = 512
     rng = np.random.default_rng(n_paths)
@@ -277,18 +263,5 @@ def test_terminal_forms_are_the_last_column_of_the_paths(n_paths, step_major):
     q = 1.5 * np.sin(2 * np.pi * times[:-1]) + 0.5
     for par in (REF, BachelierParams(gamma=2.5, b=0.3, mu=-0.2, sigma=0.7,
                                      s=1.0, horizon=0.7)):
-        # in one block and in three, one step at a time
-        for width in (n_paths, -(-n_paths // 3)):
-            for u0 in (None, -0.8):
-                add, result = par.terminal_forms(q, times, n_paths, u0=u0)
-                for start in range(0, n_paths, width):
-                    cols = slice(start, min(start + width, n_paths))
-                    for k, row in enumerate(db[cols].T):
-                        add(cols, k, row)
-                v_T, u_T = result()
-                assert v_T.shape == u_T.shape == (n_paths,)
-                assert_same_bits(v_T, par.gain(q, db, times)[:, -1],
-                                 exact=True)
-                assert_same_bits(
-                    u_T, par.indirect_utility(q, db, times, u0=u0)[:, -1],
-                    exact=True)
+        for blocks in (1, 3):
+            _assert_terminal_bits(par, q, db, times, blocks)

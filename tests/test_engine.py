@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
-from conftest import assert_same_bits
+from conftest import (_cumsum_gain, _cumsum_indirect_utility,
+                      assert_same_bits)
 
 from indiffmarket.bachelier import BachelierParams
 from indiffmarket.conjugate import saddle_batch
@@ -521,8 +522,8 @@ def test_sde_path_blocks_give_the_same_bits(monkeypatch, steps, q, n_paths,
     u0 = float(BACH.N0(0.0))
     ref = simulate_sde_paths(ev, q, u0, n_paths, seed=seed)
     assert ref.exploded.any() == (steps == 4)
-    v_closed = BACH.gain(q, ref.db, ref.times)[:, -1]
-    u_closed = BACH.indirect_utility(q, ref.db, ref.times)[:, -1]
+    v_closed = _cumsum_gain(BACH, q, ref.db, ref.times)[:, -1]
+    u_closed = _cumsum_indirect_utility(BACH, q, ref.db, ref.times)[:, -1]
     path_blocks = engine._path_blocks
     for block in (1, 7, 1024, n_paths):
         monkeypatch.setattr(engine, "_PATH_BLOCK_BYTES", block * steps)

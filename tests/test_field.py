@@ -417,18 +417,22 @@ def test_distinct_rows_go_by_bits():
     assert inverse.tolist() == [0, 1, 0, 2, 3, 2]
 
 
-def test_martingale_deviation_is_the_worst_component_gap():
-    # one expect per level on the packed block, the value of one
-    # martingale_gap per component
-    for tree in (binomial_tree(5, 1.0, sigma0="0.3 + 0.2 * B",
-                               psi=("1.0 + 0.5 * B",)),
-                 _leaf_path_trees()["table-not-of-B"]):
+def test_martingale_deviation_catches_one_perturbed_entry():
+    # a clean order-2 sweep is a one-step martingale in every component
+    # to rounding level; 1e-6 added to one dvq entry at one interior
+    # level must show, on levels spread from a recombined forest and on
+    # a tree's own levels alike
+    for tree, recombined in (
+            (binomial_tree(5, 1.0, sigma0="0.3 + 0.2 * B",
+                           psi=("1.0 + 0.5 * B",)), True),
+            (_leaf_path_trees()["table-not-of-B"], False)):
         ev = FieldEvaluator(MIXED, tree)
+        assert (ev._forest(0)[1] is not None) == recombined
         sweep = ev.sweep_point(PrimalPoint(v=[0.7, 1.2], x=0.2, q=[0.4]),
                                order=2)
-        want = max(tree.martingale_gap(levels)
-                   for levels in sweep.comps.values())
-        assert ev.martingale_deviation(sweep) == want
+        assert ev.martingale_deviation(sweep) < 1e-12
+        sweep.comps["dvq"][2][1, 0, 0] += 1e-6
+        assert ev.martingale_deviation(sweep) > 1e-8
 
 
 def test_payoff_table_of_B_takes_the_recombined_sweep(allocate_rows):

@@ -5,9 +5,12 @@ here, so a change to the writers, the per-level layout of ``paths.csv``
 or the tree dump that moves a single byte fails this test.  The runs
 cover both simulate modes, a run whose nodes explode (empty cells), an
 execute run without V (an empty column), a two-dimensional tree, the
-Bachelier tables (small, and at the full 512 steps x 10k paths that
-streams several path blocks), the verify table of two suites and of all
-nine, and ``dump-tree`` on a tree, a d=2 tree and a lattice.
+Bachelier tables (small, and at the full 512 steps x 10k paths, which
+run as one path block: a block's 8 MiB up-move mask holds 16,384 paths
+at 512 steps; ``tests/test_engine.py::test_sde_path_blocks_give_the_same_bits``
+pins the bits of runs over several blocks), the verify table of two
+suites and of all nine, and ``dump-tree`` on a tree, a d=2 tree and a
+lattice.
 """
 
 import hashlib

@@ -137,13 +137,6 @@ def test_log_marginal_and_aversion_agree_with_direct():
     assert np.all(np.isfinite(lm_far)) and np.all(np.isfinite(a_far))
 
 
-def test_marginal_and_aversion_pair():
-    x = np.array([-1.0, 0.0, 2.0])
-    up, a = MIX.marginal_and_aversion(x)
-    assert np.allclose(up, MIX.marginal(x))
-    assert np.allclose(a, MIX.risk_aversion(x))
-
-
 def test_spec_validation():
     with pytest.raises(ValueError):
         UtilitySpec(weights=(1.0,), rates=(-1.0,))
@@ -190,12 +183,6 @@ def _ref_marginal(spec, x):
     return _ref_wge(spec, x).sum(axis=-1)
 
 
-def _ref_marginal_and_aversion(spec, x):
-    t = _ref_wge(spec, x)
-    up = t.sum(axis=-1)
-    return up, (t * np.asarray(spec.rates)).sum(axis=-1) / up
-
-
 def _ref_log_marginal_and_aversion(spec, x):
     x = np.asarray(x, dtype=float)
     g = np.asarray(spec.rates)
@@ -227,7 +214,6 @@ def check_kernels(spec, x, exact):
 KERNELS = [
     ("value", _ref_value),
     ("marginal", _ref_marginal),
-    ("marginal_and_aversion", _ref_marginal_and_aversion),
     ("log_marginal_and_aversion", _ref_log_marginal_and_aversion),
     ("second_derivative", _ref_second_derivative),
     ("risk_aversion", _ref_risk_aversion),
