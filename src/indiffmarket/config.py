@@ -15,7 +15,6 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-import yaml
 
 from .bachelier import BachelierParams
 from .engine import SimpleStrategy
@@ -301,6 +300,10 @@ def load_config(path, command: str) -> ExperimentConfig:
     against what ``command`` reads."""
     raw = {"bachelier": _DEFAULT_BACHELIER}
     if path is not None:
+        # imported here, its only reader, so commands run without a
+        # config file do not pay for it at start-up
+        import yaml
+
         try:
             with open(path) as fh:
                 raw = yaml.safe_load(fh)

@@ -17,7 +17,9 @@ recombining lattice; the fast mode carries thousands of Monte Carlo
 paths on fine grids.  Every engine takes the ``FieldEvaluator`` of its
 (panel, tree) first, and both execute engines a ``SimpleStrategy``; the
 path engines read their Phi tables from its memoized point sweeps, so
-calls that share an evaluator sweep each position once.  The path
+calls that share an evaluator sweep each position once, and the
+positions a call lacks are swept side by side in one backward pass
+(``_phi_tables``).  The path
 engines draw their paths in blocks, each block an (N, b) up-move mask
 of at most ``_PATH_BLOCK_BYTES`` (one byte a step and path), and run
 each block one step at a time through one row generator per engine
@@ -32,10 +34,12 @@ taken (``_db_rows``), streams each block's terminal values and hands
 each step's increments to a caller
 (``on_step``), so no (N, b) float array is made and its memory grows
 with the mask, not with the number of paths times 8 bytes a step.  At
-512 steps x 10k paths that is one block: the Bachelier run with its
-closed forms took 80-90 ms at a 7 MB tracemalloc peak (2 cores,
-Python 3.11, numpy 2.4), where one (N, b) float array alone would be
-41 MB.
+512 steps x 10k paths that is one block, where one (N, b) float array
+alone would be 41 MB.  One ``bachelier`` op of that size took about
+100 ms at best (2 cores, Python 3.11, numpy 2.4): 2 ms to build the
+lattice, 8 ms for the one Phi sweep of q and 0 (512 ``expect``
+calls), 2 ms for the Euler coefficients of all steps, 66 ms for the
+path run with its closed forms and 21 ms to write the CSV table.
 """
 
 from __future__ import annotations
@@ -413,19 +417,20 @@ def _phi_tables(evaluator: FieldEvaluator, qs):
 
     With one exponential maker the field separates as F(v, x, q) =
     v exp(-gamma x) Phi(q), so these tables carry all the information
-    the path engines need.  The tables are keyed by ``float(q)``, and
-    each is read from the evaluator's memoized point sweep, so a
-    position is swept once per evaluator.
+    the path engines need.  The tables are keyed by ``float(q)`` (the
+    first of equal positions, -0.0 and 0.0 among them, stands for all),
+    and each is read from the evaluator's memoized point sweep: the
+    positions it lacks are swept together in one backward pass
+    (``FieldEvaluator._sweep_points``), so a position is swept once per
+    evaluator.
     """
-    tables = {}
+    points = {}
     for q in map(float, qs):
-        if q in tables:
-            continue
-        sweep = evaluator.sweep_point(
-            PrimalPoint(v=[1.0], x=0.0, q=[q]), names=("dv",))
-        tables[q] = [sweep.at("dv", k)[:, 0]
-                     for k in range(evaluator.tree.steps + 1)]
-    return tables
+        if q not in points:
+            points[q] = PrimalPoint(v=[1.0], x=0.0, q=[q])
+    sweeps = evaluator._sweep_points(list(points.values()), names=("dv",))
+    return {q: [level[:, 0] for level in sweep.comps["dv"]]
+            for q, sweep in zip(points, sweeps)}
 
 
 def _block_paths(steps: int) -> int:
@@ -572,8 +577,21 @@ def _sde_scheme(evaluator: FieldEvaluator, q_levels, u0):
     tables = _phi_tables(evaluator, list(q_levels) + [0.0])
     held = [tables[float(q)] for q in q_levels]
     sqdt = np.sqrt(tree.dt(0))
-    coeffs = [np.diff(phi[k + 1]) / (2.0 * sqdt * phi[k])
-              for k, phi in enumerate(held)]
+    # step k's coefficient at node j is (Phi_{k+1}(j+1) - Phi_{k+1}(j))
+    # / (2 sqrt(dt) Phi_k(j)), for all steps in one pass: the next rows
+    # of all steps end to end, differenced in place, hold step k's
+    # numerators where its next row starts, and its own rows, each
+    # padded by one entry to that layout, divide them
+    nxt = [phi[k + 1] for k, phi in enumerate(held)]
+    flat = np.concatenate(nxt)
+    np.subtract(flat[1:], flat[:-1], out=flat[:-1])
+    pad = np.ones(1)
+    den = np.concatenate([row for k, phi in enumerate(held)
+                          for row in (phi[k], pad)])
+    den *= 2.0 * sqdt
+    flat /= den
+    ends = np.cumsum([len(row) for row in nxt]).tolist()
+    coeffs = [flat[b - n:b - 1] for b, n in zip(ends, map(len, nxt))]
     phi_x = [held[max(k - 1, 0)][k] for k in range(N + 1)]
     return (gamma, u0, _EPS_EXPLODE_SCALE * abs(u0), coeffs, phi_x,
             tables[0.0])

@@ -40,7 +40,10 @@ problems.
 
 Filling the leaves costs one ``allocate`` per sweep, except that each
 evaluator keeps its last leaf state and split, which a sweep of the
-same state again reuses bit for bit (``_allocate``).
+same state again reuses bit for bit (``_allocate``).  Point sweeps
+(``sweep_point``) are memoized per point, and the points one call
+lacks are swept side by side, one ``expect`` per level for all of
+them (``_sweep_points``).
 """
 
 from __future__ import annotations
@@ -255,15 +258,20 @@ class FieldEvaluator:
         ``names`` restricts the swept components; by default all
         components of the requested order are carried.
         """
-        tree = self.tree
         v_leaf = np.asarray(v_leaf, dtype=float)
         x_leaf = np.asarray(x_leaf, dtype=float)
         q_leaf = np.asarray(q_leaf, dtype=float)
         block, columns = self._terminal(v_leaf, x_leaf, q_leaf, order, names)
+        return Sweep(self._pull_back(block), columns)
+
+    def _pull_back(self, block) -> list:
+        """Per-level blocks of the backward sweep from the leaf block
+        ``block``, one ``expect`` per level."""
+        tree = self.tree
         blocks = [None] * tree.steps + [block]
         for k in range(tree.steps - 1, -1, -1):
             blocks[k] = tree.expect(k, blocks[k + 1])
-        return Sweep(blocks, columns)
+        return blocks
 
     def sweep_states(self, level: int, v_nodes, x_nodes, q_nodes,
                      order: int = 1, names=None) -> Sweep:
@@ -284,17 +292,46 @@ class FieldEvaluator:
                     names=None) -> Sweep:
         """Sweep for one constant state: ``sweep_states`` at the root,
         memoized per point by the bits of (v, x, q)."""
-        key = (point.v.tobytes(), np.float64(point.x).tobytes(),
-               point.q.tobytes())
-        hit = self._cache.get(key)
+        return self._sweep_points([point], order, names)[0]
+
+    def _sweep_points(self, points, order: int = 1, names=None) -> list:
+        """``sweep_point`` of each of ``points``, from one backward pass.
+
+        The points that the memo lacks (or holds without a component
+        asked for) are swept together on the forest of level 0
+        (``_forest``): one ``_terminal`` per point, in order, so each
+        ``allocate`` gets the rows a sweep of that point alone gives it;
+        their leaf blocks side by side; and one ``expect`` per level.
+        Columns do not mix, so each point's ``Sweep``, which reads its
+        own columns of the shared blocks, has the bits of a sweep of its
+        own; each is filed in the memo.
+        """
         need = names if names is not None else (
             _FIRST + _SECOND if order >= 2 else _FIRST)
-        if hit is not None and all(nm in hit.names for nm in need):
-            return hit
-        sweep = self.sweep_states(0, point.v[None], np.full(1, float(point.x)),
-                                  point.q[None], order, names)
-        self._cache[key] = sweep
-        return sweep
+        keys = [(p.v.tobytes(), np.float64(p.x).tobytes(), p.q.tobytes())
+                for p in points]
+        todo = {}
+        for key, point in zip(keys, points):
+            hit = self._cache.get(key)
+            if hit is None or not all(nm in hit.names for nm in need):
+                todo.setdefault(key, point)
+        if todo:
+            ev, spread = self._forest(0)
+            leaves, columns, width = [], [], 0
+            for p in todo.values():
+                block, cols = ev._terminal(
+                    *ev._root_leaves(p.v[None], np.full(1, float(p.x)),
+                                     p.q[None]), order, names)
+                columns.append({name: (slice(c.start + width, c.stop + width),
+                                       shape)
+                                for name, (c, shape) in cols.items()})
+                leaves.append(block)
+                width += block.shape[1]
+            blocks = ev._pull_back(leaves[0] if len(leaves) == 1
+                                   else np.concatenate(leaves, axis=1))
+            for key, cols in zip(todo, columns):
+                self._cache[key] = Sweep(blocks, cols, spread=spread)
+        return [self._cache[key] for key in keys]
 
     def _forest(self, level: int, nodes=None):
         """(evaluator, spread) of the forest below ``nodes`` of ``level``
@@ -339,14 +376,18 @@ class FieldEvaluator:
                     self.panel, tree.subtrees(level, nodes)), None)
         return forests[key]
 
-    def _sweep_roots(self, v_nodes, x_nodes, q_nodes, order, names) -> Sweep:
-        """Leaf sweep with the state of each level-0 node at every leaf
-        below it, on a tree (or forest) whose leaves are grouped by root."""
+    def _root_leaves(self, v_nodes, x_nodes, q_nodes):
+        """Leaf states (v, x, q) with the state of each level-0 node at
+        every leaf below it, on a tree (or forest) whose leaves are
+        grouped by root."""
         per = self.tree.n_leaves // self.tree.n_nodes(0)
-        return self.sweep_leaf_states(np.repeat(v_nodes, per, axis=0),
-                                      np.repeat(x_nodes, per),
-                                      np.repeat(q_nodes, per, axis=0),
-                                      order, names)
+        return (np.repeat(v_nodes, per, axis=0), np.repeat(x_nodes, per),
+                np.repeat(q_nodes, per, axis=0))
+
+    def _sweep_roots(self, v_nodes, x_nodes, q_nodes, order, names) -> Sweep:
+        """Leaf sweep at the leaf states of ``_root_leaves``."""
+        return self.sweep_leaf_states(
+            *self._root_leaves(v_nodes, x_nodes, q_nodes), order, names)
 
     # -- node subsets ----------------------------------------------------
 

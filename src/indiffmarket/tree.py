@@ -130,7 +130,8 @@ class ScenarioTree:
     B : list of N+1 arrays (n_k, d), Brownian value at each node.
     windows : list of N ``RowWindows``, the children of each level.
     child_idx : list of N int arrays (n_k, nc), children in level k+1,
-        derived from ``windows``.
+        derived from ``windows`` on first read and kept; sweeps read
+        ``windows`` and never build it.
     edge_db : list of N arrays (n_k, nc, d), Brownian increments; None
         takes the differences of B along the edges.
     edge_p : list of N arrays (n_k, nc), transition probabilities.
@@ -138,6 +139,10 @@ class ScenarioTree:
     psi : (n_N, J) traded payoffs at the leaves.
     implicit : True when child_idx follows i -> i*nc + e, which allows
         pushing per-node states to the leaves by index arithmetic.
+
+    ``binomial_lattice`` hands in levels that are read-only views of one
+    array per attribute, so no level may be written in place; a copy
+    (``verify.corrupt_tree``) copies the levels it changes.
     """
 
     times: np.ndarray
@@ -149,13 +154,10 @@ class ScenarioTree:
     psi: np.ndarray
     implicit: bool = False
     dim: int = field(init=False)
-    child_idx: list = field(init=False)
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
         self.dim = self.B[0].shape[1]
-        self.child_idx = [w.children(b.shape[0])
-                          for w, b in zip(self.windows, self.B)]
         if self.edge_db is None:
             self.edge_db = [nxt[idx] - b[:, None, :] for b, nxt, idx
                             in zip(self.B, self.B[1:], self.child_idx)]
@@ -165,6 +167,10 @@ class ScenarioTree:
             self.psi = self.psi.T
         if self.sigma0.shape != (self.n_leaves,):
             raise ValueError("sigma0 must have one value per leaf")
+
+    @cached_property
+    def child_idx(self) -> list:
+        return [w.children(b.shape[0]) for w, b in zip(self.windows, self.B)]
 
     @property
     def steps(self) -> int:
@@ -193,7 +199,7 @@ class ScenarioTree:
         return float(self.times[level + 1] - self.times[level])
 
     def branching(self, level: int) -> int:
-        return self.child_idx[level].shape[1]
+        return len(self.windows[level].offsets)
 
     def ancestor_index(self, level_from: int, idx, level_to: int):
         """Map node indices at ``level_from`` to ancestors at ``level_to``.
@@ -520,16 +526,27 @@ def binomial_lattice(steps: int, horizon: float,
     j+1 (up) or j (down) with probability 1/2 each.  Node count grows
     quadratically in ``steps``, which makes fine grids cheap, but states
     that depend on the path (not just on the node) cannot live on it.
+
+    The levels of ``B``, ``edge_db`` and ``edge_p`` are read-only views
+    of one array each: B of all levels end to end, and the edge rows of
+    level k the first k+1 rows of one (steps, 2, ...) array, so a write
+    into one level would change others and raises instead.  Child
+    indices (``ScenarioTree.child_idx``) are built on first read.
     """
     times, step = _grid(steps, horizon)
-    B, edge_db, edge_p = [], [], []
-    for k in range(steps + 1):
-        j = np.arange(k + 1)
-        B.append(((2 * j - k) * step)[:, None])
-        if k < steps:
-            edge_db.append(np.broadcast_to(np.array([[step], [-step]]),
-                                           (k + 1, 2, 1)).copy())
-            edge_p.append(np.full((k + 1, 2), 0.5))
+    # level k is rows k (k+1) / 2 .. (k+1) (k+2) / 2 - 1 of b_all
+    starts = np.cumsum(np.arange(steps + 2))
+    level = np.repeat(np.arange(steps + 1), np.arange(1, steps + 2))
+    j = np.arange(starts[-1]) - starts[level]
+    b_all = ((2 * j - level) * step)[:, None]
+    db_all = np.broadcast_to(np.array([[step], [-step]]),
+                             (steps, 2, 1)).copy()
+    p_all = np.full((steps, 2), 0.5)
+    for arr in (b_all, db_all, p_all):
+        arr.flags.writeable = False
+    B = [b_all[a:b] for a, b in zip(starts[:-1].tolist(), starts[1:].tolist())]
+    edge_db = [db_all[:k + 1] for k in range(steps)]
+    edge_p = [p_all[:k + 1] for k in range(steps)]
     sigma0, psi_cols = _leaf_payoffs(B[-1], sigma0, psi)
     # node j moves up to j + 1 and down to j
     windows = [RowWindows(1, (1, 0))] * steps

@@ -1,9 +1,13 @@
 """Shared test scaffolding: the acceptance-report summary section, the
-bitwise comparison of the kernel oracle tests, and the full-path
-Bachelier closed forms that ``BachelierParams.terminal_forms`` is
-pinned against."""
+bitwise comparison of the kernel oracle tests, the full-path Bachelier
+closed forms that ``BachelierParams.terminal_forms`` is pinned against,
+and the per-level lattice loop that ``binomial_lattice`` is pinned
+against."""
 
 import numpy as np
+
+from indiffmarket.tree import (RowWindows, ScenarioTree, _grid,
+                               _leaf_payoffs)
 
 ACCEPTANCE_LINES = []
 
@@ -53,6 +57,32 @@ def _cumsum_gain(par, q_levels, db, times):
     out = np.zeros((n_paths, N + 1))
     out[:, 1:] = np.cumsum(inc, axis=1)
     return out
+
+
+# -- the binomial lattice, one level at a time ------------------------------
+# ``binomial_lattice`` builds every level as a view of one array per
+# attribute; this builds each level as its own array, child indices
+# included, as the library once did.
+
+
+def _loop_binomial_lattice(steps, horizon, sigma0=0.0, psi=("B",)):
+    times, step = _grid(steps, horizon)
+    B, edge_db, edge_p, child_idx = [], [], [], []
+    for k in range(steps + 1):
+        j = np.arange(k + 1)
+        B.append(((2 * j - k) * step)[:, None])
+        if k < steps:
+            edge_db.append(np.broadcast_to(np.array([[step], [-step]]),
+                                           (k + 1, 2, 1)).copy())
+            edge_p.append(np.full((k + 1, 2), 0.5))
+            child_idx.append(np.stack([j + 1, j], axis=1))
+    sigma0, psi_cols = _leaf_payoffs(B[-1], sigma0, psi)
+    tree = ScenarioTree(times=times, B=B,
+                        windows=[RowWindows(1, (1, 0))] * steps,
+                        edge_db=edge_db, edge_p=edge_p, sigma0=sigma0,
+                        psi=psi_cols, implicit=False)
+    tree.child_idx = child_idx
+    return tree
 
 
 def pytest_terminal_summary(terminalreporter):

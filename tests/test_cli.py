@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -708,3 +712,17 @@ def test_key_of_another_kind_or_mode_is_rejected(tmp_path, capsys, command,
     err = capsys.readouterr().err
     assert f"{block}: key '{key}' is not read" in err
     assert not (tmp_path / "o").exists()
+
+
+def test_cli_import_leaves_yaml_unloaded():
+    # only load_config reads YAML, so commands run without a config file
+    # (bachelier, verify) do not import it at start-up
+    import indiffmarket
+
+    src = str(Path(indiffmarket.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, indiffmarket.cli; print('yaml' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60, check=True)
+    assert out.stdout.strip() == "False"

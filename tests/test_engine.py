@@ -210,20 +210,112 @@ def test_path_engines_match_tree_engine_on_lattice():
 
 def test_path_engines_share_the_evaluator_sweeps(monkeypatch):
     # one Bachelier op (paths at q, then the indifference cash of q)
-    # sweeps the lattice once per position: q and 0
+    # sweeps the lattice in one joint backward pass over both positions,
+    # q and 0: one leaf block of two columns, side by side
     calls = []
-    sweep = FieldEvaluator.sweep_leaf_states
+    pull_back = FieldEvaluator._pull_back
 
-    def counted(self, *args, **kwargs):
-        calls.append(self.tree.n_leaves)
-        return sweep(self, *args, **kwargs)
+    def counted(self, block):
+        calls.append((self.tree.n_leaves, block.shape[1]))
+        return pull_back(self, block)
 
-    monkeypatch.setattr(FieldEvaluator, "sweep_leaf_states", counted)
+    monkeypatch.setattr(FieldEvaluator, "_pull_back", counted)
     ev = FieldEvaluator(EXP1, binomial_lattice(16, 1.0))
     simulate_sde_paths(ev, 0.8, -1.0, 10, seed=1)
     indifference_cash(ev, 0.8)
     execute_simple_paths(ev, SimpleStrategy((0, 5), (0.8, 0.0)), 10, seed=1)
-    assert calls == [17, 17]
+    assert calls == [(17, 2)]
+
+
+@pytest.mark.parametrize("qs, width", [
+    ([0.8, 0.8, -0.0, 0.0], 2),
+    (list(np.repeat([0.5, -1.0, 2.0], 4)) + [0.0], 4),
+], ids=["repeated-and-signed-zero", "per-step"])
+def test_joint_phi_tables_equal_one_sweep_per_position(monkeypatch, qs,
+                                                      width):
+    # the positions are swept side by side in one backward pass, and
+    # each table has the bits of a sweep of its position alone; equal
+    # positions share the table of the first (-0.0 stands for 0.0)
+    from indiffmarket.engine import _phi_tables
+
+    lat = binomial_lattice(12, 1.0, sigma0="0.1 * B",
+                           psi=("1.0 + 0.5 * B",))
+    passes = []
+    pull_back = FieldEvaluator._pull_back
+
+    def counted(self, block):
+        passes.append((self, block.shape[1]))
+        return pull_back(self, block)
+
+    monkeypatch.setattr(FieldEvaluator, "_pull_back", counted)
+    ev = FieldEvaluator(EXP1, lat)
+    tables = _phi_tables(ev, qs)
+    assert passes == [(ev, width)]
+    assert list(tables) == list(dict.fromkeys(map(float, qs)))
+    for q in qs:
+        first = next(p for p in qs if p == q)
+        point = PrimalPoint(v=[1.0], x=0.0, q=[first])
+        alone = FieldEvaluator(EXP1, lat).sweep_point(point, names=("dv",))
+        assert len(tables[q]) == lat.steps + 1
+        for k, row in enumerate(tables[q]):
+            assert_same_bits(row, alone.at("dv", k)[:, 0], exact=True)
+        # the pass filed each position's sweep in the point memo
+        memo = ev.sweep_point(point, names=("dv",))
+        assert_same_bits(memo.at("dv", k)[:, 0], tables[q][k], exact=True)
+    assert [w for e, w in passes if e is ev] == [width]
+
+
+def test_euler_coefficients_match_the_per_step_loop():
+    # one pass over all steps gives each step's coefficients, bit for
+    # bit, as views of one array
+    from indiffmarket.engine import _phi_tables, _sde_scheme
+
+    steps = 24
+    lat = binomial_lattice(steps, 1.0, sigma0="0.1 * B",
+                           psi=("1.0 + 0.5 * B",))
+    q = np.repeat([0.5, -1.0, 2.0], steps // 3)
+    ev = FieldEvaluator(EXP1, lat)
+    coeffs = _sde_scheme(ev, q, -1.0)[3]
+    tables = _phi_tables(ev, list(q) + [0.0])
+    sqdt = np.sqrt(lat.dt(0))
+    assert len(coeffs) == steps
+    for k, coeff in enumerate(coeffs):
+        phi = tables[float(q[k])]
+        want = np.diff(phi[k + 1]) / (2.0 * sqdt * phi[k])
+        assert_same_bits(coeff, want, exact=True)
+        assert coeff.base is coeffs[0].base is not None
+
+
+def test_bachelier_op_sweeps_once_and_builds_no_child_indices(monkeypatch,
+                                                              tmp_path):
+    # at 512 steps the Phi tables of q and 0 cost one joint pass of 512
+    # expect calls, and a whole bachelier run no more and no child
+    # index arrays
+    from indiffmarket.cli import main
+    from indiffmarket.engine import _phi_tables
+    from indiffmarket.tree import RowWindows, ScenarioTree
+
+    calls = {"expect": 0, "children": 0}
+    expect, children = ScenarioTree.expect, RowWindows.children
+
+    def counted_expect(self, *args):
+        calls["expect"] += 1
+        return expect(self, *args)
+
+    def counted_children(self, *args):
+        calls["children"] += 1
+        return children(self, *args)
+
+    monkeypatch.setattr(ScenarioTree, "expect", counted_expect)
+    monkeypatch.setattr(RowWindows, "children", counted_children)
+    ev = FieldEvaluator(BACH.panel(), BACH.lattice(512))
+    _phi_tables(ev, [1.0] * 512 + [0.0])
+    assert calls == {"expect": 512, "children": 0}
+    assert "child_idx" not in vars(ev.tree)
+    calls.update(expect=0)
+    assert main(["bachelier", "--steps", "512", "--paths", "50", "--seed",
+                 "3", "--out", str(tmp_path)]) == 0
+    assert calls == {"expect": 512, "children": 0}
 
 
 def test_indifference_cash_matches_tree_trade():

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from indiffmarket.payoff import PayoffExpression
-from indiffmarket.tree import (ScenarioTree, binomial_lattice, binomial_tree,
-                              count_classes)
+from indiffmarket.tree import (RowWindows, ScenarioTree, binomial_lattice,
+                              binomial_tree, count_classes)
 from indiffmarket.verify import corrupt_tree
 
 
@@ -418,3 +418,90 @@ def test_expect_reads_corrupted_probabilities(tree):
             assert off[i] == pytest.approx(0.05, abs=1e-12)
             off[i] = 0.0
         assert off.max() < 1e-15
+
+
+@pytest.mark.parametrize("steps", [1, 2, 64, 512])
+def test_lattice_matches_the_per_level_loop(steps):
+    # every level of every array, the child indices and the node dump,
+    # bit for bit
+    from conftest import _loop_binomial_lattice
+
+    kw = dict(sigma0="0.3 + 0.2 * B", psi=("1.0 + 0.5 * B", "B * B"))
+    got = binomial_lattice(steps, 1.5, **kw)
+    want = _loop_binomial_lattice(steps, 1.5, **kw)
+    for name in ("B", "edge_db", "edge_p", "child_idx"):
+        for a, b in zip(getattr(got, name), getattr(want, name),
+                        strict=True):
+            assert a.shape == b.shape and a.dtype == b.dtype
+            assert a.tobytes() == b.tobytes()
+    for name in ("times", "sigma0", "psi"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+    cols, ref = got.node_columns(), want.node_columns()
+    assert list(cols) == list(ref)
+    for name in cols:
+        assert cols[name].dtype == ref[name].dtype
+        assert cols[name].tobytes() == ref[name].tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_tree_children_follow_the_implicit_order(dim):
+    t = binomial_tree(4, 1.0, dim=dim)
+    nc = 2 ** dim
+    for k in range(t.steps):
+        assert t.branching(k) == nc
+        want = np.arange(t.n_nodes(k))[:, None] * nc + np.arange(nc)
+        assert t.child_idx[k].shape == want.shape
+        assert np.array_equal(t.child_idx[k], want)
+
+
+def test_child_indices_are_built_on_first_read(monkeypatch):
+    calls = []
+    children = RowWindows.children
+
+    def counting(self, n):
+        calls.append(n)
+        return children(self, n)
+
+    monkeypatch.setattr(RowWindows, "children", counting)
+    lat = binomial_lattice(5, 1.0)
+    lat.expect(2, np.ones(lat.n_nodes(3)))
+    assert [lat.branching(k) for k in range(lat.steps)] == [2] * 5
+    assert calls == []
+    first = lat.child_idx
+    assert calls == [1, 2, 3, 4, 5]
+    assert lat.child_idx is first and len(calls) == 5
+
+
+def test_lattice_levels_are_read_only_views():
+    lat = binomial_lattice(6, 1.0)
+    for name in ("B", "edge_db", "edge_p"):
+        levels = getattr(lat, name)
+        assert all(not a.flags.writeable for a in levels)
+        # the levels are views of one array
+        assert levels[0].base is not None
+        assert all(a.base is levels[0].base for a in levels)
+    with pytest.raises(ValueError, match="read-only"):
+        lat.edge_p[3][0, 0] = 0.6
+    with pytest.raises(ValueError, match="read-only"):
+        lat.edge_db[2][1] *= -1.0
+    with pytest.raises(ValueError, match="read-only"):
+        lat.B[4][0, 0] = 1.0
+    assert np.all(lat.edge_p[5] == 0.5)
+
+
+@pytest.mark.parametrize("kind, name", [("probabilities", "edge_p"),
+                                        ("signs", "edge_db")])
+def test_corrupt_tree_changes_one_level_of_a_lattice(kind, name):
+    lat = binomial_lattice(8, 1.0)
+    bad = corrupt_tree(lat, kind, seed=3)
+    hit = [(k, i) for k in range(lat.steps)
+           for i in range(lat.n_nodes(k))
+           if not np.array_equal(getattr(bad, name)[k][i],
+                                 getattr(lat, name)[k][i])]
+    assert len(hit) == 1
+    # the source lattice keeps its levels, bit for bit
+    fresh = binomial_lattice(8, 1.0)
+    for attr in ("B", "edge_db", "edge_p"):
+        for a, b in zip(getattr(lat, attr), getattr(fresh, attr),
+                        strict=True):
+            assert a.tobytes() == b.tobytes()
