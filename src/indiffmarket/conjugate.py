@@ -158,20 +158,24 @@ def saddle_batch(evaluator: FieldEvaluator, level: int, u, q,
     x = xs if x0 is None else np.broadcast_to(x0, (n,)).astype(float).copy()
     s = np.log(w[:, :-1]) - np.log(w[:, -1:])
 
-    # a lone node shares its problem with no other, so it needs no classes
-    cls = (evaluator.subtree_classes(level)[nodes] if n > 1
-           else np.zeros(n)).astype(float)
-    first, row_of = distinct_rows(np.column_stack([cls, u, q, s, x]))
-    nodes = nodes[first]
-    u, q, s, x, tol = u[first], q[first], s[first], x[first], tol[first]
+    # a lone node shares its problem with no other, so it needs no
+    # classes and no search for repeats
+    row_of = None
+    if n > 1:
+        cls = evaluator.subtree_classes(level)[nodes].astype(float)
+        first, row_of = distinct_rows(np.column_stack([cls, u, q, s, x]))
+        nodes = nodes[first]
+        u, q, s, x, tol = u[first], q[first], s[first], x[first], tol[first]
     w, x, resid, iters = _newton(evaluator, level, nodes, u, q, s, x, tol)
-    rng = np.random.default_rng(0)
+    rng = None
     for _ in range(_RESTARTS):
         bad = np.flatnonzero(resid > tol)
         if not bad.size:
             break
         # fallback: jitter the problems above tolerance around their
         # best iterates; each keeps the restart only where it does better
+        if rng is None:
+            rng = np.random.default_rng(0)
         s = np.log(w[bad, :-1]) - np.log(w[bad, -1:])
         if M > 1:
             s = s + 0.3 * rng.standard_normal((bad.size, M - 1))
@@ -187,6 +191,8 @@ def saddle_batch(evaluator: FieldEvaluator, level: int, u, q,
         worst = int(np.argmax(resid / tol))
         raise SaddleError(level, int(nodes[worst]), float(resid[worst]),
                           float(tol[worst]))
+    if row_of is None:
+        return w, x, resid, iters
     return w[row_of], x[row_of], resid[row_of], iters
 
 
@@ -219,6 +225,8 @@ def _newton(evaluator, level, nodes, u, q, s, x, tol):
     w = _softmax(s)
     iters = 0
     sweep = None
+    # dw_i/ds_j = w_i (delta_ij - w_j), j over the first M-1 weights
+    eye = np.eye(M)[:, :-1]
     for it in range(_MAX_ITER):
         iters = it + 1
         if sweep is None:
@@ -230,8 +238,6 @@ def _newton(evaluator, level, nodes, u, q, s, x, tol):
             break
         dvv = sweep.at("dvv", 0)
         dvx = sweep.at("dvx", 0)
-        # dw_i/ds_j = w_i (delta_ij - w_j), j over the first M-1 weights
-        eye = np.eye(M)[:, :-1]
         dws = w[:, :, None] * (eye[None] - w[:, None, :-1])
         J = np.concatenate([dvv @ dws, dvx[:, :, None]], axis=2)
         try:
@@ -245,7 +251,7 @@ def _newton(evaluator, level, nodes, u, q, s, x, tol):
         alpha = np.ones(n)
         active = resid_norm > tol
         full = bool(active.all())
-        sweep = None
+        sweep = w = None
         cand_s, cand_x = s.copy(), x.copy()
         for h in range(_MAX_HALVINGS):
             trial_s = s + alpha[:, None] * dz[:, :-1]
@@ -261,14 +267,18 @@ def _newton(evaluator, level, nodes, u, q, s, x, tol):
             cand_x[better] = trial_x[better]
             active = active & ~better
             if not active.any():
-                if reuse:
-                    # every problem took the full step: the next iterate
-                    # is this trial, bit for bit
-                    sweep = sweep_t
+                if better.all():
+                    # every problem took this trial: the next iterate is
+                    # the trial, bit for bit, and so are its weights and,
+                    # for the full step, its sweep
+                    w = trial_w
+                    if reuse:
+                        sweep = sweep_t
                 break
             alpha[active] *= 0.5
         s, x = cand_s, cand_x
-        w = _softmax(s)
+        if w is None:
+            w = _softmax(s)
     return w, x, resid_norm, iters
 
 

@@ -53,7 +53,7 @@ import numpy as np
 from .conjugate import saddle_batch
 from .field import FieldEvaluator, increment_slope
 from .representative import PrimalPoint, representative_utility
-from .tree import ScenarioTree
+from .tree import RowWindows, ScenarioTree
 
 __all__ = [
     "SimpleStrategy",
@@ -288,17 +288,21 @@ def _level_kernel(evaluator: FieldEvaluator, level: int, u, q, w0=None,
 def kernel_K(evaluator: FieldEvaluator, u, q, node):
     """SDE kernel K(u, q) at a node: dHdv of the integrand at the saddle.
 
-    Returns an (M, d) array mapping Brownian increments to indirect
-    utility increments.
+    Solves the saddle at that node alone, sweeps F_v over the node's
+    subtree (``FieldEvaluator.sweep_nodes``) and fits the increments to
+    its children, read in edge order.  Returns an (M, d) array mapping
+    Brownian increments to indirect utility increments.
     """
     level, idx = node
-    tree = evaluator.tree
-    n = tree.n_nodes(level)
-    u = np.broadcast_to(np.asarray(u, float), (n, evaluator.panel.size))
-    q = np.broadcast_to(np.atleast_1d(np.asarray(q, float)),
-                        (n, tree.n_assets))
-    _, _, dHdv = _level_kernel(evaluator, level, u, q)
-    return dHdv[idx]
+    q = np.atleast_2d(np.asarray(q, dtype=float))
+    w, x, _, _ = saddle_batch(evaluator, level, u, q, nodes=[idx])
+    sweep = evaluator.sweep_nodes(level, [idx], w, x, q, names=("dv",))
+    # level 0 of the node's forest is the node, whose children its
+    # first window places in edge order
+    forest = evaluator._forest(level, [idx])[0].tree
+    dHdv, _ = increment_slope(forest, 0, sweep.at("dv", 0),
+                              sweep.at("dv", 1))
+    return dHdv[0]
 
 
 def simulate_sde(evaluator: FieldEvaluator, q_levels, u0,
@@ -410,6 +414,22 @@ def _check_fast(evaluator: FieldEvaluator) -> float:
     if tree.dim != 1 or tree.n_assets != 1:
         raise ValueError("path-mode engines need one asset on a 1d lattice")
     return float(panel.gammas[0])
+
+
+# a lattice node j moves up to node j + 1 and down to node j
+_LATTICE_STEP = RowWindows(1, (1, 0))
+
+
+def _check_paths(evaluator: FieldEvaluator) -> float:
+    """``_check_fast``, and a binomial lattice: a path engine moves a
+    path at node j to node j + 1 or j, the lattice's step and no other
+    tree's.  Returns the risk aversion, or raises ValueError."""
+    gamma = _check_fast(evaluator)
+    if any(w != _LATTICE_STEP for w in evaluator.tree.windows):
+        raise ValueError("path-mode engines need a binomial lattice, where "
+                         "node j moves to node j + 1 or j; this tree's "
+                         "children are elsewhere")
+    return gamma
 
 
 def _phi_tables(evaluator: FieldEvaluator, qs):
@@ -567,7 +587,7 @@ def _sde_scheme(evaluator: FieldEvaluator, q_levels, u0):
     table rows that turn (j, U) into X (under the position held into
     the step) and into V (under position 0).
     """
-    gamma = _check_fast(evaluator)
+    gamma = _check_paths(evaluator)
     tree = evaluator.tree
     N = tree.steps
     q_levels = np.broadcast_to(np.asarray(q_levels, dtype=float), (N,))
@@ -709,7 +729,7 @@ def execute_simple_paths(evaluator: FieldEvaluator, strategy: SimpleStrategy,
     path-dependent state never needs the lattice to be non-recombining.
     Every position of ``strategy`` must be a scalar.
     """
-    gamma = _check_fast(evaluator)
+    gamma = _check_paths(evaluator)
     tree = evaluator.tree
     if strategy.levels[-1] >= tree.steps:
         raise ValueError("rebalance levels must precede maturity")

@@ -65,6 +65,22 @@ _FIRST = ("value", "dv", "dx", "dq")
 _SECOND = ("dvv", "dvx", "dvq", "dxx", "dxq", "dqq")
 
 
+@functools.lru_cache(maxsize=None)
+def _layout(names: tuple, M: int, J: int):
+    """``Sweep`` columns of the components ``names`` for M makers and J
+    assets, packed in that order, and the block width; made once per
+    layout and shared, so never written to."""
+    shapes = {"value": (), "dv": (M,), "dx": (), "dq": (J,),
+              "dvv": (M, M), "dvx": (M,), "dvq": (M, J), "dxx": (),
+              "dxq": (J,), "dqq": (J, J)}
+    columns, start = {}, 0
+    for name in names:
+        width = math.prod(shapes[name])
+        columns[name] = (slice(start, start + width), shapes[name])
+        start += width
+    return columns, start
+
+
 class Sweep:
     """Backward-induction result: one packed (nodes, K) block per level.
 
@@ -76,7 +92,8 @@ class Sweep:
     are None.  A recombined forest holds its levels in its own order
     and is given the ``spread`` that maps its level s back to node
     order: ``at`` spreads only the levels it reads, once per component,
-    and ``comps`` spreads the rest on first access.
+    or, asked for some nodes, reads their class rows alone; ``comps``
+    spreads the rest on first access.
     """
 
     def __init__(self, blocks: list, columns: dict, spread=None,
@@ -103,6 +120,10 @@ class Sweep:
             arr = None
         elif self._spread is None:
             arr = self._view(name, self.blocks[depth])
+        elif index is not None:
+            # the rows of the nodes asked for, without spreading the level
+            return self._spread(depth, self._view(name, self.blocks[depth]),
+                                index)
         else:
             arr = self._spreads.get((name, level))
             if arr is None:
@@ -201,52 +222,59 @@ class FieldEvaluator:
         """Leaf values of r and its derivatives, packed: returns the
         (n_leaves, K) block and its ``Sweep`` columns.  Only ``names``
         (by default every component of ``order``) are computed, each
-        written into the block as it is made."""
+        written straight into its columns of the block; each maker's
+        terms are evaluated once, for its utility and (at order 2) its
+        risk tolerance alike."""
         tree, panel = self.tree, self.panel
-        M, J = panel.size, tree.n_assets
+        M = panel.size
         if names is None:
             names = _FIRST + _SECOND if order >= 2 else _FIRST
         total = tree.sigma0 + x_leaf + (tree.psi * q_leaf).sum(axis=1)
         y, pi = self._allocate(v_leaf, total)
+        columns, width = _layout(tuple(names), M, tree.n_assets)
+        n = len(total)
+        block = np.empty((n, width))
+        out = {name: block[:, cols].reshape((n,) + shape)
+               for name, (cols, shape) in columns.items()}
+        uvals = out.get("dv")
+        if uvals is None and "value" in out:
+            uvals = np.empty((n, M))
         if order >= 2:
-            t, tsum = split_tolerances(panel, pi)
-        if "value" in names or "dv" in names:
-            uvals = np.stack([spec.value(pi[:, m])
-                              for m, spec in enumerate(panel.makers)], axis=1)
-        terms = {
-            "value": lambda: (v_leaf * uvals).sum(axis=1),
-            "dv": lambda: uvals,
-            "dx": lambda: y,
-            "dq": lambda: tree.psi * y[:, None],
-        }
-        if order >= 2:
-            rxx = -y / tsum
-            tv = t / v_leaf
-            rvx = y[:, None] * tv / tsum[:, None]
-
-            def dvv():
-                out = -np.einsum("nl,nm,n->nlm", tv, tv, y / tsum)
-                out[:, np.arange(M), np.arange(M)] += y[:, None] * t / v_leaf ** 2
-                return out
-
-            terms.update(
-                dxx=lambda: rxx,
-                dxq=lambda: tree.psi * rxx[:, None],
-                dqq=lambda: np.einsum("ni,nj,n->nij", tree.psi, tree.psi, rxx),
-                dvx=lambda: rvx,
-                dvq=lambda: np.einsum("nm,nj->nmj", rvx, tree.psi),
-                dvv=dvv)
-        shapes = {"value": (), "dv": (M,), "dx": (), "dq": (J,),
-                  "dvv": (M, M), "dvx": (M,), "dvq": (M, J), "dxx": (),
-                  "dxq": (J,), "dqq": (J, J)}
-        columns, start = {}, 0
-        for name in names:
-            width = math.prod(shapes[name])
-            columns[name] = (slice(start, start + width), shapes[name])
-            start += width
-        block = np.empty((len(total), start))
-        for name in names:
-            block[:, columns[name][0]] = terms[name]().reshape(len(total), -1)
+            t, tsum = split_tolerances(panel, pi, uvals)
+        elif uvals is not None:
+            for m, spec in enumerate(panel.makers):
+                spec.value(pi[:, m], uvals[:, m])
+        if "value" in out:
+            out["value"][...] = (v_leaf * uvals).sum(axis=1)
+        if "dx" in out:
+            out["dx"][...] = y
+        if "dq" in out:
+            np.multiply(tree.psi, y[:, None], out=out["dq"])
+        if order < 2:
+            return block, columns
+        rxx = -y / tsum
+        tv = t / v_leaf
+        rvx = out.get("dvx")
+        if rvx is None:
+            rvx = np.empty((n, M))
+        np.multiply(y[:, None], tv, out=rvx)
+        rvx /= tsum[:, None]
+        if "dxx" in out:
+            out["dxx"][...] = rxx
+        if "dxq" in out:
+            np.multiply(tree.psi, rxx[:, None], out=out["dxq"])
+        if "dqq" in out:
+            np.einsum("ni,nj,n->nij", tree.psi, tree.psi, rxx,
+                      out=out["dqq"])
+        if "dvq" in out:
+            np.einsum("nm,nj->nmj", rvx, tree.psi, out=out["dvq"])
+        if "dvv" in out:
+            dvv = out["dvv"]
+            np.einsum("nl,nm,n->nlm", tv, tv, y / tsum, out=dvv)
+            np.negative(dvv, out=dvv)
+            cols = columns["dvv"][0]
+            # the diagonal entries of each row's (M, M) matrix
+            block[:, cols.start:cols.stop:M + 1] += y[:, None] * t / v_leaf ** 2
         return block, columns
 
     # -- sweeps ----------------------------------------------------------
@@ -349,7 +377,9 @@ class FieldEvaluator:
         tree = self.tree
         if nodes is not None:
             nodes = np.asarray(nodes, dtype=np.intp)
-            if np.array_equal(nodes, np.arange(tree.n_nodes(level))):
+            # only a set as large as the level can be the whole level
+            if (nodes.size == tree.n_nodes(level)
+                    and np.array_equal(nodes, np.arange(nodes.size))):
                 nodes = None
         if level == 0 and nodes is None:
             if self._root_forest is None:

@@ -93,25 +93,50 @@ def allocate(panel: MakerPanel, v, total):
     # Maker-major (see the module docstring): one row per maker.
     logv = np.ascontiguousarray(logv.T)
     logup0, gmin = panel.newton_start
-    lny = _total(logv + logup0) / M - total / M
-    pi = (logv + logup0 - lny) / gmin
-    logup = np.empty_like(pi)
-    av = np.empty_like(pi)
+    n = logv.shape[1]
+    # Layers of M + 1 rows: the step (dpi; dln y), the iterate (pi; ln y),
+    # f/a, 1/a and f, the last three with a spare row.  One addition
+    # moves the iterate, one accumulate sums pi, f/a and 1/a over the
+    # makers left to right (the sums are its last row), and one
+    # reduceat takes max|step| and max|pi| for the stopping test.
+    blk = np.empty((5, M + 1, n))
+    step, z = blk[0], blk[1]
+    dpi, dlny, pi, lny = step[:M], step[M], z[:M], z[M]
+    fa, ia, f = blk[2, :M], blk[3, :M], blk[4, :M]
+    start = logv + logup0
+    lny[:] = _total(start) / M - total / M
+    np.subtract(start, lny, out=pi)
+    pi /= gmin
+    summed = blk[1:4, :M]
+    acc = np.empty(summed.shape)
+    pisum, fasum, iasum = acc[:, -1]
+    moved = blk[:2].reshape(-1)
+    size = np.empty(moved.shape)
+    parts = np.array([0, (M + 1) * n, (2 * M + 1) * n])  # step, pi, ln y
+    logup = np.empty((M, n))
+    av = np.empty((M, n))
+    evals = [(spec.log_marginal_and_aversion, pi[m], (logup[m], av[m]))
+             for m, spec in enumerate(panel.makers)]
     for it in range(_MAX_NEWTON):
-        for m, spec in enumerate(panel.makers):
-            logup[m], av[m] = spec.log_marginal_and_aversion(pi[m])
-        f = logv + logup
+        for evaluate, x, out in evals:
+            evaluate(x, out=out)
+        np.add(logv, logup, out=f)
         f -= lny
-        g = total - _total(pi)
-        dlny = (_total(f / av) - g) / _total(1.0 / av)
-        dpi = f - dlny
+        np.divide(f, av, out=fa)
+        np.divide(1.0, av, out=ia)
+        np.add.accumulate(summed, axis=1, out=acc)
+        # dln y = (sum f/a - (total - sum pi)) / sum 1/a
+        np.subtract(total, pisum, out=dlny)
+        np.subtract(fasum, dlny, out=dlny)
+        dlny /= iasum
+        np.subtract(f, dlny, out=dpi)
         dpi /= av
         np.maximum(dpi, -20.0, out=dpi)
         np.minimum(dpi, 20.0, out=dpi)
-        pi += dpi
-        lny += dlny
-        if max(np.abs(dpi).max(), np.abs(dlny).max()) < _REL_TOL * (
-                1.0 + np.abs(pi).max()):
+        z += step
+        np.abs(moved, out=size)
+        big, top, _ = np.maximum.reduceat(size, parts)
+        if big < _REL_TOL * (1.0 + top):
             break
     else:
         raise AllocationError(
@@ -123,8 +148,10 @@ def allocate(panel: MakerPanel, v, total):
 def _marginal_value(lny):
     """y = exp(lny), checked: a log y that is not finite, or large
     enough to overflow y, raises AllocationError naming the worst row."""
-    bad = ~np.isfinite(lny) | (lny > _LOG_MAX)
-    if bad.any():
+    # NaN propagates through both reductions and fails either test
+    if not (np.minimum.reduce(lny, initial=np.inf) > -np.inf
+            and np.maximum.reduce(lny, initial=-np.inf) <= _LOG_MAX):
+        bad = ~np.isfinite(lny) | (lny > _LOG_MAX)
         rows = np.flatnonzero(bad)
         worst = int(rows[np.argmax(np.abs(lny[rows]))])  # NaN ranks first
         raise AllocationError(
@@ -172,7 +199,7 @@ def weights_from_allocation(panel: MakerPanel, alpha) -> np.ndarray:
     return inv / inv.sum()
 
 
-def split_tolerances(panel: MakerPanel, pi):
+def split_tolerances(panel: MakerPanel, pi, values=None):
     """Risk tolerances t (n, M) of each maker at the split ``pi`` (n, M),
     and their row sum tsum.  With the marginal value y of the split
     (``allocate``), the second derivatives of r follow as
@@ -180,7 +207,13 @@ def split_tolerances(panel: MakerPanel, pi):
         d2r/dx2        = -y / tsum
         d2r/dv^m dx    =  y t^m / (v^m tsum)
         d2r/dv^l dv^m  =  y t^m/(v^l v^m) (delta_lm - t^l/tsum)
+
+    With ``values``, an (n, M) array, column m receives u_m at the split
+    as well, from the same evaluation of the maker's terms
+    (``UtilitySpec.value``).
     """
-    t = np.stack([1.0 / spec.risk_aversion(pi[:, m])
-                  for m, spec in enumerate(panel.makers)], axis=1)
+    t = np.empty(pi.shape)
+    for m, spec in enumerate(panel.makers):
+        spec.value(pi[:, m], None if values is None else values[:, m],
+                   tolerance=t[:, m])
     return t, t.sum(axis=1)

@@ -363,13 +363,20 @@ class ScenarioTree:
             sigma0=self.sigma0[rows[-1]], psi=self.psi[rows[-1]],
             implicit=self.implicit)
 
-    def spread_recombined(self, level: int, depth: int, values):
+    def spread_recombined(self, level: int, depth: int, values,
+                          index=None):
         """Spread per-node values of level ``depth`` of ``recombine(level)``
         back to the nodes of level + depth of this tree, whose node i *
         2^(d depth) + r takes the value of class ``count_classes(d,
         depth)[0][r]`` under node i.  ``values`` may have any trailing
-        shape."""
+        shape.  With ``index`` (an int or an index array) only the
+        values of those nodes are returned, read from their class rows:
+        the same as indexing the spread level."""
         cls = count_classes(self.dim, depth)[0]
+        if index is not None:
+            root, r = divmod(index, cls.size)
+            return values[root * (len(values) // self.n_nodes(level))
+                          + cls[r]]
         rows = values.reshape((self.n_nodes(level), -1) + values.shape[1:])
         return np.take(rows, cls, axis=1).reshape((-1,) + values.shape[1:])
 

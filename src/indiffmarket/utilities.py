@@ -7,20 +7,24 @@ vanish at +infinity, and have absolute risk aversion bounded between the
 smallest and largest rate, which is what the rest of the library relies
 on.
 
-The mixture kernels evaluate term by term: each of the one to three
-terms w_i exp(-g_i x) is an array of x's own shape, and the sums over
-terms run left to right, ((t_1 + t_2) + t_3).  No kernel reduces over a
-short trailing terms axis, which costs numpy a loop setup per output
-element.  The results are bit for bit those of the trailing-axis
-formulas (``w * exp(-outer(x, g))`` summed over the last axis): every
-term is the same elementwise operation, and numpy sums axes shorter
-than eight left to right, so the additions happen in the same order.
+The mixture kernels evaluate the T terms w_i exp(-g_i x) of all of x's
+entries as one (T, x.size) block, a row per term (``_terms``), so an
+elementwise step costs one numpy call whatever T is, and the sums over
+terms add the rows left to right, ((t_1 + t_2) + t_3).  No kernel
+reduces over a short trailing terms axis, which costs numpy a loop
+setup per output element and, for three or more terms, adds in another
+order.  Every entry sees the same elementwise operations as in the
+term-by-term formulas, so the results keep their bits.
+
+``log_marginal_and_aversion`` and ``value`` write into rows the caller
+passes, so a Newton loop or a leaf fill allocates nothing per maker
+beyond the terms block, and ``value`` gives the risk tolerance 1/a(x)
+from the same evaluation of the terms as u(x).
 """
 
 from __future__ import annotations
 
 import functools
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,9 +38,20 @@ __all__ = [
 ]
 
 
-def _total(arrays):
-    """Left-to-right sum ((a_1 + a_2) + a_3) + ... of equally shaped arrays."""
-    return functools.reduce(operator.add, arrays)
+def _total(rows):
+    """Left-to-right sum ((r_1 + r_2) + r_3) + ... of the rows of an
+    array, by index: iterating over the rows costs more than adding
+    them."""
+    total = rows[0] if len(rows) == 1 else rows[0] + rows[1]
+    for i in range(2, len(rows)):
+        total += rows[i]
+    return total
+
+
+def _shaped(flat, x):
+    """A kernel result over x's raveled entries in x's shape: a numpy
+    scalar for a scalar x."""
+    return flat.reshape(np.shape(x))[()]
 
 
 class InverseValueError(RuntimeError):
@@ -79,49 +94,87 @@ class UtilitySpec:
         g = np.asarray(self.rates)
         return max(g.max(), 1.0 / g.min(), 1.0)
 
-    def _terms(self, x):
-        """Mixture terms (w_i exp(-g_i x), g_i), each of x's shape."""
-        x = np.asarray(x, dtype=float)
-        return [(w * np.exp(-(x * g)), g)
-                for w, g in zip(self.weights, self.rates)]
+    @functools.cached_property
+    def _columns(self):
+        """(w_i, g_i, log w_i), each a (T, 1) column, computed once per
+        spec."""
+        w = np.array(self.weights)[:, None]
+        return w, np.array(self.rates)[:, None], np.log(w)
 
-    def value(self, x):
-        """u(x), always negative."""
-        return -_total(t / g for t, g in self._terms(x))
+    def _terms(self, x):
+        """Mixture terms w_i exp(-g_i x) of x's entries, raveled: one
+        (T, x.size) block, a row per term."""
+        w, g, _ = self._columns
+        t = g * np.asarray(x, dtype=float).reshape(-1)
+        np.negative(t, out=t)
+        np.exp(t, out=t)
+        t *= w
+        return t
+
+    def value(self, x, out=None, tolerance=None):
+        """u(x), always negative; written into ``out`` when given.
+
+        With ``tolerance``, the risk tolerance 1/a(x) goes into it as
+        well, from the same evaluation of the terms, with the bits of
+        1.0 / ``risk_aversion``.  ``out`` and ``tolerance`` are 1-d, of
+        x's length.
+        """
+        t = self._terms(x)
+        g = self._columns[1]
+        if tolerance is not None:
+            np.divide(_total(t * g), _total(t), out=tolerance)
+            np.divide(1.0, tolerance, out=tolerance)
+        t /= g
+        if out is None:
+            return _shaped(-_total(t), x)
+        return np.negative(_total(t), out=out)
 
     def marginal(self, x):
         """u'(x) > 0."""
-        return _total(t for t, _ in self._terms(x))
+        return _shaped(_total(self._terms(x)), x)
 
-    @functools.cached_property
-    def _log_weights(self) -> np.ndarray:
-        """log w_i, computed once per spec."""
-        return np.log(self.weights)
+    def log_marginal_and_aversion(self, x, out=None):
+        """(log u'(x), a(x)) with exponent shifting, stable for any x.
 
-    def log_marginal_and_aversion(self, x):
-        """(log u'(x), a(x)) with exponent shifting, stable for any x."""
+        ``out``, a pair of 1-d arrays of x's length, receives the two
+        results in place; without it they are new arrays of x's shape.
+        """
         x = np.asarray(x, dtype=float)
-        logw = self._log_weights
+        if out is None:
+            logup, av = np.empty(x.size), np.empty(x.size)
+        else:
+            logup, av = out
         if self.is_exponential:
             # the shifted sum is exp(0) = 1, so log u' = log w - g x
-            return logw[0] - x * self.rates[0], np.full(x.shape,
-                                                         self.rates[0])
-        e = [lw - x * g for lw, g in zip(logw, self.rates)]
-        m = functools.reduce(np.maximum, e)
-        t = [np.exp(ei - m) for ei in e]
-        s = _total(t)
-        return m + np.log(s), _total(
-            ti * g for ti, g in zip(t, self.rates)) / s
+            np.multiply(x.reshape(-1), self.rates[0], out=logup)
+            np.subtract(self._columns[2][0, 0], logup, out=logup)
+            av.fill(self.rates[0])
+        else:
+            _, g, logw = self._columns
+            e = g * x.reshape(-1)
+            np.subtract(logw, e, out=e)
+            top = np.maximum.reduce(e, axis=0)
+            e -= top
+            np.exp(e, out=e)
+            s = _total(e)
+            np.log(s, out=logup)
+            logup += top
+            e *= g
+            np.divide(_total(e), s, out=av)
+        if out is None:
+            return logup.reshape(x.shape), av.reshape(x.shape)
+        return out
 
     def second_derivative(self, x):
         """u''(x) < 0."""
-        return -_total(t * g for t, g in self._terms(x))
+        t = self._terms(x)
+        t *= self._columns[1]
+        return _shaped(-_total(t), x)
 
     def risk_aversion(self, x):
         """a(x) = -u''(x)/u'(x): the sum of t_i g_i over that of t_i."""
-        terms = self._terms(x)
-        return (_total(t * g for t, g in terms)
-                / _total(t for t, _ in terms))
+        t = self._terms(x)
+        return _shaped(_total(t * self._columns[1]) / _total(t), x)
 
     def inverse_marginal(self, y):
         """Solve u'(x) = y for x; y must be positive.

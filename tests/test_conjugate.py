@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -640,3 +642,40 @@ def test_each_problem_keeps_its_best_restart(monkeypatch):
     assert np.array_equal(runs[1][0], [2, 5])
     assert runs[1][1][2][0] < 1e-9 < runs[0][1][2][2]
     assert all(np.array_equal(r[0], [5]) for r in runs[2:])
+
+
+# the sha256 of (w, x, resid) of every Newton run of a stuck solve, as a
+# generator made at every call drew them
+_STUCK_RUNS = {
+    "one-restart": ("50f2cfa17a27c5a17ca5a2c0621796b1875c799b"
+                    "57497af47041cb2e09e2d166"),
+    "eight-restarts": ("c268279f9f218a16e705e6314f2f365e29263c6c"
+                       "69f18c476db82fe9dbf2c15e"),
+}
+
+
+@pytest.mark.parametrize("name, stuck", [
+    ("one-restart", lambda call: {5} if call == 1 else set()),
+    ("eight-restarts", lambda call: {2, 5} if call == 1 else {5}),
+])
+def test_restart_generator_is_made_once_and_only_for_a_restart(
+        monkeypatch, name, stuck):
+    made = []
+    default_rng = np.random.default_rng
+
+    def counting(*args):
+        made.append(args)
+        return default_rng(*args)
+
+    monkeypatch.setattr(np.random, "default_rng", counting)
+    # a solve that needs no restart makes no generator
+    ev = small_evaluator()
+    saddle_batch(ev, 1, [-1.0, -1.0], [0.0])
+    assert made == []
+    runs, _ = _stuck_solve(monkeypatch, stuck)
+    # the targets' jitter, then one generator for all the restarts
+    assert made == [(7,), (0,)]
+    digest = hashlib.sha256()
+    for _, (w, x, resid, _) in runs:
+        digest.update(w.tobytes() + x.tobytes() + resid.tobytes())
+    assert digest.hexdigest() == _STUCK_RUNS[name]

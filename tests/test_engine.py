@@ -4,6 +4,7 @@ from conftest import (_cumsum_gain, _cumsum_indirect_utility,
                       assert_same_bits)
 
 from indiffmarket.bachelier import BachelierParams
+from indiffmarket import engine
 from indiffmarket.conjugate import saddle_batch
 from indiffmarket.engine import (
     SimpleStrategy,
@@ -14,6 +15,7 @@ from indiffmarket.engine import (
     no_arbitrage_gap,
     simulate_sde,
     simulate_sde_paths,
+    simulate_sde_terminal,
     state_from_U,
 )
 from indiffmarket.field import FieldEvaluator
@@ -109,6 +111,39 @@ def test_kernel_linear_in_u_single_maker():
     k1 = kernel_K(ev, [-0.5], [0.3], (0, 0))
     k2 = kernel_K(ev, [-1.0], [0.3], (0, 0))
     assert np.allclose(2.0 * k1, k2, rtol=1e-9)
+
+
+@pytest.mark.parametrize("dim, steps", [(1, 4), (2, 3)])
+def test_kernel_solves_its_node_alone_and_matches_the_level(dim, steps,
+                                                           monkeypatch):
+    # the one-node kernel against the row of the whole-level kernel that
+    # simulate_sde takes, at every node of every level: equal to 1e-12,
+    # from one saddle call on that node alone
+    t = binomial_tree(steps, 1.0, dim=dim,
+                      sigma0="0.3 + 0.2 * B1" if dim == 2 else "0.3 + 0.2 * B",
+                      psi=(("1.0 + 0.5 * B1", "B2 - 0.3 * B1") if dim == 2
+                           else ("1.0 + 0.5 * B",)))
+    u, q = np.array([-0.7, -1.1]), np.full(t.n_assets, 0.3)
+    calls = []
+
+    def counted(ev, level, u_, q_, *args, nodes=None, **kwargs):
+        calls.append(None if nodes is None else list(nodes))
+        return saddle_batch(ev, level, u_, q_, *args, nodes=nodes, **kwargs)
+
+    for level in range(steps):
+        n = t.n_nodes(level)
+        _, _, rows = engine._level_kernel(
+            FieldEvaluator(MIXED, t), level, np.broadcast_to(u, (n, 2)),
+            np.broadcast_to(q, (n, t.n_assets)))
+        ev = FieldEvaluator(MIXED, t)
+        monkeypatch.setattr(engine, "saddle_batch", counted)
+        for idx in range(n):
+            del calls[:]
+            k = kernel_K(ev, u, q, (level, idx))
+            assert calls == [[idx]]
+            assert k.shape == (2, dim)
+            assert np.abs(k - rows[idx]).max() < 1e-12
+        monkeypatch.undo()
 
 
 def test_sde_zero_position_is_exact_martingale():
@@ -532,6 +567,31 @@ def test_execute_paths_reject_a_position_that_is_not_a_scalar(position):
                                          r"scalar"):
         execute_simple_paths(ev, SimpleStrategy((0, 2), (0.3, position)), 3,
                              seed=1)
+
+
+def test_path_engines_reject_a_tree_that_is_not_the_lattice():
+    # a 6-step tree reads as a lattice to no path engine: its node j does
+    # not move to j + 1 or j
+    tree = binomial_tree(6, 1.0, sigma0="0.3 + 0.2 * B",
+                         psi=("1.0 + 0.5 * B",))
+    ev = FieldEvaluator(EXP1, tree)
+    runs = [
+        lambda: execute_simple_paths(ev, SimpleStrategy((0, 3), (0.5, -0.2)),
+                                     4, seed=1),
+        lambda: simulate_sde_paths(ev, 0.3, -1.0, 4, seed=1),
+        lambda: simulate_sde_terminal(ev, 0.3, -1.0, 4, seed=1),
+    ]
+    for run in runs:
+        with pytest.raises(ValueError, match="need a binomial lattice"):
+            run()
+    # the lattice of the same payoffs runs, and the tree's level-0 cash
+    # needs no lattice
+    lat = binomial_lattice(6, 1.0, sigma0="0.3 + 0.2 * B",
+                           psi=("1.0 + 0.5 * B",))
+    res = execute_simple_paths(FieldEvaluator(EXP1, lat),
+                               SimpleStrategy((0, 3), (0.5, -0.2)), 4, seed=1)
+    assert np.all(np.isfinite(res.V[:, -1]))
+    assert np.isfinite(indifference_cash(ev, 0.5))
 
 
 # -- differential oracle: path engines against the tree engines ----------

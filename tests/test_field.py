@@ -10,7 +10,8 @@ from indiffmarket.field import (_FIRST, _SECOND, FieldEvaluator, Sweep,
                                distinct_rows)
 from indiffmarket.representative import PrimalPoint
 from indiffmarket.tree import binomial_lattice, binomial_tree
-from indiffmarket.utilities import exponential, panel, sum_of_exponentials
+from indiffmarket.utilities import (UtilitySpec, exponential, panel,
+                                   sum_of_exponentials)
 from indiffmarket.verify import corrupt_tree
 
 EXP1 = panel(exponential(1.0))
@@ -672,3 +673,112 @@ def test_sweep_components_are_node_arrays_of_their_own_bits(tree, order):
                     1, int(np.prod(shapes[name])))
                 assert single[k].shape == arr.shape
                 assert single[k].tobytes() == arr.tobytes(), (name, k)
+
+
+# -- the lean leaf fill and node reads, pinned to their formulas ------------
+
+THREE = panel(sum_of_exponentials([1.0, 0.5], [1.0, 2.0]), exponential(2.0),
+              sum_of_exponentials([0.3, 0.7, 1.1], [0.5, 1.0, 3.0]))
+
+
+def _ref_terminal(ev, v, x, q):
+    """Every leaf component by its own formula, each maker's utility and
+    risk aversion from kernel calls of their own: the oracle of the
+    packed leaf block."""
+    tree, pnl = ev.tree, ev.panel
+    M = pnl.size
+    total = tree.sigma0 + x + (tree.psi * q).sum(axis=1)
+    y, pi = representative.allocate(pnl, v, total)
+    u = np.stack([s.value(pi[:, m]) for m, s in enumerate(pnl.makers)],
+                 axis=1)
+    t = np.stack([1.0 / s.risk_aversion(pi[:, m])
+                  for m, s in enumerate(pnl.makers)], axis=1)
+    tsum = t.sum(axis=1)
+    rxx = -y / tsum
+    tv = t / v
+    rvx = y[:, None] * tv / tsum[:, None]
+    dvv = -np.einsum("nl,nm,n->nlm", tv, tv, y / tsum)
+    dvv[:, np.arange(M), np.arange(M)] += y[:, None] * t / v ** 2
+    return {"value": (v * u).sum(axis=1), "dv": u, "dx": y,
+            "dq": tree.psi * y[:, None], "dvv": dvv, "dvx": rvx,
+            "dvq": np.einsum("nm,nj->nmj", rvx, tree.psi), "dxx": rxx,
+            "dxq": tree.psi * rxx[:, None],
+            "dqq": np.einsum("ni,nj,n->nij", tree.psi, tree.psi, rxx)}
+
+
+@pytest.mark.parametrize("pnl", [MIXED, THREE], ids=["M2", "M3"])
+@pytest.mark.parametrize("order, names", [
+    (1, ("dv",)), (2, ("dv", "dvv", "dvx")), (1, None), (2, None)],
+    ids=["dv", "newton", "order1", "order2"])
+def test_terminal_block_has_the_bits_of_each_formula(pnl, order, names):
+    t = binomial_tree(3, 1.0, dim=2, sigma0="0.1 * B1",
+                      psi=("B1", "B2 - B1"))
+    ev = FieldEvaluator(pnl, t)
+    rng = np.random.default_rng(12)
+    n = t.n_leaves
+    v, x, q = (rng.uniform(0.3, 2.0, size=(n, pnl.size)),
+               rng.normal(size=n), rng.normal(size=(n, 2)))
+    ref = _ref_terminal(ev, v, x, q)
+    block, columns = ev._terminal(v, x, q, order, names)
+    want = names or (_FIRST + _SECOND if order == 2 else _FIRST)
+    assert tuple(columns) == want
+    assert block.shape[1] == sum(ref[name][0].size for name in want)
+    got = Sweep([block], columns)
+    for name in want:
+        assert got.at(name, 0).tobytes() == ref[name].tobytes(), name
+
+
+@pytest.mark.parametrize("tree", [
+    binomial_tree(5, 1.0, sigma0="0.3 + 0.2 * B", psi=("1.0 + 0.5 * B",)),
+    binomial_tree(4, 1.0, dim=2, sigma0="0.3 + 0.2 * B1 - 0.1 * B2",
+                  psi=("1.0 + 0.5 * B1", "0.8 + 0.4 * B2")),
+], ids=["d1", "d2"])
+def test_node_reads_of_a_recombined_sweep_are_rows_of_the_spread_level(
+        tree):
+    # at(name, level, i) reads node i's class row; the bits are those of
+    # row i of the spread level, on forests of one root and of several
+    ev = FieldEvaluator(MIXED, tree)
+    rng = np.random.default_rng(13)
+    for level in range(tree.steps - 1):
+        state = _node_states(rng, tree, level)
+        rows = ev.sweep_states(level, *state, order=2)
+        assert rows._spread is not None
+        spread = ev.sweep_states(level, *state, order=2)
+        for name in spread.names:
+            for k in range(level, tree.steps + 1):
+                full = spread.at(name, k)
+                for i in range(tree.n_nodes(k)):
+                    assert rows.at(name, k, i).tobytes() == full[i].tobytes()
+                some = np.array([tree.n_nodes(k) - 1, 0, 1 % tree.n_nodes(k)])
+                assert rows.at(name, k, some).tobytes() == full[some].tobytes()
+    point = ev.sweep_point(PrimalPoint(v=[0.6, 1.2], x=0.1, q=[0.2] *
+                                       tree.n_assets), order=2)
+    assert point._spread is not None
+    for name in point.names:
+        for k in range(tree.steps + 1):
+            full = point.comps[name][k]
+            for i in range(tree.n_nodes(k)):
+                assert point.at(name, k, i).tobytes() == full[i].tobytes()
+
+
+@pytest.mark.parametrize("pnl", [MIXED, THREE], ids=["M2", "M3"])
+def test_one_node_sweep_allocates_once_and_evaluates_each_maker_once(
+        pnl, allocate_rows, monkeypatch):
+    # the fixed work of the order-2 sweep a saddle Newton iteration makes:
+    # one allocate over the node's leaves, then one evaluation of each
+    # maker's terms for its utility and its risk tolerance together
+    t = binomial_tree(4, 1.0, sigma0="0.3 + 0.2 * B", psi=("1.0 + 0.5 * B",))
+    ev = FieldEvaluator(pnl, t)
+    calls = []
+    original = UtilitySpec._terms
+
+    def counted(self, x):
+        calls.append(self)
+        return original(self, x)
+
+    monkeypatch.setattr(UtilitySpec, "_terms", counted)
+    w = np.full((1, pnl.size), 1.0 / pnl.size)
+    ev.sweep_nodes(1, [1], w, np.array([0.1]), np.array([[0.3]]), order=2,
+                   names=("dv", "dvv", "dvx"))
+    assert allocate_rows == [4]
+    assert calls == list(pnl.makers)

@@ -277,9 +277,9 @@ def test_allocate_evaluates_each_maker_once_per_iteration(monkeypatch):
     calls = []
     original = UtilitySpec.log_marginal_and_aversion
 
-    def counted(self, x):
+    def counted(self, x, out=None):
         calls.append((self, x.shape, x.flags.c_contiguous))
-        return original(self, x)
+        return original(self, x, out)
 
     monkeypatch.setattr(UtilitySpec, "log_marginal_and_aversion", counted)
     allocate(three, v, total)
@@ -287,6 +287,33 @@ def test_allocate_evaluates_each_maker_once_per_iteration(monkeypatch):
     assert len(calls) == three.size * iters
     assert [c[0] for c in calls] == list(three.makers) * iters
     assert all(shape == (n,) and contiguous for _, shape, contiguous in calls)
+
+
+_ONE = sum_of_exponentials([0.7], [1.3])          # a one-term mixture
+_TWO = sum_of_exponentials([1.0, 0.5], [1.0, 2.0])
+_THREE = sum_of_exponentials([0.3, 0.7, 1.1], [0.5, 1.0, 3.0])
+
+
+@pytest.mark.parametrize("makers", [
+    (_TWO,), (_THREE,),
+    (_TWO, _ONE), (_ONE, _THREE),
+    (_TWO, exponential(1.5), _THREE),
+    (_THREE, _ONE, _TWO, exponential(0.8)),
+], ids=["2", "3", "2-1", "1-3", "2-exp-3", "3-1-2-exp"])
+@pytest.mark.parametrize("n", [1, 2, 9, 257])
+def test_allocate_keeps_the_bits_of_the_column_oracle(makers, n):
+    # the maker-major loop on preallocated rows, with its sums over
+    # makers left to right, against the oracle's trailing-axis sums
+    p = panel(*makers)
+    rng = np.random.default_rng(n + 10 * p.size)
+    v = np.exp(rng.normal(size=(n, p.size)))
+    total = rng.normal(scale=4.0, size=n)
+    y_ref, pi_ref, iters = _ref_allocate(p, v, total)
+    y, pi = allocate(p, v, total)
+    assert iters > 1
+    assert pi.shape == (n, p.size) and pi.flags.c_contiguous
+    assert_same_bits(y, y_ref, exact=True)
+    assert_same_bits(pi, pi_ref, exact=True)
 
 
 @pytest.mark.parametrize("p, v, total, row, lny", [
