@@ -10,7 +10,10 @@ value is exactly the cash coordinate x, and general y follows by
 homogeneity of degree one.  On recombining trees many nodes of a level
 hold the same problem bit for bit; a level's solve iterates each
 distinct problem once, on the subtree of one node that holds it, and a
-query of G at one node solves that node alone.
+query of G at one node solves that node alone, with no search for
+repeats.  Problems that miss their tolerance restart from jittered
+iterates, drawn from one generator seeded 0, which a solve makes only
+when its first restart runs.
 
 Sensitivities of the two fields are linked through the matrices A, C, D
 on the primal side and B, E, Hg on the dual side; ``conjugacy_residuals``
@@ -234,7 +237,7 @@ def _newton(evaluator, level, nodes, u, q, s, x, tol):
                                           names=_NEWTON_SWEEP)
         R = sweep.at("dv", 0) - u
         resid_norm = np.abs(R).max(axis=1)
-        if np.all(resid_norm <= tol):
+        if (resid_norm <= tol).all():
             break
         dvv = sweep.at("dvv", 0)
         dvx = sweep.at("dvx", 0)

@@ -40,10 +40,15 @@ problems.
 
 Filling the leaves costs one ``allocate`` per sweep, except that each
 evaluator keeps its last leaf state and split, which a sweep of the
-same state again reuses bit for bit (``_allocate``).  Point sweeps
+same state again reuses bit for bit (``_allocate``), and then one
+evaluation of each maker's terms, which gives its utility and, at
+order 2, its risk tolerance together (``UtilitySpec.value``).  Every
+component is written straight into its columns of the leaf block,
+whose layout is made once per (components, M, J).  Point sweeps
 (``sweep_point``) are memoized per point, and the points one call
 lacks are swept side by side, one ``expect`` per level for all of
-them (``_sweep_points``).
+them (``_sweep_points``).  A node read of a recombined sweep (``at``
+with an index) takes the node's class row, and spreads no level.
 """
 
 from __future__ import annotations
@@ -63,6 +68,17 @@ __all__ = ["FieldEvaluator", "FieldValue", "Sweep", "distinct_rows",
 
 _FIRST = ("value", "dv", "dx", "dq")
 _SECOND = ("dvv", "dvx", "dvq", "dxx", "dxq", "dqq")
+
+
+def _component(block, cols, shape):
+    """View of one component's columns ``cols`` of a packed block,
+    shaped (rows, *shape); a plain index or slice where it needs no
+    reshape."""
+    if not shape:
+        return block[:, cols.start]
+    if len(shape) == 1:
+        return block[:, cols]
+    return block[:, cols].reshape(block.shape[:1] + shape)
 
 
 @functools.lru_cache(maxsize=None)
@@ -111,8 +127,7 @@ class Sweep:
         return self.columns.keys()
 
     def _view(self, name: str, block):
-        cols, shape = self.columns[name]
-        return block[:, cols].reshape(block.shape[:1] + shape)
+        return _component(block, *self.columns[name])
 
     def at(self, name: str, level: int, index=None):
         depth = level - self._anchor
@@ -234,7 +249,7 @@ class FieldEvaluator:
         columns, width = _layout(tuple(names), M, tree.n_assets)
         n = len(total)
         block = np.empty((n, width))
-        out = {name: block[:, cols].reshape((n,) + shape)
+        out = {name: _component(block, cols, shape)
                for name, (cols, shape) in columns.items()}
         uvals = out.get("dv")
         if uvals is None and "value" in out:

@@ -7,21 +7,27 @@ maximization to a single monotone scalar equation in the common marginal
 value y = dr/dx, which is what ``allocate`` solves (closed form for
 all-exponential panels, guarded Newton otherwise).
 
-The Newton iteration runs maker-major: it holds the split and the
-per-maker residuals as (M, n) arrays, evaluates each maker's mixture on
-one contiguous row, and sums over makers by adding rows left to right.
-That gives the same bits as summing the trailing axis of (n, M) arrays,
-since numpy sums axes shorter than eight left to right too, while
-avoiding a reduction setup per row.  The result comes back as the usual
-(n, M) split.
+The Newton iteration runs maker-major, on rows allocated once per call:
+one block holds the step (dpi; dln y), the iterate (pi; ln y), f/a, 1/a
+and f as layers of M + 1 rows, a row per maker and one for ln y.  Each
+iteration evaluates every maker once, writing log u'_m and a_m into its
+own rows (``UtilitySpec.log_marginal_and_aversion`` with ``out``), and
+then runs a fixed list of in-place numpy calls: one ``add.accumulate``
+over the maker axis gives the sums of pi, f/a and 1/a, adding the rows
+strictly left to right, one addition moves the whole iterate, and one
+``maximum.reduceat`` gives max|step| and max|pi| for the stopping test.
+Every entry sees the operations of the column-wise iteration in the
+same order, so the bits are those of the tests' oracle, which sums
+(n, M) arrays over their trailing axis.  The result comes back as the
+usual (n, M) split.
 
 On small batches the fixed cost of a call dominates, so nothing that
 does not depend on the rows is recomputed per call or per iteration:
 the start values log u'_m(0) and min_i g_m,i and the closed-form
 inputs of an all-exponential panel are cached on the panel
-(``MakerPanel.newton_start``, ``MakerPanel.exponential_split``), log
-w_i on each spec, and the loop clips with in-place ``np.maximum`` and
-``np.minimum`` and sums with plain row additions.
+(``MakerPanel.newton_start``, ``MakerPanel.exponential_split``), and
+the term columns on each spec.  ``_marginal_value`` checks the result
+with two reductions and builds its error mask only on failure.
 """
 
 from __future__ import annotations

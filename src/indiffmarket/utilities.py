@@ -12,9 +12,9 @@ entries as one (T, x.size) block, a row per term (``_terms``), so an
 elementwise step costs one numpy call whatever T is, and the sums over
 terms add the rows left to right, ((t_1 + t_2) + t_3).  No kernel
 reduces over a short trailing terms axis, which costs numpy a loop
-setup per output element and, for three or more terms, adds in another
-order.  Every entry sees the same elementwise operations as in the
-term-by-term formulas, so the results keep their bits.
+setup per output element.  Every entry sees the same elementwise
+operations, in the same order, as in the term-by-term formulas, so the
+results keep their bits.
 
 ``log_marginal_and_aversion`` and ``value`` write into rows the caller
 passes, so a Newton loop or a leaf fill allocates nothing per maker
