@@ -12,10 +12,12 @@ one block holds the step (dpi; dln y), the iterate (pi; ln y), f/a, 1/a
 and f as layers of M + 1 rows, a row per maker and one for ln y.  Each
 iteration evaluates every maker once, writing log u'_m and a_m into its
 own rows (``UtilitySpec.log_marginal_and_aversion`` with ``out``), and
-then runs a fixed list of in-place numpy calls: one ``add.accumulate``
-over the maker axis gives the sums of pi, f/a and 1/a, adding the rows
-strictly left to right, one addition moves the whole iterate, and one
-``maximum.reduceat`` gives max|step| and max|pi| for the stopping test.
+then runs a fixed list of in-place numpy calls: M - 1 additions of
+(pi, f/a, 1/a) row triples give their sums over makers, left to right
+(``add.accumulate`` over the maker axis would run one inner loop per
+row entry, which is slow on the thousands of leaves of a deep tree),
+one addition moves the whole iterate, and one ``maximum.reduceat``
+gives max|step| and max|pi| for the stopping test.
 Every entry sees the operations of the column-wise iteration in the
 same order, so the bits are those of the tests' oracle, which sums
 (n, M) arrays over their trailing axis.  The result comes back as the
@@ -102,9 +104,9 @@ def allocate(panel: MakerPanel, v, total):
     n = logv.shape[1]
     # Layers of M + 1 rows: the step (dpi; dln y), the iterate (pi; ln y),
     # f/a, 1/a and f, the last three with a spare row.  One addition
-    # moves the iterate, one accumulate sums pi, f/a and 1/a over the
-    # makers left to right (the sums are its last row), and one
-    # reduceat takes max|step| and max|pi| for the stopping test.
+    # moves the iterate, M - 1 additions sum pi, f/a and 1/a over the
+    # makers left to right, and one reduceat takes max|step| and max|pi|
+    # for the stopping test.
     blk = np.empty((5, M + 1, n))
     step, z = blk[0], blk[1]
     dpi, dlny, pi, lny = step[:M], step[M], z[:M], z[M]
@@ -113,9 +115,10 @@ def allocate(panel: MakerPanel, v, total):
     lny[:] = _total(start) / M - total / M
     np.subtract(start, lny, out=pi)
     pi /= gmin
-    summed = blk[1:4, :M]
-    acc = np.empty(summed.shape)
-    pisum, fasum, iasum = acc[:, -1]
+    # row m of pi, f/a and 1/a at once, to sum over makers left to right
+    rows = [blk[1:4, m] for m in range(M)]
+    sums = rows[0] if M == 1 else np.empty((3, n))
+    pisum, fasum, iasum = sums
     moved = blk[:2].reshape(-1)
     size = np.empty(moved.shape)
     parts = np.array([0, (M + 1) * n, (2 * M + 1) * n])  # step, pi, ln y
@@ -130,7 +133,10 @@ def allocate(panel: MakerPanel, v, total):
         f -= lny
         np.divide(f, av, out=fa)
         np.divide(1.0, av, out=ia)
-        np.add.accumulate(summed, axis=1, out=acc)
+        if M > 1:
+            np.add(rows[0], rows[1], out=sums)
+            for row in rows[2:]:
+                sums += row
         # dln y = (sum f/a - (total - sum pi)) / sum 1/a
         np.subtract(total, pisum, out=dlny)
         np.subtract(fasum, dlny, out=dlny)
