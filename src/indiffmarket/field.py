@@ -251,14 +251,18 @@ class FieldEvaluator:
         block = np.empty((n, width))
         out = {name: _component(block, cols, shape)
                for name, (cols, shape) in columns.items()}
-        uvals = out.get("dv")
-        if uvals is None and "value" in out:
-            uvals = np.empty((n, M))
+        # the makers' utilities go to a contiguous array first: written
+        # straight into the block's strided columns they cost more on
+        # many leaves than the copy
+        uvals = (np.empty((n, M)) if "value" in out or "dv" in out
+                 else None)
         if order >= 2:
             t, tsum = split_tolerances(panel, pi, uvals)
         elif uvals is not None:
             for m, spec in enumerate(panel.makers):
                 spec.value(pi[:, m], uvals[:, m])
+        if "dv" in out:
+            out["dv"][...] = uvals
         if "value" in out:
             out["value"][...] = (v_leaf * uvals).sum(axis=1)
         if "dx" in out:
@@ -284,11 +288,12 @@ class FieldEvaluator:
         if "dvq" in out:
             np.einsum("nm,nj->nmj", rvx, tree.psi, out=out["dvq"])
         if "dvv" in out:
-            dvv = out["dvv"]
-            np.einsum("nl,nm,n->nlm", tv, tv, y / tsum, out=dvv)
-            np.negative(dvv, out=dvv)
+            # einsum into the block's strided columns is slow on many
+            # leaves: it fills a contiguous array, whose negation the
+            # block receives, the diagonal of each (M, M) matrix after
+            dvv = np.einsum("nl,nm,n->nlm", tv, tv, y / tsum)
+            np.negative(dvv, out=out["dvv"])
             cols = columns["dvv"][0]
-            # the diagonal entries of each row's (M, M) matrix
             block[:, cols.start:cols.stop:M + 1] += y[:, None] * t / v_leaf ** 2
         return block, columns
 

@@ -106,7 +106,9 @@ def allocate(panel: MakerPanel, v, total):
     # f/a, 1/a and f, the last three with a spare row.  One addition
     # moves the iterate, M - 1 additions sum pi, f/a and 1/a over the
     # makers left to right, and one reduceat takes max|step| and max|pi|
-    # for the stopping test.
+    # for the stopping test.  Nothing else of size n is made per
+    # iteration but the makers' terms: on thousands of leaves, fresh
+    # memory costs page faults.
     blk = np.empty((5, M + 1, n))
     step, z = blk[0], blk[1]
     dpi, dlny, pi, lny = step[:M], step[M], z[:M], z[M]
@@ -120,7 +122,9 @@ def allocate(panel: MakerPanel, v, total):
     sums = rows[0] if M == 1 else np.empty((3, n))
     pisum, fasum, iasum = sums
     moved = blk[:2].reshape(-1)
-    size = np.empty(moved.shape)
+    # |step| and |iterate| go to the f/a and 1/a layers, which are spent
+    # by then and refilled at the next iteration
+    size = blk[2:4].reshape(-1)
     parts = np.array([0, (M + 1) * n, (2 * M + 1) * n])  # step, pi, ln y
     logup = np.empty((M, n))
     av = np.empty((M, n))
