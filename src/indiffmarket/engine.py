@@ -14,8 +14,9 @@ tree, states per node) and a fast path-mode restricted to one
 exponential maker, where the field separates as F(v, x, q) =
 v e^{-gamma x} Phi(q) and everything reduces to table lookups on a
 recombining lattice, which the path engines require (``_check_paths``);
-the fast mode carries thousands of Monte Carlo paths on fine grids.  Every engine takes the ``FieldEvaluator`` of its
-(panel, tree) first, and both execute engines a ``SimpleStrategy``; the
+the fast mode carries thousands of Monte Carlo paths on fine grids.
+Every engine takes the ``FieldEvaluator`` of its (panel, tree) first,
+and both execute engines a ``SimpleStrategy``; the
 path engines read their Phi tables from its memoized point sweeps, so
 calls that share an evaluator sweep each position once, and the
 positions a call lacks are swept side by side in one backward pass

@@ -42,9 +42,11 @@ Filling the leaves costs one ``allocate`` per sweep, except that each
 evaluator keeps its last leaf state and split, which a sweep of the
 same state again reuses bit for bit (``_allocate``), and then one
 evaluation of each maker's terms, which gives its utility and, at
-order 2, its risk tolerance together (``UtilitySpec.value``).  Every
-component is written straight into its columns of the leaf block,
-whose layout is made once per (components, M, J).  Point sweeps
+order 2, its risk tolerance together (``UtilitySpec.value``).  Each
+component is computed into its columns of the leaf block, whose
+layout is made once per (components, M, J), with no packing pass
+after; only the makers' utilities and dvv go through a contiguous
+array first, which on many leaves costs less than strided writes.  Point sweeps
 (``sweep_point``) are memoized per point, and the points one call
 lacks are swept side by side, one ``expect`` per level for all of
 them (``_sweep_points``).  A node read of a recombined sweep (``at``
@@ -237,9 +239,9 @@ class FieldEvaluator:
         """Leaf values of r and its derivatives, packed: returns the
         (n_leaves, K) block and its ``Sweep`` columns.  Only ``names``
         (by default every component of ``order``) are computed, each
-        written straight into its columns of the block; each maker's
-        terms are evaluated once, for its utility and (at order 2) its
-        risk tolerance alike."""
+        into its columns of the block; each maker's terms are evaluated
+        once, for its utility and (at order 2) its risk tolerance
+        alike."""
         tree, panel = self.tree, self.panel
         M = panel.size
         if names is None:
