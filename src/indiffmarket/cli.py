@@ -34,12 +34,6 @@ from .verify import SUITE_NAMES, _bachelier_terminal, run_suite
 _CSV_VERSION = "v1"
 
 
-def _fmt(x) -> str:
-    if x is None or (isinstance(x, float) and not np.isfinite(x)):
-        return ""
-    return format(float(x), ".17g")
-
-
 def _cells(column, n: int) -> list:
     """The CSV cells of one column of ``n`` rows.
 
@@ -89,7 +83,7 @@ def _simulate(args) -> int:
     t0 = time.time()
     panel = cfg.build_panel()
     tree = cfg.build_tree(args.steps)
-    if tree.implicit is False:
+    if not tree.implicit:
         raise ConfigError("simulate needs tree kind 'tree'")
     strategy = cfg.build_strategy(tree)
     M, J = panel.size, tree.n_assets
@@ -213,13 +207,14 @@ def _pareto(args) -> int:
     if args.u:
         u = per_maker(args.u.split(","), panel.size, -1, "pareto: --u")
     r, split, y = representative_utility(panel, v, float(args.total))
-    print(f"r = {_fmt(r)}")
-    print(f"y = {_fmt(y)}")
-    print("split = " + ",".join(_fmt(s) for s in split))
+    r, y, *split = _cells(np.hstack([r, y, split]), 2 + len(split))
+    print(f"r = {r}")
+    print(f"y = {y}")
+    print("split = " + ",".join(split))
     if args.u:
         pi = np.array([spec.inverse_value(u[m])
                        for m, spec in enumerate(panel.makers)])
-        print(f"G = {_fmt(pi.sum())}")
+        print(f"G = {_cells([pi.sum()], 1)[0]}")
     return 0
 
 

@@ -52,9 +52,9 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .conjugate import saddle_batch
-from .field import FieldEvaluator, increment_slope
+from .field import FieldEvaluator
 from .representative import PrimalPoint, representative_utility
-from .tree import RowWindows, ScenarioTree
+from .tree import _LATTICE_STEP, ScenarioTree
 
 __all__ = [
     "SimpleStrategy",
@@ -281,29 +281,23 @@ def _level_kernel(evaluator: FieldEvaluator, level: int, u, q, w0=None,
     increment slope of F_v under that state, (n, M, d)."""
     w, x, _, _ = saddle_batch(evaluator, level, u, q, w0=w0, x0=x0)
     sweep = evaluator.sweep_states(level, w, x, q, names=("dv",))
-    dHdv, _ = increment_slope(evaluator.tree, level, sweep.at("dv", level),
-                              sweep.at("dv", level + 1))
-    return w, x, dHdv
+    return w, x, sweep.slope("dv", level)[0]
 
 
 def kernel_K(evaluator: FieldEvaluator, u, q, node):
     """SDE kernel K(u, q) at a node: dHdv of the integrand at the saddle.
 
     Solves the saddle at that node alone, sweeps F_v over the node's
-    subtree (``FieldEvaluator.sweep_nodes``) and fits the increments to
-    its children, read in edge order.  Returns an (M, d) array mapping
+    subtree (``FieldEvaluator.sweep_nodes``), whose level 0 is the node,
+    and fits the increments to the tree's own Brownian increments there
+    (``Sweep.slope``).  Returns an (M, d) array mapping
     Brownian increments to indirect utility increments.
     """
     level, idx = node
     q = np.atleast_2d(np.asarray(q, dtype=float))
     w, x, _, _ = saddle_batch(evaluator, level, u, q, nodes=[idx])
     sweep = evaluator.sweep_nodes(level, [idx], w, x, q, names=("dv",))
-    # level 0 of the node's forest is the node, whose children its
-    # first window places in edge order
-    forest = evaluator._forest(level, [idx])[0].tree
-    dHdv, _ = increment_slope(forest, 0, sweep.at("dv", 0),
-                              sweep.at("dv", 1))
-    return dHdv[0]
+    return sweep.slope("dv", 0)[0][0]
 
 
 def simulate_sde(evaluator: FieldEvaluator, q_levels, u0,
@@ -415,10 +409,6 @@ def _check_fast(evaluator: FieldEvaluator) -> float:
     if tree.dim != 1 or tree.n_assets != 1:
         raise ValueError("path-mode engines need one asset on a 1d lattice")
     return float(panel.gammas[0])
-
-
-# a lattice node j moves up to node j + 1 and down to node j
-_LATTICE_STEP = RowWindows(1, (1, 0))
 
 
 def _check_paths(evaluator: FieldEvaluator) -> float:
@@ -673,7 +663,7 @@ def simulate_sde_paths(evaluator: FieldEvaluator, q_levels, u0: float,
 
 
 def simulate_sde_terminal(evaluator: FieldEvaluator, q_levels, u0: float,
-                          n_paths: int, seed=None, signs=None, on_step=None):
+                          n_paths: int, seed=None, on_step=None):
     """``simulate_sde_paths`` keeping only the terminal values.
 
     Returns an iterator over blocks of at most ``_block_paths`` paths,
@@ -691,7 +681,7 @@ def simulate_sde_terminal(evaluator: FieldEvaluator, q_levels, u0: float,
     step = np.sqrt(tree.dt(0))
 
     def blocks():
-        for cols, up in _path_blocks(tree, n_paths, seed, signs):
+        for cols, up in _path_blocks(tree, n_paths, seed):
             seen = None if on_step is None else functools.partial(on_step,
                                                                   cols)
             for j, u, exploded in _euler_rows(coeffs, u0, eps, up,

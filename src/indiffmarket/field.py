@@ -104,7 +104,8 @@ class Sweep:
 
     ``blocks`` holds the per-level blocks and ``columns`` maps each
     component name to its column slice and its per-node shape; ``at``
-    and ``comps`` hand out views of the blocks, shaped (nodes, *shape).
+    and ``comps`` hand out views of the blocks, shaped (nodes, *shape),
+    in the node order of ``tree``, on which ``slope`` fits increments.
     A sweep of the forest below the nodes of level ``anchor`` holds
     level ``anchor + s`` as its block s, and levels before ``anchor``
     are None.  A recombined forest holds its levels in its own order
@@ -114,8 +115,9 @@ class Sweep:
     spreads the rest on first access.
     """
 
-    def __init__(self, blocks: list, columns: dict, spread=None,
-                 anchor: int = 0):
+    def __init__(self, tree: ScenarioTree, blocks: list, columns: dict,
+                 spread=None, anchor: int = 0):
+        self.tree = tree
         self.blocks = blocks
         self.columns = columns
         self._spread = spread
@@ -147,6 +149,12 @@ class Sweep:
                 arr = self._spreads[name, level] = self._spread(
                     depth, self._view(name, self.blocks[depth]))
         return arr if index is None else arr[index]
+
+    def slope(self, name: str, level: int):
+        """``increment_slope`` of component ``name`` on ``tree`` from
+        ``level`` to level + 1: (slope, increments)."""
+        return increment_slope(self.tree, level, self.at(name, level),
+                               self.at(name, level + 1))
 
     @property
     def comps(self) -> dict:
@@ -312,7 +320,7 @@ class FieldEvaluator:
         x_leaf = np.asarray(x_leaf, dtype=float)
         q_leaf = np.asarray(q_leaf, dtype=float)
         block, columns = self._terminal(v_leaf, x_leaf, q_leaf, order, names)
-        return Sweep(self._pull_back(block), columns)
+        return Sweep(self.tree, self._pull_back(block), columns)
 
     def _pull_back(self, block) -> list:
         """Per-level blocks of the backward sweep from the leaf block
@@ -336,7 +344,7 @@ class FieldEvaluator:
         """
         ev, spread = self._forest(level)
         swept = ev._sweep_roots(v_nodes, x_nodes, q_nodes, order, names)
-        return Sweep(swept.blocks, swept.columns, spread=spread, anchor=level)
+        return Sweep(self.tree, swept.blocks, swept.columns, spread, level)
 
     def sweep_point(self, point: PrimalPoint, order: int = 1,
                     names=None) -> Sweep:
@@ -380,7 +388,7 @@ class FieldEvaluator:
             blocks = ev._pull_back(leaves[0] if len(leaves) == 1
                                    else np.concatenate(leaves, axis=1))
             for key, cols in zip(todo, columns):
-                self._cache[key] = Sweep(blocks, cols, spread=spread)
+                self._cache[key] = Sweep(self.tree, blocks, cols, spread)
         return [self._cache[key] for key in keys]
 
     def _forest(self, level: int, nodes=None):
@@ -499,10 +507,8 @@ class FieldEvaluator:
         if level >= tree.steps:
             raise ValueError("integrand is defined on non-terminal nodes")
         sweep = self.sweep_point(point, order=1)
-        H, dF = increment_slope(tree, level, sweep.at("value", level),
-                                sweep.at("value", level + 1))
-        dHdv, _ = increment_slope(tree, level, sweep.at("dv", level),
-                                  sweep.at("dv", level + 1))
+        H, dF = sweep.slope("value", level)
+        dHdv, _ = sweep.slope("dv", level)
         resid = np.abs(dF - np.einsum("ni,nei->ne", H, tree.edge_db[level]))
         resid = resid.max(axis=1)[idx]
         return H[idx], dHdv[idx], float(resid) if np.ndim(idx) == 0 else resid
@@ -526,9 +532,8 @@ class FieldEvaluator:
                  + self.tree.psi @ np.asarray(point.q, dtype=float))
         _, pi = self._allocate(v_leaf, total)
         dens = v_leaf[:, 0] * self.panel.makers[0].marginal(pi[:, 0])
-        block = np.column_stack([self.tree.psi * dens[:, None], dens])
-        for k in range(self.tree.steps - 1, level - 1, -1):
-            block = self.tree.expect(k, block)
+        block = self._pull_back(
+            np.column_stack([self.tree.psi * dens[:, None], dens]))[level]
         num, den = block[:, :-1], block[:, -1]
         dens_price = num[idx] / den[idx]
         gap = float(np.abs(dens_price - grad_price).max())

@@ -120,6 +120,10 @@ class RowWindows(NamedTuple):
         return self.stride * rows[:, None] + np.array(self.offsets)
 
 
+# a lattice node j moves up to node j + 1 and down to node j
+_LATTICE_STEP = RowWindows(1, (1, 0))
+
+
 @dataclass
 class ScenarioTree:
     """Level-array representation of a scenario tree.
@@ -132,17 +136,15 @@ class ScenarioTree:
     child_idx : list of N int arrays (n_k, nc), children in level k+1,
         derived from ``windows`` on first read and kept; sweeps read
         ``windows`` and never build it.
-    edge_db : list of N arrays (n_k, nc, d), Brownian increments; None
-        takes the differences of B along the edges.
+    edge_db : list of N arrays (n_k, nc, d), Brownian increments.
     edge_p : list of N arrays (n_k, nc), transition probabilities.
     sigma0 : (n_N,) random endowment at the leaves.
     psi : (n_N, J) traded payoffs at the leaves.
-    implicit : True when child_idx follows i -> i*nc + e, which allows
-        pushing per-node states to the leaves by index arithmetic.
 
-    ``binomial_lattice`` hands in levels that are read-only views of one
-    array per attribute, so no level may be written in place; a copy
-    (``verify.corrupt_tree``) copies the levels it changes.
+    What follows from the layout, such as ``implicit``, is read from
+    ``windows``.  ``binomial_lattice`` hands in levels that are read-only
+    views of one array per attribute, so no level may be written in
+    place; a copy (``verify.corrupt_tree``) copies the levels it changes.
     """
 
     times: np.ndarray
@@ -152,25 +154,28 @@ class ScenarioTree:
     edge_p: list
     sigma0: np.ndarray
     psi: np.ndarray
-    implicit: bool = False
     dim: int = field(init=False)
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
         self.dim = self.B[0].shape[1]
-        if self.edge_db is None:
-            self.edge_db = [nxt[idx] - b[:, None, :] for b, nxt, idx
-                            in zip(self.B, self.B[1:], self.child_idx)]
         self.sigma0 = np.asarray(self.sigma0, dtype=float)
-        self.psi = np.atleast_2d(np.asarray(self.psi, dtype=float))
-        if self.psi.shape[0] != self.n_leaves:
-            self.psi = self.psi.T
+        self.psi = np.asarray(self.psi, dtype=float)
         if self.sigma0.shape != (self.n_leaves,):
             raise ValueError("sigma0 must have one value per leaf")
+        if self.psi.ndim != 2 or self.psi.shape[0] != self.n_leaves:
+            raise ValueError("psi must have one row per leaf, (n_N, J)")
 
     @cached_property
     def child_idx(self) -> list:
         return [w.children(b.shape[0]) for w, b in zip(self.windows, self.B)]
+
+    @property
+    def implicit(self) -> bool:
+        """Whether the windows put child e of node i at i * nc + e, which
+        allows pushing per-node states to the leaves by index arithmetic."""
+        return all(w.pad is None and w.offsets == tuple(range(w.stride))
+                   for w in self.windows)
 
     @property
     def steps(self) -> int:
@@ -291,6 +296,20 @@ class ScenarioTree:
         return not np.any(
             spread > _RECOMBINE_RTOL * (1.0 + np.abs(cols).max(axis=0)))
 
+    def _cut(self, level: int, rows: list, windows: list,
+             edge_p=None) -> "ScenarioTree":
+        """Forest whose level s is cut from rows ``rows[s]`` of level
+        ``level + s``: their B, ``edge_db``, leaf sigma0 and psi, and
+        ``edge_p`` unless given; ``windows`` place the children."""
+        def cut(levels):
+            return [a[r] for a, r in zip(levels[level:], rows)]
+
+        return ScenarioTree(
+            times=self.times[level:], B=cut(self.B), windows=windows,
+            edge_db=cut(self.edge_db),
+            edge_p=cut(self.edge_p) if edge_p is None else edge_p,
+            sigma0=self.sigma0[rows[-1]], psi=self.psi[rows[-1]])
+
     def recombine(self, level: int, nodes=None):
         """Recombined copy of the subtrees hanging from ``nodes`` of
         ``level`` (all of its nodes when None).
@@ -302,10 +321,10 @@ class ScenarioTree:
         (1979).  Level s of the copy holds node i * C_s + c for the i-th
         node given and class c of ``count_classes(dim, s)``, C_s =
         (s+1)^d classes; its level 0 is the nodes given, in that order,
-        so the copy is a forest.  Edge probabilities are the original
-        rows, and B, sigma0 and psi are read from one representative
-        node per class.  Its children are row windows of padded levels
-        (``RowWindows``).
+        so the copy is a forest, cut (``_cut``) from the rows of one
+        representative node per class, with this tree's one probability
+        row.  Its children are row windows of padded levels
+        (``RowWindows``), so it builds no child indices.
 
         Returns None unless the tree passes the checks of
         ``_recombinable`` and the copy has fewer leaves than the
@@ -318,10 +337,10 @@ class ScenarioTree:
         roots = (np.arange(self.n_nodes(level)) if nodes is None
                  else np.asarray(nodes, dtype=np.intp))[:, None]
         n = len(roots)
-        B, windows, edge_p = [], [], []
+        rows, windows, edge_p = [], [], []
         for s in range(depth + 1):
             _, rep, child = count_classes(d, s)
-            B.append(self.B[level + s][(roots * nc ** s + rep).ravel()])
+            rows.append((roots * nc ** s + rep).ravel())
             if s < depth:
                 # class c of a root is the row of its counts in a padded
                 # grid of (s + 2)^d rows, which holds the classes of s + 1
@@ -329,22 +348,18 @@ class ScenarioTree:
                                           (s + 1, s + 2, d)))
                 edge_p.append(np.broadcast_to(self.edge_p[level + s][0],
                                               (n * (s + 1) ** d, nc)))
-        leaves = (roots * nc ** depth + count_classes(d, depth)[1]).ravel()
-        return ScenarioTree(times=self.times[level:], B=B, windows=windows,
-                            edge_db=None, edge_p=edge_p,
-                            sigma0=self.sigma0[leaves], psi=self.psi[leaves])
+        return self._cut(level, rows, windows, edge_p)
 
     def subtrees(self, level: int, nodes=None) -> "ScenarioTree":
         """Forest of the subtrees hanging from ``nodes`` of ``level`` (all
         of its nodes when None, as views of this tree's levels).
 
         Level s of the forest holds the descendants s steps below each
-        given node, node by node in the order given, with their own
-        ``edge_p`` and ``edge_db`` rows; its leaves carry their sigma0
-        and psi rows.  The descendants of node i at level ``level + s``
-        must be the rows i c .. (i + 1) c - 1 of that level, c being its
-        node count over that of ``level``: so it is on implicit trees
-        and under a single root.
+        given node, node by node in the order given, cut with their own
+        rows (``_cut``) and this tree's windows.  The descendants of node
+        i at level ``level + s`` must be the rows i c .. (i + 1) c - 1 of
+        that level, c being its node count over that of ``level``: so it
+        is on implicit trees and under a single root.
         """
         n = self.n_nodes(level)
         if not (self.implicit or n == 1):
@@ -354,14 +369,7 @@ class ScenarioTree:
         rows = ([slice(None)] * len(counts) if nodes is None else
                 [(np.asarray(nodes, dtype=np.intp)[:, None] * c
                   + np.arange(c)).ravel() for c in counts])
-        return ScenarioTree(
-            times=self.times[level:],
-            B=[b[r] for b, r in zip(self.B[level:], rows)],
-            windows=self.windows[level:],
-            edge_db=[a[r] for a, r in zip(self.edge_db[level:], rows)],
-            edge_p=[a[r] for a, r in zip(self.edge_p[level:], rows)],
-            sigma0=self.sigma0[rows[-1]], psi=self.psi[rows[-1]],
-            implicit=self.implicit)
+        return self._cut(level, rows, self.windows[level:])
 
     def spread_recombined(self, level: int, depth: int, values,
                           index=None):
@@ -521,8 +529,7 @@ def binomial_tree(steps: int, horizon: float, dim: int = 1,
     sigma0, psi_cols = _leaf_payoffs(B[-1], sigma0, psi)
     windows = [RowWindows(nc, tuple(range(nc)))] * steps
     return ScenarioTree(times=times, B=B, windows=windows, edge_db=edge_db,
-                        edge_p=edge_p, sigma0=sigma0, psi=psi_cols,
-                        implicit=True)
+                        edge_p=edge_p, sigma0=sigma0, psi=psi_cols)
 
 
 def binomial_lattice(steps: int, horizon: float,
@@ -555,8 +562,6 @@ def binomial_lattice(steps: int, horizon: float,
     edge_db = [db_all[:k + 1] for k in range(steps)]
     edge_p = [p_all[:k + 1] for k in range(steps)]
     sigma0, psi_cols = _leaf_payoffs(B[-1], sigma0, psi)
-    # node j moves up to j + 1 and down to j
-    windows = [RowWindows(1, (1, 0))] * steps
-    return ScenarioTree(times=times, B=B, windows=windows, edge_db=edge_db,
-                        edge_p=edge_p, sigma0=sigma0, psi=psi_cols,
-                        implicit=False)
+    return ScenarioTree(times=times, B=B, windows=[_LATTICE_STEP] * steps,
+                        edge_db=edge_db, edge_p=edge_p, sigma0=sigma0,
+                        psi=psi_cols)

@@ -80,7 +80,7 @@ def _loop_binomial_lattice(steps, horizon, sigma0=0.0, psi=("B",)):
     tree = ScenarioTree(times=times, B=B,
                         windows=[RowWindows(1, (1, 0))] * steps,
                         edge_db=edge_db, edge_p=edge_p, sigma0=sigma0,
-                        psi=psi_cols, implicit=False)
+                        psi=psi_cols)
     tree.child_idx = child_idx
     return tree
 

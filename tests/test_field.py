@@ -461,11 +461,11 @@ def test_terminal_computes_only_requested_components():
     for order, subsets in ((1, [("dx",), ("dq", "value")]),
                            (2, [("dv", "dvv", "dvx"), ("dqq",), ("dvq", "dx")])):
         block, columns = ev._terminal(v, x, q, order)
-        every = Sweep([block], columns)
+        every = Sweep(t, [block], columns)
         for names in subsets:
             block, columns = ev._terminal(v, x, q, order, names)
             assert tuple(columns) == names
-            some = Sweep([block], columns)
+            some = Sweep(t, [block], columns)
             for name in names:
                 assert np.array_equal(some.at(name, 0), every.at(name, 0))
 
@@ -723,7 +723,7 @@ def test_terminal_block_has_the_bits_of_each_formula(pnl, order, names):
     want = names or (_FIRST + _SECOND if order == 2 else _FIRST)
     assert tuple(columns) == want
     assert block.shape[1] == sum(ref[name][0].size for name in want)
-    got = Sweep([block], columns)
+    got = Sweep(t, [block], columns)
     for name in want:
         assert got.at(name, 0).tobytes() == ref[name].tobytes(), name
 
@@ -782,3 +782,66 @@ def test_one_node_sweep_allocates_once_and_evaluates_each_maker_once(
                    names=("dv", "dvv", "dvx"))
     assert allocate_rows == [4]
     assert calls == list(pnl.makers)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_recombined_sweeps_and_one_node_solves_build_no_child_indices(
+        dim, monkeypatch):
+    # a recombined forest is cut from its tree's rows, so neither a level
+    # sweep on it nor a one-node saddle solve from a given start builds
+    # child index arrays
+    from indiffmarket.tree import RowWindows
+
+    calls = []
+    children = RowWindows.children
+
+    def counted_children(self, *args):
+        calls.append(args)
+        return children(self, *args)
+
+    monkeypatch.setattr(RowWindows, "children", counted_children)
+    t = binomial_tree(5, 1.0, dim=dim, sigma0="0.3 + 0.2 * B1",
+                      psi=("1.0 + 0.5 * B1",))
+    ev = FieldEvaluator(MIXED, t)
+    level, n = 2, t.n_nodes(2)
+    sweep = ev.sweep_states(level, np.full((n, 2), 0.5), np.zeros(n),
+                            np.full((n, 1), 0.3))
+    assert ev._forest(level)[1] is not None
+    sweep.comps
+    u = sweep.at("dv", level, 1)
+    saddle_batch(ev, level, u, [0.3], w0=[0.7, 0.3], x0=1.0, nodes=[1])
+    assert calls == []
+    assert "child_idx" not in vars(t)
+
+
+@pytest.mark.parametrize("tree", [
+    binomial_tree(5, 1.0, sigma0="0.3 + 0.2 * B", psi=("1.0 + 0.5 * B",)),
+    binomial_tree(3, 1.0, dim=2, sigma0="0.3 + 0.2 * B1 - 0.1 * B2",
+                  psi=("1.0 + 0.5 * B1", "0.8 + 0.4 * B2")),
+    binomial_lattice(6, 1.0, sigma0="0.3 + 0.2 * B", psi=("1.0 + 0.5 * B",)),
+], ids=["d1", "d2", "lattice"])
+def test_sweep_slope_is_the_increment_slope_on_its_tree(tree):
+    # point, level and node-subset sweeps: slope reads the sweep's own
+    # tree, the forest for a node subset, bit for bit
+    ev = FieldEvaluator(MIXED, tree)
+    J = tree.n_assets
+    sweeps = [(ev.sweep_point(PrimalPoint(v=[0.6, 1.4], x=0.1,
+                                          q=np.full(J, 0.3))), 0)]
+    if tree.implicit:
+        n = tree.n_nodes(1)
+        state = (np.full((n, 2), 0.5), np.linspace(-0.2, 0.2, n),
+                 np.full((n, J), 0.3))
+        sweeps.append((ev.sweep_states(1, *state), 1))
+        some = ev.sweep_nodes(1, [1], *(a[[1]] for a in state))
+        assert some.tree is ev._forest(1, [1])[0].tree
+        sweeps.append((some, 0))
+    for sweep, first in sweeps:
+        assert sweep.tree is not None
+        for level in range(first, sweep.tree.steps):
+            for name in ("value", "dv", "dq"):
+                got = sweep.slope(name, level)
+                want = field.increment_slope(sweep.tree, level,
+                                             sweep.at(name, level),
+                                             sweep.at(name, level + 1))
+                for a, b in zip(got, want, strict=True):
+                    assert a.shape == b.shape and a.tobytes() == b.tobytes()

@@ -245,7 +245,6 @@ def test_allocate_matches_column_oracle(p, data):
                      max_size=p.size), min_size=n, max_size=n)))
         total = np.array(data.draw(st.lists(
             st.floats(-700.0, 700.0), min_size=n, max_size=n)))
-    exact = p.size <= 2 and all(len(m.rates) <= 2 for m in p.makers)
     with np.errstate(over="ignore"):
         y_ref, pi_ref, _ = _ref_allocate(p, v, total)
     ok = np.isfinite(y_ref)
@@ -260,8 +259,31 @@ def test_allocate_matches_column_oracle(p, data):
         y_ref, pi_ref, _ = _ref_allocate(p, v, total)
     y, pi = allocate(p, v, total)
     assert pi.shape == pi_ref.shape and pi.flags.c_contiguous
-    assert_same_bits(y, y_ref, exact)
-    assert_same_bits(pi, pi_ref, exact)
+    assert_same_bits(y, y_ref, exact=True)
+    assert_same_bits(pi, pi_ref, exact=True)
+
+
+def test_exact_column_oracle_rejects_makers_summed_right_to_left(
+        monkeypatch):
+    # three makers are held to the oracle's bits: summing the three
+    # makers' start terms right to left moves the split, which the check
+    # of test_allocate_matches_column_oracle rejects
+    from indiffmarket import representative
+
+    def right_to_left(rows):
+        return rows[2] + rows[1] + rows[0]
+
+    three = panel(sum_of_exponentials([1.0, 0.5], [1.0, 2.0]),
+                  exponential(1.5),
+                  sum_of_exponentials([0.3, 0.7, 1.1], [0.5, 1.0, 3.0]))
+    rng = np.random.default_rng(3)
+    v = np.exp(rng.normal(size=(257, 3)))
+    total = rng.normal(scale=4.0, size=257)
+    pi_ref = _ref_allocate(three, v, total)[1]
+    assert_same_bits(allocate(three, v, total)[1], pi_ref, exact=True)
+    monkeypatch.setattr(representative, "_total", right_to_left)
+    with pytest.raises(AssertionError):
+        assert_same_bits(allocate(three, v, total)[1], pi_ref, exact=True)
 
 
 def test_allocate_evaluates_each_maker_once_per_iteration(monkeypatch):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -372,6 +374,57 @@ def test_recombined_forest_of_some_nodes_is_cut_from_the_whole(dim, steps):
                 for a, b in zip(getattr(got, name), getattr(want, name),
                                 strict=True):
                     assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_implicit_is_read_from_the_windows(dim):
+    t = binomial_tree(4, 1.0, dim=dim, sigma0="0.3 + 0.2 * B1",
+                      psi=("1.0 + 0.5 * B1",))
+    assert t.implicit
+    for level in range(t.steps):
+        assert t.subtrees(level).implicit
+        assert t.subtrees(level, np.arange(t.n_nodes(level))[::-2]).implicit
+    for level in range(t.steps - 1):
+        assert not t.recombine(level).implicit
+        assert not t.recombine(level, [0]).implicit
+    assert not binomial_lattice(4, 1.0).implicit
+
+
+def test_psi_must_have_one_row_per_leaf():
+    t = binomial_tree(3, 1.0, psi=("B", "1.0 + 0.5 * B"))
+    replace(t, psi=t.psi.copy())
+    for bad in (t.psi.T, t.psi[:, 0], t.psi[:-1], t.psi[None]):
+        with pytest.raises(ValueError, match="psi must have one row per leaf"):
+            replace(t, psi=bad)
+
+
+@pytest.mark.parametrize("dim, steps", [(1, 6), (2, 4)])
+def test_recombined_forest_is_cut_from_the_tree_rows(dim, steps):
+    # node i * C_s + c of level s of recombine(level, nodes) carries the
+    # B and edge_db rows of root i's first descendant in class c, and the
+    # leaves their sigma0 and psi rows, bit for bit
+    t = binomial_tree(steps, 1.0, dim=dim, sigma0="0.3 + 0.2 * B1",
+                      psi=("B1", f"1.0 - 0.5 * B{dim}"))
+    nc = 2 ** dim
+    for level in range(steps - 1):
+        n = t.n_nodes(level)
+        for nodes in (None, np.arange(n)[::-2]):
+            forest = t.recombine(level, nodes)
+            roots = np.arange(n) if nodes is None else nodes
+            for s in range(steps - level + 1):
+                rows = (roots[:, None] * nc ** s
+                        + count_classes(dim, s)[1]).ravel()
+                pairs = [(forest.B[s], t.B[level + s])]
+                if s < steps - level:
+                    pairs.append((forest.edge_db[s], t.edge_db[level + s]))
+                for got, whole in pairs:
+                    want = whole[rows]
+                    assert got.shape == want.shape
+                    assert got.tobytes() == want.tobytes()
+            for got, want in ((forest.sigma0, t.sigma0[rows]),
+                              (forest.psi, t.psi[rows])):
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
 
 
 def test_recombinability_is_checked_once_per_tree(monkeypatch):

@@ -233,17 +233,33 @@ wealth = st.lists(st.floats(-700.0, 700.0), min_size=1, max_size=40)
 @example(spec=sum_of_exponentials([0.3, 0.7, 1.1], [0.5, 1.0, 3.0]),
          xs=[-700.0, -3.0, 0.0, 12.5, 700.0])
 def test_kernels_match_trailing_axis_oracle(spec, xs):
-    exact = len(spec.rates) <= 2
     x = np.array(xs)
     with np.errstate(all="ignore"):
-        check_kernels(spec, x, exact)
-        check_kernels(spec, x[0], exact)
+        check_kernels(spec, x, exact=True)
+        check_kernels(spec, x[0], exact=True)
 
 
 def test_kernels_on_strided_rows():
     # columns of an (n, M) split reach the kernels as strided views
     x = np.random.default_rng(11).uniform(-30.0, 30.0, size=(64, 2))[:, 1]
     check_kernels(sum_of_exponentials([0.3, 0.7], [0.5, 3.0]), x, exact=True)
+
+
+def test_exact_oracle_rejects_a_reordered_three_term_kernel(monkeypatch):
+    # three-term specs are held to the oracle's bits: a marginal that
+    # adds its terms right to left stays within 2 ulp but fails the
+    # check of test_kernels_match_trailing_axis_oracle
+    spec = sum_of_exponentials([0.3, 0.7, 1.1], [0.5, 1.0, 3.0])
+    x = np.random.default_rng(12).uniform(-5.0, 5.0, size=2000)
+
+    def reordered(self, x):
+        t = _ref_wge(self, x)
+        return t[..., 0] + (t[..., 1] + t[..., 2])
+
+    monkeypatch.setattr(UtilitySpec, "marginal", reordered)
+    check_kernels(spec, x, exact=False)
+    with pytest.raises(AssertionError):
+        check_kernels(spec, x, exact=True)
 
 
 def test_oracle_tells_a_reordered_sum_apart():
