@@ -836,7 +836,6 @@ def test_sweep_slope_is_the_increment_slope_on_its_tree(tree):
         assert some.tree is ev._forest(1, [1])[0].tree
         sweeps.append((some, 0))
     for sweep, first in sweeps:
-        assert sweep.tree is not None
         for level in range(first, sweep.tree.steps):
             for name in ("value", "dv", "dq"):
                 got = sweep.slope(name, level)
