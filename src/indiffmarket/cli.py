@@ -102,8 +102,8 @@ def _simulate(args) -> int:
         lam0 = np.full(M, 1.0 / M) if lam0 is None else lam0 / np.sum(lam0)
         if u0 is None:
             u0 = ev.field(PrimalPoint(v=lam0, x=0.0, q=np.zeros(J))).dv
-        q_levels = _positions_by_level(strategy, tree)
-        res = simulate_sde(ev, q_levels, u0, eps_scale=eps_scale)
+        res = simulate_sde(ev, strategy.held(tree), u0,
+                           eps_scale=eps_scale)
         exploded = np.concatenate(res.exploded)
         tolerances = {"saddle": _TOL_SCALE, "eps_explode_scale": eps_scale}
 
@@ -131,14 +131,6 @@ def _simulate(args) -> int:
                         "mode": mode, "steps": tree.steps,
                         "tolerances": tolerances})
     return 0
-
-
-def _positions_by_level(strategy, tree):
-    """The position held over each step: row k of a (steps, J) array."""
-    held = np.zeros((tree.steps, tree.n_assets))
-    for level, position in zip(strategy.levels, strategy.positions):
-        held[level:] = position
-    return held
 
 
 def _verify(args) -> int:

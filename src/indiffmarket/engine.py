@@ -9,38 +9,30 @@ state.  The SDE engine discretizes dU = K(U, Q) dB by an Euler step
 whose kernel K comes from the martingale representation of F_v at the
 current saddle point.
 
-Both engines exist in a general tree-mode (any panel, non-recombining
-tree, states per node) and a fast path-mode restricted to one
-exponential maker, where the field separates as F(v, x, q) =
-v e^{-gamma x} Phi(q) and everything reduces to table lookups on a
-recombining lattice, which the path engines require (``_check_paths``);
-the fast mode carries thousands of Monte Carlo paths on fine grids.
-Every engine takes the ``FieldEvaluator`` of its (panel, tree) first,
-and both execute engines a ``SimpleStrategy``; the
-path engines read their Phi tables from its memoized point sweeps, so
-calls that share an evaluator sweep each position once, and the
+Both engines run on the general tree (any panel, non-recombining tree,
+states per node).  The SDE engine also has a path mode restricted to
+one exponential maker on a binomial lattice (``_check_paths``), where
+the field separates as F(v, x, q) = v e^{-gamma x} Phi(q) and the
+kernel is linear in u with a coefficient read from the Phi tables; it
+carries thousands of Monte Carlo paths on fine grids.  Every martingale
+increment on the lattice is a multiple of the Brownian step, so the
+Euler step is exact there, and a simple strategy runs exactly in path
+mode as ``simulate_sde_paths`` with the positions it holds
+(``SimpleStrategy.held``).
+
+Every engine takes the ``FieldEvaluator`` of its (panel, tree) first.
+The path engines read their Phi tables from its memoized point sweeps,
+so calls that share an evaluator sweep each position once, and the
 positions a call lacks are swept side by side in one backward pass
-(``_phi_tables``).  The path
-engines draw their paths in blocks, each block an (N, b) up-move mask
-of at most ``_PATH_BLOCK_BYTES`` (one byte a step and path), and run
-each block one step at a time through one row generator per engine
-(``_euler_rows``, ``_execute_rows``), which carries only the current
-step's row; ``_increments`` is the one formula that turns the mask into
-Brownian increments.  ``simulate_sde_paths`` and
-``execute_simple_paths`` store the increments and every row through
-``_stored_rows``, step-major (N+1, n_paths), and hand them out in a
-``PathBundle`` as transposed (n_paths, N+1) views;
-``simulate_sde_terminal`` derives each step's increments as the step is
-taken (``_db_rows``), streams each block's terminal values and hands
-each step's increments to a caller
-(``on_step``), so no (N, b) float array is made and its memory grows
-with the mask, not with the number of paths times 8 bytes a step.  At
-512 steps x 10k paths that is one block, where one (N, b) float array
-alone would be 41 MB.  One ``bachelier`` op of that size took about
-100 ms at best (2 cores, Python 3.11, numpy 2.4): 2 ms to build the
-lattice, 8 ms for the one Phi sweep of q and 0 (512 ``expect``
-calls), 2 ms for the Euler coefficients of all steps, 66 ms for the
-path run with its closed forms and 21 ms to write the CSV table.
+(``_phi_tables``).  They draw their paths in blocks, each block an
+(N, b) up-move mask of at most ``_PATH_BLOCK_BYTES`` (one byte a step
+and path), and run each block one step at a time through one Euler
+loop (``_euler_rows``), which turns the mask into Brownian increments
+as it takes each step.  ``simulate_sde_paths`` stores every step of every path,
+step-major, and hands them out in a ``PathBundle``;
+``simulate_sde_terminal`` keeps only each block's terminal values, so
+its memory grows with the mask, not with the number of paths times 8
+bytes a step.
 """
 
 from __future__ import annotations
@@ -65,7 +57,6 @@ __all__ = [
     "simulate_sde",
     "kernel_K",
     "state_from_U",
-    "execute_simple_paths",
     "simulate_sde_paths",
     "simulate_sde_terminal",
     "indifference_cash",
@@ -125,6 +116,16 @@ class SimpleStrategy:
             np.atleast_2d(pos) if pos.ndim else pos,
             (tree.n_nodes(lev), tree.n_assets)).copy()
 
+    def held(self, tree: ScenarioTree) -> np.ndarray:
+        """The position held over each step: row k of a (steps, J) array,
+        0 before the first trade.  Each position must be a scalar or a
+        (J,) vector; a per-node table is a ValueError."""
+        held = np.zeros((tree.steps, tree.n_assets))
+        for level, position in zip(self.levels, self.positions):
+            held[level:] = np.broadcast_to(np.asarray(position, dtype=float),
+                                           (tree.n_assets,))
+        return held
+
 
 @dataclass
 class Rebalance:
@@ -182,8 +183,9 @@ def execute_simple(evaluator: FieldEvaluator, strategy: SimpleStrategy,
     """
     panel, tree = evaluator.panel, evaluator.tree
     if not tree.implicit:
-        raise ValueError("execute_simple needs an implicit tree; "
-                         "use execute_simple_paths on lattices")
+        raise ValueError("execute_simple needs an implicit tree; on a "
+                         "lattice use simulate_sde_paths with "
+                         "SimpleStrategy.held")
     M, J, N = panel.size, tree.n_assets, tree.steps
     if strategy.levels[-1] >= N:
         raise ValueError("rebalance levels must precede maturity")
@@ -455,7 +457,7 @@ def _path_blocks(tree: ScenarioTree, n_paths: int, seed=None, signs=None):
     """Sampled up/down paths in blocks of at most ``_block_paths`` paths.
 
     Returns an iterator over (cols, up): the slice of path indices a
-    block covers and its up-move mask, (N, b) step-major; ``_db_rows``
+    block covers and its up-move mask, (N, b) step-major; ``_euler_rows``
     turns the mask into Brownian increments one step at a time.  The
     draws ``rng.random((n, N))`` of at most 32 paths each come from one
     generator, which continues a single stream, so a seed gives the
@@ -493,53 +495,6 @@ def _path_blocks(tree: ScenarioTree, n_paths: int, seed=None, signs=None):
     return blocks()
 
 
-def _increments(up, step: float, out):
-    """The Brownian increments of up-move mask ``up`` into ``out``:
-    +-step exactly, as 2 step up - step (2 step - step is exact)."""
-    np.multiply(up, 2.0 * step, out=out)
-    out -= step
-    return out
-
-
-def _db_rows(up, step: float, on_step=None):
-    """The Brownian increments of a path block, one step at a time.
-
-    Yields step k's increments (b,) for k = 0..N-1 from the up-move
-    mask ``up`` (``_increments``).  Every row is the same buffer,
-    overwritten by the next step.  ``on_step(k, db)``, if given, sees
-    each row before it is yielded.
-    """
-    db = np.empty(up.shape[1])
-    for k, up_k in enumerate(up):
-        _increments(up_k, step, db)
-        if on_step is not None:
-            on_step(k, db)
-        yield db
-
-
-def _stored_rows(tree: ScenarioTree, n_paths: int, seed, signs, rows,
-                 dtypes):
-    """Every row of a path engine's generator, for every path.
-
-    ``rows(up, db)`` is the generator on one block (``_euler_rows`` or
-    ``_execute_rows`` with its scheme bound) for the block's up-move
-    mask and its increments (N, b) (``_increments``, stored before the
-    block runs); it yields one row per entry of ``dtypes`` at steps
-    0..N.  Returns db (N, n_paths) and one (N+1, n_paths) array of each
-    dtype, all step-major and C-contiguous.
-    """
-    N = tree.steps
-    step = np.sqrt(tree.dt(0))
-    db = np.empty((N, n_paths))
-    store = [np.empty((N + 1, n_paths), dtype=t) for t in dtypes]
-    for cols, up in _path_blocks(tree, n_paths, seed, signs):
-        block_db = _increments(up, step, db[:, cols])
-        for k, row in enumerate(rows(up, block_db)):
-            for a, r in zip(store, row):
-                a[k, cols] = r
-    return db, store
-
-
 def _cash(phi_k, j, u, gamma: float):
     """Saddle cash log(Phi_k(j) / u) / gamma of indirect utility u at
     lattice node j of step k, for the Phi table row ``phi_k``."""
@@ -553,8 +508,8 @@ class PathBundle:
     ``j``, ``U``, ``X`` and ``V`` read as (n_paths, N+1) and ``db`` as
     (n_paths, N), one row per path; they are transposed views of
     step-major arrays, so ``bundle.U.T[k]`` (all paths at step k) is
-    contiguous.  ``exploded`` is (n_paths,).  ``simulate_sde_paths`` and
-    ``execute_simple_paths`` return one, storing every step of every
+    contiguous.  ``exploded`` is (n_paths,), the flags at maturity.
+    ``simulate_sde_paths`` returns one, storing every step of every
     path; ``simulate_sde_terminal`` runs the same Euler loop but hands
     out only terminal values, block by block.
     """
@@ -566,7 +521,7 @@ class PathBundle:
     X: np.ndarray
     V: np.ndarray
     exploded: np.ndarray
-    eps_explode: float = 0.0
+    eps_explode: float
 
 
 def _sde_scheme(evaluator: FieldEvaluator, q_levels, u0):
@@ -608,22 +563,30 @@ def _sde_scheme(evaluator: FieldEvaluator, q_levels, u0):
             tables[0.0])
 
 
-def _euler_rows(coeffs, u0: float, eps: float, up, dbs):
+def _euler_rows(coeffs, u0: float, eps: float, up, step: float,
+                on_step=None):
     """The Euler scheme of the path engines on one path block.
 
-    ``up`` is the block's up-move mask (N, b) and ``dbs`` its Brownian
-    increments, one row (b,) per step: ``_db_rows`` on the mask, or the
-    rows of its stored increments.  Yields (j, u, exploded) at steps
-    0..N: the node position, indirect utility and explosion flag of
-    every path of the block.  The three
-    rows are updated in place between yields, so a consumer that keeps
-    a row copies it.
+    ``up`` is the block's up-move mask (N, b).  Each step's Brownian
+    increments (b,), +-``step``, are derived from it as the step is
+    taken, into one buffer that the next step overwrites;
+    ``on_step(k, db)``, if given, sees step k's.  Yields (j, u,
+    exploded) at steps 0..N: the node position, indirect utility and
+    explosion flag of every path of the block.  The three rows are
+    updated in place between yields, so a consumer that keeps a row
+    copies it.
     """
     j = np.zeros(up.shape[1], dtype=int)
     u = np.full(up.shape[1], u0)
     exploded = np.zeros(up.shape[1], dtype=bool)
+    db = np.empty(up.shape[1])
     yield j, u, exploded
-    for coeff, up_k, db in zip(coeffs, up, dbs):
+    for k, (coeff, up_k) in enumerate(zip(coeffs, up)):
+        # +-step exactly, as 2 step up - step (2 step - step is exact)
+        np.multiply(up_k, 2.0 * step, out=db)
+        db -= step
+        if on_step is not None:
+            on_step(k, db)
         # u (1 + coeff db) in place; a flagged path keeps its frozen u
         u_next = coeff[j]
         u_next *= db
@@ -640,26 +603,48 @@ def simulate_sde_paths(evaluator: FieldEvaluator, q_levels, u0: float,
                        n_paths: int, seed=None, signs=None) -> PathBundle:
     """Euler scheme for dU = K(U, Q) dB along sampled lattice paths.
 
+    ``q_levels`` is the position held over each step, (N,) or a scalar.
     For one exponential maker the kernel is linear in u with a per-node
     coefficient read from the Phi tables, so all paths of a block
     advance in one vectorized update per step.  Every step of every
     path is stored; ``simulate_sde_terminal`` keeps the terminal values
-    only.
+    only.  X at step k is the cash under the position held into step k,
+    and at step 0 under the first step's position.
+
+    On the lattice every martingale increment is a multiple of the
+    Brownian step, so the Euler step is exact, and this is the exact
+    execution of a simple strategy: ``q_levels =
+    strategy.held(tree)[:, 0]`` with u0 the indirect utility before any
+    trade, ``evaluator.field(PrimalPoint(v=[1.0], x=0.0, q=[0.0])).dv[0]``.
+    U and V are then those of ``execute_simple`` on the tree of the same
+    payoffs, and so is X at steps 1..N; at step 0 X is the cash after
+    the trade at time 0, where ``execute_simple`` reports the cash
+    before it.
     """
     gamma, u0, eps, coeffs, phi_x, phi_v = _sde_scheme(evaluator, q_levels,
                                                        u0)
     tree = evaluator.tree
-    db, (j, U, exploded) = _stored_rows(
-        tree, n_paths, seed, signs,
-        lambda up, db: _euler_rows(coeffs, u0, eps, up, db),
-        (int, float, bool))
+    N = tree.steps
+    step = np.sqrt(tree.dt(0))
+    db = np.empty((N, n_paths))
+    j = np.empty((N + 1, n_paths), dtype=int)
+    U = np.empty((N + 1, n_paths))
+    exploded = np.empty(n_paths, dtype=bool)
+    for cols, up in _path_blocks(tree, n_paths, seed, signs):
+        # each step's increments are stored as the Euler step takes them
+        rows = _euler_rows(coeffs, u0, eps, up, step,
+                           db[:, cols].__setitem__)
+        for k, (j_k, u_k, exploded_k) in enumerate(rows):
+            j[k, cols] = j_k
+            U[k, cols] = u_k
+        exploded[cols] = exploded_k
     X = np.empty_like(U)
     V = np.empty_like(U)
-    for k in range(tree.steps + 1):
+    for k in range(N + 1):
         X[k] = _cash(phi_x[k], j[k], U[k], gamma)
         V[k] = -_cash(phi_v[k], j[k], U[k], gamma)
     return PathBundle(times=tree.times.copy(), j=j.T, db=db.T, U=U.T, X=X.T,
-                      V=V.T, exploded=exploded[-1], eps_explode=eps)
+                      V=V.T, exploded=exploded, eps_explode=eps)
 
 
 def simulate_sde_terminal(evaluator: FieldEvaluator, q_levels, u0: float,
@@ -684,63 +669,13 @@ def simulate_sde_terminal(evaluator: FieldEvaluator, q_levels, u0: float,
         for cols, up in _path_blocks(tree, n_paths, seed):
             seen = None if on_step is None else functools.partial(on_step,
                                                                   cols)
-            for j, u, exploded in _euler_rows(coeffs, u0, eps, up,
-                                              _db_rows(up, step, seen)):
+            for j, u, exploded in _euler_rows(coeffs, u0, eps, up, step,
+                                              seen):
                 pass  # run the block to maturity
             del up  # before the next block's mask is drawn
             yield u, -_cash(phi_v[-1], j, u, gamma), exploded
 
     return blocks()
-
-
-def _execute_rows(tables, gamma: float, trade: dict, up):
-    """Simple-strategy execution of ``execute_simple_paths`` on one path
-    block: yields (j, x, u) at steps 0..N, the node position, cash and
-    indirect utility of every path, before any trade at the step."""
-    j = np.zeros(up.shape[1], dtype=int)
-    xi = np.zeros(up.shape[1])
-    phi_gov = tables[0.0]
-    for k in range(up.shape[0] + 1):
-        yield j, xi, np.exp(-gamma * xi) * phi_gov[k][j]
-        if k in trade:
-            phi_new = tables[float(trade[k])]
-            xi = xi + (np.log(-phi_new[k][j])
-                       - np.log(-phi_gov[k][j])) / gamma
-            phi_gov = phi_new
-        if k < up.shape[0]:
-            j += up[k]
-
-
-def execute_simple_paths(evaluator: FieldEvaluator, strategy: SimpleStrategy,
-                         n_paths: int, seed=None, signs=None) -> PathBundle:
-    """Exact simple-strategy execution along sampled lattice paths.
-
-    With one exponential maker the indifference condition at each trade
-    is an explicit cash adjustment through the Phi tables, so the
-    path-dependent state never needs the lattice to be non-recombining.
-    Every position of ``strategy`` must be a scalar.
-    """
-    gamma = _check_paths(evaluator)
-    tree = evaluator.tree
-    if strategy.levels[-1] >= tree.steps:
-        raise ValueError("rebalance levels must precede maturity")
-    thetas = []
-    for lev, pos in zip(strategy.levels, strategy.positions):
-        if np.ndim(pos):
-            raise ValueError(f"position {pos!r} at level {lev} is not a "
-                             f"scalar, as the path engines need")
-        thetas.append(float(pos))
-    tables = _phi_tables(evaluator, thetas + [0.0])
-    trade = dict(zip(strategy.levels, thetas))
-    db, (j, X, U) = _stored_rows(
-        tree, n_paths, seed, signs,
-        lambda up, db: _execute_rows(tables, gamma, trade, up),
-        (int, float, float))
-    V = np.empty_like(U)
-    for k in range(tree.steps + 1):
-        V[k] = -_cash(tables[0.0][k], j[k], U[k], gamma)
-    return PathBundle(times=tree.times.copy(), j=j.T, db=db.T, U=U.T, X=X.T,
-                      V=V.T, exploded=np.zeros(n_paths, dtype=bool))
 
 
 def indifference_cash(evaluator: FieldEvaluator, q: float) -> float:

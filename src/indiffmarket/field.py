@@ -192,7 +192,8 @@ def increment_slope(tree: ScenarioTree, level: int, now, nxt):
     collapses to dt times the identity.  Returns the slope, shape
     (n, *S, d), and the increments dX, shape (n, nc, *S).
     """
-    dX = nxt[tree.child_idx[level]] - now[:, None]
+    children = tree.windows[level].children(tree.n_nodes(level))
+    dX = nxt[children] - now[:, None]
     p, db = tree.edge_p[level], tree.edge_db[level]
     flat = dX.reshape(dX.shape[:2] + (-1,))
     slope = np.einsum("ne,nem,nei->nmi", p, flat, db) / tree.dt(level)

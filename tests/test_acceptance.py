@@ -15,11 +15,12 @@ from indiffmarket.bachelier import BachelierParams
 from indiffmarket.engine import (
     SimpleStrategy,
     execute_simple,
-    execute_simple_paths,
     indifference_cash,
     no_arbitrage_gap,
+    simulate_sde_paths,
 )
 from indiffmarket.field import FieldEvaluator
+from indiffmarket.representative import PrimalPoint
 from indiffmarket.tree import binomial_lattice, binomial_tree
 from indiffmarket.utilities import exponential, panel, sum_of_exponentials
 from indiffmarket.verify import _bachelier_terminal, run_suite
@@ -96,15 +97,18 @@ def test_criterion_6_simple_approximation_convergence():
                                               psi=("0.5 + 0.4 * B",)))
     rng = np.random.default_rng(11)
     signs = rng.integers(0, 2, size=(256, steps)) * 2 - 1
+    u0 = ev.field(PrimalPoint(v=[1.0], x=0.0, q=[0.0])).dv[0]
 
     def cash_paths(n_dates):
+        # the exact execution of the simple strategy: the Euler scheme on
+        # its held positions; the cash after each step's trades
         stride = steps // n_dates
         levels = tuple(range(0, steps, stride))
         thetas = tuple(
             float(np.sin(2 * np.pi * (l + stride / 2) / steps))
             for l in levels)
-        return execute_simple_paths(ev, SimpleStrategy(levels, thetas), 256,
-                                    signs=signs).X
+        held = SimpleStrategy(levels, thetas).held(ev.tree)[:, 0]
+        return simulate_sde_paths(ev, held, u0, 256, signs=signs).X[:, 1:]
 
     ref = cash_paths(64)
     errs = [float(np.max(np.abs(cash_paths(n) - ref))) for n in (2, 4, 8, 16)]

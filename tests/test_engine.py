@@ -9,7 +9,6 @@ from indiffmarket.conjugate import saddle_batch
 from indiffmarket.engine import (
     SimpleStrategy,
     execute_simple,
-    execute_simple_paths,
     indifference_cash,
     kernel_K,
     no_arbitrage_gap,
@@ -146,6 +145,29 @@ def test_kernel_solves_its_node_alone_and_matches_the_level(dim, steps,
         monkeypatch.undo()
 
 
+@pytest.mark.parametrize("node", [(3, 2), (0, 0)])
+def test_kernel_builds_only_its_levels_children(node, monkeypatch):
+    # the fit reads the children of the node's own level, one
+    # RowWindows.children call once the full tree's indices exist (the
+    # saddle seed reads them); building every level of the node's
+    # subtree would take 7 calls at (3, 2) and 10 at (0, 0)
+    from indiffmarket.tree import RowWindows
+
+    t = binomial_tree(10, 1.0, sigma0="0.3 + 0.2 * B",
+                      psi=("1.0 + 0.5 * B",))
+    t.child_idx
+    calls = []
+    children = RowWindows.children
+
+    def counted_children(self, *args):
+        calls.append(args)
+        return children(self, *args)
+
+    monkeypatch.setattr(RowWindows, "children", counted_children)
+    kernel_K(FieldEvaluator(MIXED, t), [-0.7, -1.1], [0.3], node)
+    assert calls == [(1,)]
+
+
 def test_sde_zero_position_is_exact_martingale():
     ev = make_evaluator()
     a0 = PrimalPoint(v=[0.5, 0.5], x=0.0, q=[0.0])
@@ -225,9 +247,30 @@ def test_explosion_detection():
         assert np.all(u[hit:] == u[hit])
 
 
+def _held_paths(ev, strategy, n_paths, **draw):
+    """A simple strategy executed along lattice paths:
+    ``simulate_sde_paths`` with the positions it holds, from the
+    indirect utility before any trade."""
+    u0 = ev.field(PrimalPoint(v=[1.0], x=0.0, q=[0.0])).dv[0]
+    return simulate_sde_paths(ev, strategy.held(ev.tree)[:, 0], u0, n_paths,
+                              **draw)
+
+
+def test_held_positions_step_at_each_trade():
+    # 0 before the first trade, then each position until the next trade
+    tree = binomial_tree(5, 1.0, psi=("B", "1.0"))
+    held = SimpleStrategy((1, 3), ([0.5, -1.0], 2.0)).held(tree)
+    assert held.shape == (5, 2)
+    assert np.array_equal(held, [[0.0, 0.0], [0.5, -1.0], [0.5, -1.0],
+                                 [2.0, 2.0], [2.0, 2.0]])
+    with pytest.raises(ValueError):
+        SimpleStrategy((0, 2), (0.3, np.ones((4, 2)))).held(tree)
+
+
 def test_path_engines_match_tree_engine_on_lattice():
     # along the all-up path the lattice fast lane and the generic tree
-    # engine walk through identical states
+    # engine walk through identical states; at step 0 the path engine
+    # holds the cash after the first trade, the tree engine before it
     steps = 4
     lat = binomial_lattice(steps, 1.0, sigma0="0.1 * B", psi=("1.0 + 0.5 * B",))
     tr = binomial_tree(steps, 1.0, sigma0="0.1 * B", psi=("1.0 + 0.5 * B",))
@@ -235,12 +278,12 @@ def test_path_engines_match_tree_engine_on_lattice():
     levels, thetas = (0, 2), (0.7, -0.2)
     res = execute_simple(ev, SimpleStrategy(levels=levels, positions=thetas))
     signs = np.ones((1, steps), dtype=int)
-    bundle = execute_simple_paths(FieldEvaluator(EXP1, lat),
-                                  SimpleStrategy(levels, thetas), 1,
-                                  signs=signs)
+    bundle = _held_paths(FieldEvaluator(EXP1, lat),
+                         SimpleStrategy(levels, thetas), 1, signs=signs)
     for k in range(steps + 1):
         assert bundle.U[0, k] == pytest.approx(float(res.U[k][0, 0]), rel=1e-12)
-        assert bundle.X[0, k] == pytest.approx(float(res.X[k][0]), abs=1e-11)
+        x_tree = float(res.X[max(k, 1)][0])
+        assert bundle.X[0, k] == pytest.approx(x_tree, abs=1e-11)
 
 
 def test_path_engines_share_the_evaluator_sweeps(monkeypatch):
@@ -258,7 +301,8 @@ def test_path_engines_share_the_evaluator_sweeps(monkeypatch):
     ev = FieldEvaluator(EXP1, binomial_lattice(16, 1.0))
     simulate_sde_paths(ev, 0.8, -1.0, 10, seed=1)
     indifference_cash(ev, 0.8)
-    execute_simple_paths(ev, SimpleStrategy((0, 5), (0.8, 0.0)), 10, seed=1)
+    held = SimpleStrategy((0, 5), (0.8, 0.0)).held(ev.tree)
+    simulate_sde_paths(ev, held[:, 0], -1.0, 10, seed=1)
     assert calls == [(17, 2)]
 
 
@@ -501,6 +545,10 @@ def test_sde_paths_match_column_loop(steps, pattern, u0, n_paths, seed):
 
 
 def test_execute_paths_match_column_loop():
+    # the Euler step on held positions is the exact execution: measured
+    # gaps 1.3e-15 of max(1, |value|) in U, V and X; X at step 0 is the
+    # cash after the first trade, where the execute loop holds the cash
+    # before it
     from indiffmarket.engine import _phi_tables
 
     steps, n_paths = 24, 200
@@ -508,8 +556,7 @@ def test_execute_paths_match_column_loop():
                            psi=("1.0 + 0.5 * B",))
     levels, thetas = (0, 7, 15), (0.7, -0.3, 1.2)
     ev = FieldEvaluator(EXP1, lat)
-    bundle = execute_simple_paths(ev, SimpleStrategy(levels, thetas), n_paths,
-                                  seed=9)
+    bundle = _held_paths(ev, SimpleStrategy(levels, thetas), n_paths, seed=9)
     _check_bundle_layout(bundle, n_paths, steps)
     assert not bundle.exploded.any()
     j, db = _column_sampler(lat, n_paths, seed=9)
@@ -517,17 +564,17 @@ def test_execute_paths_match_column_loop():
     assert_same_bits(bundle.db, db, exact=True)
     tables = _phi_tables(ev, list(thetas) + [0.0])
     U, X, V = _column_execute_paths(tables, 1.0, levels, thetas, j)
-    assert_same_bits(bundle.U, U, exact=True)
-    assert_same_bits(bundle.X, X, exact=True)
-    assert_same_bits(bundle.V, V, exact=True)
+    for got, want in ((bundle.U, U), (bundle.V, V),
+                      (bundle.X[:, 1:], X[:, 1:]), (bundle.X[:, 0], X[:, 1])):
+        assert np.max(np.abs(got - want) / np.maximum(np.abs(want), 1.0)) \
+            < 1e-14
 
 
 def test_sampler_reuses_signs_exactly():
     lat = binomial_lattice(40, 2.0)
     signs = np.random.default_rng(5).integers(0, 2, size=(37, 40)) * 2 - 1
-    bundle = execute_simple_paths(FieldEvaluator(EXP1, lat),
-                                  SimpleStrategy((0,), (0.5,)), 37,
-                                  signs=signs)
+    bundle = simulate_sde_paths(FieldEvaluator(EXP1, lat), 0.5, -1.0, 37,
+                                signs=signs)
     j, db = bundle.j, bundle.db
     j_ref, db_ref = _column_sampler(lat, 37, signs=signs)
     assert np.array_equal(j, j_ref) and j.shape == (37, 41)
@@ -541,9 +588,6 @@ def test_sampler_rejects_signs_other_than_plus_minus_one(bad):
     signs = np.ones((3, 5))
     signs[1, 2] = bad
     with pytest.raises(ValueError, match=r"\+1 or -1"):
-        execute_simple_paths(FieldEvaluator(EXP1, lat),
-                             SimpleStrategy((0,), (0.5,)), 3, signs=signs)
-    with pytest.raises(ValueError, match=r"\+1 or -1"):
         simulate_sde_paths(FieldEvaluator(EXP1, lat), 0.5, -1.0, 3,
                            signs=signs)
 
@@ -554,19 +598,6 @@ def test_sampler_rejects_signs_of_wrong_shape(shape):
     with pytest.raises(ValueError, match=r"shape \(3, 5\)"):
         simulate_sde_paths(FieldEvaluator(EXP1, lat), 0.5, -1.0, 3,
                            signs=np.ones(shape))
-    with pytest.raises(ValueError, match=r"shape \(3, 5\)"):
-        execute_simple_paths(FieldEvaluator(EXP1, lat),
-                             SimpleStrategy((0,), (0.5,)), 3,
-                             signs=np.ones(shape))
-
-
-@pytest.mark.parametrize("position", [[0.5], [[0.5]], np.array([0.5, 0.1])])
-def test_execute_paths_reject_a_position_that_is_not_a_scalar(position):
-    ev = FieldEvaluator(EXP1, binomial_lattice(5, 1.0))
-    with pytest.raises(ValueError, match=r"position .* at level 2 is not a "
-                                         r"scalar"):
-        execute_simple_paths(ev, SimpleStrategy((0, 2), (0.3, position)), 3,
-                             seed=1)
 
 
 def test_path_engines_reject_a_tree_that_is_not_the_lattice():
@@ -576,8 +607,6 @@ def test_path_engines_reject_a_tree_that_is_not_the_lattice():
                          psi=("1.0 + 0.5 * B",))
     ev = FieldEvaluator(EXP1, tree)
     runs = [
-        lambda: execute_simple_paths(ev, SimpleStrategy((0, 3), (0.5, -0.2)),
-                                     4, seed=1),
         lambda: simulate_sde_paths(ev, 0.3, -1.0, 4, seed=1),
         lambda: simulate_sde_terminal(ev, 0.3, -1.0, 4, seed=1),
     ]
@@ -588,8 +617,8 @@ def test_path_engines_reject_a_tree_that_is_not_the_lattice():
     # needs no lattice
     lat = binomial_lattice(6, 1.0, sigma0="0.3 + 0.2 * B",
                            psi=("1.0 + 0.5 * B",))
-    res = execute_simple_paths(FieldEvaluator(EXP1, lat),
-                               SimpleStrategy((0, 3), (0.5, -0.2)), 4, seed=1)
+    res = _held_paths(FieldEvaluator(EXP1, lat),
+                      SimpleStrategy((0, 3), (0.5, -0.2)), 4, seed=1)
     assert np.all(np.isfinite(res.V[:, -1]))
     assert np.isfinite(indifference_cash(ev, 0.5))
 
@@ -639,22 +668,35 @@ def test_sde_paths_reproduce_tree_engine_on_every_path(q, u_tol):
         assert np.max(np.abs(pb.X[:, k] - x_in[nodes[k]])) < 1e-9
 
 
+def _execution_gaps(res, pb, nodes):
+    """Worst U (relative), X and V_T (absolute) gaps between a tree
+    execution and its paths, over every path and level."""
+    gaps = np.zeros(3)
+    for k, at in enumerate(nodes):
+        gaps[0] = max(gaps[0], np.max(np.abs(pb.U[:, k] / res.U[k][at, 0]
+                                             - 1.0)))
+        gaps[1] = max(gaps[1], np.max(np.abs(pb.X[:, k] - res.X[k][at])))
+    gaps[2] = np.max(np.abs(pb.V[:, -1] - res.v_terminal))
+    return gaps
+
+
 def test_execute_paths_reproduce_tree_engine_on_every_path():
-    # measured: U relative, X and V_T absolute gaps 1.4e-13
+    # measured: U relative, X and V_T absolute gaps 1.4e-13; positions
+    # held one step early (the negative control) read U 0.23, X 15.6 and
+    # V_T 0.24
     steps = 8
     levels, thetas = (1, 3, 6), (0.7, -0.3, 1.2)
     tree_ev = FieldEvaluator(BACH.panel(), BACH.tree(steps))
     signs, nodes = _all_paths(steps)
     res = execute_simple(tree_ev, SimpleStrategy(levels=levels,
                                                  positions=thetas))
-    pb = execute_simple_paths(
-        FieldEvaluator(BACH.panel(), BACH.lattice(steps)),
-        SimpleStrategy(levels, thetas), 2 ** steps, signs=signs)
-    for k in range(steps + 1):
-        u = res.U[k][nodes[k], 0]
-        assert np.max(np.abs(pb.U[:, k] / u - 1.0)) < 1e-12
-        assert np.max(np.abs(pb.X[:, k] - res.X[k][nodes[k]])) < 1e-12
-    assert np.max(np.abs(pb.V[:, -1] - res.v_terminal)) < 1e-12
+    ev = FieldEvaluator(BACH.panel(), BACH.lattice(steps))
+    pb = _held_paths(ev, SimpleStrategy(levels, thetas), 2 ** steps,
+                     signs=signs)
+    assert np.all(_execution_gaps(res, pb, nodes) < 1e-12)
+    early = SimpleStrategy([lev - 1 for lev in levels], thetas)
+    pb = _held_paths(ev, early, 2 ** steps, signs=signs)
+    assert np.all(_execution_gaps(res, pb, nodes) > 0.1)
 
 
 # -- path blocks: the same draws and bits whatever the block size ---------
@@ -751,6 +793,8 @@ def test_streamed_bachelier_memory_has_no_float_block(monkeypatch):
 
 
 def test_execute_and_sampler_blocks_give_the_same_bits(monkeypatch):
+    # a simple strategy's held positions, drawn from a seed and from
+    # given signs
     from indiffmarket import engine
 
     steps, n_paths = 24, 200
@@ -760,17 +804,14 @@ def test_execute_and_sampler_blocks_give_the_same_bits(monkeypatch):
     strategy = SimpleStrategy((0, 7, 15), (0.7, -0.3, 1.2))
     signs = np.random.default_rng(2).integers(0, 2, size=(n_paths, steps))
     signs = signs * 2 - 1
-    ref = execute_simple_paths(ev, strategy, n_paths, seed=9)
-    ref_signs = execute_simple_paths(ev, strategy, n_paths, signs=signs)
+    draws = ({"seed": 9}, {"signs": signs})
+    refs = [_held_paths(ev, strategy, n_paths, **draw) for draw in draws]
     for block in (1, 7, 1024, n_paths):
         monkeypatch.setattr(engine, "_PATH_BLOCK_BYTES", block * steps)
-        pb = execute_simple_paths(ev, strategy, n_paths, seed=9)
-        assert np.array_equal(pb.j, ref.j)
-        for got, want in ((pb.db, ref.db), (pb.U, ref.U), (pb.X, ref.X),
-                          (pb.V, ref.V)):
-            assert_same_bits(got, want, exact=True)
-        pb = execute_simple_paths(ev, strategy, n_paths, signs=signs)
-        assert np.array_equal(pb.j, ref_signs.j)
-        for got, want in ((pb.db, ref_signs.db), (pb.U, ref_signs.U),
-                          (pb.X, ref_signs.X), (pb.V, ref_signs.V)):
-            assert_same_bits(got, want, exact=True)
+        for draw, ref in zip(draws, refs):
+            pb = _held_paths(ev, strategy, n_paths, **draw)
+            assert np.array_equal(pb.j, ref.j)
+            for got, want in ((pb.db, ref.db), (pb.U, ref.U), (pb.X, ref.X),
+                              (pb.V, ref.V)):
+                assert_same_bits(got, want, exact=True)
+            assert np.array_equal(pb.exploded, ref.exploded)
