@@ -32,6 +32,7 @@ from .utilities import InverseValueError, exponential, panel as make_panel
 from .verify import SUITE_NAMES, _bachelier_terminal, run_suite
 
 _CSV_VERSION = "v1"
+_BOOL_CELLS = np.array(["0", "1"], dtype=object)
 
 
 def _cells(column, n: int) -> list:
@@ -39,14 +40,16 @@ def _cells(column, n: int) -> list:
 
     A float column formats each distinct value once, keyed by its bits
     (so -0.0 and every NaN payload stay apart), with ``%.17g``, and a
-    non-finite value as an empty cell; integer and boolean columns print
-    as ``str`` of int64, string columns as they are, and a None column
-    as empty cells.
+    non-finite value as an empty cell; boolean columns print as "0" and
+    "1", read from a two-entry table, integer columns as ``str`` of
+    int64, string columns as they are, and a None column as empty cells.
     """
     if column is None:
         return [""] * n
     column = np.asarray(column)
-    if column.dtype.kind in "biu":
+    if column.dtype.kind == "b":
+        return _BOOL_CELLS[column.view(np.uint8)].tolist()
+    if column.dtype.kind in "iu":
         return list(map(str, column.astype(np.int64).tolist()))
     if column.dtype.kind != "f":
         return list(map(str, column.tolist()))

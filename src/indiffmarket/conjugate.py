@@ -15,6 +15,15 @@ repeats.  Problems that miss their tolerance restart from jittered
 iterates, drawn from one generator seeded 0, which a solve makes only
 when its first restart runs.
 
+A level's solve is a generator (``_solve``) that yields each sweep it
+needs and is sent the result; one driver (``_drive``) runs one solve
+(``saddle_batch``) or one per level (``saddle_levels``) side by side,
+as many at once as sweep fewer than ``_RUNNING_ROWS`` leaf rows.  Each
+round it allocates the leaf splits of every running solve's next sweep
+in one ``allocate`` call with a row group per solve, each group with
+its own stopping test, so every solve keeps the bits it has alone while
+the levels of a tree share their calls.
+
 Sensitivities of the two fields are linked through the matrices A, C, D
 on the primal side and B, E, Hg on the dual side; ``conjugacy_residuals``
 evaluates all the cross identities that the verification suite and the
@@ -27,14 +36,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import FieldEvaluator, distinct_rows
-from .representative import PrimalPoint
+from .field import FieldEvaluator, allocate_together, distinct_rows
+from .representative import AllocationError, PrimalPoint
 
 __all__ = [
     "DualPoint",
     "SaddleResult",
     "SaddleError",
     "saddle_batch",
+    "saddle_levels",
     "conjugate_G",
     "dual_point",
     "state_identities",
@@ -47,6 +57,16 @@ _TOL_SCALE = 1e-10
 _MAX_ITER = 80
 _MAX_HALVINGS = 25
 _RESTARTS = 8
+
+# ``_drive`` starts another solve only while the running ones sweep
+# fewer leaf rows than this, the leaves of a 13-step d=1 tree.  Each
+# running solve keeps its forests and their split memos, and a round's
+# ``allocate`` holds some 300 bytes a row at once.  The V phase of a
+# 13-step sde run sweeps some 15k forest rows over all levels; solved
+# all at once, 24 simulate runs of the benchmark's mix in one process
+# peaked at 57.5 MB resident, against 54.7 MB under this bound and
+# 54.2 MB solving one level after another (Python 3.11, numpy 2.4).
+_RUNNING_ROWS = 8192
 
 
 @dataclass(frozen=True)
@@ -134,13 +154,114 @@ def saddle_batch(evaluator: FieldEvaluator, level: int, u, q,
     and start cash, are solved once and share the result; a one-node
     solve sweeps that node's subtree alone.  Each Newton iteration is one
     backward sweep of the subtrees of one node per distinct problem
-    (``FieldEvaluator.sweep_nodes``, see ``_newton``); a backtracking
-    line search on the residual norm keeps the iteration inside the
-    domain.  A restart jitters only the problems above tolerance, and
-    each problem keeps the best of its own solves.  Returns (w, x, resid,
-    iters), one row per node solved, with iters the Newton iterations of
-    the first solve and every restart.
+    (see ``_newton``); a backtracking line search on the residual norm
+    keeps the iteration inside the domain.  A restart jitters only the
+    problems above tolerance, and each problem keeps the best of its own
+    solves.  Returns (w, x, resid, iters), one row per node solved, with
+    iters the Newton iterations of the first solve and every restart.
     """
+    return _drive([_solve(evaluator, level, u, q, w0, x0, tol_scale,
+                          nodes)])[0]
+
+
+def saddle_levels(evaluator: FieldEvaluator, u, q, w0=None, x0=None,
+                  tol_scale: float = _TOL_SCALE) -> list:
+    """``saddle_batch`` at every node of levels 0, 1, ..., len(u) - 1,
+    all levels solved side by side.
+
+    ``u``, ``q`` and, when given, ``w0`` and ``x0`` are lists with an
+    entry per level, as ``saddle_batch`` takes them (a None entry of
+    ``w0`` or ``x0`` starts that level from ``_seed``).  Levels start in
+    order while the running ones sweep fewer than ``_RUNNING_ROWS`` leaf
+    rows.  Each round, every running level takes its next sweep, and the
+    leaf splits of all of them come from one ``allocate`` call with a
+    row group per level (``field.allocate_together``), so each level
+    keeps the bits of its own ``saddle_batch`` and there are fewer
+    calls.  Returns a list of
+    (w, x, resid, iters), one per level; a failure raises the error of
+    the first failing level, as solving the levels one after another
+    would.
+    """
+    n = len(u)
+    w0 = [None] * n if w0 is None else w0
+    x0 = [None] * n if x0 is None else x0
+    return _drive([_solve(evaluator, k, u[k], q[k], w0[k], x0[k],
+                          tol_scale, None) for k in range(n)])
+
+
+def _drive(solves) -> list:
+    """Run saddle solves side by side and return their results in order.
+
+    Each solve is a generator (``_solve``, or a ``_newton`` run) that
+    yields the sweeps it needs, as (forest, v, x, q, order, names) of a
+    ``FieldEvaluator._sweep_roots`` call, and is sent each sweep back.
+    Solves start in order, while the running ones sweep fewer than
+    ``_RUNNING_ROWS`` leaf rows.  Each round takes one request from
+    every running solve, in order, allocates their leaf splits together
+    (``field.allocate_together``) and then sweeps them one at a time.
+    When the grouped ``allocate`` fails, each sweep allocates its own
+    split, so an error and its message are those of the failing solve's
+    own sweep.  A failed solve stops, and so does every solve after it;
+    once all have stopped, the error of the first that failed is
+    raised.
+    """
+    results = [None] * len(solves)
+    asked = {}
+    failed = [len(solves), None]  # first failing solve and its error
+    waiting = list(range(len(solves)))[::-1]
+
+    def fail(i, exc):
+        if i < failed[0]:
+            failed[:] = [i, exc]
+            for j in [j for j in asked if j > i]:
+                del asked[j]
+
+    def send(i, value):
+        try:
+            asked[i] = solves[i].send(value)
+        except StopIteration as stop:
+            results[i] = stop.value
+        except Exception as exc:  # raised below, once earlier solves end
+            fail(i, exc)
+
+    def start():
+        rows = sum(r[0].tree.n_leaves for r in asked.values())
+        while waiting and waiting[-1] < failed[0] and rows < _RUNNING_ROWS:
+            i = waiting.pop()
+            send(i, None)
+            if i in asked:
+                rows += asked[i][0].tree.n_leaves
+
+    start()
+    while asked:
+        order = sorted(asked)
+        requests = [asked.pop(i) for i in order]
+        if len(requests) > 1:
+            try:
+                allocate_together([r[:4] for r in requests])
+            except AllocationError:
+                pass  # each sweep below allocates its own split
+        for i, (forest, *request) in zip(order, requests):
+            if i >= failed[0]:
+                break
+            try:
+                # ``send`` keeps every error of the solve to itself
+                send(i, forest._sweep_roots(*request))
+            except AllocationError as exc:
+                fail(i, exc)
+        if waiting:
+            start()
+    if failed[1] is not None:
+        raise failed[1]
+    return results
+
+
+def _solve(evaluator, level, u, q, w0, x0, tol_scale, nodes):
+    """``saddle_batch`` as a generator for ``_drive``; returns its
+    (w, x, resid, iters).  Each distinct problem set keeps the forest
+    it is swept on (``FieldEvaluator._forest``) for the whole solve, so
+    solves of other levels run between its sweeps leave its forests and
+    their split memos alone."""
     panel, tree = evaluator.panel, evaluator.tree
     n_level, M = tree.n_nodes(level), panel.size
     nodes = (np.arange(n_level) if nodes is None
@@ -169,7 +290,15 @@ def saddle_batch(evaluator: FieldEvaluator, level: int, u, q,
         first, row_of = distinct_rows(np.column_stack([cls, u, q, s, x]))
         nodes = nodes[first]
         u, q, s, x, tol = u[first], q[first], s[first], x[first], tol[first]
-    w, x, resid, iters = _newton(evaluator, level, nodes, u, q, s, x, tol)
+    forests = {}
+
+    def forest(at):
+        key = at.tobytes()
+        if key not in forests:
+            forests[key] = evaluator._forest(level, at)[0]
+        return forests[key]
+
+    w, x, resid, iters = yield from _newton(forest(nodes), u, q, s, x, tol)
     rng = None
     for _ in range(_RESTARTS):
         bad = np.flatnonzero(resid > tol)
@@ -182,8 +311,8 @@ def saddle_batch(evaluator: FieldEvaluator, level: int, u, q,
         s = np.log(w[bad, :-1]) - np.log(w[bad, -1:])
         if M > 1:
             s = s + 0.3 * rng.standard_normal((bad.size, M - 1))
-        w_r, x_r, resid_r, iters_r = _newton(
-            evaluator, level, nodes[bad], u[bad], q[bad], s,
+        w_r, x_r, resid_r, iters_r = yield from _newton(
+            forest(nodes[bad]), u[bad], q[bad], s,
             x[bad] + 0.1 * rng.standard_normal(bad.size), tol[bad])
         iters += iters_r
         better = resid_r < resid[bad]
@@ -202,9 +331,17 @@ def saddle_batch(evaluator: FieldEvaluator, level: int, u, q,
 _NEWTON_SWEEP = ("dv", "dvv", "dvx")
 
 
-def _newton(evaluator, level, nodes, u, q, s, x, tol):
-    """Damped Newton on one problem per row, at the nodes ``nodes`` of
-    ``level``.
+def _roots(sweep):
+    """The swept components at the roots (level 0), in sweep order:
+    views of the level-0 block alone, so a solve that keeps them between
+    its sweeps keeps none of the deeper levels."""
+    return [sweep.at(name, 0) for name in sweep.names]
+
+
+def _newton(forest, u, q, s, x, tol):
+    """Damped Newton on one problem per row, one per root of the forest
+    ``forest``, as a generator for ``_drive``: it yields each sweep it
+    needs and returns (w, x, resid_norm, iters).
 
     Every iteration and line-search trial sweeps all the problems, those
     within tolerance too: ``allocate`` stops on one test over all the
@@ -227,20 +364,18 @@ def _newton(evaluator, level, nodes, u, q, s, x, tol):
     resid_norm = np.full(n, np.inf)
     w = _softmax(s)
     iters = 0
-    sweep = None
+    roots = None
     # dw_i/ds_j = w_i (delta_ij - w_j), j over the first M-1 weights
     eye = np.eye(M)[:, :-1]
     for it in range(_MAX_ITER):
         iters = it + 1
-        if sweep is None:
-            sweep = evaluator.sweep_nodes(level, nodes, w, x, q, order=2,
-                                          names=_NEWTON_SWEEP)
-        R = sweep.at("dv", 0) - u
+        if roots is None:
+            roots = _roots((yield forest, w, x, q, 2, _NEWTON_SWEEP))
+        dv, dvv, dvx = roots
+        R = dv - u
         resid_norm = np.abs(R).max(axis=1)
         if (resid_norm <= tol).all():
             break
-        dvv = sweep.at("dvv", 0)
-        dvx = sweep.at("dvx", 0)
         dws = w[:, :, None] * (eye[None] - w[:, None, :-1])
         J = np.concatenate([dvv @ dws, dvx[:, :, None]], axis=2)
         try:
@@ -254,17 +389,17 @@ def _newton(evaluator, level, nodes, u, q, s, x, tol):
         alpha = np.ones(n)
         active = resid_norm > tol
         full = bool(active.all())
-        sweep = w = None
+        roots = w = None
         cand_s, cand_x = s.copy(), x.copy()
         for h in range(_MAX_HALVINGS):
             trial_s = s + alpha[:, None] * dz[:, :-1]
             trial_x = x + alpha * dz[:, -1]
             trial_w = _softmax(trial_s)
             reuse = full and h == 0
-            sweep_t = evaluator.sweep_nodes(
-                level, nodes, trial_w, trial_x, q, order=2 if reuse else 1,
-                names=_NEWTON_SWEEP if reuse else ("dv",))
-            trial_norm = np.abs(sweep_t.at("dv", 0) - u).max(axis=1)
+            trial_roots = _roots((yield (forest, trial_w, trial_x, q,
+                                     2 if reuse else 1,
+                                     _NEWTON_SWEEP if reuse else ("dv",))))
+            trial_norm = np.abs(trial_roots[0] - u).max(axis=1)
             better = active & (trial_norm < resid_norm)
             cand_s[better] = trial_s[better]
             cand_x[better] = trial_x[better]
@@ -276,7 +411,7 @@ def _newton(evaluator, level, nodes, u, q, s, x, tol):
                     # for the full step, its sweep
                     w = trial_w
                     if reuse:
-                        sweep = sweep_t
+                        roots = trial_roots
                 break
             alpha[active] *= 0.5
         s, x = cand_s, cand_x

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .conjugate import saddle_batch
+from .conjugate import saddle_batch, saddle_levels
 from .field import FieldEvaluator
 from .representative import PrimalPoint, representative_utility
 from .tree import _LATTICE_STEP, ScenarioTree
@@ -179,7 +179,9 @@ def execute_simple(evaluator: FieldEvaluator, strategy: SimpleStrategy,
     Each trade solves the indifference condition: the new state keeps
     F_v at the trade node equal to its pre-trade value.  States between
     trades are pushed to later levels by ancestry, so the tree must use
-    implicit indexing.
+    implicit indexing.  With ``want_interior_V``, V at every level is
+    minus the saddle cash of G(U, 1, 0), started from the level's
+    weights and cash 0, all levels solved together (``saddle_levels``).
     """
     panel, tree = evaluator.panel, evaluator.tree
     if not tree.implicit:
@@ -233,12 +235,9 @@ def execute_simple(evaluator: FieldEvaluator, strategy: SimpleStrategy,
     v_term = -(x_a[anc_leaf] + (q_a[anc_leaf] * tree.psi).sum(axis=1))
     V = [None] * (N + 1)
     if want_interior_V:
-        for k in range(N + 1):
-            w0 = W[k] if k else lam0[None, :]
-            wv, xv, _, _ = saddle_batch(evaluator, k, U[k],
-                                        np.zeros((tree.n_nodes(k), J)),
-                                        w0=w0, x0=np.zeros(tree.n_nodes(k)))
-            V[k] = -xv
+        solved = saddle_levels(evaluator, U, [np.zeros(J)] * (N + 1),
+                               w0=[lam0] + W[1:], x0=[0.0] * (N + 1))
+        V = [-xv for _, xv, _, _ in solved]
     return ExecutionResult(tree=tree, lam0=lam0, U=U, W=W, X=X, Q=Q, V=V,
                            v_terminal=v_term, rebalances=rebalances)
 
@@ -312,6 +311,10 @@ def simulate_sde(evaluator: FieldEvaluator, q_levels, u0,
     result's Q holds them per node and the last one again at the leaves.
     Nodes whose U leaves the negative orthant by less than eps are
     flagged as exploded and frozen; their descendants inherit the flag.
+    With ``want_states``, the saddle at the leaves gives W and X there,
+    and V at every level is minus the saddle cash of G(U, 1, 0), started
+    from the level's W where no node exploded, all levels solved
+    together (``saddle_levels``) after the leaves.
     """
     panel, tree = evaluator.panel, evaluator.tree
     if not tree.implicit:
@@ -362,13 +365,14 @@ def simulate_sde(evaluator: FieldEvaluator, q_levels, u0,
                                   w0=w_prev, x0=x_prev)
         W[N] = np.where(ok[:, None], w, np.nan)
         X[N] = np.where(ok, x, np.nan)
-        for k in range(N + 1):
-            ok = ~exploded[k]
-            u_solve = np.where(ok[:, None], U[k], -1.0)
-            wv, xv, _, _ = saddle_batch(
-                evaluator, k, u_solve, np.zeros((tree.n_nodes(k), J)),
-                w0=W[k] if ok.all() else None)
-            V[k] = np.where(ok, -xv, np.nan)
+        oks = [~e for e in exploded]
+        solved = saddle_levels(
+            evaluator, [np.where(ok[:, None], u, -1.0)
+                        for ok, u in zip(oks, U)],
+            [np.zeros(J)] * (N + 1),
+            w0=[w if ok.all() else None for ok, w in zip(oks, W)])
+        V = [np.where(ok, -xv, np.nan)
+             for ok, (_, xv, _, _) in zip(oks, solved)]
     return SdeResult(tree=tree, U=U, W=W, X=X, V=V, Q=Q,
                      exploded=exploded, eps_explode=eps)
 

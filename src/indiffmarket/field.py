@@ -40,7 +40,9 @@ problems.
 
 Filling the leaves costs one ``allocate`` per sweep, except that each
 evaluator keeps its last leaf state and split, which a sweep of the
-same state again reuses bit for bit (``_allocate``), and then one
+same state again reuses bit for bit (``_allocate``); sweeps of several
+forests can have their splits made in one call beforehand, a row group
+each (``allocate_together``), which keeps each split's bits.  Then one
 evaluation of each maker's terms, which gives its utility and, at
 order 2, its risk tolerance together (``UtilitySpec.value``).  Each
 component is computed into its columns of the leaf block, whose
@@ -70,6 +72,7 @@ __all__ = ["FieldEvaluator", "FieldValue", "Sweep", "distinct_rows",
 
 _FIRST = ("value", "dv", "dx", "dq")
 _SECOND = ("dvv", "dvx", "dvq", "dxx", "dxq", "dqq")
+
 
 
 def _component(block, cols, shape):
@@ -233,16 +236,32 @@ class FieldEvaluator:
         that last trial (a full step's trial sweep is reused whole, see
         ``conjugate._newton``), and ``conjugate_G`` sweeps the converged
         state once more for F_x.  The kept arrays are read-only, so an
-        in-place write fails loudly.
+        in-place write fails loudly.  ``allocate_together`` fills the
+        memo ahead of a sweep.
         """
-        key = (v_leaf.shape, v_leaf.tobytes(), total.tobytes())
+        key = _split_key(v_leaf, total)
+        split = self._kept_split(key)
+        if split is None:
+            split = self._keep_split(key, *allocate(self.panel, v_leaf, total))
+        return split
+
+    def _kept_split(self, key):
+        """The kept (y, pi) of the leaf state ``key``, or None."""
         if self._last_split is not None and self._last_split[0] == key:
             return self._last_split[1]
-        y, pi = allocate(self.panel, v_leaf, total)
+        return None
+
+    def _keep_split(self, key, y, pi):
+        """Keep (y, pi), read-only, as the split of ``key``."""
         y.flags.writeable = False
         pi.flags.writeable = False
         self._last_split = (key, (y, pi))
         return y, pi
+
+    def _leaf_total(self, x_leaf, q_leaf):
+        """Terminal wealth sigma0 + x + q . psi at the leaves."""
+        tree = self.tree
+        return tree.sigma0 + x_leaf + (tree.psi * q_leaf).sum(axis=1)
 
     def _terminal(self, v_leaf, x_leaf, q_leaf, order, names=None):
         """Leaf values of r and its derivatives, packed: returns the
@@ -255,10 +274,9 @@ class FieldEvaluator:
         M = panel.size
         if names is None:
             names = _FIRST + _SECOND if order >= 2 else _FIRST
-        total = tree.sigma0 + x_leaf + (tree.psi * q_leaf).sum(axis=1)
-        y, pi = self._allocate(v_leaf, total)
+        y, pi = self._allocate(v_leaf, self._leaf_total(x_leaf, q_leaf))
         columns, width = _layout(tuple(names), M, tree.n_assets)
-        n = len(total)
+        n = len(y)
         block = np.empty((n, width))
         out = {name: _component(block, cols, shape)
                for name, (cols, shape) in columns.items()}
@@ -544,12 +562,68 @@ class FieldEvaluator:
         """Worst one-step conditional-expectation gap over all components,
         nodes and levels; construction-exact up to floating point.
 
-        It is the largest ``ScenarioTree.martingale_gap`` of the
-        components' per-level node arrays (``Sweep.comps``), so each gap
-        is scaled by 1 + the component's largest magnitude at its level.
+        Each component's gap at a level is scaled by 1 + its largest
+        magnitude there, as ``ScenarioTree.martingale_gap`` scales it,
+        and read from the component's per-level node arrays
+        (``Sweep.comps``).  A level's components are packed side by side
+        into one block, so a level costs one ``expect``; columns do not
+        mix, so each gap has the bits of its own ``martingale_gap``.
         """
-        return max(self.tree.martingale_gap(levels)
-                   for levels in sweep.comps.values())
+        tree, comps = self.tree, sweep.comps.values()
+        blocks = [np.concatenate([levels[k].reshape(len(levels[k]), -1)
+                                  for levels in comps], axis=1)
+                  for k in range(tree.steps + 1)]
+        starts = np.cumsum([0] + [math.prod(shape) for _, shape
+                                  in sweep.columns.values()][:-1])
+        worst = 0.0
+        for k in range(tree.steps):
+            gap = np.abs(tree.expect(k, blocks[k + 1]) - blocks[k]).max(axis=0)
+            size = np.abs(blocks[k]).max(axis=0)
+            ratio = (np.maximum.reduceat(gap, starts)
+                     / (1.0 + np.maximum.reduceat(size, starts)))
+            # a NaN gap counts for nothing, as in ``martingale_gap``
+            worst = max(worst, float(np.fmax.reduce(ratio)))
+        return worst
+
+
+def _split_key(v_leaf, total):
+    """Memo key of a leaf state: its shape and bits."""
+    return (v_leaf.shape, v_leaf.tobytes(), total.tobytes())
+
+
+def allocate_together(requests):
+    """Keep the leaf splits of several forests' root states, from one
+    ``allocate`` call.
+
+    Each request is (forest, v_nodes, x_nodes, q_nodes): a
+    ``FieldEvaluator`` of one panel whose roots get the given states
+    (``_root_leaves``).  The splits that the forests' one-entry memos
+    lack are allocated in one call with a row group per request
+    (``allocate``'s ``groups``), which gives each the bits of its own
+    call, and each is kept in its forest's memo, so that a sweep of
+    those states (``_sweep_roots``) finds it.  A lone miss is left to
+    its sweep.  An AllocationError of the grouped call is raised as it
+    is, with no split kept.
+    """
+    misses = []
+    for forest, v_nodes, x_nodes, q_nodes in requests:
+        v_leaf, x_leaf, q_leaf = forest._root_leaves(v_nodes, x_nodes, q_nodes)
+        total = forest._leaf_total(x_leaf, q_leaf)
+        key = _split_key(v_leaf, total)
+        if forest._kept_split(key) is None:
+            misses.append((forest, key, v_leaf, total))
+    if len(misses) < 2:
+        return
+    sizes = [len(total) for *_, total in misses]
+    y, pi = allocate(misses[0][0].panel,
+                     np.concatenate([v_leaf for _, _, v_leaf, _ in misses]),
+                     np.concatenate([total for *_, total in misses]), sizes)
+    start = 0
+    for (forest, key, _, _), size in zip(misses, sizes):
+        # copies, so a memo does not hold the whole call's rows
+        rows = slice(start, start + size)
+        forest._keep_split(key, y[rows].copy(), pi[rows].copy())
+        start += size
 
 
 def distinct_rows(a):

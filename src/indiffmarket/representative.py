@@ -30,6 +30,14 @@ inputs of an all-exponential panel are cached on the panel
 (``MakerPanel.newton_start``, ``MakerPanel.exponential_split``), and
 the term columns on each spec.  ``_marginal_value`` checks the result
 with two reductions and builds its error mask only on failure.
+
+The stopping test, max |step| < 1e-14 (1 + max |pi|), runs over all
+the rows of a call, so a row's last bits depend on the rows allocated
+with it.  Several batches share one call as row groups: each group has
+its own test, and once it passes its rows are left out of every later
+move of the iterate (an addition with ``where``; adding a zero step
+would turn a -0.0 into +0.0), so each group gets the bits of a call of
+its own.
 """
 
 from __future__ import annotations
@@ -72,7 +80,7 @@ class PrimalPoint:
             raise ValueError("weights must be strictly positive")
 
 
-def allocate(panel: MakerPanel, v, total):
+def allocate(panel: MakerPanel, v, total, groups=None):
     """Solve the first-order condition of the optimal split.
 
     Parameters are broadcast: ``v`` has shape (M,) or (n, M) and
@@ -80,6 +88,12 @@ def allocate(panel: MakerPanel, v, total):
     marginal value y (shape (n,)) and the per-maker split pi (n, M) such
     that v^m u_m'(pi^m) = y and pi sums to ``total`` row-wise.  Raises
     AllocationError when y overflows (see ``_marginal_value``).
+
+    ``groups``, the row counts of consecutive row groups summing to n,
+    gives each group its own stopping test: a group's rows stop moving
+    once the group passes, so each group gets the bits, and on failure
+    the error message, of a separate call on its rows (of the first
+    group that fails).  By default the n rows are one group.
     """
     M = panel.size
     total = np.atleast_1d(np.asarray(total, dtype=float))
@@ -87,12 +101,14 @@ def allocate(panel: MakerPanel, v, total):
     if v.ndim == 1:
         v = np.broadcast_to(v, (total.shape[0], M))
     logv = np.log(v)
+    n = total.shape[0]
+    starts = _group_starts(groups, n)
 
     if panel.all_exponential:
         g, logw, tau = panel.exponential_split
         lny = ((logv + logw) / g).sum(axis=1) / tau - total / tau
         pi = (logv + logw - lny[:, None]) / g
-        return _marginal_value(lny), pi
+        return _marginal_value(lny, starts), pi
 
     # Joint Newton on (pi, ln y) for the system v^m u'_m(pi^m) = y,
     # sum_m pi^m = total.  The block structure reduces each step to one
@@ -101,7 +117,6 @@ def allocate(panel: MakerPanel, v, total):
     # Maker-major (see the module docstring): one row per maker.
     logv = np.ascontiguousarray(logv.T)
     logup0, gmin = panel.newton_start
-    n = logv.shape[1]
     # Layers of M + 1 rows: the step (dpi; dln y), the iterate (pi; ln y),
     # f/a, 1/a and f, the last three with a spare row.  One addition
     # moves the iterate, M - 1 additions sum pi, f/a and 1/a over the
@@ -130,6 +145,15 @@ def allocate(panel: MakerPanel, v, total):
     av = np.empty((M, n))
     evals = [(spec.log_marginal_and_aversion, pi[m], (logup[m], av[m]))
              for m, spec in enumerate(panel.makers)]
+    # per group: which groups have passed, and the max |step| and
+    # |iterate| of each row of the step and iterate layers over the
+    # group (|step| rows 0..M, |pi| rows M+1..2M); the rows of a group
+    # that passed stay out of every later move of the iterate
+    passed = np.zeros(1 if starts is None else len(starts), dtype=bool)
+    if starts is not None:
+        per = np.empty((2 * (M + 1), len(starts)))
+        counts = np.diff(starts, append=n)
+        live = True
     for it in range(_MAX_NEWTON):
         for evaluate, x, out in evals:
             evaluate(x, out=out)
@@ -149,29 +173,77 @@ def allocate(panel: MakerPanel, v, total):
         dpi /= av
         np.maximum(dpi, -20.0, out=dpi)
         np.minimum(dpi, 20.0, out=dpi)
-        z += step
-        np.abs(moved, out=size)
-        big, top, _ = np.maximum.reduceat(size, parts)
-        if big < _REL_TOL * (1.0 + top):
-            break
+        if starts is None:
+            z += step
+            np.abs(moved, out=size)
+            big, top, _ = np.maximum.reduceat(size, parts)
+            if big < _REL_TOL * (1.0 + top):
+                break
+        else:
+            # where=, not a zeroed step: adding +0.0 would turn a -0.0
+            # of a passed group into +0.0
+            np.add(z, step, out=z, where=live)
+            np.abs(moved, out=size)
+            np.maximum.reduceat(size.reshape(2 * (M + 1), n), starts,
+                                axis=1, out=per)
+            now = (per[:M + 1].max(axis=0)
+                   < _REL_TOL * (1.0 + per[M + 1:2 * M + 1].max(axis=0)))
+            if (now & ~passed).any():
+                passed |= now
+                if passed.all():
+                    break
+                live = np.repeat(~passed, counts)
     else:
-        raise AllocationError(
-            f"allocation Newton did not converge: last step "
-            f"{np.abs(dpi).max():.3e}")
-    return _marginal_value(lny), np.ascontiguousarray(pi.T)
+        _not_converged(dpi, lny, starts, passed)
+    return _marginal_value(lny, starts), np.ascontiguousarray(pi.T)
 
 
-def _marginal_value(lny):
+def _group_starts(groups, n: int):
+    """First rows of the row groups of ``allocate``, or None for one."""
+    if groups is None:
+        return None
+    counts = np.asarray(groups, dtype=np.intp)
+    if not counts.size or counts.min() < 1 or counts.sum() != n:
+        raise ValueError(f"row groups must be positive and sum to {n}, "
+                         f"got {counts.tolist()}")
+    return None if counts.size == 1 else np.concatenate(
+        [[0], np.cumsum(counts[:-1])])
+
+
+def _groups(starts, n: int):
+    """Row slices of the groups that start at ``starts``."""
+    bounds = [0, n] if starts is None else [*starts.tolist(), n]
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
+def _not_converged(dpi, lny, starts, passed):
+    """Raise the AllocationError of the first group whose separate call
+    fails: its Newton did not converge, or (for a group that passed) its
+    marginal value is out of range."""
+    for g, rows in enumerate(_groups(starts, lny.shape[0])):
+        if not passed[g]:
+            raise AllocationError(
+                f"allocation Newton did not converge: last step "
+                f"{np.abs(dpi[:, rows]).max():.3e}")
+        _marginal_value(lny[rows])
+
+
+def _marginal_value(lny, starts=None):
     """y = exp(lny), checked: a log y that is not finite, or large
-    enough to overflow y, raises AllocationError naming the worst row."""
+    enough to overflow y, raises AllocationError naming the worst row of
+    the first row group (see ``allocate``) that holds one, numbered
+    within its group."""
     # NaN propagates through both reductions and fails either test
     if not (np.minimum.reduce(lny, initial=np.inf) > -np.inf
             and np.maximum.reduce(lny, initial=-np.inf) <= _LOG_MAX):
         bad = ~np.isfinite(lny) | (lny > _LOG_MAX)
         rows = np.flatnonzero(bad)
+        group = next(g for g in _groups(starts, lny.shape[0])
+                     if g.start <= rows[0] < g.stop)
+        rows = rows[rows < group.stop]
         worst = int(rows[np.argmax(np.abs(lny[rows]))])  # NaN ranks first
         raise AllocationError(
-            f"marginal value out of range at row {worst}: "
+            f"marginal value out of range at row {worst - group.start}: "
             f"log y = {lny[worst]:.6g} (limit {_LOG_MAX:.6g})")
     return np.exp(lny)
 

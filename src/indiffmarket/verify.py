@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bachelier import BachelierParams
-from .conjugate import (conjugacy_residuals, matrices_primal, saddle_batch,
+from .conjugate import (conjugacy_residuals, matrices_primal, saddle_levels,
                         state_identities)
 from .engine import (SimpleStrategy, execute_simple, indifference_cash,
                      no_arbitrage_gap, simulate_sde, simulate_sde_paths,
@@ -173,10 +173,9 @@ def _probe_sandwich(rng, ev):
     res = execute_simple(ev, _random_strategy(rng, ev.tree))
     c = ev.panel.bound_constant
     devs = []
-    for k in range(ev.tree.steps + 1):
-        u = res.U[k]
-        _, xg, _, _ = saddle_batch(ev, k, -np.ones_like(u), res.Q[k])
-        mid = xg - res.X[k]
+    solved = saddle_levels(ev, [-np.ones_like(u) for u in res.U], res.Q)
+    for u, x, (_, xg, _, _) in zip(res.U, res.X, solved):
+        mid = xg - x
         lo = (np.log(np.maximum(-u, 1.0)) / c
               + c * np.log(np.minimum(-u, 1.0))).sum(axis=1)
         hi = (np.log(np.minimum(-u, 1.0)) / c

@@ -334,13 +334,16 @@ def test_metadata_records_tolerances_used(tmp_path, monkeypatch, mode,
     from indiffmarket import conjugate
 
     used = set()
-    original = conjugate.saddle_batch
 
-    def recording(*args, tol_scale=conjugate._TOL_SCALE, **kwargs):
-        used.add(tol_scale)
-        return original(*args, tol_scale=tol_scale, **kwargs)
+    def recording(original):
+        def solve(*args, tol_scale=conjugate._TOL_SCALE, **kwargs):
+            used.add(tol_scale)
+            return original(*args, tol_scale=tol_scale, **kwargs)
+        return solve
 
-    monkeypatch.setattr("indiffmarket.engine.saddle_batch", recording)
+    for name in ("saddle_batch", "saddle_levels"):
+        monkeypatch.setattr(f"indiffmarket.engine.{name}",
+                            recording(getattr(conjugate, name)))
     text = BASE_CONFIG.replace("mode: execute", f"mode: {mode}{extra}")
     out = tmp_path / "o"
     assert main(["simulate", "--config", write(tmp_path, text),

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from indiffmarket import conjugate, verify
+from indiffmarket import conjugate, engine, field, verify
 from indiffmarket.conjugate import (
     DualPoint,
     SaddleError,
@@ -15,11 +15,12 @@ from indiffmarket.conjugate import (
     matrices_dual,
     matrices_primal,
     saddle_batch,
+    saddle_levels,
     state_identities,
 )
-from indiffmarket.engine import state_from_U
+from indiffmarket.engine import SimpleStrategy, execute_simple, state_from_U
 from indiffmarket.field import FieldEvaluator
-from indiffmarket.representative import PrimalPoint, allocate
+from indiffmarket.representative import AllocationError, PrimalPoint, allocate
 from indiffmarket.tree import binomial_tree
 from indiffmarket.utilities import exponential, panel, sum_of_exponentials
 from indiffmarket.verify import corrupt_tree
@@ -471,6 +472,13 @@ def test_problems_within_tolerance_stay_in_the_sweeps(steps, level, lam, q0,
     _assert_same_solve(ev, level, u, [q1], w0=lam, x0=0.0)
 
 
+def _newton_alone(ev, level, nodes, u, q, s, x, tol):
+    """One Newton run of the problems at ``nodes`` of ``level``, on their
+    forest, with no restart: (w, x, resid, iters)."""
+    forest = ev._forest(level, nodes)[0]
+    return conjugate._drive([conjugate._newton(forest, u, q, s, x, tol)])[0]
+
+
 def test_saddle_error_on_a_repeated_problem_names_one_of_its_nodes(
         monkeypatch):
     monkeypatch.setattr(conjugate, "_MAX_ITER", 1)
@@ -491,7 +499,7 @@ def test_saddle_error_on_a_repeated_problem_names_one_of_its_nodes(
         1.0 + np.abs(u[err.node]).max())
     # the node's own residual: its problem solved alone
     one = np.array([err.node])
-    _, _, resid, _ = conjugate._newton(
+    _, _, resid, _ = _newton_alone(
         ev, level, one, u[one], np.full((1, 1), 0.3), np.zeros((1, 1)),
         np.full(1, 3.0), np.full(1, err.tolerance))
     assert err.residual == pytest.approx(float(resid[0]), rel=1e-12)
@@ -561,7 +569,7 @@ def test_one_node_stall_names_that_node(monkeypatch):
     assert (err.level, err.node) == node
     assert err.tolerance == conjugate._TOL_SCALE * (1.0 + np.abs(b.u).max())
     # the node's own residual, its problem solved alone
-    _, _, resid, _ = conjugate._newton(
+    _, _, resid, _ = _newton_alone(
         ev, 1, np.array([1]), b.u[None], b.q[None], np.zeros((1, 1)),
         np.full(1, 3.0), np.full(1, err.tolerance))
     assert err.residual == float(resid[0]) > err.tolerance
@@ -588,22 +596,33 @@ def _stuck_solve(monkeypatch, stuck):
     u = _execute_targets(ev, 3, np.array([0.5, 0.5]), [0.3])
     u = u * rng.uniform(0.9, 1.1, size=u.shape)
     runs = []
-    sweep_nodes, newton = FieldEvaluator.sweep_nodes, conjugate._newton
+    forest_nodes = {}
+    find_forest, newton = FieldEvaluator._forest, conjugate._newton
 
-    def sweep(self, level, nodes, *args, **kwargs):
-        out = sweep_nodes(self, level, nodes, *args, **kwargs)
-        rows = np.isin(nodes, list(stuck(len(runs))))
-        out.blocks[0][rows, out.columns["dv"][0]] = 1.0
+    def forest(self, level, nodes=None):
+        out = find_forest(self, level, nodes)
+        forest_nodes[id(out[0])] = (np.arange(self.tree.n_nodes(level))
+                                    if nodes is None else np.asarray(nodes))
         return out
 
-    def run(ev_, level, nodes, *args):
+    def run(forest_, *args):
+        nodes = forest_nodes[id(forest_)]
         runs.append([nodes.copy()])
-        out = newton(ev_, level, nodes, *args)
+        rows = np.isin(nodes, list(stuck(len(runs))))
+        solve = newton(forest_, *args)
+        request = next(solve)
+        try:
+            while True:
+                out = yield request
+                out.blocks[0][rows, out.columns["dv"][0]] = 1.0
+                request = solve.send(out)
+        except StopIteration as stop:
+            out = stop.value
         # copies: the solve writes restarts into the first run's arrays
         runs[-1].append([np.copy(a) for a in out])
         return out
 
-    monkeypatch.setattr(FieldEvaluator, "sweep_nodes", sweep)
+    monkeypatch.setattr(FieldEvaluator, "_forest", forest)
     monkeypatch.setattr(conjugate, "_newton", run)
     # a stuck problem runs every iteration and halving: keep them few
     monkeypatch.setattr(conjugate, "_MAX_ITER", 12)
@@ -679,3 +698,201 @@ def test_restart_generator_is_made_once_and_only_for_a_restart(
     for _, (w, x, resid, _) in runs:
         digest.update(w.tobytes() + x.tobytes() + resid.tobytes())
     assert digest.hexdigest() == _STUCK_RUNS[name]
+
+
+# -- every level at once -----------------------------------------------------
+
+
+D1 = binomial_tree(7, 1.0, sigma0="0.3 + 0.2 * B", psi=("1.0 + 0.5 * B",))
+D2 = binomial_tree(4, 1.0, dim=2, sigma0="0.3 + 0.2 * B1 - 0.1 * B2",
+                   psi=("1.0 + 0.5 * B1", "0.8 + 0.4 * B2"))
+
+
+def _executed(tree, lam=(0.4, 0.6)):
+    """An execute run of three trades on ``tree`` with the MIXED panel."""
+    J = tree.n_assets
+    strategy = SimpleStrategy(levels=(0, 2, tree.steps - 1), positions=(
+        np.full(J, 0.5), np.full(J, -0.3), np.full(J, 0.8)))
+    return execute_simple(FieldEvaluator(MIXED, tree), strategy,
+                          lam0=np.array(lam))
+
+
+def _level_problems(tree, start):
+    """(u, q, w0, x0) of every level: the V phase of ``execute_simple``
+    (targets U, position 0, started from the run's weights and cash 0),
+    or with ``start`` False the sandwich probe's (targets -1, the run's
+    positions, seeded starts)."""
+    res = _executed(tree)
+    if start:
+        return (res.U, [np.zeros((len(u), tree.n_assets)) for u in res.U],
+                [res.lam0[None]] + res.W[1:],
+                [np.zeros(len(u)) for u in res.U])
+    return [-np.ones_like(u) for u in res.U], res.Q, None, None
+
+
+def _level_loop(tree, u, q, w0=None, x0=None):
+    """``saddle_batch`` at each level in turn, on one evaluator."""
+    ev = FieldEvaluator(MIXED, tree)
+    return [saddle_batch(ev, k, u[k], q[k],
+                         w0=None if w0 is None else w0[k],
+                         x0=None if x0 is None else x0[k])
+            for k in range(len(u))]
+
+
+def _assert_same_levels(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        for a, b in zip(g[:3], w[:3]):
+            assert a.tobytes() == b.tobytes()
+        assert g[3] == w[3]
+
+
+@pytest.mark.parametrize("tree", [D1, D2], ids=["d1", "d2"])
+@pytest.mark.parametrize("start", [True, False], ids=["started", "seeded"])
+@pytest.mark.parametrize("running", [None, 1, 40], ids=["all", "one", "some"])
+def test_levels_solved_together_keep_the_bits_of_each_level(
+        monkeypatch, tree, start, running):
+    # all levels at once, one at a time, or as many as sweep fewer than
+    # 40 leaf rows together
+    problems = _level_problems(tree, start)
+    if running is not None:
+        monkeypatch.setattr(conjugate, "_RUNNING_ROWS", running)
+    got = saddle_levels(FieldEvaluator(MIXED, tree), *problems)
+    _assert_same_levels(got, _level_loop(tree, *problems))
+
+
+def test_levels_solved_together_keep_their_restarts(monkeypatch):
+    # five Newton steps leave some levels above tolerance: they restart
+    # while the others have stopped, each from its own generator
+    u, q, _, _ = _level_problems(D1, start=False)
+    monkeypatch.setattr(conjugate, "_MAX_ITER", 5)
+    got = saddle_levels(FieldEvaluator(MIXED, D1), u, q)
+    assert any(iters > conjugate._MAX_ITER for *_, iters in got)
+    assert any(iters <= conjugate._MAX_ITER for *_, iters in got)
+    _assert_same_levels(got, _level_loop(D1, u, q))
+
+
+def _first_error(solve):
+    with pytest.raises(Exception) as info:
+        solve()
+    return info.value
+
+
+def test_levels_solved_together_raise_the_first_levels_error(monkeypatch):
+    u, q, _, _ = _level_problems(D1, start=False)
+    monkeypatch.setattr(conjugate, "_MAX_ITER", 1)
+    monkeypatch.setattr(conjugate, "_RESTARTS", 0)
+    err = _first_error(lambda: saddle_levels(FieldEvaluator(MIXED, D1), u, q))
+    want = _first_error(lambda: _level_loop(D1, u, q))
+    assert isinstance(err, SaddleError) and err.level == 0
+    assert str(err) == str(want)
+
+
+def test_an_allocation_error_is_the_failing_levels_own(monkeypatch):
+    # leaf totals below -50 fail to allocate, with a message naming the
+    # call's rows: level 3 starts at cash -100 and fails in the first
+    # round, whose grouped call fails too, so the round is swept again
+    # one level at a time and the error is level 3's own.  With one
+    # Newton step, level 1 stalls in a later round; it comes first, so
+    # its error is the one raised
+    allocate_ = field.allocate
+    grouped = []
+
+    def failing(panel_, v, total, groups=None):
+        if np.min(total) < -50.0:
+            grouped.append(groups is not None)
+            raise AllocationError(f"total {np.min(total):.6g} on "
+                                  f"{len(total)} rows")
+        return allocate_(panel_, v, total, groups)
+
+    u, q, w0, x0 = _level_problems(D1, start=True)
+    monkeypatch.setattr(field, "allocate", failing)
+    x0[3] = np.full(len(u[3]), -100.0)
+    err = _first_error(
+        lambda: saddle_levels(FieldEvaluator(MIXED, D1), u, q, w0, x0))
+    want = _first_error(lambda: _level_loop(D1, u, q, w0, x0))
+    assert isinstance(err, AllocationError)
+    assert str(err) == str(want)
+    # a grouped call failed first, then the level's own
+    assert grouped[:2] == [True, False]
+    monkeypatch.setattr(conjugate, "_MAX_ITER", 1)
+    monkeypatch.setattr(conjugate, "_RESTARTS", 0)
+    err = _first_error(
+        lambda: saddle_levels(FieldEvaluator(MIXED, D1), u, q, w0, x0))
+    want = _first_error(lambda: _level_loop(D1, u, q, w0, x0))
+    assert isinstance(err, SaddleError) and err.level == 1
+    assert str(err) == str(want)
+
+
+def test_the_v_phase_allocates_the_same_rows_in_fewer_calls(monkeypatch):
+    # an 8-step execute run with V: the levels' sweeps share allocate
+    # calls, and allocate the rows that solving the levels one after
+    # another allocates
+    tree = binomial_tree(8, 1.0, sigma0="0.3 + 0.2 * B",
+                         psi=("1.0 + 0.5 * B",))
+    strategy = SimpleStrategy(levels=(0, 2, 7), positions=(0.5, -0.3, 0.8))
+    lam = np.array([0.4, 0.6])
+    counts = []
+    allocate_ = field.allocate
+    sweep_ = FieldEvaluator.sweep_leaf_states
+
+    def allocating(panel_, v, total, groups=None):
+        if counts:
+            counts[-1]["calls"] += 1
+            counts[-1]["rows"] += len(total)
+        return allocate_(panel_, v, total, groups)
+
+    def sweeping(self, *args, **kwargs):
+        if counts:
+            counts[-1]["sweeps"] += 1
+        return sweep_(self, *args, **kwargs)
+
+    def counted(*args, **kwargs):
+        counts.append({"calls": 0, "rows": 0, "sweeps": 0})
+        return saddle_levels(*args, **kwargs)
+
+    monkeypatch.setattr(field, "allocate", allocating)
+    monkeypatch.setattr(FieldEvaluator, "sweep_leaf_states", sweeping)
+    monkeypatch.setattr(engine, "saddle_levels", counted)
+    res = execute_simple(FieldEvaluator(MIXED, tree), strategy, lam0=lam,
+                         want_interior_V=True)
+    together = counts.pop()
+    assert together["calls"] < together["sweeps"]
+    # the same V phase level by level, after the same trades
+    ev = FieldEvaluator(MIXED, tree)
+    execute_simple(ev, strategy, lam0=lam)
+    counts.append({"calls": 0, "rows": 0, "sweeps": 0})
+    V = [-saddle_batch(ev, k, res.U[k], np.zeros((len(u), 1)),
+                       w0=res.W[k] if k else lam[None],
+                       x0=np.zeros(len(u)))[1]
+         for k, u in enumerate(res.U)]
+    alone = counts.pop()
+    assert alone["sweeps"] == together["sweeps"]
+    assert alone["rows"] == together["rows"]
+    assert alone["calls"] > together["calls"]
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(V, res.V))
+
+
+def test_levels_start_while_the_running_ones_sweep_few_rows(monkeypatch):
+    # a level starts only while the levels running sweep fewer leaf rows
+    # than the bound, so no round sweeps more than the bound plus one
+    # level's forest
+    tree = binomial_tree(8, 1.0, sigma0="0.3 + 0.2 * B",
+                         psi=("1.0 + 0.5 * B",))
+    res = execute_simple(FieldEvaluator(MIXED, tree), SimpleStrategy(
+        levels=(0, 3), positions=(0.5, -0.3)), lam0=np.array([0.4, 0.6]))
+    u = [-np.ones_like(x) for x in res.U]
+    rounds = []
+    allocate_together = conjugate.allocate_together
+
+    def recording(requests):
+        rounds.append([r[0].tree.n_leaves for r in requests])
+        return allocate_together(requests)
+
+    monkeypatch.setattr(conjugate, "allocate_together", recording)
+    monkeypatch.setattr(conjugate, "_RUNNING_ROWS", 60)
+    got = saddle_levels(FieldEvaluator(MIXED, tree), u, res.Q)
+    assert max(map(len, rounds)) > 1
+    assert all(sum(r[:-1]) < 60 for r in rounds)
+    assert any(sum(r) >= 60 for r in rounds)
+    _assert_same_levels(got, _level_loop(tree, u, res.Q))

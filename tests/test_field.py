@@ -4,7 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
-from indiffmarket import field, representative
+from indiffmarket import field, representative, verify
 from indiffmarket.conjugate import saddle_batch
 from indiffmarket.field import (_FIRST, _SECOND, FieldEvaluator, Sweep,
                                distinct_rows)
@@ -434,6 +434,34 @@ def test_martingale_deviation_catches_one_perturbed_entry():
         assert ev.martingale_deviation(sweep) < 1e-12
         sweep.comps["dvq"][2][1, 0, 0] += 1e-6
         assert ev.martingale_deviation(sweep) > 1e-8
+
+
+def test_martingale_deviation_equals_the_gap_of_each_component():
+    # one expect per level on the components packed side by side gives
+    # the bits of ``martingale_gap`` run on each component alone: on
+    # clean sweeps, recombined or not, with one entry moved, and then
+    # with a NaN in another component at that level, which counts for
+    # nothing there but leaves the moved entry's gap the worst
+    rng = np.random.default_rng(8)
+    for case in range(30):
+        tree = verify._random_tree(rng)
+        ev = FieldEvaluator(verify._random_panel(rng), tree)
+        a = verify._random_point(rng, ev.panel.size, tree.n_assets)
+        sweep = ev.sweep_point(a, order=1 + case % 2)
+        level = int(rng.integers(1, tree.steps + 1))
+        names = list(sweep.names)
+        moved = names[case % len(names)]
+        for name, change in ((None, None), (moved, 1e-6),
+                             (names[(case + 1) % len(names)], np.nan)):
+            if name is not None:
+                values = sweep.comps[name][level]
+                values[tuple(int(rng.integers(0, n))
+                             for n in values.shape)] += change
+            want = max(tree.martingale_gap(levels)
+                       for levels in sweep.comps.values())
+            assert ev.martingale_deviation(sweep) == want
+            if name is not None:
+                assert want > 1e-9
 
 
 def test_payoff_table_of_B_takes_the_recombined_sweep(allocate_rows):

@@ -4,7 +4,9 @@ The sha256 of each output file (and of the ``verify`` stdout) is fixed
 here, so a change to the writers, the per-level layout of ``paths.csv``
 or the tree dump that moves a single byte fails this test.  The runs
 cover both simulate modes, a run whose nodes explode (empty cells), an
-execute run without V (an empty column), a two-dimensional tree, the
+execute run without V (an empty column), a two-dimensional tree, a
+9-step execute run of three trades and an 8-step sde run (whose V
+columns come from saddle solves at every level of a deeper tree), the
 Bachelier tables (small, and at the full 512 steps x 10k paths, which
 run as one path block: a block's 8 MiB up-move mask holds 16,384 paths
 at 512 steps; ``tests/test_engine.py::test_sde_path_blocks_give_the_same_bits``
@@ -77,6 +79,12 @@ CONFIGS = {
     "d2-execute": D2_CONFIG,
     "d2-sde": D2_CONFIG.replace("mode: execute", "mode: sde"),
     "lattice": README_CONFIG.replace("kind: tree", "kind: lattice"),
+    "execute-9": README_CONFIG.replace("steps: 5", "steps: 9")
+    .replace("levels: [0, 2]", "levels: [0, 3, 6]")
+    .replace("positions: [0.5, -0.2]", "positions: [0.5, -0.2, 0.8]")
+    .replace("lam0: [0.5, 0.5]", "lam0: [0.5, 0.5]\n  want_v: true"),
+    "sde-8": README_CONFIG.replace("steps: 5", "steps: 8")
+    .replace("mode: execute", "mode: sde"),
 }
 
 # run: (command, config or None, extra arguments)
@@ -87,6 +95,8 @@ RUNS = {
     "simulate-sde-explode": ("simulate", "sde-explode", []),
     "simulate-d2-execute": ("simulate", "d2-execute", []),
     "simulate-d2-sde": ("simulate", "d2-sde", []),
+    "simulate-execute-9": ("simulate", "execute-9", []),
+    "simulate-sde-8": ("simulate", "sde-8", []),
     "bachelier": ("bachelier", None, ["--steps", "16", "--paths", "10"]),
     "bachelier-512x10k": ("bachelier", None, ["--steps", "512", "--paths",
                                               "10000", "--seed", "3"]),
@@ -113,6 +123,10 @@ SHA256 = {
         "4cfaec4f3c31285b56a6a18358cafdd03696c78cb2f092cd2e91ef2bd3de01bf",
     ("simulate-d2-sde", "paths.csv"):
         "19ed4347a6b920ae175b521d5ec2ff71f12b6fc12fac3a230167cf47594342e9",
+    ("simulate-execute-9", "paths.csv"):
+        "6dab4bda24a739cf6fa05e55c3e25c790170fc01e976716bdd9da43b27e92010",
+    ("simulate-sde-8", "paths.csv"):
+        "3f586aed16f55afdba5e29ee465c35d254ae47dbbf7425838ac230e489c37c9d",
     ("bachelier", "bachelier_paths.csv"):
         "b003421eec40cc87c9111f89fae7a69ca52fe75810a677ab64278e2433f44f67",
     ("bachelier", "bachelier_summary.csv"):

@@ -354,3 +354,176 @@ def test_allocate_overflow_raises(p, v, total, row, lny):
 def test_allocate_below_overflow_is_finite():
     y, _ = allocate(panel(exponential(1.0)), [1.0], [-709.0, 709.0])
     assert np.isfinite(y).all() and y[0] > 1e307 and y[1] > 0.0
+
+
+# -- row groups: each group gets the bits of its own call -------------------
+
+
+def _groups_at(n, cuts):
+    """Row counts of the groups that start at 0 and at each of ``cuts``."""
+    return np.diff(np.concatenate([[0], np.sort(cuts), [n]])).tolist()
+
+
+def _separate(p, v, total, groups):
+    """``allocate`` of each group's rows alone, stacked."""
+    starts = np.cumsum([0] + groups[:-1])
+    parts = [allocate(p, v[a:a + g], total[a:a + g])
+             for a, g in zip(starts, groups)]
+    return (np.concatenate([y for y, _ in parts]),
+            np.concatenate([pi for _, pi in parts]))
+
+
+def _mixed_panel(rng, M):
+    """M makers, every other one a sum of two exponentials, so M >= 2
+    runs the Newton iteration and M = 1 the closed form."""
+    return panel(*[
+        exponential(float(rng.uniform(0.5, 2.0))) if m % 2 == 0
+        else sum_of_exponentials(rng.uniform(0.5, 1.5, size=2).tolist(),
+                                 [float(rng.uniform(0.5, 1.0)),
+                                  float(rng.uniform(1.2, 2.5))])
+        for m in range(M)])
+
+
+@pytest.mark.parametrize("M", [1, 2, 3, 4])
+def test_row_groups_give_the_bits_of_separate_calls(M):
+    rng = np.random.default_rng(40 + M)
+    for _ in range(25):
+        p = _mixed_panel(rng, M)
+        n = int(rng.integers(2, 60))
+        v = rng.uniform(0.1, 3.0, size=(n, M))
+        total = rng.uniform(-5.0, 5.0, size=n) * rng.choice([1.0, 10.0], n)
+        cuts = rng.choice(np.arange(1, n), size=int(rng.integers(1, min(n, 7))),
+                          replace=False)
+        groups = _groups_at(n, cuts)
+        y, pi = allocate(p, v, total, groups)
+        y_ref, pi_ref = _separate(p, v, total, groups)
+        assert_same_bits(y, y_ref, exact=True)
+        assert_same_bits(pi, pi_ref, exact=True)
+
+
+def _iterations(monkeypatch, p, v, total):
+    """Newton iterations of a call: evaluations of the first maker."""
+    calls = []
+    spec = p.makers[0]
+    evaluate = type(spec).log_marginal_and_aversion
+
+    def counting(self, x, out=None):
+        if self is spec:
+            calls.append(1)
+        return evaluate(self, x, out=out)
+
+    with monkeypatch.context() as m:
+        m.setattr(type(spec), "log_marginal_and_aversion", counting)
+        allocate(p, v, total)
+    return len(calls)
+
+
+# rates 20x apart on one maker: totals of +-50 take some 25 Newton
+# iterations, totals near 0 a handful
+SPREAD = panel(sum_of_exponentials([1.0, 1.0], [0.05, 10.0]), exponential(5.0))
+
+
+def test_a_slow_group_leaves_the_quick_ones_their_bits(monkeypatch):
+    # the quick groups stop moving when they pass, while the slow one
+    # iterates on, so each keeps the bits of its own call
+    rng = np.random.default_rng(3)
+    quick_v = rng.uniform(0.8, 1.2, size=(12, 2))
+    quick_t = rng.uniform(-0.1, 0.1, size=12)
+    slow_v = np.array([[1e-3, 1.0], [1e3, 1.0], [0.1, 1.0], [1.0, 1.0]])
+    slow_t = np.array([-50.0, 50.0, -50.0, 50.0])
+    fast = _iterations(monkeypatch, SPREAD, quick_v, quick_t)
+    slow = _iterations(monkeypatch, SPREAD, slow_v, slow_t)
+    assert slow >= fast + 10
+    v = np.concatenate([quick_v[:4], slow_v, quick_v[4:]])
+    total = np.concatenate([quick_t[:4], slow_t, quick_t[4:]])
+    groups = [2, 2, 4, 3, 5]
+    y, pi = allocate(SPREAD, v, total, groups)
+    y_ref, pi_ref = _separate(SPREAD, v, total, groups)
+    assert_same_bits(y, y_ref, exact=True)
+    assert_same_bits(pi, pi_ref, exact=True)
+
+
+class _SignedZeroMaker:
+    """u'(x) = exp(-x), with aversion -1 at x = 0 exactly and 1 elsewhere.
+    With ``_SIGNED_ZERO``'s start (gmin -1), a row of total 0 starts at
+    pi = -0.0 and takes steps of -0.0, so its split is -0.0."""
+
+    def log_marginal_and_aversion(self, x, out):
+        logup, av = out
+        np.negative(x, out=logup)
+        av[...] = np.where(x == 0.0, -1.0, 1.0)
+
+
+class _SignedZeroPanel:
+    size = 1
+    all_exponential = False
+    newton_start = (np.zeros((1, 1)), np.full((1, 1), -1.0))
+    makers = (_SignedZeroMaker(),)
+
+
+def test_a_group_that_passed_keeps_a_negative_zero():
+    # the -0.0 row passes at once while the other group iterates on: its
+    # rows must be left alone, not moved by a zero step (-0.0 + 0.0 is
+    # +0.0)
+    p = _SignedZeroPanel()
+    v, total = np.ones((3, 1)), np.array([0.0, 1.5, -0.7])
+    alone = allocate(p, v[:1], total[:1])[1]
+    assert np.signbit(alone[0, 0]) and alone[0, 0] == 0.0
+    y, pi = allocate(p, v, total, [1, 2])
+    y_ref, pi_ref = _separate(p, v, total, [1, 2])
+    assert_same_bits(y, y_ref, exact=True)
+    assert_same_bits(pi, pi_ref, exact=True)
+    assert np.signbit(pi[0, 0])
+
+
+def _first_error(p, v, total, groups):
+    """Message of the first group whose own call fails."""
+    starts = np.cumsum([0] + groups[:-1])
+    for a, g in zip(starts, groups):
+        try:
+            allocate(p, v[a:a + g], total[a:a + g])
+        except AllocationError as exc:
+            return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("p", [MIXED, PAIR], ids=["newton", "closed-form"])
+def test_a_failing_group_raises_its_own_calls_message(p):
+    # log y overflows on rows 1 and 3 of the second group and row 0 of
+    # the third: the message names the second group's worst row, counted
+    # within the group
+    v = np.ones((9, 2))
+    total = np.array([0.0, 1.0, -0.5, -2000.0, 0.3, -3000.0, 0.2,
+                      -5000.0, 0.0])
+    groups = [2, 5, 2]
+    want = _first_error(p, v, total, groups)
+    assert "row 3: log y = " in want
+    with pytest.raises(AllocationError) as exc:
+        allocate(p, v, total, groups)
+    assert str(exc.value) == want
+
+
+def test_a_group_that_does_not_converge_raises_its_own_calls_message(
+        monkeypatch):
+    # with 10 Newton steps, the quick first group passes, the slow
+    # second one does not, and the third overflows: the second group's
+    # call is the first to fail
+    import indiffmarket.representative as representative
+
+    monkeypatch.setattr(representative, "_MAX_NEWTON", 10)
+    v = np.concatenate([np.ones((3, 2)), [[1e-3, 1.0], [1e3, 1.0]],
+                        np.ones((1, 2))])
+    total = np.array([0.0, 0.01, -0.02, -50.0, 50.0, -3000.0])
+    groups = [3, 2, 1]
+    assert _first_error(SPREAD, v[:3], total[:3], [3]) is None
+    want = _first_error(SPREAD, v, total, groups)
+    assert want.startswith("allocation Newton did not converge")
+    with pytest.raises(AllocationError) as exc:
+        allocate(SPREAD, v, total, groups)
+    assert str(exc.value) == want
+
+
+@pytest.mark.parametrize("groups", [[], [0, 3], [2, 2], [4, -1]])
+def test_row_groups_must_cover_the_rows(groups):
+    with pytest.raises(ValueError, match="row groups"):
+        allocate(MIXED, np.ones((3, 2)), np.zeros(3), groups)
