@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import FieldEvaluator, allocate_together, distinct_rows
+from .field import FieldEvaluator, distinct_rows, sweep_together
 from .representative import AllocationError, PrimalPoint
 
 __all__ = [
@@ -60,12 +60,11 @@ _RESTARTS = 8
 
 # ``_drive`` starts another solve only while the running ones sweep
 # fewer leaf rows than this, the leaves of a 13-step d=1 tree.  Each
-# running solve keeps its forests and their split memos, and a round's
-# ``allocate`` holds some 300 bytes a row at once.  The V phase of a
-# 13-step sde run sweeps some 15k forest rows over all levels; solved
-# all at once, 24 simulate runs of the benchmark's mix in one process
-# peaked at 57.5 MB resident, against 54.7 MB under this bound and
-# 54.2 MB solving one level after another (Python 3.11, numpy 2.4).
+# running solve keeps its forests and their split memos, and a round
+# holds the leaf states of every running solve.  With every level of a
+# simulate run's V phase solved at once, the benchmark's tree-simulate
+# peak resident memory rose from 64.1 to 72.2 MB (10 pairs of 30 s
+# runs; Python 3.11, numpy 2.4).
 _RUNNING_ROWS = 8192
 
 
@@ -175,7 +174,7 @@ def saddle_levels(evaluator: FieldEvaluator, u, q, w0=None, x0=None,
     order while the running ones sweep fewer than ``_RUNNING_ROWS`` leaf
     rows.  Each round, every running level takes its next sweep, and the
     leaf splits of all of them come from one ``allocate`` call with a
-    row group per level (``field.allocate_together``), so each level
+    row group per level (``field.sweep_together``), so each level
     keeps the bits of its own ``saddle_batch`` and there are fewer
     calls.  Returns a list of
     (w, x, resid, iters), one per level; a failure raises the error of
@@ -197,11 +196,9 @@ def _drive(solves) -> list:
     ``FieldEvaluator._sweep_roots`` call, and is sent each sweep back.
     Solves start in order, while the running ones sweep fewer than
     ``_RUNNING_ROWS`` leaf rows.  Each round takes one request from
-    every running solve, in order, allocates their leaf splits together
-    (``field.allocate_together``) and then sweeps them one at a time.
-    When the grouped ``allocate`` fails, each sweep allocates its own
-    split, so an error and its message are those of the failing solve's
-    own sweep.  A failed solve stops, and so does every solve after it;
+    every running solve, in order, and sweeps them together
+    (``field.sweep_together``: one ``allocate`` call, a row group per
+    request).  A failed solve stops, and so does every solve after it;
     once all have stopped, the error of the first that failed is
     raised.
     """
@@ -235,20 +232,17 @@ def _drive(solves) -> list:
     start()
     while asked:
         order = sorted(asked)
-        requests = [asked.pop(i) for i in order]
-        if len(requests) > 1:
-            try:
-                allocate_together([r[:4] for r in requests])
-            except AllocationError:
-                pass  # each sweep below allocates its own split
-        for i, (forest, *request) in zip(order, requests):
+        sweeps = sweep_together([asked.pop(i) for i in order])
+        for i in order:
             if i >= failed[0]:
                 break
             try:
-                # ``send`` keeps every error of the solve to itself
-                send(i, forest._sweep_roots(*request))
+                # ``send`` keeps every error of the solve to itself, and
+                # no name keeps the sweep once the solve has read it
+                send(i, next(sweeps))
             except AllocationError as exc:
                 fail(i, exc)
+                break
         if waiting:
             start()
     if failed[1] is not None:

@@ -41,8 +41,8 @@ problems.
 Filling the leaves costs one ``allocate`` per sweep, except that each
 evaluator keeps its last leaf state and split, which a sweep of the
 same state again reuses bit for bit (``_allocate``); sweeps of several
-forests can have their splits made in one call beforehand, a row group
-each (``allocate_together``), which keeps each split's bits.  Then one
+forests can share one call, a row group each (``sweep_together``),
+which keeps each split's bits.  Then one
 evaluation of each maker's terms, which gives its utility and, at
 order 2, its risk tolerance together (``UtilitySpec.value``).  Each
 component is computed into its columns of the leaf block, whose
@@ -63,7 +63,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .representative import PrimalPoint, allocate, split_tolerances
+from .representative import (AllocationError, PrimalPoint, allocate,
+                             split_tolerances)
 from .tree import ScenarioTree
 from .utilities import MakerPanel
 
@@ -72,7 +73,6 @@ __all__ = ["FieldEvaluator", "FieldValue", "Sweep", "distinct_rows",
 
 _FIRST = ("value", "dv", "dx", "dq")
 _SECOND = ("dvv", "dvx", "dvq", "dxx", "dxq", "dqq")
-
 
 
 def _component(block, cols, shape):
@@ -236,8 +236,7 @@ class FieldEvaluator:
         that last trial (a full step's trial sweep is reused whole, see
         ``conjugate._newton``), and ``conjugate_G`` sweeps the converged
         state once more for F_x.  The kept arrays are read-only, so an
-        in-place write fails loudly.  ``allocate_together`` fills the
-        memo ahead of a sweep.
+        in-place write fails loudly.
         """
         key = _split_key(v_leaf, total)
         split = self._kept_split(key)
@@ -263,18 +262,21 @@ class FieldEvaluator:
         tree = self.tree
         return tree.sigma0 + x_leaf + (tree.psi * q_leaf).sum(axis=1)
 
-    def _terminal(self, v_leaf, x_leaf, q_leaf, order, names=None):
+    def _terminal(self, v_leaf, x_leaf, q_leaf, order, names=None,
+                  split=None):
         """Leaf values of r and its derivatives, packed: returns the
         (n_leaves, K) block and its ``Sweep`` columns.  Only ``names``
         (by default every component of ``order``) are computed, each
         into its columns of the block; each maker's terms are evaluated
         once, for its utility and (at order 2) its risk tolerance
-        alike."""
+        alike.  ``split``, the leaves' (y, pi) when known, spares the
+        allocation."""
         tree, panel = self.tree, self.panel
         M = panel.size
         if names is None:
             names = _FIRST + _SECOND if order >= 2 else _FIRST
-        y, pi = self._allocate(v_leaf, self._leaf_total(x_leaf, q_leaf))
+        y, pi = (self._allocate(v_leaf, self._leaf_total(x_leaf, q_leaf))
+                 if split is None else split)
         columns, width = _layout(tuple(names), M, tree.n_assets)
         n = len(y)
         block = np.empty((n, width))
@@ -329,16 +331,19 @@ class FieldEvaluator:
     # -- sweeps ----------------------------------------------------------
 
     def sweep_leaf_states(self, v_leaf, x_leaf, q_leaf, order: int = 1,
-                          names=None) -> Sweep:
+                          names=None, split=None) -> Sweep:
         """Backward sweep with an explicit state at every leaf.
 
         ``names`` restricts the swept components; by default all
-        components of the requested order are carried.
+        components of the requested order are carried.  ``split``, the
+        (y, pi) that ``allocate`` gives these leaf states, when known
+        (``sweep_together``), spares the allocation.
         """
         v_leaf = np.asarray(v_leaf, dtype=float)
         x_leaf = np.asarray(x_leaf, dtype=float)
         q_leaf = np.asarray(q_leaf, dtype=float)
-        block, columns = self._terminal(v_leaf, x_leaf, q_leaf, order, names)
+        block, columns = self._terminal(v_leaf, x_leaf, q_leaf, order, names,
+                                        split)
         return Sweep(self.tree, self._pull_back(block), columns)
 
     def _pull_back(self, block) -> list:
@@ -591,39 +596,55 @@ def _split_key(v_leaf, total):
     return (v_leaf.shape, v_leaf.tobytes(), total.tobytes())
 
 
-def allocate_together(requests):
-    """Keep the leaf splits of several forests' root states, from one
-    ``allocate`` call.
+def sweep_together(requests):
+    """Root sweeps (``FieldEvaluator._sweep_roots``) of several forests
+    of one panel, with the leaf splits they lack from one ``allocate``.
 
-    Each request is (forest, v_nodes, x_nodes, q_nodes): a
-    ``FieldEvaluator`` of one panel whose roots get the given states
-    (``_root_leaves``).  The splits that the forests' one-entry memos
-    lack are allocated in one call with a row group per request
-    (``allocate``'s ``groups``), which gives each the bits of its own
-    call, and each is kept in its forest's memo, so that a sweep of
-    those states (``_sweep_roots``) finds it.  A lone miss is left to
-    its sweep.  An AllocationError of the grouped call is raised as it
-    is, with no split kept.
+    Each request is (forest, v_nodes, x_nodes, q_nodes, order, names).
+    The splits that the forests' one-entry memos lack are allocated in
+    one call with a row group per request (``allocate``'s ``groups``),
+    which gives each the bits of its own call; each is kept in its
+    forest's memo and handed to its sweep.  A lone miss is allocated
+    alone.  When the grouped call fails, the splits are allocated one
+    at a time, in order, so an AllocationError is the first failing
+    request's own.  A generator: it yields the sweeps in order, one at
+    a time, so a caller that is done with each before the next holds
+    one sweep's levels at a time, and raises a request's
+    AllocationError in place of its sweep.
     """
-    misses = []
-    for forest, v_nodes, x_nodes, q_nodes in requests:
+    leaves = []
+    for forest, v_nodes, x_nodes, q_nodes, _, _ in requests:
         v_leaf, x_leaf, q_leaf = forest._root_leaves(v_nodes, x_nodes, q_nodes)
         total = forest._leaf_total(x_leaf, q_leaf)
         key = _split_key(v_leaf, total)
-        if forest._kept_split(key) is None:
-            misses.append((forest, key, v_leaf, total))
-    if len(misses) < 2:
-        return
-    sizes = [len(total) for *_, total in misses]
-    y, pi = allocate(misses[0][0].panel,
-                     np.concatenate([v_leaf for _, _, v_leaf, _ in misses]),
-                     np.concatenate([total for *_, total in misses]), sizes)
-    start = 0
-    for (forest, key, _, _), size in zip(misses, sizes):
-        # copies, so a memo does not hold the whole call's rows
-        rows = slice(start, start + size)
-        forest._keep_split(key, y[rows].copy(), pi[rows].copy())
-        start += size
+        leaves.append([v_leaf, x_leaf, q_leaf, total, key,
+                       forest._kept_split(key)])
+    misses = [leaf for leaf in leaves if leaf[5] is None]
+    if len(misses) > 1:
+        sizes = [len(leaf[3]) for leaf in misses]
+        try:
+            y, pi = allocate(requests[0][0].panel,
+                             np.concatenate([leaf[0] for leaf in misses]),
+                             np.concatenate([leaf[3] for leaf in misses]),
+                             sizes)
+        except AllocationError:
+            pass  # allocated one at a time below
+        else:
+            start = 0
+            for leaf, size in zip(misses, sizes):
+                # copies, so a memo does not hold the whole call's rows
+                rows = slice(start, start + size)
+                leaf[5] = (y[rows].copy(), pi[rows].copy())
+                start += size
+            del y, pi, misses
+    # each request's leaf state is let go once it is swept
+    for k, (forest, _, _, _, order, names) in enumerate(requests):
+        v_leaf, x_leaf, q_leaf, total, key, split = leaves[k]
+        leaves[k] = None
+        if split is None:
+            split = allocate(forest.panel, v_leaf, total)
+        yield forest.sweep_leaf_states(v_leaf, x_leaf, q_leaf, order, names,
+                                       forest._keep_split(key, *split))
 
 
 def distinct_rows(a):

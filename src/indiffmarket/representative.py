@@ -16,8 +16,9 @@ then runs a fixed list of in-place numpy calls: M - 1 additions of
 (pi, f/a, 1/a) row triples give their sums over makers, left to right
 (``add.accumulate`` over the maker axis would run one inner loop per
 row entry, which is slow on the thousands of leaves of a deep tree),
-one addition moves the whole iterate, and one ``maximum.reduceat``
-gives max|step| and max|pi| for the stopping test.
+one addition moves the whole iterate, and two ``maximum.reduceat``
+calls give max|step| and max|pi| of each row group (see below) for the
+stopping test.
 Every entry sees the operations of the column-wise iteration in the
 same order, so the bits are those of the tests' oracle, which sums
 (n, M) arrays over their trailing axis.  The result comes back as the
@@ -91,9 +92,9 @@ def allocate(panel: MakerPanel, v, total, groups=None):
 
     ``groups``, the row counts of consecutive row groups summing to n,
     gives each group its own stopping test: a group's rows stop moving
-    once the group passes, so each group gets the bits, and on failure
-    the error message, of a separate call on its rows (of the first
-    group that fails).  By default the n rows are one group.
+    once the group passes, so each group gets the bits of a separate
+    call on its rows.  By default the n rows are one group.  The call
+    fails when any group fails.
     """
     M = panel.size
     total = np.atleast_1d(np.asarray(total, dtype=float))
@@ -108,7 +109,7 @@ def allocate(panel: MakerPanel, v, total, groups=None):
         g, logw, tau = panel.exponential_split
         lny = ((logv + logw) / g).sum(axis=1) / tau - total / tau
         pi = (logv + logw - lny[:, None]) / g
-        return _marginal_value(lny, starts), pi
+        return _marginal_value(lny), pi
 
     # Joint Newton on (pi, ln y) for the system v^m u'_m(pi^m) = y,
     # sum_m pi^m = total.  The block structure reduces each step to one
@@ -120,10 +121,10 @@ def allocate(panel: MakerPanel, v, total, groups=None):
     # Layers of M + 1 rows: the step (dpi; dln y), the iterate (pi; ln y),
     # f/a, 1/a and f, the last three with a spare row.  One addition
     # moves the iterate, M - 1 additions sum pi, f/a and 1/a over the
-    # makers left to right, and one reduceat takes max|step| and max|pi|
-    # for the stopping test.  Nothing else of size n is made per
-    # iteration but the makers' terms: on thousands of leaves, fresh
-    # memory costs page faults.
+    # makers left to right, and two reduceats take max|step| and max|pi|
+    # of each row group for the stopping test.  Nothing else of size n
+    # is made per iteration but the makers' terms: on thousands of
+    # leaves, fresh memory costs page faults.
     blk = np.empty((5, M + 1, n))
     step, z = blk[0], blk[1]
     dpi, dlny, pi, lny = step[:M], step[M], z[:M], z[M]
@@ -136,24 +137,23 @@ def allocate(panel: MakerPanel, v, total, groups=None):
     rows = [blk[1:4, m] for m in range(M)]
     sums = rows[0] if M == 1 else np.empty((3, n))
     pisum, fasum, iasum = sums
-    moved = blk[:2].reshape(-1)
+    moved = blk[:2].reshape(2 * (M + 1), n)
     # |step| and |iterate| go to the f/a and 1/a layers, which are spent
     # by then and refilled at the next iteration
-    size = blk[2:4].reshape(-1)
-    parts = np.array([0, (M + 1) * n, (2 * M + 1) * n])  # step, pi, ln y
+    size = blk[2:4].reshape(2 * (M + 1), n)
+    parts = np.array([0, M + 1, 2 * M + 1])  # rows of step, pi, ln y
     logup = np.empty((M, n))
     av = np.empty((M, n))
     evals = [(spec.log_marginal_and_aversion, pi[m], (logup[m], av[m]))
              for m, spec in enumerate(panel.makers)]
-    # per group: which groups have passed, and the max |step| and
-    # |iterate| of each row of the step and iterate layers over the
-    # group (|step| rows 0..M, |pi| rows M+1..2M); the rows of a group
-    # that passed stay out of every later move of the iterate
-    passed = np.zeros(1 if starts is None else len(starts), dtype=bool)
-    if starts is not None:
-        per = np.empty((2 * (M + 1), len(starts)))
-        counts = np.diff(starts, append=n)
-        live = True
+    # the groups that have not passed, and the max |step| and |iterate|
+    # of each row of the step and iterate layers over each group's rows;
+    # the rows of a group that passed stay out of every later move of
+    # the iterate
+    counts = np.diff(starts, append=n)
+    per = np.empty((2 * (M + 1), len(starts)))
+    waiting = list(range(len(starts)))
+    live = True
     for it in range(_MAX_NEWTON):
         for evaluate, x, out in evals:
             evaluate(x, out=out)
@@ -173,77 +173,52 @@ def allocate(panel: MakerPanel, v, total, groups=None):
         dpi /= av
         np.maximum(dpi, -20.0, out=dpi)
         np.minimum(dpi, 20.0, out=dpi)
-        if starts is None:
-            z += step
-            np.abs(moved, out=size)
-            big, top, _ = np.maximum.reduceat(size, parts)
-            if big < _REL_TOL * (1.0 + top):
+        # where=, not a zeroed step: adding +0.0 would turn a -0.0 of a
+        # passed group into +0.0
+        np.add(z, step, out=z, where=live)
+        np.abs(moved, out=size)
+        np.maximum.reduceat(size, starts, axis=1, out=per)
+        # max |step| and max |pi| of each group, as floats: a test on a
+        # few groups costs less in Python than in numpy calls
+        big, top, _ = np.maximum.reduceat(per, parts, axis=0).tolist()
+        # not (<), so that a NaN step keeps its group waiting
+        left = [g for g in waiting if not big[g] < _REL_TOL * (1.0 + top[g])]
+        if len(left) < len(waiting):
+            waiting = left
+            if not waiting:
                 break
-        else:
-            # where=, not a zeroed step: adding +0.0 would turn a -0.0
-            # of a passed group into +0.0
-            np.add(z, step, out=z, where=live)
-            np.abs(moved, out=size)
-            np.maximum.reduceat(size.reshape(2 * (M + 1), n), starts,
-                                axis=1, out=per)
-            now = (per[:M + 1].max(axis=0)
-                   < _REL_TOL * (1.0 + per[M + 1:2 * M + 1].max(axis=0)))
-            if (now & ~passed).any():
-                passed |= now
-                if passed.all():
-                    break
-                live = np.repeat(~passed, counts)
+            live = np.zeros(len(starts), dtype=bool)
+            live[waiting] = True
+            live = np.repeat(live, counts)
     else:
-        _not_converged(dpi, lny, starts, passed)
-    return _marginal_value(lny, starts), np.ascontiguousarray(pi.T)
+        raise AllocationError(
+            f"allocation Newton did not converge: last step "
+            f"{np.abs(dpi).max():.3e}")
+    return _marginal_value(lny), np.ascontiguousarray(pi.T)
 
 
 def _group_starts(groups, n: int):
-    """First rows of the row groups of ``allocate``, or None for one."""
+    """First rows of the row groups of ``allocate``."""
     if groups is None:
-        return None
+        return np.zeros(1, dtype=np.intp)
     counts = np.asarray(groups, dtype=np.intp)
     if not counts.size or counts.min() < 1 or counts.sum() != n:
         raise ValueError(f"row groups must be positive and sum to {n}, "
                          f"got {counts.tolist()}")
-    return None if counts.size == 1 else np.concatenate(
-        [[0], np.cumsum(counts[:-1])])
+    return np.concatenate([[0], np.cumsum(counts[:-1])])
 
 
-def _groups(starts, n: int):
-    """Row slices of the groups that start at ``starts``."""
-    bounds = [0, n] if starts is None else [*starts.tolist(), n]
-    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
-
-
-def _not_converged(dpi, lny, starts, passed):
-    """Raise the AllocationError of the first group whose separate call
-    fails: its Newton did not converge, or (for a group that passed) its
-    marginal value is out of range."""
-    for g, rows in enumerate(_groups(starts, lny.shape[0])):
-        if not passed[g]:
-            raise AllocationError(
-                f"allocation Newton did not converge: last step "
-                f"{np.abs(dpi[:, rows]).max():.3e}")
-        _marginal_value(lny[rows])
-
-
-def _marginal_value(lny, starts=None):
+def _marginal_value(lny):
     """y = exp(lny), checked: a log y that is not finite, or large
-    enough to overflow y, raises AllocationError naming the worst row of
-    the first row group (see ``allocate``) that holds one, numbered
-    within its group."""
+    enough to overflow y, raises AllocationError naming the worst row."""
     # NaN propagates through both reductions and fails either test
     if not (np.minimum.reduce(lny, initial=np.inf) > -np.inf
             and np.maximum.reduce(lny, initial=-np.inf) <= _LOG_MAX):
         bad = ~np.isfinite(lny) | (lny > _LOG_MAX)
         rows = np.flatnonzero(bad)
-        group = next(g for g in _groups(starts, lny.shape[0])
-                     if g.start <= rows[0] < g.stop)
-        rows = rows[rows < group.stop]
         worst = int(rows[np.argmax(np.abs(lny[rows]))])  # NaN ranks first
         raise AllocationError(
-            f"marginal value out of range at row {worst - group.start}: "
+            f"marginal value out of range at row {worst}: "
             f"log y = {lny[worst]:.6g} (limit {_LOG_MAX:.6g})")
     return np.exp(lny)
 

@@ -883,13 +883,13 @@ def test_levels_start_while_the_running_ones_sweep_few_rows(monkeypatch):
         levels=(0, 3), positions=(0.5, -0.3)), lam0=np.array([0.4, 0.6]))
     u = [-np.ones_like(x) for x in res.U]
     rounds = []
-    allocate_together = conjugate.allocate_together
+    sweep_together = conjugate.sweep_together
 
     def recording(requests):
         rounds.append([r[0].tree.n_leaves for r in requests])
-        return allocate_together(requests)
+        return sweep_together(requests)
 
-    monkeypatch.setattr(conjugate, "allocate_together", recording)
+    monkeypatch.setattr(conjugate, "sweep_together", recording)
     monkeypatch.setattr(conjugate, "_RUNNING_ROWS", 60)
     got = saddle_levels(FieldEvaluator(MIXED, tree), u, res.Q)
     assert max(map(len, rounds)) > 1

@@ -537,9 +537,9 @@ def test_full_newton_steps_cost_one_sweep_each(allocate_rows, monkeypatch):
     orders = []
     sweep = FieldEvaluator.sweep_leaf_states
 
-    def counting(self, v, x, q, order=1, names=None):
+    def counting(self, v, x, q, order=1, names=None, split=None):
         orders.append(order)
-        return sweep(self, v, x, q, order, names)
+        return sweep(self, v, x, q, order, names, split)
 
     monkeypatch.setattr(FieldEvaluator, "sweep_leaf_states", counting)
     del allocate_rows[:]
