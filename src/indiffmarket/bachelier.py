@@ -95,10 +95,6 @@ class BachelierParams:
         return np.asarray(v, float) * np.exp(
             -self.gamma * np.asarray(x, float)) * self.N(q, t, b_t)
 
-    def dHdv(self, x, q, t=0.0, b_t=0.0):
-        return -self.kappa(q) * np.exp(
-            -self.gamma * np.asarray(x, float)) * self.N(q, t, b_t)
-
     def kernel_K(self, u, q):
         """K(u, q) = -kappa(q) u; the indirect utility SDE is linear."""
         return -self.kappa(q) * np.asarray(u, float)

@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bachelier import BachelierParams
-from .engine import SimpleStrategy
+from .engine import _EPS_EXPLODE_SCALE, _TRADE_TOL_SCALE, SimpleStrategy
 from .tree import ScenarioTree, binomial_lattice, binomial_tree
 from .utilities import MakerPanel, UtilitySpec, exponential
 
@@ -260,9 +260,10 @@ class ExperimentConfig:
         if not isinstance(want_v, bool):
             raise ConfigError(
                 f"engine: want_v must be true or false, got {want_v!r}")
-        tol_scale = float(_number(e.get("tol_scale", 1e-13),
+        tol_scale = float(_number(e.get("tol_scale", _TRADE_TOL_SCALE),
                                  "engine: tol_scale"))
-        eps_scale = float(_number(e.get("eps_explode_scale", 1e-10),
+        eps_scale = float(_number(e.get("eps_explode_scale",
+                                        _EPS_EXPLODE_SCALE),
                                  "engine: eps_explode_scale"))
         if not (0 < tol_scale < np.inf and 0 < eps_scale < np.inf):
             raise ConfigError("engine: tol_scale and eps_explode_scale must "

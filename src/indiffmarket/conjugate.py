@@ -163,29 +163,28 @@ def saddle_batch(evaluator: FieldEvaluator, level: int, u, q,
                           nodes)])[0]
 
 
-def saddle_levels(evaluator: FieldEvaluator, u, q, w0=None, x0=None,
-                  tol_scale: float = _TOL_SCALE) -> list:
+def saddle_levels(evaluator: FieldEvaluator, u, q, w0=None, x0=None) -> list:
     """``saddle_batch`` at every node of levels 0, 1, ..., len(u) - 1,
     all levels solved side by side.
 
     ``u``, ``q`` and, when given, ``w0`` and ``x0`` are lists with an
     entry per level, as ``saddle_batch`` takes them (a None entry of
-    ``w0`` or ``x0`` starts that level from ``_seed``).  Levels start in
-    order while the running ones sweep fewer than ``_RUNNING_ROWS`` leaf
-    rows.  Each round, every running level takes its next sweep, and the
-    leaf splits of all of them come from one ``allocate`` call with a
-    row group per level (``field.sweep_together``), so each level
-    keeps the bits of its own ``saddle_batch`` and there are fewer
-    calls.  Returns a list of
-    (w, x, resid, iters), one per level; a failure raises the error of
-    the first failing level, as solving the levels one after another
-    would.
+    ``w0`` or ``x0`` starts that level from ``_seed``); every level is
+    solved to the tolerance scale ``_TOL_SCALE``.  Levels start in order
+    while the running ones sweep fewer than ``_RUNNING_ROWS`` leaf rows.
+    Each round, every running level takes its next sweep, and the leaf
+    splits of all of them come from one ``allocate`` call with a row
+    group per level (``field.sweep_together``), so each level keeps the
+    bits of its own ``saddle_batch`` and there are fewer calls.  Returns
+    a list of (w, x, resid, iters), one per level; a failure raises the
+    error of the first failing level, as solving the levels one after
+    another would.
     """
     n = len(u)
     w0 = [None] * n if w0 is None else w0
     x0 = [None] * n if x0 is None else x0
     return _drive([_solve(evaluator, k, u[k], q[k], w0[k], x0[k],
-                          tol_scale, None) for k in range(n)])
+                          _TOL_SCALE, None) for k in range(n)])
 
 
 def _drive(solves) -> list:

@@ -64,6 +64,7 @@ __all__ = [
 ]
 
 _EPS_EXPLODE_SCALE = 1e-10
+_TRADE_TOL_SCALE = 1e-13  # saddle tolerance scale of execute_simple's trades
 
 # Up-move mask bytes per block of the lattice path engines (one byte a
 # step and path; ``_block_paths``): a block is drawn and run to maturity
@@ -130,8 +131,6 @@ class SimpleStrategy:
 @dataclass
 class Rebalance:
     level: int
-    old_state: tuple
-    new_state: tuple
     residual: float
 
 
@@ -173,7 +172,7 @@ class ExecutionResult:
 
 def execute_simple(evaluator: FieldEvaluator, strategy: SimpleStrategy,
                    lam0=None, want_interior_V: bool = False,
-                   tol_scale: float = 1e-13) -> ExecutionResult:
+                   tol_scale: float = _TRADE_TOL_SCALE) -> ExecutionResult:
     """Run a simple strategy by forward induction over its trades.
 
     Each trade solves the indifference condition: the new state keeps
@@ -217,15 +216,12 @@ def execute_simple(evaluator: FieldEvaluator, strategy: SimpleStrategy,
     fill(0, strategy.levels[0])
     for n, lev in enumerate(strategy.levels):
         anc = tree.ancestor_index(lev, np.arange(tree.n_nodes(lev)), anchor)
-        old = (v_a[anc], x_a[anc], q_a[anc])
         theta = strategy.position_at(n, tree)
         u_target = sweep.at("dv", lev)
         w, x, resid, _ = saddle_batch(evaluator, lev, u_target, theta,
-                                      w0=old[0], x0=old[1],
+                                      w0=v_a[anc], x0=x_a[anc],
                                       tol_scale=tol_scale)
-        rebalances.append(Rebalance(level=lev, old_state=old,
-                                    new_state=(w, x, theta),
-                                    residual=float(resid.max())))
+        rebalances.append(Rebalance(level=lev, residual=float(resid.max())))
         anchor, v_a, x_a, q_a = lev, w, x, theta
         sweep = evaluator.sweep_states(lev, v_a, x_a, q_a, names=("dv",))
         nxt = (strategy.levels[n + 1] if n + 1 < len(strategy.levels) else N)
@@ -263,13 +259,9 @@ class SdeResult:
     exploded: list
     eps_explode: float
 
-    @property
-    def any_exploded(self) -> bool:
-        return any(e.any() for e in self.exploded)
-
     def martingale_residual(self) -> float:
-        # skip nodes that exploded and nodes whose children were clamped;
-        # the freeze deliberately breaks the one-step mean
+        # count only parents that neither exploded nor have an exploded
+        # child; the freeze deliberately breaks the one-step mean
         return self.tree.martingale_gap(self.U,
                                         ok=[~e for e in self.exploded])
 

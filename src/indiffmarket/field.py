@@ -6,7 +6,8 @@ q . psi.  On a finite tree that is one backward sweep: fill the leaves
 with r and its analytic derivatives, then pull them back one level at a
 time with the edge probabilities.  All derivatives of F satisfy the
 same one-step conditional-expectation identity as F itself, which the
-tests exercise to machine precision.
+tests exercise to machine precision (``martingale_deviation``, one
+``ScenarioTree.martingale_gap`` over every component swept).
 
 A sweep packs the components it carries (value, dv, dvv, ...) into one
 C-contiguous (nodes, K) block per level, each component a slice of
@@ -567,28 +568,11 @@ class FieldEvaluator:
         """Worst one-step conditional-expectation gap over all components,
         nodes and levels; construction-exact up to floating point.
 
-        Each component's gap at a level is scaled by 1 + its largest
-        magnitude there, as ``ScenarioTree.martingale_gap`` scales it,
-        and read from the component's per-level node arrays
-        (``Sweep.comps``).  A level's components are packed side by side
-        into one block, so a level costs one ``expect``; columns do not
-        mix, so each gap has the bits of its own ``martingale_gap``.
+        ``ScenarioTree.martingale_gap`` of the sweep's components
+        (``Sweep.comps``): one ``expect`` per level for all of them, each
+        gap scaled by 1 + its own component's largest magnitude there.
         """
-        tree, comps = self.tree, sweep.comps.values()
-        blocks = [np.concatenate([levels[k].reshape(len(levels[k]), -1)
-                                  for levels in comps], axis=1)
-                  for k in range(tree.steps + 1)]
-        starts = np.cumsum([0] + [math.prod(shape) for _, shape
-                                  in sweep.columns.values()][:-1])
-        worst = 0.0
-        for k in range(tree.steps):
-            gap = np.abs(tree.expect(k, blocks[k + 1]) - blocks[k]).max(axis=0)
-            size = np.abs(blocks[k]).max(axis=0)
-            ratio = (np.maximum.reduceat(gap, starts)
-                     / (1.0 + np.maximum.reduceat(size, starts)))
-            # a NaN gap counts for nothing, as in ``martingale_gap``
-            worst = max(worst, float(np.fmax.reduce(ratio)))
-        return worst
+        return self.tree.martingale_gap(*sweep.comps.values())
 
 
 def _split_key(v_leaf, total):

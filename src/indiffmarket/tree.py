@@ -18,7 +18,8 @@ Every tree describes its children as row windows (``RowWindows``):
 child e of the node in row P is row stride * P + offset_e of the next
 level, so the conditional expectation reads each edge's children as one
 strided slice of the next level's values and never copies them out by
-index.
+index; the martingale check (``martingale_gap``) makes one such call
+per level for all the processes it checks.
 """
 
 from __future__ import annotations
@@ -196,10 +197,6 @@ class ScenarioTree:
     def n_nodes(self, level: int) -> int:
         return self.B[level].shape[0]
 
-    @property
-    def total_nodes(self) -> int:
-        return sum(b.shape[0] for b in self.B)
-
     def dt(self, level: int) -> float:
         return float(self.times[level + 1] - self.times[level])
 
@@ -219,18 +216,15 @@ class ScenarioTree:
             idx = idx // self.branching(k)
         return idx
 
-    def node_probabilities(self, level: int) -> np.ndarray:
-        """Unconditional probabilities of the nodes at one level."""
+    def leaf_probabilities(self) -> np.ndarray:
+        """Unconditional probabilities of the leaves."""
         prob = np.ones(1)
-        for k in range(level):
+        for k in range(self.steps):
             nxt = np.zeros(self.n_nodes(k + 1))
             np.add.at(nxt, self.child_idx[k].ravel(),
                       (prob[:, None] * self.edge_p[k]).ravel())
             prob = nxt
         return prob
-
-    def leaf_probabilities(self) -> np.ndarray:
-        return self.node_probabilities(self.steps)
 
     def leaf_owner(self, level: int) -> np.ndarray:
         """Ancestor at ``level`` of every leaf: the root at level 0 on any
@@ -388,25 +382,34 @@ class ScenarioTree:
         rows = values.reshape((self.n_nodes(level), -1) + values.shape[1:])
         return np.take(rows, cls, axis=1).reshape((-1,) + values.shape[1:])
 
-    def martingale_gap(self, levels, ok=None) -> float:
-        """Worst scaled one-step gap of a per-level node process.
+    def martingale_gap(self, *components, ok=None) -> float:
+        """Worst scaled one-step gap of per-level node processes.
 
-        Returns the max over levels k of |E[X_{k+1} | k] - X_k| divided
-        by 1 + max|X_k|, for ``levels`` a list of per-node arrays X_0..X_N.
+        Returns the max over components and levels k of |E[X_{k+1} | k] -
+        X_k| divided by 1 + max|X_k|, each component X a list of per-node
+        arrays X_0..X_N.  A level's components are packed side by side, so
+        a level costs one ``expect``, and a NaN gap counts for nothing.
         ``ok`` optionally gives a boolean mask per level; then a parent
-        counts only when it and all of its children are ok, and the
-        scale runs over the counted parents.
+        counts only when it is ok and, the edge probabilities being
+        positive, expects no child not ok, and the scales run over the
+        counted parents.
         """
+        blocks = [[c[k].reshape(len(c[k]), -1) for c in components]
+                  for k in range(self.steps + 1)]
+        starts = np.cumsum([0] + [b.shape[1] for b in blocks[0][:-1]])
+        blocks = [np.concatenate(b, axis=1) for b in blocks]
         worst = 0.0
         for k in range(self.steps):
-            gap = np.abs(self.expect(k, levels[k + 1]) - levels[k])
-            size = np.abs(levels[k])
+            gap = np.abs(self.expect(k, blocks[k + 1]) - blocks[k])
+            size = np.abs(blocks[k])
             if ok is not None:
-                counted = ok[k] & ok[k + 1][self.child_idx[k]].all(axis=1)
+                counted = ok[k] & (self.expect(k, ~ok[k + 1]) == 0.0)
                 if not counted.any():
                     continue
                 gap, size = gap[counted], size[counted]
-            worst = max(worst, float(gap.max()) / (1.0 + size.max()))
+            ratio = (np.maximum.reduceat(gap.max(axis=0), starts)
+                     / (1.0 + np.maximum.reduceat(size.max(axis=0), starts)))
+            worst = max(worst, float(np.fmax.reduce(ratio)))
         return worst
 
     def moment_errors(self):
@@ -436,16 +439,6 @@ class ScenarioTree:
             dev = max(dev, float(np.abs(
                 child_b - (self.B[k][:, None, :] + self.edge_db[k])).max()))
         return dev
-
-    def validate(self, tol: float = 1e-12) -> None:
-        err_p, err_mean, err_cov = self.moment_errors()
-        if max(err_p, err_mean, err_cov) > tol:
-            raise ValueError(
-                f"tree moments off: prob {err_p:.2e}, mean {err_mean:.2e}, "
-                f"cov {err_cov:.2e}"
-            )
-        if self.consistency_error() > tol:
-            raise ValueError("edge increments inconsistent with node B values")
 
     def node_columns(self) -> dict:
         """Per-node dump columns, keyed by their CSV header.

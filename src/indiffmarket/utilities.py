@@ -165,12 +165,6 @@ class UtilitySpec:
             return logup.reshape(x.shape), av.reshape(x.shape)
         return out
 
-    def second_derivative(self, x):
-        """u''(x) < 0."""
-        t = self._terms(x)
-        t *= self._columns[1]
-        return _shaped(-_total(t), x)
-
     def risk_aversion(self, x):
         """a(x) = -u''(x)/u'(x): the sum of t_i g_i over that of t_i."""
         t = self._terms(x)

@@ -335,15 +335,17 @@ def test_metadata_records_tolerances_used(tmp_path, monkeypatch, mode,
 
     used = set()
 
-    def recording(original):
-        def solve(*args, tol_scale=conjugate._TOL_SCALE, **kwargs):
-            used.add(tol_scale)
-            return original(*args, tol_scale=tol_scale, **kwargs)
-        return solve
+    def recording_batch(*args, tol_scale=conjugate._TOL_SCALE, **kwargs):
+        used.add(tol_scale)
+        return conjugate.saddle_batch(*args, tol_scale=tol_scale, **kwargs)
 
-    for name in ("saddle_batch", "saddle_levels"):
-        monkeypatch.setattr(f"indiffmarket.engine.{name}",
-                            recording(getattr(conjugate, name)))
+    def recording_levels(*args, **kwargs):
+        # every level is solved to the tolerance scale _TOL_SCALE
+        used.add(conjugate._TOL_SCALE)
+        return conjugate.saddle_levels(*args, **kwargs)
+
+    monkeypatch.setattr("indiffmarket.engine.saddle_batch", recording_batch)
+    monkeypatch.setattr("indiffmarket.engine.saddle_levels", recording_levels)
     text = BASE_CONFIG.replace("mode: execute", f"mode: {mode}{extra}")
     out = tmp_path / "o"
     assert main(["simulate", "--config", write(tmp_path, text),

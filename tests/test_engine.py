@@ -178,7 +178,7 @@ def test_sde_zero_position_is_exact_martingale():
         exact = sweep.at("dv", k)
         assert np.max(np.abs(res.U[k] - exact)) < 1e-10
         assert np.max(np.abs(res.V[k])) < 1e-9
-    assert not res.any_exploded
+    assert not any(e.any() for e in res.exploded)
 
 
 def test_engines_agree_on_simple_strategy():
@@ -429,6 +429,64 @@ def test_sde_martingale_residual_masks_exploded_nodes():
     assert ev.tree.martingale_gap(sde.U) > 1e-3
 
 
+def _counted_parents(tree, ok, k):
+    """The parents of level ``k`` that ``martingale_gap`` counts under
+    ``ok``, read one at a time: a process that is 1 at the parent and 0
+    below it has gap 1 / (1 + 1) there when the parent counts and 0
+    when it does not, and it is NaN above, where gaps count for
+    nothing."""
+    counted = np.zeros(tree.n_nodes(k), dtype=bool)
+    for i in range(tree.n_nodes(k)):
+        levels = [np.full(tree.n_nodes(j), np.nan if j < k else 0.0)
+                  for j in range(tree.steps + 1)]
+        levels[k][i] = 1.0
+        counted[i] = tree.martingale_gap(levels, ok=ok) == 0.5
+    return counted
+
+
+def test_martingale_mask_counts_the_parents_of_ok_children(monkeypatch):
+    # a parent counts when it and all of its children are ok, as read
+    # through child indices; the residual reads the mask through
+    # ``expect`` and builds no child indices
+    from dataclasses import replace
+
+    from indiffmarket.tree import RowWindows
+    from indiffmarket.verify import corrupt_tree
+
+    readme = panel(exponential(1.0), sum_of_exponentials([1.0, 0.5],
+                                                         [1.0, 2.0]))
+    ev = make_evaluator(pan=readme)
+    u0 = ev.field(PrimalPoint(v=[0.5, 0.5], x=0.0, q=[0.0])).dv
+    sde = simulate_sde(ev, [2.0] * 4, u0, want_states=False, eps_scale=0.5)
+    tree = ev.tree
+    rng = np.random.default_rng(7)
+    masks = [rng.random(tree.n_nodes(k)) < 0.3
+             for k in range(tree.steps + 1)]
+    runs = [replace(sde, tree=replace(tree)),
+            replace(sde, tree=corrupt_tree(tree, "probabilities", seed=1),
+                    exploded=masks)]
+    children = RowWindows.children
+    calls = []
+
+    def counted_children(self, *args):
+        calls.append(args)
+        return children(self, *args)
+
+    monkeypatch.setattr(RowWindows, "children", counted_children)
+    for run in runs:
+        run.martingale_residual()
+    assert calls == []
+    monkeypatch.undo()
+    for run in runs:
+        ok = [~e for e in run.exploded]
+        wants = [ok[k] & ok[k + 1][run.tree.child_idx[k]].all(axis=1)
+                 for k in range(tree.steps)]
+        # both runs count some parents and drop others
+        assert 0 < sum(w.sum() for w in wants) < sum(w.size for w in wants)
+        for k, want in enumerate(wants):
+            assert np.array_equal(_counted_parents(run.tree, ok, k), want)
+
+
 def test_tampered_U_breaks_martingale_residual():
     ev = make_evaluator()
     res = execute_simple(ev, SimpleStrategy(levels=(0, 1, 3),
@@ -656,7 +714,7 @@ def test_sde_paths_reproduce_tree_engine_on_every_path(q, u_tol):
     res = simulate_sde(tree_ev, list(q), [u0])
     pb = simulate_sde_paths(FieldEvaluator(BACH.panel(), BACH.lattice(steps)),
                             q, u0, 2 ** steps, signs=signs)
-    assert not res.any_exploded and not pb.exploded.any()
+    assert not any(e.any() for e in res.exploded) and not pb.exploded.any()
     for k in range(steps + 1):
         u = res.U[k][nodes[k], 0]
         assert np.max(np.abs(pb.U[:, k] / u - 1.0)) < u_tol

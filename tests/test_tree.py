@@ -15,7 +15,7 @@ def test_binomial_tree_shapes():
     assert t.horizon == pytest.approx(1.0)
     assert t.n_assets == 1
     assert t.n_leaves == 16
-    assert t.total_nodes == 31
+    assert sum(t.n_nodes(k) for k in range(5)) == 31
     for k in range(4):
         assert t.n_nodes(k) == 2 ** k
         assert t.branching(k) == 2
@@ -29,7 +29,7 @@ def test_binomial_tree_moment_matching():
         assert prob_err < 1e-14
         assert mean_err < 1e-14
         assert cov_err < 1e-14
-        t.validate()
+        assert t.consistency_error() < 1e-14
 
 
 def test_children_exceed_dimension():
@@ -40,9 +40,11 @@ def test_children_exceed_dimension():
 
 
 def test_node_probabilities_sum_to_one():
+    # the nodes of level k of a 5-step tree are the leaves of its first
+    # k steps
     t = binomial_tree(5, 1.0)
-    for k in range(6):
-        p = t.node_probabilities(k)
+    for k in range(1, 6):
+        p = binomial_tree(k, k / 5).leaf_probabilities()
         assert p.shape == (t.n_nodes(k),)
         assert p.sum() == pytest.approx(1.0)
     assert np.allclose(t.leaf_probabilities(), 1.0 / 32.0)
@@ -56,12 +58,14 @@ def test_lattice_recombination():
         expected = (2 * np.arange(k + 1) - k) * sdt
         assert np.allclose(t.B[k][:, 0], expected[::-1] * -1.0) or \
             np.allclose(np.sort(t.B[k][:, 0]), np.sort(expected))
-    # node probabilities are binomial weights
-    p = t.node_probabilities(6)
+    # node probabilities are binomial weights, at every level
     from math import comb
-    ref = np.array([comb(6, j) for j in range(7)]) / 64.0
-    assert np.allclose(np.sort(p), np.sort(ref))
-    t.validate()
+    for k in range(1, 7):
+        p = binomial_lattice(k, 0.25 * k).leaf_probabilities()
+        ref = np.array([comb(k, j) for j in range(k + 1)]) / 2.0 ** k
+        assert np.allclose(np.sort(p), np.sort(ref))
+    assert max(t.moment_errors()) < 1e-14
+    assert t.consistency_error() < 1e-14
 
 
 def test_ancestor_index_consistency():
@@ -96,8 +100,7 @@ def test_probability_corruption_breaks_moments():
     bad = corrupt_tree(t, "probabilities", seed=0)
     prob_err, mean_err, _ = bad.moment_errors()
     assert max(prob_err, mean_err) > 1e-3
-    with pytest.raises(ValueError):
-        bad.validate()
+    assert max(t.moment_errors()) < 1e-14
 
 
 def test_leaf_payoffs_affine():
@@ -118,7 +121,8 @@ def test_node_columns_format():
     cols = t.node_columns()
     assert list(cols) == ["node_id", "parent_id", "t", "prob", "dB_1",
                           "sigma0", "psi_1"]
-    assert all(c.shape == (t.total_nodes,) for c in cols.values())
+    n = sum(t.n_nodes(k) for k in range(t.steps + 1))
+    assert all(c.shape == (n,) for c in cols.values())
     assert cols["node_id"][0] == 0 and cols["parent_id"][0] == -1
     # edge probabilities out of each parent sum to one
     leaf = cols["t"] == t.times[-1]
@@ -197,7 +201,8 @@ def test_recombined_tree_carries_the_subtree_law(dim, steps):
     t = binomial_tree(steps, 1.0, dim=dim, sigma0="0.3 + 0.2 * B",
                       psi=("B1", f"1.0 - 0.5 * B{dim}"))
     small = t.recombine(0)
-    small.validate()
+    assert max(small.moment_errors()) < 1e-12
+    assert small.consistency_error() < 1e-12
     assert small.n_leaves == (steps + 1) ** dim and not small.implicit
     cls = count_classes(dim, steps)[0]
     mass = np.bincount(cls, weights=t.leaf_probabilities())

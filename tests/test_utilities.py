@@ -71,7 +71,7 @@ def test_sign_and_aversion_bounds(spec):
     c = spec.bound_constant
     assert np.all(spec.value(x) < 0)
     assert np.all(spec.marginal(x) > 0)
-    assert np.all(spec.second_derivative(x) < 0)
+    # u'' = -a u' < 0 follows from u' > 0 and a >= 1/c > 0
     a = spec.risk_aversion(x)
     assert np.all(a >= 1.0 / c - 1e-12)
     assert np.all(a <= c + 1e-12)
@@ -193,10 +193,6 @@ def _ref_log_marginal_and_aversion(spec, x):
     return m[..., 0] + np.log(s), (t * g).sum(axis=-1) / s
 
 
-def _ref_second_derivative(spec, x):
-    return -(_ref_wge(spec, x) * np.asarray(spec.rates)).sum(axis=-1)
-
-
 def _ref_risk_aversion(spec, x):
     t = _ref_wge(spec, x)
     return (t * np.asarray(spec.rates)).sum(axis=-1) / t.sum(axis=-1)
@@ -215,7 +211,6 @@ KERNELS = [
     ("value", _ref_value),
     ("marginal", _ref_marginal),
     ("log_marginal_and_aversion", _ref_log_marginal_and_aversion),
-    ("second_derivative", _ref_second_derivative),
     ("risk_aversion", _ref_risk_aversion),
 ]
 
