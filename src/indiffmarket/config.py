@@ -10,6 +10,7 @@ values; every error message carries the block and key it came from.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
@@ -51,17 +52,17 @@ def _integer(value, what: str, least: int) -> int:
 
 def _number(value, what: str):
     """``value``, a number or a (nested) list of numbers, unchanged, or a
-    config error naming ``what`` when any entry is a bool or a string:
-    YAML reads ``true`` and ``"0.5"`` as such, and float() would take
-    them for 1.0 and 0.5."""
+    config error naming ``what`` when any entry is a bool, a string or a
+    NaN or infinite float: YAML reads ``true``, ``"0.5"`` and ``.inf``
+    as such, and float() would take the first two for 1.0 and 0.5."""
     many = isinstance(value, (list, tuple))
     for item in value if many else [value]:
         if isinstance(item, (list, tuple)):
             _number(item, what)
-        elif isinstance(item, (bool, str)):
-            raise ConfigError(f"{what} must be "
-                              f"{'numbers' if many else 'a number'}, "
-                              f"got {value!r}")
+        elif (isinstance(item, (bool, str))
+              or isinstance(item, float) and not math.isfinite(item)):
+            kind = "finite numbers" if many else "a finite number"
+            raise ConfigError(f"{what} must be {kind}, got {value!r}")
     return value
 
 

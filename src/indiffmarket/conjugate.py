@@ -79,10 +79,10 @@ class DualPoint:
     def __post_init__(self):
         object.__setattr__(self, "u", np.atleast_1d(np.asarray(self.u, float)))
         object.__setattr__(self, "q", np.atleast_1d(np.asarray(self.q, float)))
-        if np.any(self.u >= 0):
-            raise ValueError("utility targets must be negative")
-        if self.y <= 0:
-            raise ValueError("marginal value y must be positive")
+        if not np.all(np.isfinite(self.u) & (self.u < 0)):
+            raise ValueError("utility targets must be finite and negative")
+        if not 0 < self.y < np.inf:
+            raise ValueError("marginal value y must be finite and positive")
 
 
 @dataclass
@@ -251,10 +251,11 @@ def _drive(solves) -> list:
 
 def _solve(evaluator, level, u, q, w0, x0, tol_scale, nodes):
     """``saddle_batch`` as a generator for ``_drive``; returns its
-    (w, x, resid, iters).  Each distinct problem set keeps the forest
-    it is swept on (``FieldEvaluator._forest``) for the whole solve, so
-    solves of other levels run between its sweeps leave its forests and
-    their split memos alone."""
+    (w, x, resid, iters).  Each Newton run keeps the forest it is swept
+    on (``FieldEvaluator._forest``) until it ends, so solves of other
+    levels run between its sweeps leave that forest and its split memo
+    alone; a restart looks its forest up again, and one rebuilt meanwhile
+    gives the same bits, as its memo starts empty."""
     panel, tree = evaluator.panel, evaluator.tree
     n_level, M = tree.n_nodes(level), panel.size
     nodes = (np.arange(n_level) if nodes is None
@@ -265,8 +266,8 @@ def _solve(evaluator, level, u, q, w0, x0, tol_scale, nodes):
     n = nodes.size
     u = np.broadcast_to(np.asarray(u, float), (n, M)).copy()
     q = np.broadcast_to(np.atleast_2d(np.asarray(q, float)), (n, tree.n_assets)).copy()
-    if np.any(u >= 0):
-        raise ValueError("utility targets must be negative")
+    if not np.all(np.isfinite(u) & (u < 0)):
+        raise ValueError("utility targets must be finite and negative")
     tol = tol_scale * (1.0 + np.abs(u).max(axis=1))
 
     if w0 is None or x0 is None:
@@ -283,15 +284,8 @@ def _solve(evaluator, level, u, q, w0, x0, tol_scale, nodes):
         first, row_of = distinct_rows(np.column_stack([cls, u, q, s, x]))
         nodes = nodes[first]
         u, q, s, x, tol = u[first], q[first], s[first], x[first], tol[first]
-    forests = {}
-
-    def forest(at):
-        key = at.tobytes()
-        if key not in forests:
-            forests[key] = evaluator._forest(level, at)[0]
-        return forests[key]
-
-    w, x, resid, iters = yield from _newton(forest(nodes), u, q, s, x, tol)
+    w, x, resid, iters = yield from _newton(
+        evaluator._forest(level, nodes)[0], u, q, s, x, tol)
     rng = None
     for _ in range(_RESTARTS):
         bad = np.flatnonzero(resid > tol)
@@ -305,7 +299,7 @@ def _solve(evaluator, level, u, q, w0, x0, tol_scale, nodes):
         if M > 1:
             s = s + 0.3 * rng.standard_normal((bad.size, M - 1))
         w_r, x_r, resid_r, iters_r = yield from _newton(
-            forest(nodes[bad]), u[bad], q[bad], s,
+            evaluator._forest(level, nodes[bad])[0], u[bad], q[bad], s,
             x[bad] + 0.1 * rng.standard_normal(bad.size), tol[bad])
         iters += iters_r
         better = resid_r < resid[bad]

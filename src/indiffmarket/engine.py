@@ -314,8 +314,9 @@ def simulate_sde(evaluator: FieldEvaluator, q_levels, u0,
                          "use simulate_sde_paths on lattices")
     M, J, N = panel.size, tree.n_assets, tree.steps
     u0 = np.atleast_1d(np.asarray(u0, dtype=float))
-    if np.any(u0 >= 0):
-        raise ValueError("initial indirect utilities must be negative")
+    if not np.all(np.isfinite(u0) & (u0 < 0)):
+        raise ValueError("initial indirect utilities must be finite and "
+                         "negative")
     eps = eps_scale * np.abs(u0).max()
 
     U = [u0[None, :].copy()]
@@ -534,26 +535,16 @@ def _sde_scheme(evaluator: FieldEvaluator, q_levels, u0):
     N = tree.steps
     q_levels = np.broadcast_to(np.asarray(q_levels, dtype=float), (N,))
     u0 = float(u0)
-    if u0 >= 0:
-        raise ValueError("initial indirect utility must be negative")
+    if not np.isfinite(u0) or u0 >= 0:
+        raise ValueError("initial indirect utility must be finite and "
+                         "negative")
     tables = _phi_tables(evaluator, list(q_levels) + [0.0])
     held = [tables[float(q)] for q in q_levels]
-    sqdt = np.sqrt(tree.dt(0))
+    two_sqdt = 2.0 * np.sqrt(tree.dt(0))
     # step k's coefficient at node j is (Phi_{k+1}(j+1) - Phi_{k+1}(j))
-    # / (2 sqrt(dt) Phi_k(j)), for all steps in one pass: the next rows
-    # of all steps end to end, differenced in place, hold step k's
-    # numerators where its next row starts, and its own rows, each
-    # padded by one entry to that layout, divide them
-    nxt = [phi[k + 1] for k, phi in enumerate(held)]
-    flat = np.concatenate(nxt)
-    np.subtract(flat[1:], flat[:-1], out=flat[:-1])
-    pad = np.ones(1)
-    den = np.concatenate([row for k, phi in enumerate(held)
-                          for row in (phi[k], pad)])
-    den *= 2.0 * sqdt
-    flat /= den
-    ends = np.cumsum([len(row) for row in nxt]).tolist()
-    coeffs = [flat[b - n:b - 1] for b, n in zip(ends, map(len, nxt))]
+    # / (2 sqrt(dt) Phi_k(j))
+    coeffs = [(phi[k + 1][1:] - phi[k + 1][:-1]) / (phi[k] * two_sqdt)
+              for k, phi in enumerate(held)]
     phi_x = [held[max(k - 1, 0)][k] for k in range(N + 1)]
     return (gamma, u0, _EPS_EXPLODE_SCALE * abs(u0), coeffs, phi_x,
             tables[0.0])

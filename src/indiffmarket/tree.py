@@ -489,11 +489,17 @@ def _grid(steps: int, horizon: float):
 
 def _leaf_payoffs(leaves, sigma0, psi):
     """(sigma0 (n,), psi (n, J)) at the leaves' B values, one psi column
-    per entry of ``psi`` (or ``psi`` alone), each read by ``_as_payoff``."""
+    per entry of ``psi`` (or ``psi`` alone), each read by ``_as_payoff``;
+    a NaN or infinite value at any leaf is a ValueError."""
     if isinstance(psi, (str, int, float)) or callable(psi):
         psi = (psi,)
-    psi_cols = np.stack([_as_payoff(p, leaves) for p in psi], axis=1)
-    return _as_payoff(sigma0, leaves), psi_cols
+    with np.errstate(all="ignore"):  # a non-finite value raises below
+        payoffs = (_as_payoff(sigma0, leaves),
+                   np.stack([_as_payoff(p, leaves) for p in psi], axis=1))
+    for name, values in zip(("sigma0", "psi"), payoffs):
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"{name} must be finite at every leaf")
+    return payoffs
 
 
 def binomial_tree(steps: int, horizon: float, dim: int = 1,

@@ -550,6 +550,14 @@ def _bachelier(key, value):
     return "\n".join(lines + [f"  {key}: {value}"]) + "\n"
 
 
+def _readme(old, new):
+    """The README's 8-step experiment with ``old`` replaced by ``new``."""
+    text = BASE_CONFIG.replace("steps: 3", "steps: 8").replace(
+        "levels: [0, 2]", "levels: [0, 4]")
+    assert old in text
+    return text.replace(old, new)
+
+
 # (argv, config text or None, a word the error must name): malformed
 # input from outside the program, each a one-line config error, exit 2
 OUTSIDE_INPUTS = {
@@ -645,6 +653,25 @@ OUTSIDE_INPUTS = {
     "dump-tree-lam0-no-panel": (["dump-tree"], "tree: {steps: 2}\n"
                                 "engine: {lam0: [0.5, -0.5]}\n",
                                 "engine: lam0"),
+    # a NaN or infinite number is refused as the config is read, before
+    # any solver runs
+    "positions-nan": (["simulate"], _readme(
+        "positions: [0.5, -0.2]", "positions: [.nan, -0.2]"),
+        "strategy: positions"),
+    "horizon-inf": (["simulate"], _readme("horizon: 1.0", "horizon: .inf"),
+                    "tree: horizon"),
+    "horizon-nan": (["simulate"], _readme("horizon: 1.0", "horizon: .nan"),
+                    "tree: horizon"),
+    "gamma-inf": (["simulate"], _readme("- gamma: 1.0", "- gamma: .inf"),
+                  "panel.makers[0]: gamma"),
+    "rates-inf": (["simulate"], _readme(
+        "rates: [1.0, 2.0]", "rates: [1.0, .inf]"), "panel.makers[1]: rates"),
+    "sigma0-nan": (["simulate"], _readme(
+        'sigma0: "0.3 + 0.2 * B"', "sigma0: .nan"), "tree: sigma0"),
+    "psi-overflow": (["simulate"], _readme(
+        'psi: ["1.0 + 0.5 * B"]', 'psi: ["1e400 * B"]'), "tree: psi"),
+    "bachelier-sigma-inf": (["bachelier"], _bachelier("sigma", ".inf"),
+                            "bachelier: sigma"),
 }
 
 

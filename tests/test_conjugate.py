@@ -18,7 +18,8 @@ from indiffmarket.conjugate import (
     saddle_levels,
     state_identities,
 )
-from indiffmarket.engine import SimpleStrategy, execute_simple, state_from_U
+from indiffmarket.engine import (SimpleStrategy, execute_simple, kernel_K,
+                                state_from_U)
 from indiffmarket.field import FieldEvaluator
 from indiffmarket.representative import AllocationError, PrimalPoint, allocate
 from indiffmarket.tree import binomial_tree
@@ -222,6 +223,30 @@ def test_domain_errors():
         DualPoint(u=[0.5, -1.0], y=1.0, q=[0.0])
     with pytest.raises(ValueError):
         DualPoint(u=[-1.0, -1.0], y=-2.0, q=[0.0])
+
+
+@pytest.mark.parametrize("bad", [-np.inf, np.nan])
+def test_non_finite_targets_are_rejected(bad):
+    # the tolerance of a -inf or NaN target, 1e-10 (1 + max |u|), is not
+    # finite either, so any start would pass it
+    ev = FieldEvaluator(panel(exponential(1.0),
+                              sum_of_exponentials([1.0, 0.5], [1.0, 2.0])),
+                        binomial_tree(3, 1.0, sigma0="0.3 + 0.2 * B",
+                                      psi=("1.0 + 0.5 * B",)))
+    u = [[bad, -1.0]]
+    runs = [
+        lambda: saddle_batch(ev, 0, u, [0.0], w0=[0.5, 0.5], x0=0.0),
+        lambda: saddle_levels(ev, [u], [[0.0]]),
+        lambda: kernel_K(ev, u[0], [0.0], (1, 0)),
+        lambda: state_from_U(ev, u[0], [0.0], (1, 1)),
+        lambda: DualPoint(u=u[0], y=1.0, q=[0.0]),
+    ]
+    for run in runs:
+        with pytest.raises(ValueError, match="negative"):
+            run()
+    for y in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="positive"):
+            DualPoint(u=[-1.0, -1.0], y=y, q=[0.0])
 
 
 def test_saddle_error_names_level_node_and_residual(monkeypatch):
