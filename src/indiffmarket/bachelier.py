@@ -112,9 +112,9 @@ class BachelierParams:
 
         ``add(cols, k, db)`` takes the increments (b,) of step k of the
         paths ``cols`` (a slice), steps in order from 0 within each
-        block of paths, as ``engine.simulate_sde_terminal`` hands them
-        to its ``on_step``; ``result()`` then gives (V_T, U_T),
-        (n_paths,) each.
+        block of paths: it is the ``on_step`` of
+        ``engine.simulate_sde_terminal``.  ``result()`` then gives
+        (V_T, U_T), (n_paths,) each.
         """
         v_sum = _StepSum(self._gain_steps(q_levels, times), n_paths)
         log_u = _StepSum(self._growth_steps(q_levels, times), n_paths)

@@ -22,7 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, count, load_config, per_maker, seed_of
+from .config import (ConfigError, _number, count, load_config, per_maker,
+                     seed_of)
 from .conjugate import _TOL_SCALE, SaddleError
 from .engine import execute_simple, indifference_cash, simulate_sde
 from .field import FieldEvaluator
@@ -201,7 +202,8 @@ def _pareto(args) -> int:
                         "pareto: --weights"))
     if args.u:
         u = per_maker(args.u.split(","), panel.size, -1, "pareto: --u")
-    r, split, y = representative_utility(panel, v, float(args.total))
+    total = _number(args.total, "pareto: --total")
+    r, split, y = representative_utility(panel, v, total)
     r, y, *split = _cells(np.hstack([r, y, split]), 2 + len(split))
     print(f"r = {r}")
     print(f"y = {y}")

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field import FieldEvaluator, distinct_rows, sweep_together
-from .representative import AllocationError, PrimalPoint
+from .representative import AllocationError, PrimalPoint, check_finite
 
 __all__ = [
     "DualPoint",
@@ -79,8 +79,8 @@ class DualPoint:
     def __post_init__(self):
         object.__setattr__(self, "u", np.atleast_1d(np.asarray(self.u, float)))
         object.__setattr__(self, "q", np.atleast_1d(np.asarray(self.q, float)))
-        if not np.all(np.isfinite(self.u) & (self.u < 0)):
-            raise ValueError("utility targets must be finite and negative")
+        check_finite(self.u, "utility targets", -1)
+        check_finite(self.q, "positions")
         if not 0 < self.y < np.inf:
             raise ValueError("marginal value y must be finite and positive")
 
@@ -266,8 +266,12 @@ def _solve(evaluator, level, u, q, w0, x0, tol_scale, nodes):
     n = nodes.size
     u = np.broadcast_to(np.asarray(u, float), (n, M)).copy()
     q = np.broadcast_to(np.atleast_2d(np.asarray(q, float)), (n, tree.n_assets)).copy()
-    if not np.all(np.isfinite(u) & (u < 0)):
-        raise ValueError("utility targets must be finite and negative")
+    check_finite(u, "utility targets", -1)
+    check_finite(q, "positions")
+    if w0 is not None:
+        check_finite(w0, "starting weights", 1)
+    if x0 is not None:
+        check_finite(x0, "starting cash")
     tol = tol_scale * (1.0 + np.abs(u).max(axis=1))
 
     if w0 is None or x0 is None:

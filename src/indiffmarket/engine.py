@@ -24,20 +24,19 @@ Every engine takes the ``FieldEvaluator`` of its (panel, tree) first.
 The path engines read their Phi tables from its memoized point sweeps,
 so calls that share an evaluator sweep each position once, and the
 positions a call lacks are swept side by side in one backward pass
-(``_phi_tables``).  They draw their paths in blocks, each block an
-(N, b) up-move mask of at most ``_PATH_BLOCK_BYTES`` (one byte a step
-and path), and run each block one step at a time through one Euler
-loop (``_euler_rows``), which turns the mask into Brownian increments
-as it takes each step.  ``simulate_sde_paths`` stores every step of every path,
-step-major, and hands them out in a ``PathBundle``;
-``simulate_sde_terminal`` keeps only each block's terminal values, so
-its memory grows with the mask, not with the number of paths times 8
-bytes a step.
+(``_phi_tables``).  They draw their paths in blocks (``_path_blocks``),
+each block an (N, b) up-move mask of at most ``_PATH_BLOCK_BYTES`` (one
+byte a step and path), and run each block through one Euler loop
+(``_euler_rows``), which turns the mask into Brownian increments as it
+takes each step and yields the increments and the paths' state after
+it.  ``simulate_sde_paths`` stores every row it is handed, step-major,
+and hands them out in a ``PathBundle``; ``simulate_sde_terminal`` keeps
+only the state at maturity, so its memory grows with the mask, not with
+the number of paths times 8 bytes a step.
 """
 
 from __future__ import annotations
 
-import functools
 import operator
 from dataclasses import dataclass, field as dc_field
 
@@ -45,7 +44,8 @@ import numpy as np
 
 from .conjugate import saddle_batch, saddle_levels
 from .field import FieldEvaluator
-from .representative import PrimalPoint, representative_utility
+from .representative import (PrimalPoint, check_finite,
+                             representative_utility)
 from .tree import _LATTICE_STEP, ScenarioTree
 
 __all__ = [
@@ -67,7 +67,7 @@ _EPS_EXPLODE_SCALE = 1e-10
 _TRADE_TOL_SCALE = 1e-13  # saddle tolerance scale of execute_simple's trades
 
 # Up-move mask bytes per block of the lattice path engines (one byte a
-# step and path; ``_block_paths``): a block is drawn and run to maturity
+# step and path; ``_path_blocks``): a block is drawn and run to maturity
 # before the next, so memory grows with the block, not with n_paths.
 # 8 MiB is 16,384 paths at 512 steps, one block for 10k.  The streamed
 # Bachelier run at 512 steps x 10k paths (``verify._bachelier_terminal``,
@@ -113,6 +113,7 @@ class SimpleStrategy:
     def position_at(self, n: int, tree: ScenarioTree) -> np.ndarray:
         lev = self.levels[n]
         pos = np.asarray(self.positions[n], dtype=float)
+        check_finite(pos, "positions")
         return np.broadcast_to(
             np.atleast_2d(pos) if pos.ndim else pos,
             (tree.n_nodes(lev), tree.n_assets)).copy()
@@ -123,6 +124,7 @@ class SimpleStrategy:
         (J,) vector; a per-node table is a ValueError."""
         held = np.zeros((tree.steps, tree.n_assets))
         for level, position in zip(self.levels, self.positions):
+            check_finite(position, "positions")
             held[level:] = np.broadcast_to(np.asarray(position, dtype=float),
                                            (tree.n_assets,))
         return held
@@ -190,6 +192,8 @@ def execute_simple(evaluator: FieldEvaluator, strategy: SimpleStrategy,
     M, J, N = panel.size, tree.n_assets, tree.steps
     if strategy.levels[-1] >= N:
         raise ValueError("rebalance levels must precede maturity")
+    if lam0 is not None:
+        check_finite(lam0, "initial weights", 1)
     lam0 = (np.full(M, 1.0 / M) if lam0 is None
             else np.asarray(lam0, dtype=float) / np.sum(lam0))
 
@@ -314,9 +318,7 @@ def simulate_sde(evaluator: FieldEvaluator, q_levels, u0,
                          "use simulate_sde_paths on lattices")
     M, J, N = panel.size, tree.n_assets, tree.steps
     u0 = np.atleast_1d(np.asarray(u0, dtype=float))
-    if not np.all(np.isfinite(u0) & (u0 < 0)):
-        raise ValueError("initial indirect utilities must be finite and "
-                         "negative")
+    check_finite(u0, "initial indirect utilities", -1)
     eps = eps_scale * np.abs(u0).max()
 
     U = [u0[None, :].copy()]
@@ -443,18 +445,11 @@ def _phi_tables(evaluator: FieldEvaluator, qs):
             for q, sweep in zip(points, sweeps)}
 
 
-def _block_paths(steps: int) -> int:
-    """Paths per block of the lattice path engines: as many as fit an
-    up-move mask of ``_PATH_BLOCK_BYTES`` (one byte a step), at least
-    one."""
-    return max(1, _PATH_BLOCK_BYTES // max(steps, 1))
-
-
 def _path_blocks(tree: ScenarioTree, n_paths: int, seed=None, signs=None):
-    """Sampled up/down paths in blocks of at most ``_block_paths`` paths.
+    """Sampled up/down paths in blocks of ``_PATH_BLOCK_BYTES // N`` paths.
 
-    Returns an iterator over (cols, up): the slice of path indices a
-    block covers and its up-move mask, (N, b) step-major; ``_euler_rows``
+    Yields (cols, up): the slice of path indices a block covers and its
+    up-move mask, (N, b) step-major; ``_euler_rows``
     turns the mask into Brownian increments one step at a time.  The
     draws ``rng.random((n, N))`` of at most 32 paths each come from one
     generator, which continues a single stream, so a seed gives the
@@ -471,25 +466,21 @@ def _path_blocks(tree: ScenarioTree, n_paths: int, seed=None, signs=None):
                              f"got {signs.shape}")
         if not np.all((signs == 1.0) | (signs == -1.0)):
             raise ValueError("signs must be +1 or -1")
-
-    def blocks():
-        width = _block_paths(N)
-        for start in range(0, n_paths, width):
-            cols = slice(start, min(start + width, n_paths))
-            up_rows = np.empty((N, cols.stop - start), dtype=bool)
-            # draw and transpose 32 paths at a time: a whole block's
-            # float draw would be 8 bytes a step and path, and one
-            # strided copy of a whole mask ran about 3x slower at 10k x
-            # 512
-            for i in range(start, cols.stop, 32):
-                n = min(32, cols.stop - i)
-                up = (rng.random((n, N)) < 0.5 if signs is None
-                      else signs[i:i + n] > 0)
-                up_rows[:, i - start:i - start + n] = up.T
-            yield cols, up_rows
-            del up_rows  # before the next block's mask is drawn
-
-    return blocks()
+    width = max(1, _PATH_BLOCK_BYTES // N)
+    for start in range(0, n_paths, width):
+        cols = slice(start, min(start + width, n_paths))
+        up_rows = np.empty((N, cols.stop - start), dtype=bool)
+        # draw and transpose 32 paths at a time: a whole block's
+        # float draw would be 8 bytes a step and path, and one
+        # strided copy of a whole mask ran about 3x slower at 10k x
+        # 512
+        for i in range(start, cols.stop, 32):
+            n = min(32, cols.stop - i)
+            up = (rng.random((n, N)) < 0.5 if signs is None
+                  else signs[i:i + n] > 0)
+            up_rows[:, i - start:i - start + n] = up.T
+        yield cols, up_rows
+        del up_rows  # before the next block's mask is drawn
 
 
 def _cash(phi_k, j, u, gamma: float):
@@ -507,8 +498,8 @@ class PathBundle:
     step-major arrays, so ``bundle.U.T[k]`` (all paths at step k) is
     contiguous.  ``exploded`` is (n_paths,), the flags at maturity.
     ``simulate_sde_paths`` returns one, storing every step of every
-    path; ``simulate_sde_terminal`` runs the same Euler loop but hands
-    out only terminal values, block by block.
+    path; ``simulate_sde_terminal`` runs the same Euler loop but returns
+    only the terminal U, V and flags.
     """
 
     times: np.ndarray
@@ -534,10 +525,9 @@ def _sde_scheme(evaluator: FieldEvaluator, q_levels, u0):
     tree = evaluator.tree
     N = tree.steps
     q_levels = np.broadcast_to(np.asarray(q_levels, dtype=float), (N,))
+    check_finite(q_levels, "positions")
     u0 = float(u0)
-    if not np.isfinite(u0) or u0 >= 0:
-        raise ValueError("initial indirect utility must be finite and "
-                         "negative")
+    check_finite(u0, "initial indirect utility", -1)
     tables = _phi_tables(evaluator, list(q_levels) + [0.0])
     held = [tables[float(q)] for q in q_levels]
     two_sqdt = 2.0 * np.sqrt(tree.dt(0))
@@ -550,30 +540,25 @@ def _sde_scheme(evaluator: FieldEvaluator, q_levels, u0):
             tables[0.0])
 
 
-def _euler_rows(coeffs, u0: float, eps: float, up, step: float,
-                on_step=None):
+def _euler_rows(coeffs, u0: float, eps: float, up, step: float):
     """The Euler scheme of the path engines on one path block.
 
     ``up`` is the block's up-move mask (N, b).  Each step's Brownian
     increments (b,), +-``step``, are derived from it as the step is
-    taken, into one buffer that the next step overwrites;
-    ``on_step(k, db)``, if given, sees step k's.  Yields (j, u,
-    exploded) at steps 0..N: the node position, indirect utility and
-    explosion flag of every path of the block.  The three rows are
-    updated in place between yields, so a consumer that keeps a row
-    copies it.
+    taken.  Yields (db, j, u, exploded) after each of the N steps: the
+    step's increments and, after it, the node position, indirect
+    utility and explosion flag of every path of the block, which start
+    at 0, ``u0`` and False.  The rows are updated in place between
+    yields, so a consumer that keeps a row copies it.
     """
     j = np.zeros(up.shape[1], dtype=int)
     u = np.full(up.shape[1], u0)
     exploded = np.zeros(up.shape[1], dtype=bool)
     db = np.empty(up.shape[1])
-    yield j, u, exploded
-    for k, (coeff, up_k) in enumerate(zip(coeffs, up)):
+    for coeff, up_k in zip(coeffs, up):
         # +-step exactly, as 2 step up - step (2 step - step is exact)
         np.multiply(up_k, 2.0 * step, out=db)
         db -= step
-        if on_step is not None:
-            on_step(k, db)
         # u (1 + coeff db) in place; a flagged path keeps its frozen u
         u_next = coeff[j]
         u_next *= db
@@ -583,7 +568,7 @@ def _euler_rows(coeffs, u0: float, eps: float, up, step: float,
         exploded |= u_next >= -eps
         np.minimum(u_next, -eps, out=u)
         j += up_k
-        yield j, u, exploded
+        yield db, j, u, exploded
 
 
 def simulate_sde_paths(evaluator: FieldEvaluator, q_levels, u0: float,
@@ -616,12 +601,12 @@ def simulate_sde_paths(evaluator: FieldEvaluator, q_levels, u0: float,
     db = np.empty((N, n_paths))
     j = np.empty((N + 1, n_paths), dtype=int)
     U = np.empty((N + 1, n_paths))
+    j[0], U[0] = 0, u0  # every path starts at node 0
     exploded = np.empty(n_paths, dtype=bool)
     for cols, up in _path_blocks(tree, n_paths, seed, signs):
-        # each step's increments are stored as the Euler step takes them
-        rows = _euler_rows(coeffs, u0, eps, up, step,
-                           db[:, cols].__setitem__)
-        for k, (j_k, u_k, exploded_k) in enumerate(rows):
+        for k, (db_k, j_k, u_k, exploded_k) in enumerate(
+                _euler_rows(coeffs, u0, eps, up, step), 1):
+            db[k - 1, cols] = db_k
             j[k, cols] = j_k
             U[k, cols] = u_k
         exploded[cols] = exploded_k
@@ -638,10 +623,9 @@ def simulate_sde_terminal(evaluator: FieldEvaluator, q_levels, u0: float,
                           n_paths: int, seed=None, on_step=None):
     """``simulate_sde_paths`` keeping only the terminal values.
 
-    Returns an iterator over blocks of at most ``_block_paths`` paths,
-    in path order, each (U_T, V_T, exploded).  The draws and the bits
-    are those of ``simulate_sde_paths`` (its ``U[:, -1]``, ``V[:, -1]``
-    and ``exploded``), but each block runs one step at a time on its
+    Returns (U_T, V_T, exploded), (n_paths,) each, with the draws and
+    bits of ``simulate_sde_paths``'s ``U[:, -1]``, ``V[:, -1]`` and
+    ``exploded``.  Each block of paths runs one step at a time on its
     up-move mask, with no (N, b) float array, so memory grows with the
     mask, N bytes a path.  ``on_step(cols, k, db)``, if given, sees the
     Brownian increments (b,) of step k of the block's paths ``cols``
@@ -651,18 +635,19 @@ def simulate_sde_terminal(evaluator: FieldEvaluator, q_levels, u0: float,
     gamma, u0, eps, coeffs, _, phi_v = _sde_scheme(evaluator, q_levels, u0)
     tree = evaluator.tree
     step = np.sqrt(tree.dt(0))
-
-    def blocks():
-        for cols, up in _path_blocks(tree, n_paths, seed):
-            seen = None if on_step is None else functools.partial(on_step,
-                                                                  cols)
-            for j, u, exploded in _euler_rows(coeffs, u0, eps, up, step,
-                                              seen):
-                pass  # run the block to maturity
-            del up  # before the next block's mask is drawn
-            yield u, -_cash(phi_v[-1], j, u, gamma), exploded
-
-    return blocks()
+    j = np.empty(n_paths, dtype=int)
+    U = np.empty(n_paths)
+    exploded = np.empty(n_paths, dtype=bool)
+    for cols, up in _path_blocks(tree, n_paths, seed):
+        for k, (db, j_k, u_k, exploded_k) in enumerate(
+                _euler_rows(coeffs, u0, eps, up, step)):
+            if on_step is not None:
+                on_step(cols, k, db)
+        del up  # before the next block's mask is drawn
+        j[cols] = j_k
+        U[cols] = u_k
+        exploded[cols] = exploded_k
+    return U, -_cash(phi_v[-1], j, U, gamma), exploded
 
 
 def indifference_cash(evaluator: FieldEvaluator, q: float) -> float:

@@ -91,12 +91,15 @@ def _component(block, cols, shape):
 def _layout(names: tuple, M: int, J: int):
     """``Sweep`` columns of the components ``names`` for M makers and J
     assets, packed in that order, and the block width; made once per
-    layout and shared, so never written to."""
+    layout and shared, so never written to.  An unknown name is a
+    ValueError."""
     shapes = {"value": (), "dv": (M,), "dx": (), "dq": (J,),
               "dvv": (M, M), "dvx": (M,), "dvq": (M, J), "dxx": (),
               "dxq": (J,), "dqq": (J, J)}
     columns, start = {}, 0
     for name in names:
+        if name not in shapes:
+            raise ValueError(f"unknown field component {name!r}")
         width = math.prod(shapes[name])
         columns[name] = (slice(start, start + width), shapes[name])
         start += width
@@ -268,17 +271,18 @@ class FieldEvaluator:
         """Leaf values of r and its derivatives, packed: returns the
         (n_leaves, K) block and its ``Sweep`` columns.  Only ``names``
         (by default every component of ``order``) are computed, each
-        into its columns of the block; each maker's terms are evaluated
-        once, for its utility and (at order 2) its risk tolerance
-        alike.  ``split``, the leaves' (y, pi) when known, spares the
+        into its columns of the block, with the second-order leaf work
+        when one of them is second-order; each maker's terms are
+        evaluated once, for its utility and its risk tolerance alike.  ``split``, the leaves' (y, pi) when known, spares the
         allocation."""
         tree, panel = self.tree, self.panel
         M = panel.size
         if names is None:
             names = _FIRST + _SECOND if order >= 2 else _FIRST
+        columns, width = _layout(tuple(names), M, tree.n_assets)
+        second = not columns.keys().isdisjoint(_SECOND)
         y, pi = (self._allocate(v_leaf, self._leaf_total(x_leaf, q_leaf))
                  if split is None else split)
-        columns, width = _layout(tuple(names), M, tree.n_assets)
         n = len(y)
         block = np.empty((n, width))
         out = {name: _component(block, cols, shape)
@@ -288,7 +292,7 @@ class FieldEvaluator:
         # many leaves than the copy
         uvals = (np.empty((n, M)) if "value" in out or "dv" in out
                  else None)
-        if order >= 2:
+        if second:
             t, tsum = split_tolerances(panel, pi, uvals)
         elif uvals is not None:
             for m, spec in enumerate(panel.makers):
@@ -301,7 +305,7 @@ class FieldEvaluator:
             out["dx"][...] = y
         if "dq" in out:
             np.multiply(tree.psi, y[:, None], out=out["dq"])
-        if order < 2:
+        if not second:
             return block, columns
         rxx = -y / tsum
         tv = t / v_leaf
@@ -335,10 +339,10 @@ class FieldEvaluator:
                           names=None, split=None) -> Sweep:
         """Backward sweep with an explicit state at every leaf.
 
-        ``names`` restricts the swept components; by default all
-        components of the requested order are carried.  ``split``, the
-        (y, pi) that ``allocate`` gives these leaf states, when known
-        (``sweep_together``), spares the allocation.
+        ``names`` picks the swept components, of either order; without
+        it ``order`` does, all components up to that order.  ``split``,
+        the (y, pi) that ``allocate`` gives these leaf states, when
+        known (``sweep_together``), spares the allocation.
         """
         v_leaf = np.asarray(v_leaf, dtype=float)
         x_leaf = np.asarray(x_leaf, dtype=float)

@@ -77,8 +77,21 @@ class PrimalPoint:
     def __post_init__(self):
         object.__setattr__(self, "v", np.atleast_1d(np.asarray(self.v, dtype=float)))
         object.__setattr__(self, "q", np.atleast_1d(np.asarray(self.q, dtype=float)))
-        if np.any(self.v <= 0):
-            raise ValueError("weights must be strictly positive")
+        check_finite(self.v, "weights", 1)
+        check_finite(self.x, "cash")
+        check_finite(self.q, "positions")
+
+
+def check_finite(values, what: str, sign: int = 0):
+    """ValueError naming ``what`` unless every entry of ``values`` is
+    finite and, with ``sign`` 1 or -1, strictly positive or negative."""
+    a = np.asarray(values, dtype=float)
+    ok = np.isfinite(a)
+    if sign:
+        ok &= sign * a > 0
+    if not ok.all():
+        kind = {0: "", 1: " and strictly positive", -1: " and negative"}
+        raise ValueError(f"{what} must be finite{kind[sign]}")
 
 
 def allocate(panel: MakerPanel, v, total, groups=None):

@@ -229,9 +229,9 @@ def _bachelier_terminal(par, ev: FieldEvaluator, q: float, n_paths: int,
     increments as the engine takes them.
     """
     add, result = par.terminal_forms(q, ev.tree.times, n_paths)
-    blocks = list(simulate_sde_terminal(ev, q, float(par.N0(0.0)), n_paths,
-                                        seed=seed, on_step=add))
-    u_T, v_T, exploded = (np.concatenate(col) for col in zip(*blocks))
+    u_T, v_T, exploded = simulate_sde_terminal(ev, q, float(par.N0(0.0)),
+                                               n_paths, seed=seed,
+                                               on_step=add)
     v_true, u_true = result()
     return v_T, v_true, u_T, u_true, exploded
 

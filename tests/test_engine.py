@@ -5,7 +5,7 @@ from conftest import (_cumsum_gain, _cumsum_indirect_utility,
 
 from indiffmarket.bachelier import BachelierParams
 from indiffmarket import engine
-from indiffmarket.conjugate import saddle_batch
+from indiffmarket.conjugate import DualPoint, conjugate_G, saddle_batch
 from indiffmarket.engine import (
     SimpleStrategy,
     execute_simple,
@@ -672,6 +672,55 @@ def test_non_finite_or_non_negative_u0_is_rejected(u0):
             run()
 
 
+def _field_at(**kw):
+    state = {"v": [0.5, 0.5], "x": 0.0, "q": [0.0], **kw}
+    return lambda ev, lat: ev.field(PrimalPoint(**state))
+
+
+def _saddle_from(**kw):
+    return lambda ev, lat: saddle_batch(ev, 0, [[-1.0, -1.0]], [0.0], **kw)
+
+
+def _executed(position, **kw):
+    return lambda ev, lat: execute_simple(
+        ev, SimpleStrategy((0,), (position,)), **kw)
+
+
+@pytest.mark.parametrize("run, message", [
+    (_field_at(x=np.nan), "cash must be finite"),
+    (_field_at(q=[np.inf]), "positions must be finite"),
+    (_field_at(v=[np.nan, 0.5]), "weights must be finite and strictly "
+                                 "positive"),
+    (lambda ev, lat: conjugate_G(ev, DualPoint(u=[-1, -1], y=1,
+                                                q=[np.nan])),
+     "positions must be finite"),
+    (lambda ev, lat: saddle_batch(ev, 0, [[-1.0, -1.0]], [np.nan]),
+     "positions must be finite"),
+    (_saddle_from(w0=[np.nan, 1.0], x0=0.0), "starting weights must be "
+                                             "finite and strictly positive"),
+    (_saddle_from(w0=[0.5, 0.5], x0=np.inf), "starting cash must be finite"),
+    (_executed(np.nan), "positions must be finite"),
+    (_executed(0.5, lam0=[0.0, 1.0]), "initial weights must be finite and "
+                                      "strictly positive"),
+    (_executed(0.5, lam0=[np.nan, 1.0]), "initial weights must be finite"),
+    (lambda ev, lat: SimpleStrategy((0, 2), (0.5, np.nan)).held(lat.tree),
+     "positions must be finite"),
+    (lambda ev, lat: simulate_sde_terminal(lat, np.nan, -1.0, 4, seed=0),
+     "positions must be finite"),
+    (lambda ev, lat: indifference_cash(lat, np.inf),
+     "positions must be finite"),
+], ids=["field-x", "field-q", "field-v", "G-q", "saddle-q", "saddle-w0",
+        "saddle-x0", "execute-position", "execute-lam0-zero",
+        "execute-lam0-nan", "held", "terminal-q", "indifference-cash"])
+def test_non_finite_inputs_are_value_errors(run, message):
+    # a non-finite input is a ValueError that names it where it comes
+    # in, not a solver failure deep in allocate
+    ev = make_evaluator(steps=3)
+    lat = FieldEvaluator(EXP1, binomial_lattice(8, 1.0, sigma0="0.1 * B"))
+    with pytest.raises(ValueError, match=message):
+        run(ev, lat)
+
+
 def test_path_engines_reject_a_tree_that_is_not_the_lattice():
     # a 6-step tree reads as a lattice to no path engine: its node j does
     # not move to j + 1 or j
@@ -808,12 +857,6 @@ def test_sde_path_blocks_give_the_same_bits(monkeypatch, steps, q, n_paths,
             taken.append(k)
             db[k, cols] = row
 
-        blocks = list(engine.simulate_sde_terminal(ev, q, u0, n_paths,
-                                                   seed=seed, on_step=seen))
-        assert [len(b[0]) for b in blocks] == widths
-        assert taken == list(range(steps)) * len(widths)
-        assert_same_bits(db.T, ref.db, exact=True)
-        # the streamed Bachelier run honours the block width too
         ran = []
 
         def counted(*args):
@@ -822,6 +865,13 @@ def test_sde_path_blocks_give_the_same_bits(monkeypatch, steps, q, n_paths,
                 yield cols, up
 
         monkeypatch.setattr(engine, "_path_blocks", counted)
+        engine.simulate_sde_terminal(ev, q, u0, n_paths, seed=seed,
+                                     on_step=seen)
+        assert ran == widths
+        assert taken == list(range(steps)) * len(widths)
+        assert_same_bits(db.T, ref.db, exact=True)
+        # the streamed Bachelier run honours the block width too
+        ran.clear()
         v_T, v_true, u_T, u_true, exploded = _bachelier_terminal(
             BACH, ev, q, n_paths, seed)
         monkeypatch.setattr(engine, "_path_blocks", path_blocks)

@@ -659,7 +659,7 @@ def _component_shapes(M, J):
             "dxq": (J,), "dqq": (J, J)}
 
 
-@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("order", [1, 2, pytest.param(None, id="by-name")])
 @pytest.mark.parametrize("tree", [
     binomial_tree(4, 1.0, sigma0="0.3 + 0.2 * B", psi=("1.0 + 0.5 * B",)),
     binomial_tree(3, 1.0, dim=2, sigma0="0.3 + 0.2 * B1 - 0.1 * B2",
@@ -669,25 +669,29 @@ def _component_shapes(M, J):
 def test_sweep_components_are_node_arrays_of_their_own_bits(tree, order):
     # every swept level of a component is an array of one entry per node
     # in the component's shape, and the packed sweep gives it the bits of
-    # a sweep of that component alone
+    # a sweep of that component alone; "by-name" sweeps each component of
+    # order 2 alone at the default order, so a second-order name alone
+    # must bring its own second-order leaf work
     ev = FieldEvaluator(MIXED, tree)
     shapes = _component_shapes(MIXED.size, tree.n_assets)
     rng = np.random.default_rng(8)
     n = tree.n_leaves
+    full = 2 if order is None else order
+    by = {} if order is None else {"order": order}
     leaf = (rng.uniform(0.5, 1.5, size=(n, MIXED.size)),
             rng.normal(0.0, 0.3, size=n),
             rng.normal(0.0, 0.5, size=(n, tree.n_assets)))
-    sweeps = [(ev.sweep_leaf_states(*leaf, order=order),
-               lambda name: ev.sweep_leaf_states(*leaf, order=order,
-                                                 names=(name,)), 0)]
+    sweeps = [(ev.sweep_leaf_states(*leaf, order=full),
+               lambda name: ev.sweep_leaf_states(*leaf, names=(name,),
+                                                 **by), 0)]
     for level in range(tree.steps - 1) if tree.implicit else ():
         state = _node_states(rng, tree, level)
         assert tree.recombine(level) is not None
-        sweeps.append((ev.sweep_states(level, *state, order=order),
+        sweeps.append((ev.sweep_states(level, *state, order=full),
                        lambda name, lv=level, st=state: ev.sweep_states(
-                           lv, *st, order=order, names=(name,)), level))
+                           lv, *st, names=(name,), **by), level))
     for sweep, alone, first in sweeps:
-        assert set(sweep.comps) == set(_FIRST + _SECOND if order == 2
+        assert set(sweep.comps) == set(_FIRST + _SECOND if full == 2
                                        else _FIRST)
         for name, levels in sweep.comps.items():
             assert len(levels) == tree.steps + 1
@@ -701,6 +705,16 @@ def test_sweep_components_are_node_arrays_of_their_own_bits(tree, order):
                     1, int(np.prod(shapes[name])))
                 assert single[k].shape == arr.shape
                 assert single[k].tobytes() == arr.tobytes(), (name, k)
+
+
+def test_unknown_component_name_is_a_value_error():
+    ev = FieldEvaluator(MIXED, binomial_tree(3, 1.0, sigma0="0.3 + 0.2 * B",
+                                             psi=("1.0 + 0.5 * B",)))
+    point = PrimalPoint(v=[0.5, 0.5], x=0.0, q=[0.0])
+    with pytest.raises(ValueError, match="unknown field component 'dV'"):
+        ev.sweep_point(point, names=("dv", "dV"))
+    with pytest.raises(ValueError, match="'dV'"):
+        ev.sweep_states(0, point.v[None], [0.0], [[0.0]], names=("dV",))
 
 
 # -- the lean leaf fill and node reads, pinned to their formulas ------------
