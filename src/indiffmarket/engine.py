@@ -24,15 +24,16 @@ Every engine takes the ``FieldEvaluator`` of its (panel, tree) first.
 The path engines read their Phi tables from its memoized point sweeps,
 so calls that share an evaluator sweep each position once, and the
 positions a call lacks are swept side by side in one backward pass
-(``_phi_tables``).  They draw their paths in blocks (``_path_blocks``),
-each block an (N, b) up-move mask of at most ``_PATH_BLOCK_BYTES`` (one
-byte a step and path), and run each block through one Euler loop
-(``_euler_rows``), which turns the mask into Brownian increments as it
-takes each step and yields the increments and the paths' state after
-it.  ``simulate_sde_paths`` stores every row it is handed, step-major,
-and hands them out in a ``PathBundle``; ``simulate_sde_terminal`` keeps
-only the state at maturity, so its memory grows with the mask, not with
-the number of paths times 8 bytes a step.
+(``_phi_tables``).  They draw their paths in blocks (``_path_blocks``)
+of at most ``_PATH_BLOCK_BYTES // N`` paths, each block an up-move mask
+packed to one bit a step and path, (N, ceil(b/8)) bytes, and run each
+block through one Euler loop (``_euler_rows``), which unpacks the mask
+one step at a time into Brownian increments and yields the increments
+and the paths' state after each step.  ``simulate_sde_paths`` stores
+every row it is handed, step-major, and hands them out in a
+``PathBundle``; ``simulate_sde_terminal`` keeps only the state at
+maturity, so its memory grows with the packed mask, not with the number
+of paths times 8 bytes a step.
 """
 
 from __future__ import annotations
@@ -66,15 +67,17 @@ __all__ = [
 _EPS_EXPLODE_SCALE = 1e-10
 _TRADE_TOL_SCALE = 1e-13  # saddle tolerance scale of execute_simple's trades
 
-# Up-move mask bytes per block of the lattice path engines (one byte a
-# step and path; ``_path_blocks``): a block is drawn and run to maturity
-# before the next, so memory grows with the block, not with n_paths.
-# 8 MiB is 16,384 paths at 512 steps, one block for 10k.  The streamed
-# Bachelier run at 512 steps x 10k paths (``verify._bachelier_terminal``,
-# best of 7, 2 cores, shared host) took 209, 149, 119 and 79-92 ms in
-# blocks of 1024, 2048, 4096 and 10k paths, at tracemalloc peaks of 2.2,
-# 2.7, 3.8 and 7.1 MB: each step costs a fixed Python overhead per
-# block, and a run holds one block's mask and a few float rows per path.
+# Steps times paths per block of the lattice path engines
+# (``_path_blocks``): a block of ``_PATH_BLOCK_BYTES // N`` paths is
+# drawn and run to maturity before the next, so memory grows with the
+# block, not with n_paths.  The budget counts one unit a step and path,
+# and the block's up-move mask stores each unit as a bit: 8 Mi units is
+# 16,384 paths at 512 steps, a 1 MiB mask, one block for 10k.  The
+# streamed Bachelier run at 512 steps x 10k paths
+# (``verify._bachelier_terminal``, best of 7, 2 cores, shared host) took
+# 209, 149, 119 and 79-92 ms in blocks of 1024, 2048, 4096 and 10k
+# paths: each step costs a fixed Python overhead per block, and a run
+# holds one block's mask and a few float rows per path.
 _PATH_BLOCK_BYTES = 8 << 20
 
 
@@ -389,8 +392,12 @@ def state_from_U(evaluator: FieldEvaluator, u, q, node):
 
 def no_arbitrage_gap(evaluator: FieldEvaluator, lam0, v_terminal) -> float:
     """E[r(lam0, Sigma0 - V_T)] - E[r(lam0, Sigma0)], nonnegative for any
-    strategy and zero exactly for the zero strategy."""
+    strategy and zero exactly for the zero strategy.  ``lam0`` must be
+    finite and strictly positive and ``v_terminal`` finite, or it is a
+    ValueError."""
     tree, panel = evaluator.tree, evaluator.panel
+    check_finite(lam0, "initial weights", 1)
+    check_finite(v_terminal, "terminal values")
     lam0 = np.asarray(lam0, dtype=float) / np.sum(lam0)
     prob = tree.leaf_probabilities()
     r0, _, _ = representative_utility(panel, lam0, tree.sigma0)
@@ -449,9 +456,11 @@ def _path_blocks(tree: ScenarioTree, n_paths: int, seed=None, signs=None):
     """Sampled up/down paths in blocks of ``_PATH_BLOCK_BYTES // N`` paths.
 
     Yields (cols, up): the slice of path indices a block covers and its
-    up-move mask, (N, b) step-major; ``_euler_rows``
-    turns the mask into Brownian increments one step at a time.  The
-    draws ``rng.random((n, N))`` of at most 32 paths each come from one
+    up-move mask, step-major and packed to bits, (N, ceil(b/8)) uint8:
+    path i of the block is bit i % 8 of byte i // 8 of a step's row
+    (``bitorder="little"``); ``_euler_rows`` unpacks it and turns it
+    into Brownian increments one step at a time.  The draws
+    ``rng.random((n, N))`` of at most 32 paths each come from one
     generator, which continues a single stream, so a seed gives the
     paths of one (n_paths, N) draw whatever the block size.  ``signs``
     (n_paths, N) of +-1 replaces the draw.
@@ -469,18 +478,21 @@ def _path_blocks(tree: ScenarioTree, n_paths: int, seed=None, signs=None):
     width = max(1, _PATH_BLOCK_BYTES // N)
     for start in range(0, n_paths, width):
         cols = slice(start, min(start + width, n_paths))
-        up_rows = np.empty((N, cols.stop - start), dtype=bool)
-        # draw and transpose 32 paths at a time: a whole block's
-        # float draw would be 8 bytes a step and path, and one
-        # strided copy of a whole mask ran about 3x slower at 10k x
-        # 512
+        up_bits = np.empty((N, -(-(cols.stop - start) // 8)), np.uint8)
+        # draw, transpose and pack 32 paths at a time: a whole block's
+        # float draw would be 8 bytes a step and path, and one strided
+        # copy of a whole mask ran about 3x slower at 10k x 512.  Every
+        # chunk starts on a byte, and only the block's last may end
+        # inside one, whose high bits packbits pads with 0
         for i in range(start, cols.stop, 32):
             n = min(32, cols.stop - i)
             up = (rng.random((n, N)) < 0.5 if signs is None
                   else signs[i:i + n] > 0)
-            up_rows[:, i - start:i - start + n] = up.T
-        yield cols, up_rows
-        del up_rows  # before the next block's mask is drawn
+            at = (i - start) // 8
+            up_bits[:, at:at + -(-n // 8)] = np.packbits(
+                np.ascontiguousarray(up.T), axis=1, bitorder="little")
+        yield cols, up_bits
+        del up_bits  # before the next block's mask is drawn
 
 
 def _cash(phi_k, j, u, gamma: float):
@@ -540,22 +552,25 @@ def _sde_scheme(evaluator: FieldEvaluator, q_levels, u0):
             tables[0.0])
 
 
-def _euler_rows(coeffs, u0: float, eps: float, up, step: float):
+def _euler_rows(coeffs, u0: float, eps: float, up, b: int, step: float):
     """The Euler scheme of the path engines on one path block.
 
-    ``up`` is the block's up-move mask (N, b).  Each step's Brownian
-    increments (b,), +-``step``, are derived from it as the step is
+    ``up`` is the block's packed up-move mask (N, ceil(b/8)) from
+    ``_path_blocks``, and ``b`` the block's path count, which its rows
+    do not give.  Each step's row is unpacked to 0/1 (b,), and its
+    Brownian increments, +-``step``, are derived from it as the step is
     taken.  Yields (db, j, u, exploded) after each of the N steps: the
     step's increments and, after it, the node position, indirect
     utility and explosion flag of every path of the block, which start
     at 0, ``u0`` and False.  The rows are updated in place between
     yields, so a consumer that keeps a row copies it.
     """
-    j = np.zeros(up.shape[1], dtype=int)
-    u = np.full(up.shape[1], u0)
-    exploded = np.zeros(up.shape[1], dtype=bool)
-    db = np.empty(up.shape[1])
-    for coeff, up_k in zip(coeffs, up):
+    j = np.zeros(b, dtype=int)
+    u = np.full(b, u0)
+    exploded = np.zeros(b, dtype=bool)
+    db = np.empty(b)
+    for coeff, row in zip(coeffs, up):
+        up_k = np.unpackbits(row, count=b, bitorder="little")
         # +-step exactly, as 2 step up - step (2 step - step is exact)
         np.multiply(up_k, 2.0 * step, out=db)
         db -= step
@@ -605,7 +620,8 @@ def simulate_sde_paths(evaluator: FieldEvaluator, q_levels, u0: float,
     exploded = np.empty(n_paths, dtype=bool)
     for cols, up in _path_blocks(tree, n_paths, seed, signs):
         for k, (db_k, j_k, u_k, exploded_k) in enumerate(
-                _euler_rows(coeffs, u0, eps, up, step), 1):
+                _euler_rows(coeffs, u0, eps, up, cols.stop - cols.start,
+                            step), 1):
             db[k - 1, cols] = db_k
             j[k, cols] = j_k
             U[k, cols] = u_k
@@ -626,8 +642,8 @@ def simulate_sde_terminal(evaluator: FieldEvaluator, q_levels, u0: float,
     Returns (U_T, V_T, exploded), (n_paths,) each, with the draws and
     bits of ``simulate_sde_paths``'s ``U[:, -1]``, ``V[:, -1]`` and
     ``exploded``.  Each block of paths runs one step at a time on its
-    up-move mask, with no (N, b) float array, so memory grows with the
-    mask, N bytes a path.  ``on_step(cols, k, db)``, if given, sees the
+    packed up-move mask, with no (N, b) float array, so memory grows with
+    the mask, N bits a path.  ``on_step(cols, k, db)``, if given, sees the
     Brownian increments (b,) of step k of the block's paths ``cols``
     (a slice) as the Euler step takes them, steps in order from 0
     within a block; the row is overwritten by the next step.
@@ -640,7 +656,8 @@ def simulate_sde_terminal(evaluator: FieldEvaluator, q_levels, u0: float,
     exploded = np.empty(n_paths, dtype=bool)
     for cols, up in _path_blocks(tree, n_paths, seed):
         for k, (db, j_k, u_k, exploded_k) in enumerate(
-                _euler_rows(coeffs, u0, eps, up, step)):
+                _euler_rows(coeffs, u0, eps, up, cols.stop - cols.start,
+                            step)):
             if on_step is not None:
                 on_step(cols, k, db)
         del up  # before the next block's mask is drawn

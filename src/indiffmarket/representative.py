@@ -240,8 +240,12 @@ def representative_utility(panel: MakerPanel, v, x):
     """r(v, x) with its maximizing split and marginal value.
 
     Returns ``(r, split, y)`` where ``split`` attains the supremum of
-    sum_m v^m u_m(x^m) over splits of x and y = dr/dx.
+    sum_m v^m u_m(x^m) over splits of x and y = dr/dx.  The weights
+    must be finite and strictly positive and the total finite, or it is
+    a ValueError.
     """
+    check_finite(v, "weights", 1)
+    check_finite(x, "total")
     v = np.atleast_1d(np.asarray(v, dtype=float))
     y, pi = allocate(panel, v, x)
     vals = np.stack(

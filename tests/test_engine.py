@@ -18,7 +18,7 @@ from indiffmarket.engine import (
     state_from_U,
 )
 from indiffmarket.field import FieldEvaluator
-from indiffmarket.representative import PrimalPoint
+from indiffmarket.representative import PrimalPoint, representative_utility
 from indiffmarket.tree import binomial_lattice, binomial_tree
 from indiffmarket.utilities import exponential, panel, sum_of_exponentials
 
@@ -686,6 +686,18 @@ def _executed(position, **kw):
         ev, SimpleStrategy((0,), (position,)), **kw)
 
 
+def _gap(lam0, v_first=0.0):
+    def run(ev, lat):
+        v_terminal = np.zeros(ev.tree.n_nodes(ev.tree.steps))
+        v_terminal[0] = v_first
+        return no_arbitrage_gap(ev, lam0, v_terminal)
+    return run
+
+
+def _r(weights, total):
+    return lambda ev, lat: representative_utility(ev.panel, weights, total)
+
+
 @pytest.mark.parametrize("run, message", [
     (_field_at(x=np.nan), "cash must be finite"),
     (_field_at(q=[np.inf]), "positions must be finite"),
@@ -709,9 +721,20 @@ def _executed(position, **kw):
      "positions must be finite"),
     (lambda ev, lat: indifference_cash(lat, np.inf),
      "positions must be finite"),
+    (_gap([0.0, 1.0]), "initial weights must be finite and strictly "
+                       "positive"),
+    (_gap([-1.0, 1.0]), "initial weights must be finite and strictly "
+                        "positive"),
+    (_gap([0.5, 0.5], v_first=np.nan), "terminal values must be finite"),
+    (_r([0.5, 0.5], np.nan), "total must be finite"),
+    (_r([0.5, 0.5], np.inf), "total must be finite"),
+    (_r([np.nan, 1.0], 0.0), "weights must be finite and strictly positive"),
+    (_r([0.0, 1.0], 0.0), "weights must be finite and strictly positive"),
 ], ids=["field-x", "field-q", "field-v", "G-q", "saddle-q", "saddle-w0",
         "saddle-x0", "execute-position", "execute-lam0-zero",
-        "execute-lam0-nan", "held", "terminal-q", "indifference-cash"])
+        "execute-lam0-nan", "held", "terminal-q", "indifference-cash",
+        "gap-lam0-zero", "gap-lam0-negative", "gap-v-terminal",
+        "r-total-nan", "r-total-inf", "r-weight-nan", "r-weight-zero"])
 def test_non_finite_inputs_are_value_errors(run, message):
     # a non-finite input is a ValueError that names it where it comes
     # in, not a solver failure deep in allocate
@@ -883,11 +906,37 @@ def test_sde_path_blocks_give_the_same_bits(monkeypatch, steps, q, n_paths,
         assert_same_bits(u_true, u_closed, exact=True)
 
 
+@pytest.mark.parametrize("block", [1, 7, 8, 9, 45, 63, 64, 65])
+def test_path_blocks_pack_the_up_moves_of_one_draw(monkeypatch, block):
+    # path i of a block is bit i % 8 of byte i // 8 of each step's row,
+    # with 0 in the last byte's unused bits; a block of 45 paths ends on
+    # a partial draw chunk (32 + 13 paths)
+    steps, n_paths = 6, 200
+    tree = binomial_lattice(steps, 1.0)
+    rng = np.random.default_rng(8)
+    signs = np.where(rng.random((n_paths, steps)) < 0.3, -1.0, 1.0)
+    draws = [({"seed": 11},
+              np.random.default_rng(11).random((n_paths, steps)) < 0.5),
+             ({"signs": signs}, signs > 0)]
+    monkeypatch.setattr(engine, "_PATH_BLOCK_BYTES", block * steps)
+    for draw, want in draws:
+        starts = []
+        for cols, up in engine._path_blocks(tree, n_paths, **draw):
+            b = cols.stop - cols.start
+            assert up.dtype == np.uint8 and up.shape == (steps, -(-b // 8))
+            bits = np.unpackbits(up, axis=1, bitorder="little")
+            assert np.array_equal(bits[:, :b], want[cols].T)
+            assert not bits[:, b:].any()
+            starts.append(cols.start)
+        assert starts == list(range(0, n_paths, block))
+
+
 def test_streamed_bachelier_memory_has_no_float_block(monkeypatch):
-    # measured at 512 steps: one block of 3000 paths peaks 1.6 MB over a
-    # 32-path run (its 1.5 MB up-move mask and about 32 bytes a path),
-    # three blocks 0.6 MB (one 0.5 MB mask at a time); one (N, b) float
-    # array of increments would add 4 kB a path
+    # measured at 512 steps: one block of 3000 paths peaks 0.33 MB over a
+    # 32-path run (its 0.19 MB up-move mask, one bit a step and path, and
+    # about 32 bytes a path), three blocks 0.22 MB (one 64 kB mask at a
+    # time); a mask of one byte a step and path peaked 1.65 MB, and one
+    # (N, b) float array of increments would add 4 kB a path
     import tracemalloc
 
     from indiffmarket import engine
@@ -910,7 +959,7 @@ def test_streamed_bachelier_memory_has_no_float_block(monkeypatch):
     one = peak(n_paths, n_paths)
     three = peak(n_paths, n_paths // 3)
     for block, got in ((n_paths, one), (n_paths // 3, three)):
-        assert got - base <= steps * block + rows * 8 * n_paths
+        assert got - base <= steps * block // 8 + rows * 8 * n_paths
     assert three <= one
 
 

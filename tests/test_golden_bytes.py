@@ -8,8 +8,9 @@ execute run without V (an empty column), a two-dimensional tree, a
 9-step execute run of three trades and an 8-step sde run (whose V
 columns come from saddle solves at every level of a deeper tree), the
 Bachelier tables (small, and at the full 512 steps x 10k paths, which
-run as one path block: a block's 8 MiB up-move mask holds 16,384 paths
-at 512 steps; ``tests/test_engine.py::test_sde_path_blocks_give_the_same_bits``
+run as one path block: a block holds 16,384 paths at 512 steps, its
+up-move mask packed to 1 MiB, one bit a step and path;
+``tests/test_engine.py::test_sde_path_blocks_give_the_same_bits``
 pins the bits of runs over several blocks), the verify table of two
 suites and of all nine, and ``dump-tree`` on a tree, a d=2 tree and a
 lattice.
